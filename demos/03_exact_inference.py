@@ -8,10 +8,10 @@ log-partition whose gradient is the table of posterior tag marginals.
 import numpy as np
 
 from disctag import (
+    build_lattice,
     decode,
     forward,
     grammar_automaton,
-    intersect,
     marginals,
     nll,
     sequence_score,
@@ -23,7 +23,7 @@ rng = np.random.default_rng(42)
 n = 6
 grammar = grammar_automaton("semantic")
 weights = rng.normal(0.0, 1.5, size=(n, 10))
-lattice = intersect(grammar, weights)
+lattice = build_lattice(grammar, n)
 
 score, best = viterbi(lattice, weights)
 print("MAP sequence:", best.symbols())

@@ -15,11 +15,11 @@ from disctag import (
     Mention,
     PartialLabelSet,
     annotate,
+    build_lattice,
     clamped_log_partition,
     forward,
     grammar_automaton,
     hard_em_step,
-    intersect,
     nll,
     partial_nll,
     sequence_score,
@@ -44,7 +44,7 @@ for member in pl.members:
 
 rng = np.random.default_rng(1)
 weights = rng.normal(0.0, 1.0, size=(len(tokens), 10))
-lattice = intersect(grammar_automaton("semantic"), weights)
+lattice = build_lattice(grammar_automaton("semantic"), len(tokens))
 
 loss, grad = partial_nll(lattice, weights, pl)
 print("\npartial NLL:", round(loss, 4))

@@ -7,8 +7,6 @@ structured gradients, and to check that prediction time scales linearly.
 
 import logging
 
-import numpy as np
-
 from disctag import (
     TrainConfig,
     benchmark_predict,
@@ -19,7 +17,7 @@ from disctag import (
     train,
 )
 from disctag.corpus import annotate, filter_incompatible
-from disctag.model import make_lattice_cache, predict_tags
+from disctag.model import predict_tags
 
 logging.basicConfig(level=logging.INFO, format="%(message)s")
 
@@ -43,11 +41,9 @@ for loss in ("nll", "partial", "hard-em"):
           f"(discontinuous-only F1 = {report.disc_f1:.3f})")
 
 # Every prediction decodes: the lattice only admits well-formed sequences.
-cache = make_lattice_cache("semantic")
-rng = np.random.default_rng(0)
 wild = synthetic_records(count=5, length=30, seed=99)
 for r in wild:
-    decode(predict_tags(scorer, r.tokens, lattices=cache))
+    decode(predict_tags(scorer, r.tokens, "semantic"))
 print("\npredictions on unseen 30-word sentences all decode cleanly")
 
 print("\nprediction speed (median per sentence):")

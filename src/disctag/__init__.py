@@ -5,9 +5,9 @@ The package provides:
 - a 10-tag encoding of (possibly discontinuous) mention sets with a
   one-to-one mapping between well-formed tag sequences and annotations
   (:mod:`disctag.scheme`);
-- a grammar automaton recognising exactly the well-formed sequences, and its
-  intersection with a sentence into an acyclic lattice
-  (:mod:`disctag.automata`);
+- a grammar automaton recognising exactly the well-formed sequences, compiled
+  once into a transition table that ``build_lattice`` pairs with a sentence
+  length to give the acyclic intersection lattice (:mod:`disctag.automata`);
 - exact MAP, log-partition and marginal inference on the lattice, plus fully-
   and partially-supervised losses with exact gradients
   (:mod:`disctag.inference`);
@@ -25,7 +25,6 @@ from .automata import (
     determinize,
     export_text,
     grammar_automaton,
-    intersect,
     minimize,
     remove_epsilon,
 )
@@ -141,7 +140,6 @@ __all__ = [
     "from_two_layer",
     "grammar_automaton",
     "hard_em_step",
-    "intersect",
     "is_structural",
     "is_well_formed",
     "marginals",

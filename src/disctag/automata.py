@@ -4,7 +4,9 @@ The grammar automaton is a small cyclic machine whose language is exactly the
 set of well-formed tag sequences of any length (see :mod:`disctag.scheme`).
 Intersecting it with the trivial sentence automaton of an ``n``-word sentence
 yields an acyclic lattice whose accepting paths are the well-formed sequences
-of length ``n``; all dynamic programs run on that lattice.
+of length ``n``; all dynamic programs run on that lattice.  The lattice is
+``n`` copies of one time-invariant transition table, which is compiled once
+per grammar and shared by the lattices of every length.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "remove_epsilon",
     "determinize",
     "minimize",
-    "intersect",
     "build_lattice",
     "export_text",
     "random_well_formed",
@@ -66,7 +67,6 @@ class Automaton:
     initial: int
     finals: frozenset[int]
     alphabet: frozenset[Tag] = field(default=frozenset(TAGS))
-    state_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", frozenset(self.transitions))
@@ -96,6 +96,31 @@ class Automaton:
                 return False
             seen.add((src, label))
         return True
+
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(edge_src, edge_tag, edge_dst, next_state, final_mask)``.
+
+        The transition table of a deterministic, epsilon-free automaton:
+        edges sorted by ``(source, tag index, target)``, the dense successor
+        table (``-1`` where undefined) and the final-state mask.  It is built
+        on first use and shared by every lattice of this automaton.
+        """
+        if not self.is_deterministic:
+            raise ValueError("intersection requires a deterministic, epsilon-free grammar")
+        edges = np.array(
+            sorted((src, label.index, dst) for src, label, _, dst in self.transitions),
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        edge_src, edge_tag, edge_dst = edges.T.copy()
+        next_state = np.full((self.num_states, NUM_TAGS), -1, dtype=np.int64)
+        next_state[edge_src, edge_tag] = edge_dst
+        final_mask = np.zeros(self.num_states, dtype=bool)
+        final_mask[list(self.finals)] = True
+        table = (edge_src, edge_tag, edge_dst, next_state, final_mask)
+        for array in table:
+            array.flags.writeable = False
+        return table
 
     def _closure(self, states: frozenset[int]) -> frozenset[int]:
         out = set(states)
@@ -135,12 +160,7 @@ class Automaton:
         )
 
 
-def _trim(
-    transitions: set[Transition],
-    initial: int,
-    finals: set[int],
-    names: Sequence[str] | None,
-) -> Automaton:
+def _trim(transitions: set[Transition], initial: int, finals: set[int]) -> Automaton:
     """Drop states unreachable from the initial state and renumber densely."""
     out_edges: dict[int, list[Transition]] = {}
     for t in transitions:
@@ -161,7 +181,6 @@ def _trim(
         ),
         initial=renum[initial],
         finals=frozenset(renum[f] for f in finals if f in reachable),
-        state_names=tuple(names[old] for old in order) if names else None,
     )
 
 
@@ -179,7 +198,7 @@ def remove_epsilon(a: Automaton) -> Automaton:
                 if src == p and label is not None:
                     transitions.add((q, label, w, dst))
     finals = {q for q in range(a.num_states) if closures[q] & a.finals}
-    return _trim(transitions, a.initial, finals, a.state_names)
+    return _trim(transitions, a.initial, finals)
 
 
 def determinize(a: Automaton) -> Automaton:
@@ -258,7 +277,7 @@ def minimize(a: Automaton) -> Automaton:
         (block[src], label, 0.0, block[dst]) for (src, label), dst in delta.items()
     }
     finals = {block[q] for q in a.finals if q in useful}
-    return _trim(transitions, block[a.initial], finals, None)
+    return _trim(transitions, block[a.initial], finals)
 
 
 def _half_states(prefix: str) -> tuple[str, ...]:
@@ -283,14 +302,10 @@ def grammar_automaton(mode: str = "semantic") -> Automaton:
     """
     if mode not in ("semantic", "structural"):
         raise ValueError(f"unknown mode: {mode!r}")
-    names: list[str] = []
     ids: dict[str, int] = {}
 
     def state(name: str) -> int:
-        if name not in ids:
-            ids[name] = len(names)
-            names.append(name)
-        return ids[name]
+        return ids.setdefault(name, len(ids))
 
     t: set[Transition] = set()
     start = state("outside")
@@ -345,11 +360,10 @@ def grammar_automaton(mode: str = "semantic") -> Automaton:
             (gap_late, other_b, 0.0, safe_other),
         }
     with_eps = Automaton(
-        num_states=len(names),
+        num_states=len(ids),
         transitions=frozenset(t),
         initial=start,
         finals=frozenset((start,)),
-        state_names=tuple(names),
     )
     return determinize(remove_epsilon(with_eps))
 
@@ -361,9 +375,11 @@ class Lattice:
     States are pairs ``(position, grammar state)`` with ``position`` in
     ``0..n``; every transition advances the position by one and reads the
     score of one ``(position, tag)`` cell of a weight matrix.  The grammar
-    part is time-invariant, so it is stored once: ``edge_src``, ``edge_tag``
-    and ``edge_dst`` describe the per-step transitions, and ``next_state`` is
-    the dense successor table of the (deterministic) grammar.
+    part is time-invariant, so only ``n`` is per sentence: ``edge_src``,
+    ``edge_tag`` and ``edge_dst`` describe the per-step transitions, and
+    ``next_state`` is the dense successor table of the (deterministic)
+    grammar.  These arrays are the grammar's compiled table, read-only and
+    shared by the lattices of every length.
     """
 
     n: int
@@ -382,21 +398,6 @@ class Lattice:
     @property
     def num_transitions(self) -> int:
         return self.n * len(self.edge_src)
-
-    def transitions(self) -> Iterator[tuple[tuple[int, int], Tag, tuple[int, int], tuple[int, int]]]:
-        """Explicit transitions ``(src_pair, tag, weight_ref, dst_pair)``."""
-        for i in range(1, self.n + 1):
-            for src, tag, dst in zip(self.edge_src, self.edge_tag, self.edge_dst):
-                yield ((i - 1, int(src)), TAGS[int(tag)], (i - 1, TAGS[int(tag)].index), (i, int(dst)))
-
-    def reachable_masks(self) -> np.ndarray:
-        """(n+1, S) bool: states reachable from the initial state."""
-        masks = np.zeros((self.n + 1, self.num_grammar_states), dtype=bool)
-        masks[0, self.initial] = True
-        for i in range(self.n):
-            src_ok = masks[i, self.edge_src]
-            np.logical_or.at(masks[i + 1], self.edge_dst[src_ok], True)
-        return masks
 
     def coreachable_masks(self) -> np.ndarray:
         """(n+1, S) bool: states from which a final state at position n is reachable."""
@@ -425,46 +426,17 @@ class Lattice:
 
 
 def build_lattice(grammar: Automaton, n: int) -> Lattice:
-    """Intersection lattice for a sentence of ``n`` words."""
-    if not grammar.is_deterministic:
-        raise ValueError("intersection requires a deterministic, epsilon-free grammar")
-    edges = sorted(
-        (src, label.index, dst) for src, label, _, dst in grammar.transitions
-    )
-    edge_src = np.array([e[0] for e in edges], dtype=np.int64)
-    edge_tag = np.array([e[1] for e in edges], dtype=np.int64)
-    edge_dst = np.array([e[2] for e in edges], dtype=np.int64)
-    next_state = np.full((grammar.num_states, NUM_TAGS), -1, dtype=np.int64)
-    next_state[edge_src, edge_tag] = edge_dst
-    final_mask = np.zeros(grammar.num_states, dtype=bool)
-    final_mask[list(grammar.finals)] = True
-    lat = Lattice(
-        n=n,
-        num_grammar_states=grammar.num_states,
-        initial=grammar.initial,
-        final_mask=final_mask,
-        edge_src=edge_src,
-        edge_tag=edge_tag,
-        edge_dst=edge_dst,
-        next_state=next_state,
-    )
-    if not lat.coreachable_masks()[0, lat.initial]:
-        raise EmptyLanguage(f"no accepting path for n={n}")
-    return lat
+    """Intersection lattice for a sentence of ``n`` words.
 
-
-def intersect(grammar: Automaton, weights: np.ndarray) -> Lattice:
-    """Intersect the grammar with the sentence automaton of a weight matrix.
-
-    ``weights`` must be an ``(n, 10)`` array of finite scores; entry ``(i, t)``
-    is the score of tagging word ``i`` with tag ``t``.
+    Constant time: the lattice attaches ``n`` to the grammar's compiled
+    table.  A length with no accepting path is reported by the dynamic
+    programs of :mod:`disctag.inference`, which raise
+    :class:`~disctag.errors.EmptyLanguage`.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2 or weights.shape[1] != NUM_TAGS:
-        raise ValueError(f"weight matrix must have shape (n, {NUM_TAGS})")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weight matrix entries must be finite")
-    return build_lattice(grammar, weights.shape[0])
+    edge_src, edge_tag, edge_dst, next_state, final_mask = grammar._table
+    return Lattice(
+        n, grammar.num_states, grammar.initial, final_mask, edge_src, edge_tag, edge_dst, next_state
+    )
 
 
 def export_text(a: Automaton) -> str:

@@ -14,7 +14,7 @@ import sys
 from . import corpus as corpus_io
 from .automata import export_text, grammar_automaton, minimize
 from .errors import DisctagError, Incompatible, ParseError
-from .model import LinearScorer, TrainConfig, make_lattice_cache, predict_tags, train
+from .model import LinearScorer, TrainConfig, predict_tags, train
 from .scheme import decode, encode, is_well_formed
 
 SCALING_BOUND = 2.5  # doubling the sentence may at most 2.5x the median time
@@ -229,9 +229,8 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     records = corpus_io.read_corpus(args.corpus)
     scorer = LinearScorer.load(args.model)
-    cache = make_lattice_cache(args.mode)
     out = [
-        corpus_io.CorpusRecord(r.tokens, decode(predict_tags(scorer, r.tokens, lattices=cache)))
+        corpus_io.CorpusRecord(r.tokens, decode(predict_tags(scorer, r.tokens, args.mode)))
         for r in records
     ]
     _write_records(args.output, out)

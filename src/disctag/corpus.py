@@ -22,7 +22,7 @@ import numpy as np
 
 from .automata import build_lattice, grammar_automaton, random_well_formed
 from .errors import Incompatible, LengthMismatch, ParseError
-from .model import LinearScorer, make_lattice_cache, predict_tags
+from .model import LinearScorer, predict_tags
 from .scheme import (
     ComponentType,
     Mention,
@@ -361,14 +361,12 @@ def benchmark_predict(
     if scorer is None:
         rng = np.random.default_rng(seed)
         scorer = LinearScorer(dim=2**12, params=rng.normal(0, 1.0, (2**12, 10)))
-    cache = make_lattice_cache(mode)
     lengths = sorted(lengths)
     per_length = {}
     for length in lengths:
         count = max(batch, 1024 // length)
         records = synthetic_records(count, length, seed=seed + length)
-        cache(length)  # build the lattice outside the timed region
-        predict_tags(scorer, records[0].tokens, lattices=cache)  # warm-up
+        predict_tags(scorer, records[0].tokens, mode)  # warm-up
         per_length[length] = records
     times: dict[int, list[float]] = {length: [] for length in lengths}
     gc_was_enabled = gc.isenabled()
@@ -379,7 +377,7 @@ def benchmark_predict(
                 records = per_length[length]
                 start = time.perf_counter()
                 for record in records:
-                    predict_tags(scorer, record.tokens, lattices=cache)
+                    predict_tags(scorer, record.tokens, mode)
                 times[length].append((time.perf_counter() - start) / len(records))
     finally:
         if gc_was_enabled:

@@ -64,9 +64,12 @@ LOG = Semiring("log", np.logaddexp, np.add, NEG_INF, 0.0)
 
 
 def _check_weights(lat: Lattice, weights: np.ndarray) -> np.ndarray:
+    """The weights as float64, checked to be an ``(n, 10)`` matrix of finite scores."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (lat.n, NUM_TAGS):
         raise ValueError(f"expected weights of shape ({lat.n}, {NUM_TAGS}), got {weights.shape}")
+    if not np.isfinite(weights).all():
+        raise ValueError("weight matrix entries must be finite")
     return weights
 
 
@@ -138,7 +141,9 @@ def marginals(lat: Lattice, weights: np.ndarray) -> np.ndarray:
 
     Entry ``(i, t)`` is the total probability of sequences tagging word ``i``
     with tag ``t``; rows sum to one and cells unusable by any accepting path
-    are exactly zero.
+    are exactly zero.  Each row is normalised by its own log-sum, which is
+    ``log Z`` in exact arithmetic; with large weights the rounding of the
+    chart sums then cannot push a row away from one or overflow ``exp``.
     """
     weights = _check_weights(lat, weights)
     alpha = _forward_chart(lat, weights, LOG)
@@ -146,17 +151,15 @@ def marginals(lat: Lattice, weights: np.ndarray) -> np.ndarray:
     log_z = np.logaddexp.reduce(alpha[lat.n, lat.final_mask])
     if log_z == NEG_INF:
         raise EmptyLanguage("lattice has no accepting path")
-    out = np.zeros((lat.n, NUM_TAGS))
+    acc = np.full((lat.n, NUM_TAGS), NEG_INF)
     for i in range(lat.n):
         edge_logp = (
             alpha[i, lat.edge_src]
             + weights[i, lat.edge_tag]
             + beta[i + 1, lat.edge_dst]
         )
-        acc = np.full(NUM_TAGS, NEG_INF)
-        np.logaddexp.at(acc, lat.edge_tag, edge_logp)
-        out[i] = np.exp(acc - log_z)
-    return out
+        np.logaddexp.at(acc[i], lat.edge_tag, edge_logp)
+    return np.exp(acc - np.logaddexp.reduce(acc, axis=1, keepdims=True))
 
 
 @dataclass(frozen=True)

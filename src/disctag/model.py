@@ -9,13 +9,14 @@ is plain SGD on the exact loss gradients from :mod:`disctag.inference`.
 from __future__ import annotations
 
 import logging
+import zipfile
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .automata import Automaton, Lattice, build_lattice, grammar_automaton
+from .automata import build_lattice, grammar_automaton
 from .errors import ConfigError
 from .inference import PartialLabelSet, hard_em_step, nll, partial_nll, viterbi
 from .scheme import (
@@ -34,9 +35,7 @@ __all__ = [
     "train",
     "predict",
     "predict_tags",
-    "position_features",
     "sentence_features",
-    "make_lattice_cache",
 ]
 
 logger = logging.getLogger(__name__)
@@ -73,10 +72,6 @@ def sentence_features(tokens: Sequence[str]) -> list[list[str]]:
             ]
         )
     return out
-
-
-def position_features(tokens: Sequence[str], i: int) -> list[str]:
-    return sentence_features(tokens)[i]
 
 
 class LinearScorer:
@@ -131,14 +126,23 @@ class LinearScorer:
 
     @classmethod
     def load(cls, path) -> "LinearScorer":
-        with np.load(path, allow_pickle=False) as data:
-            version = int(data["format_version"])
-            if version != cls.FORMAT_VERSION:
-                raise ConfigError(f"unsupported model format version {version}")
-            tagset = [str(s) for s in data["tagset"]]
-            if tagset != [t.symbol for t in TAGS]:
-                raise ConfigError("model tagset does not match this build")
-            return cls(dim=int(data["dim"]), params=data["params"])
+        """Read a model written by :meth:`save`.
+
+        A file that is not such a model (not an ``.npz`` archive, truncated,
+        or missing an entry) raises :class:`~disctag.errors.ConfigError`;
+        a file that cannot be opened raises :class:`OSError`.
+        """
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                version = int(data["format_version"])
+                if version != cls.FORMAT_VERSION:
+                    raise ConfigError(f"unsupported model format version {version}")
+                tagset = [str(s) for s in data["tagset"]]
+                if tagset != [t.symbol for t in TAGS]:
+                    raise ConfigError("model tagset does not match this build")
+                return cls(dim=int(data["dim"]), params=data["params"])
+        except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as err:
+            raise ConfigError(f"{path} is not a model file written by 'disctag train'") from err
 
 
 @dataclass(frozen=True)
@@ -158,19 +162,6 @@ class TrainConfig:
             raise ConfigError("learning rate must be positive")
         if self.l2 < 0:
             raise ConfigError("l2 must be non-negative")
-
-
-class _LatticeCache:
-    """One lattice per sentence length; the grammar part is shared."""
-
-    def __init__(self, grammar: Automaton):
-        self.grammar = grammar
-        self._by_length: dict[int, Lattice] = {}
-
-    def __call__(self, n: int) -> Lattice:
-        if n not in self._by_length:
-            self._by_length[n] = build_lattice(self.grammar, n)
-        return self._by_length[n]
 
 
 def train(
@@ -203,14 +194,14 @@ def train(
         raise ConfigError("empty training corpus")
 
     scorer = LinearScorer(dim=dim)
-    lattices = _LatticeCache(grammar_automaton(mode))
+    grammar = grammar_automaton(mode)
     rng = np.random.default_rng(config.seed)
     for epoch in range(config.epochs):
         total = 0.0
         for j in rng.permutation(len(examples)):
             tokens, supervision = examples[j]
             w = scorer.score(tokens)
-            lattice = lattices(len(tokens))
+            lattice = build_lattice(grammar, len(tokens))
             if config.loss == "nll":
                 loss, grad = nll(lattice, w, supervision)
             elif config.loss == "partial":
@@ -223,16 +214,9 @@ def train(
     return scorer
 
 
-def predict_tags(
-    scorer: LinearScorer,
-    tokens: Sequence[str],
-    mode: str = "semantic",
-    lattices: _LatticeCache | None = None,
-) -> TagSequence:
+def predict_tags(scorer: LinearScorer, tokens: Sequence[str], mode: str = "semantic") -> TagSequence:
     """MAP tag sequence; well-formed by construction."""
-    if lattices is None:
-        lattices = _LatticeCache(grammar_automaton(mode))
-    _, ts = viterbi(lattices(len(tokens)), scorer.score(tokens))
+    _, ts = viterbi(build_lattice(grammar_automaton(mode), len(tokens)), scorer.score(tokens))
     return ts
 
 
@@ -242,8 +226,3 @@ def predict(scorer: LinearScorer, tokens: Sequence[str], mode: str = "semantic")
     Decoding cannot fail: the lattice only admits well-formed sequences.
     """
     return decode(predict_tags(scorer, tokens, mode))
-
-
-def make_lattice_cache(mode: str = "semantic") -> _LatticeCache:
-    """Shared grammar/lattice cache for batch prediction loops."""
-    return _LatticeCache(grammar_automaton(mode))

@@ -36,7 +36,6 @@ from disctag.inference import (
 from disctag.model import (
     LinearScorer,
     TrainConfig,
-    make_lattice_cache,
     predict_tags,
     train,
 )
@@ -205,7 +204,6 @@ def test_criterion_06_partial_label_structure():
 
 def test_criterion_07_soundness_fuzz():
     rng = np.random.default_rng(701)
-    cache = make_lattice_cache("semantic")
     dim = 128
     failures = 0
     for _ in range(10_000):
@@ -213,7 +211,7 @@ def test_criterion_07_soundness_fuzz():
         n = int(rng.integers(1, 41))
         tokens = [f"w{rng.integers(10_000)}" for _ in range(n)]
         try:
-            ts = predict_tags(scorer, tokens, lattices=cache)
+            ts = predict_tags(scorer, tokens, "semantic")
             decode(ts)
         except IllFormed:
             failures += 1
@@ -275,9 +273,8 @@ def test_criterion_09_toy_training():
         dim=2**14,
     )
     nll_seconds = time.perf_counter() - start
-    cache = make_lattice_cache("semantic")
     exact = sum(
-        predict_tags(scorer, tokens, lattices=cache).tags == gold.tags
+        predict_tags(scorer, tokens, "semantic").tags == gold.tags
         for tokens, gold, _ in corpus
     )
     assert nll_seconds < 30.0, f"nll training took {nll_seconds:.1f}s"
@@ -292,7 +289,7 @@ def test_criterion_09_toy_training():
     partial_seconds = time.perf_counter() - start
     gold_sets = [decode(gold) for _, gold, _ in corpus]
     predicted = [
-        decode(predict_tags(scorer, tokens, lattices=cache)) for tokens, _, _ in corpus
+        decode(predict_tags(scorer, tokens, "semantic")) for tokens, _, _ in corpus
     ]
     f1 = evaluate(gold_sets, predicted).f1
     assert partial_seconds < 30.0, f"partial training took {partial_seconds:.1f}s"

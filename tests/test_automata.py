@@ -7,12 +7,12 @@ from disctag.automata import (
     determinize,
     export_text,
     grammar_automaton,
-    intersect,
     minimize,
     random_well_formed,
     remove_epsilon,
 )
 from disctag.errors import EmptyLanguage
+from disctag.inference import forward, marginals, viterbi
 from disctag.scheme import CB, CI, NUM_TAGS, O, TAGS, is_structural
 
 
@@ -156,7 +156,7 @@ class TestGrammarAutomaton:
 
 class TestLattice:
     def test_paths_at_n1(self, semantic):
-        lat = intersect(semantic, np.zeros((1, NUM_TAGS)))
+        lat = build_lattice(semantic, 1)
         assert set(lat.accepting_sequences()) == {(O,), (CB,)}
 
     @pytest.mark.parametrize("m", [4, 8, 16])
@@ -165,43 +165,51 @@ class TestLattice:
         big = build_lattice(semantic, 2 * m)
         assert big.num_transitions == 2 * small.num_transitions
 
-    def test_transitions_advance_position_by_one(self, semantic):
-        lat = build_lattice(semantic, 3)
-        seen = 0
-        for (i, _), tag, (wi, wt), (j, _) in lat.transitions():
-            assert j == i + 1
-            assert wi == i and wt == tag.index
-            seen += 1
-        assert seen == lat.num_transitions
+    def test_grammar_table_shared_and_read_only(self, semantic):
+        short, long = build_lattice(semantic, 3), build_lattice(semantic, 300)
+        assert (short.n, long.n) == (3, 300)
+        for name in ("edge_src", "edge_tag", "edge_dst", "next_state", "final_mask"):
+            array = getattr(short, name)
+            assert array is getattr(long, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[0]
 
-    def test_reachability_masks(self, semantic):
+    def test_nondeterministic_grammar_rejected(self):
+        nfa = Automaton(2, {(0, O, 0.0, 0), (0, O, 0.0, 1)}, 0, {0})
+        with pytest.raises(ValueError):
+            build_lattice(nfa, 2)
+
+    def test_coreachability_masks(self, semantic):
         lat = build_lattice(semantic, 4)
-        fwd = lat.reachable_masks()
         bwd = lat.coreachable_masks()
-        assert fwd.shape == bwd.shape == (5, lat.num_grammar_states)
-        assert fwd[0, lat.initial] and bwd[0, lat.initial]
-        # a final state is reachable at the last position
-        assert bool((fwd[4] & lat.final_mask).any())
-        # states on accepting paths are exactly reachable-and-coreachable;
-        # every accepting sequence stays inside them
+        assert bwd.shape == (5, lat.num_grammar_states)
+        assert bwd[0, lat.initial]
+        assert np.array_equal(bwd[4], lat.final_mask)
+        # every accepting sequence stays inside the co-reachable states
         for seq in lat.accepting_sequences():
             q = lat.initial
             for pos, tag in enumerate(seq):
                 q = int(lat.next_state[q, tag.index])
-                assert fwd[pos + 1, q] and bwd[pos + 1, q]
+                assert bwd[pos + 1, q]
 
     def test_weight_validation(self, semantic):
-        with pytest.raises(ValueError):
-            intersect(semantic, np.zeros((3, 4)))
-        bad = np.zeros((3, NUM_TAGS))
-        bad[1, 2] = np.inf
-        with pytest.raises(ValueError):
-            intersect(semantic, bad)
+        lat = build_lattice(semantic, 3)
+        for dp in (viterbi, forward, marginals):
+            with pytest.raises(ValueError):
+                dp(lat, np.zeros((3, 4)))
+            for bad_value in (np.inf, np.nan):
+                bad = np.zeros((3, NUM_TAGS))
+                bad[1, 2] = bad_value
+                with pytest.raises(ValueError):
+                    dp(lat, bad)
 
     def test_empty_language_flagged(self):
         no_final_at_start = Automaton(2, {(0, O, 0.0, 1)}, 0, {1})
-        with pytest.raises(EmptyLanguage):
-            build_lattice(no_final_at_start, 0)
+        lat = build_lattice(no_final_at_start, 0)
+        for dp in (viterbi, forward, marginals):
+            with pytest.raises(EmptyLanguage):
+                dp(lat, np.zeros((0, NUM_TAGS)))
 
     def test_random_well_formed_paths(self, semantic, language):
         rng = np.random.default_rng(7)

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
 from disctag.cli import main
 from disctag.corpus import read_corpus, synthetic_records, write_corpus
+from disctag.model import LinearScorer, predict_tags
+from disctag.scheme import NUM_TAGS, decode
 
 
 @pytest.fixture
@@ -141,6 +144,42 @@ class TestTrainPredictEval:
 
     def test_predict_missing_model_exits_2(self, corpus_file, tmp_path):
         assert main(["predict", str(corpus_file), "--model", str(tmp_path / "none.npz")]) == 2
+
+    @pytest.mark.parametrize("kind", ["random-bytes", "wrong-keys", "truncated", "npy-array"])
+    def test_predict_bad_model_file_exits_1(self, corpus_file, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.npz"
+        if kind == "random-bytes":
+            bad.write_bytes(np.random.default_rng(3).bytes(512))
+        elif kind == "wrong-keys":
+            np.savez(bad, weights=np.zeros((4, NUM_TAGS)))
+        elif kind == "truncated":
+            good = tmp_path / "good.npz"
+            LinearScorer(dim=64).save(good)
+            bad.write_bytes(good.read_bytes()[:-100])
+        else:
+            with open(bad, "wb") as handle:
+                np.save(handle, np.zeros((4, NUM_TAGS)))
+        assert main(["predict", str(corpus_file), "--model", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_predict_structural_mode(self, tmp_path):
+        rng = np.random.default_rng(8)
+        scorer = LinearScorer(dim=256, params=rng.normal(0.0, 2.0, (256, NUM_TAGS)))
+        model_path = tmp_path / "random.npz"
+        scorer.save(model_path)
+        corpus_path = tmp_path / "corpus.txt"
+        records = synthetic_records(12, length=12, seed=5)
+        write_corpus(records, corpus_path)
+        modes = {
+            mode: [decode(predict_tags(scorer, r.tokens, mode)) for r in records]
+            for mode in ("semantic", "structural")
+        }
+        assert modes["semantic"] != modes["structural"]
+        pred_path = tmp_path / "pred.txt"
+        argv = ["predict", str(corpus_path), "--model", str(model_path), "-o", str(pred_path)]
+        assert main(argv + ["--mode", "structural"]) == 0
+        assert [r.mentions for r in read_corpus(pred_path)] == modes["structural"]
 
     def test_train_bad_loss_rejected(self, corpus_file, tmp_path):
         with pytest.raises(SystemExit):

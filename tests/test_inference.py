@@ -170,6 +170,15 @@ class TestMarginals:
         w = random_weights(rng, 4)
         assert np.allclose(marginals(lat(4), w), marginals(lat(4), w + 2.0), atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e14, 1e50, 1e300])
+    def test_large_finite_weights(self, scale):
+        rng = np.random.default_rng(59)
+        w = random_weights(rng, 6, scale=scale)
+        assert math.isfinite(forward(lat(6), w))
+        m = marginals(lat(6), w)
+        assert np.all(np.isfinite(m))
+        assert np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-12)
+
 
 def annotation_with_sets(k, resolved=()):
     """k disjoint two-fragment mentions, each its own unresolved set."""

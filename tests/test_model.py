@@ -7,10 +7,9 @@ from disctag.inference import nll
 from disctag.model import (
     LinearScorer,
     TrainConfig,
-    make_lattice_cache,
-    position_features,
     predict,
     predict_tags,
+    sentence_features,
     train,
 )
 from disctag.scheme import (
@@ -56,11 +55,11 @@ def synthetic_corpus(count, seed=0, min_len=4, max_len=10, continuous_only=False
 
 class TestFeatures:
     def test_window_and_affixes(self):
-        feats = position_features(["Pain", "in", "Arms"], 1)
+        feats = sentence_features(["Pain", "in", "Arms"])[1]
         assert feats == ["w=in", "w-1=pain", "w+1=arms", "pre=in", "suf=in"]
 
     def test_boundary_markers(self):
-        feats = position_features(["solo"], 0)
+        feats = sentence_features(["solo"])[0]
         assert "w-1=<bos>" in feats and "w+1=<eos>" in feats
 
 
@@ -157,9 +156,8 @@ class TestTraining:
         corpus = synthetic_corpus(50, seed=11)
         cfg = TrainConfig(loss="nll", epochs=20, learning_rate=0.5, seed=0)
         scorer = train([(t, a) for t, _, a in corpus], cfg, mode="semantic", dim=2**14)
-        cache = make_lattice_cache("semantic")
         hits = sum(
-            predict_tags(scorer, tokens, lattices=cache).tags == gold.tags
+            predict_tags(scorer, tokens, "semantic").tags == gold.tags
             for tokens, gold, _ in corpus
         )
         assert hits == len(corpus)
@@ -202,12 +200,11 @@ class TestPredict:
 
     def test_random_scorers_always_decode(self):
         rng = np.random.default_rng(23)
-        cache = make_lattice_cache("semantic")
         for _ in range(200):
             dim = 64
             scorer = LinearScorer(dim=dim, params=rng.normal(0, 3.0, (dim, NUM_TAGS)))
             n = int(rng.integers(1, 25))
             tokens = [f"tok{rng.integers(1000)}" for _ in range(n)]
-            ts = predict_tags(scorer, tokens, lattices=cache)
+            ts = predict_tags(scorer, tokens, "semantic")
             assert is_well_formed(ts)
             decode(ts)  # must not raise
