@@ -5,8 +5,11 @@ set is the body part and which is the event.  Flipping a set's x/y assignment
 leaves its mentions unchanged, so a sentence with k sets has 2^k admissible
 gold sequences.  Training can marginalise over them (partial NLL), clamp to
 the best one (hard EM), or resolve them beforehand with a lexicon (silver
-typing).
+typing).  The sums over the 2^k sequences factorise per set, so training
+never lists them; this demo lists them only to show them.
 """
+
+import itertools
 
 import numpy as np
 
@@ -17,6 +20,7 @@ from disctag import (
     annotate,
     build_lattice,
     clamped_log_partition,
+    encode,
     forward,
     grammar_automaton,
     hard_em_step,
@@ -38,8 +42,9 @@ record = CorpusRecord(
 )
 ann = annotate(record)
 pl = PartialLabelSet.from_annotation(ann)
-print(f"{len(ann.sets)} set(s) of mentions -> {len(pl.members)} admissible tag sequences:")
-for member in pl.members:
+members = [encode(ann.with_flips(flips)) for flips in itertools.product((False, True), repeat=len(ann.sets))]
+print(f"{len(ann.sets)} set(s) of mentions -> {len(pl)} admissible tag sequences:")
+for member in members:
     print("  ", member.symbols())
 
 rng = np.random.default_rng(1)
@@ -55,14 +60,14 @@ print("  = log-partition - clamped log-partition:",
 em_loss, _, chosen = hard_em_step(lattice, weights, pl)
 print("hard-EM clamps to:", chosen.symbols())
 print("hard-EM loss:", round(em_loss, 4), ">= partial loss:", round(loss, 4))
-for member in pl.members:
+for member in members:
     assert sequence_score(weights, chosen) >= sequence_score(weights, member)
 
 # Silver typing: one lexicon match orients a whole set, removing its flip.
 lexicon = Lexicon.from_entries(["arms", "shoulders", "legs"])
 typed = silver_type(ann, record.tokens, lexicon)
 resolved = PartialLabelSet.from_annotation(typed)
-print(f"\nafter silver typing: {len(resolved.members)} admissible sequence(s)")
-print("  ", resolved.members[0].symbols())
-supervised, _ = nll(lattice, weights, resolved.members[0])
+print(f"\nafter silver typing: {len(resolved)} admissible sequence(s)")
+print("  ", resolved.gold.symbols())
+supervised, _ = nll(lattice, weights, resolved.gold)
 print("plain NLL on the disambiguated gold:", round(supervised, 4))

@@ -13,7 +13,7 @@ import sys
 
 from . import corpus as corpus_io
 from .automata import export_text, grammar_automaton, minimize
-from .errors import DisctagError, Incompatible, ParseError
+from .errors import ConfigError, DisctagError, Incompatible, ParseError
 from .model import LinearScorer, TrainConfig, predict_tags, train
 from .scheme import decode, encode, is_well_formed
 
@@ -246,7 +246,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    lengths = sorted(int(x) for x in args.lengths.split(","))
+    try:
+        lengths = sorted(int(x) for x in args.lengths.split(","))
+    except ValueError:
+        raise ConfigError(f"--lengths must be comma-separated integers, got {args.lengths!r}") from None
+    if lengths[0] < 1 or args.repeats < 1:
+        raise ConfigError("--lengths and --repeats must be positive")
     results = corpus_io.benchmark_predict(lengths, repeats=args.repeats, seed=args.seed)
     ok = True
     by_length = {r.length: r for r in results}

@@ -8,13 +8,14 @@ aligned with the weight matrix.
 
 The partially-supervised losses marginalise over the label set of an
 annotation whose component types are unknown: flipping the x/y orientation of
-any unresolved set of mentions leaves the denoted mentions unchanged, so a
-sentence with ``k`` unresolved sets has ``2**k`` admissible gold sequences.
+any unresolved set of mentions swaps its x and y tags and leaves the denoted
+mentions unchanged, so a sentence with ``k`` unresolved sets has ``2**k``
+admissible gold sequences.  Set spans are disjoint, so every sum over them
+factorises into one two-way choice per set and takes time linear in ``n``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,24 +74,38 @@ def _check_weights(lat: Lattice, weights: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _forward_chart(lat: Lattice, weights: np.ndarray, sr: Semiring) -> np.ndarray:
-    """(n+1, S) chart of prefix sums from the initial state."""
-    alpha = np.full((lat.n + 1, lat.num_grammar_states), sr.zero)
-    alpha[0, lat.initial] = sr.one
-    for i in range(lat.n):
-        contrib = sr.times(alpha[i, lat.edge_src], weights[i, lat.edge_tag])
-        sr.plus.at(alpha[i + 1], lat.edge_dst, contrib)
-    return alpha
+def _chart(lat: Lattice, weights: np.ndarray, sr: Semiring, backward: bool = False):
+    """``(total, chart)``: the ``(n+1, S)`` prefix sums from the initial state,
+    or with ``backward`` the suffix sums into the final states, and their sum
+    over accepting paths.  Raises :class:`EmptyLanguage` if there is none.
+    """
+    chart = np.full((lat.n + 1, lat.num_grammar_states), sr.zero)
+    if backward:
+        chart[lat.n, lat.final_mask] = sr.one
+        for i in range(lat.n - 1, -1, -1):
+            sr.plus.at(chart[i], lat.edge_src, sr.times(chart[i + 1, lat.edge_dst], weights[i, lat.edge_tag]))
+        total = chart[0, lat.initial]
+    else:
+        chart[0, lat.initial] = sr.one
+        for i in range(lat.n):
+            sr.plus.at(chart[i + 1], lat.edge_dst, sr.times(chart[i, lat.edge_src], weights[i, lat.edge_tag]))
+        total = sr.plus.reduce(chart[lat.n, lat.final_mask])
+    if total == sr.zero:
+        raise EmptyLanguage("lattice has no accepting path")
+    return float(total), chart
 
 
-def _backward_chart(lat: Lattice, weights: np.ndarray, sr: Semiring) -> np.ndarray:
-    """(n+1, S) chart of suffix sums into the final states."""
-    beta = np.full((lat.n + 1, lat.num_grammar_states), sr.zero)
-    beta[lat.n, lat.final_mask] = sr.one
-    for i in range(lat.n - 1, -1, -1):
-        contrib = sr.times(weights[i, lat.edge_tag], beta[i + 1, lat.edge_dst])
-        sr.plus.at(beta[i], lat.edge_src, contrib)
-    return beta
+def _posterior(lat: Lattice, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """``log Z`` and the tag marginals, from one forward and one backward chart;
+    each marginal row is normalised by its own log-sum (``log Z`` in exact
+    arithmetic), so with large weights rounding cannot push a row off one.
+    """
+    log_z, alpha = _chart(lat, weights, LOG)
+    _, beta = _chart(lat, weights, LOG, backward=True)
+    edge_logp = alpha[:-1, lat.edge_src] + weights[:, lat.edge_tag] + beta[1:, lat.edge_dst]
+    acc = np.full((lat.n, NUM_TAGS), NEG_INF)
+    np.logaddexp.at(acc, (np.arange(lat.n)[:, None], lat.edge_tag), edge_logp)
+    return log_z, np.exp(acc - np.logaddexp.reduce(acc, axis=1, keepdims=True))
 
 
 def sequence_score(weights: np.ndarray, ts: TagSequence) -> float:
@@ -107,33 +122,21 @@ def viterbi(lat: Lattice, weights: np.ndarray) -> tuple[float, TagSequence]:
     sequence, making ``score == <y, w>`` exact.
     """
     weights = _check_weights(lat, weights)
-    beta = _backward_chart(lat, weights, TROPICAL)
-    if beta[0, lat.initial] == NEG_INF:
-        raise EmptyLanguage("lattice has no accepting path")
-    tags = []
-    state = lat.initial
-    for i in range(lat.n):
-        target = beta[i, state]
-        for t in range(NUM_TAGS):
-            nxt = lat.next_state[state, t]
-            if nxt >= 0 and weights[i, t] + beta[i + 1, nxt] == target:
-                tags.append(t)
-                state = int(nxt)
-                break
-        else:  # pragma: no cover - beta guarantees a witness
-            raise AssertionError("no transition attains the chart value")
+    _, beta = _chart(lat, weights, TROPICAL, backward=True)
+    # best[i][s]: the first tag whose step from state s at word i attains beta[i, s]
+    steps = np.where(lat.next_state >= 0, weights[:, None, :] + beta[1:, lat.next_state], NEG_INF)
+    best, next_state = steps.argmax(axis=2).tolist(), lat.next_state.tolist()
+    tags, state = [], lat.initial
+    for row in best:
+        tags.append(row[state])
+        state = next_state[state][row[state]]
     ts = TagSequence.from_indices(tags)
     return sequence_score(weights, ts), ts
 
 
 def forward(lat: Lattice, weights: np.ndarray) -> float:
     """Log-partition over all well-formed sequences of length ``n``."""
-    weights = _check_weights(lat, weights)
-    alpha = _forward_chart(lat, weights, LOG)
-    total = np.logaddexp.reduce(alpha[lat.n, lat.final_mask])
-    if total == NEG_INF:
-        raise EmptyLanguage("lattice has no accepting path")
-    return float(total)
+    return _chart(lat, _check_weights(lat, weights), LOG)[0]
 
 
 def marginals(lat: Lattice, weights: np.ndarray) -> np.ndarray:
@@ -141,75 +144,67 @@ def marginals(lat: Lattice, weights: np.ndarray) -> np.ndarray:
 
     Entry ``(i, t)`` is the total probability of sequences tagging word ``i``
     with tag ``t``; rows sum to one and cells unusable by any accepting path
-    are exactly zero.  Each row is normalised by its own log-sum, which is
-    ``log Z`` in exact arithmetic; with large weights the rounding of the
-    chart sums then cannot push a row away from one or overflow ``exp``.
+    are exactly zero.
     """
-    weights = _check_weights(lat, weights)
-    alpha = _forward_chart(lat, weights, LOG)
-    beta = _backward_chart(lat, weights, LOG)
-    log_z = np.logaddexp.reduce(alpha[lat.n, lat.final_mask])
-    if log_z == NEG_INF:
-        raise EmptyLanguage("lattice has no accepting path")
-    acc = np.full((lat.n, NUM_TAGS), NEG_INF)
-    for i in range(lat.n):
-        edge_logp = (
-            alpha[i, lat.edge_src]
-            + weights[i, lat.edge_tag]
-            + beta[i + 1, lat.edge_dst]
-        )
-        np.logaddexp.at(acc[i], lat.edge_tag, edge_logp)
-    return np.exp(acc - np.logaddexp.reduce(acc, axis=1, keepdims=True))
+    return _posterior(lat, _check_weights(lat, weights))[1]
 
 
-@dataclass(frozen=True)
+# Canonical tag index after a flip: swaps DB-Bx/DB-By, DI-Bx/DI-By and DI-Ix/DI-Iy.
+_FLIP = np.array([0, 1, 2, 4, 3, 6, 5, 8, 7, 9])
+
+
+@dataclass(frozen=True, eq=False)
 class PartialLabelSet:
-    """The admissible gold sequences of a partially-typed annotation.
-
-    ``members`` enumerates the encodings obtained by independently flipping
-    the x/y orientation of every unresolved set of mentions, in canonical
-    order (the unflipped annotation first, then binary counting over sets
-    from left to right).  Sets marked resolved keep their orientation.  All
-    members are well-formed and decode to the same mention set.
+    """The ``2**k`` admissible gold sequences: ``gold`` with any of its ``k``
+    unresolved sets flipped.  ``owner[i]`` is the unresolved set covering word
+    ``i`` (numbered left to right), or -1.
     """
 
-    base: SentenceAnnotation
-    members: tuple[TagSequence, ...]
+    gold: TagSequence
+    owner: np.ndarray
+    k: int
 
     @classmethod
     def from_annotation(cls, ann: SentenceAnnotation) -> "PartialLabelSet":
-        free = [i for i, s in enumerate(ann.sets) if not s.resolved]
-        members = []
-        for combo in itertools.product((False, True), repeat=len(free)):
-            flips = [False] * len(ann.sets)
-            for slot, flip in zip(free, combo):
-                flips[slot] = flip
-            members.append(encode(ann.with_flips(flips)))
-        return cls(base=ann, members=tuple(members))
+        owner = np.full(ann.n, -1)
+        free = [s for s in ann.sets if not s.resolved]
+        for slot, s in enumerate(free):
+            owner[s.span[0] : s.span[1] + 1] = slot
+        return cls(gold=encode(ann), owner=owner, k=len(free))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return 2**self.k
 
 
-def _member_scores(weights: np.ndarray, pl: PartialLabelSet) -> np.ndarray:
-    return np.array([sequence_score(weights, m) for m in pl.members])
+def _flip_gains(pl: PartialLabelSet, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per word the gold tag and its flip (itself outside unresolved sets), and
+    the score gain of flipping each set, with slot 0 standing for no set."""
+    gold = pl.gold.indices
+    flipped = np.where(pl.owner >= 0, _FLIP[gold], gold)
+    words = np.arange(len(gold))
+    change = weights[words, flipped] - weights[words, gold]
+    return gold, flipped, np.bincount(pl.owner + 1, weights=change, minlength=pl.k + 1)
 
 
 def clamped_log_partition(pl: PartialLabelSet, weights: np.ndarray) -> float:
-    """Log-sum-exp of the member scores (the clamped log-partition)."""
-    if not pl.members:
-        raise ValueError("partial label set has no members")
-    return float(np.logaddexp.reduce(_member_scores(np.asarray(weights, dtype=np.float64), pl)))
+    """Log-sum-exp of the member scores (the clamped log-partition):
+    ``<gold, w> + sum_s log(1 + exp(delta_s))``, ``delta_s`` the gain of flipping set ``s``.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    gains = _flip_gains(pl, weights)[2][1:]
+    return sequence_score(weights, pl.gold) + float(np.logaddexp(0.0, gains).sum())
 
 
 def clamped_marginals(pl: PartialLabelSet, weights: np.ndarray) -> np.ndarray:
-    """Posterior-weighted average of member one-hots (gradient of the clamp)."""
-    scores = _member_scores(np.asarray(weights, dtype=np.float64), pl)
-    log_z = np.logaddexp.reduce(scores)
-    posterior = np.exp(scores - log_z)
-    out = np.zeros((len(pl.members[0]), NUM_TAGS))
-    for p, member in zip(posterior, pl.members):
-        out[np.arange(len(member)), member.indices] += p
+    """Posterior-weighted average of member one-hots (gradient of the clamp):
+    inside each set's span, ``gold`` and its flip mixed with weight ``sigmoid(delta_s)``.
+    """
+    gold, flipped, gains = _flip_gains(pl, np.asarray(weights, dtype=np.float64))
+    p = np.exp(-np.logaddexp(0.0, -gains))[pl.owner + 1]  # sigmoid without overflow
+    words = np.arange(len(gold))
+    out = np.zeros((len(gold), NUM_TAGS))
+    out[words, gold] += 1.0 - p  # outside sets flipped == gold, so the row still sums to 1
+    out[words, flipped] += p
     return out
 
 
@@ -223,9 +218,8 @@ def nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np
         raise ValueError(f"gold length {len(gold)} != lattice length {lat.n}")
     if not is_well_formed(gold):
         raise IllFormed(gold.symbols())
-    loss = forward(lat, weights) - sequence_score(weights, gold)
-    grad = marginals(lat, weights) - gold.one_hot()
-    return float(loss), grad
+    log_z, probs = _posterior(lat, weights)
+    return log_z - sequence_score(weights, gold), probs - gold.one_hot()
 
 
 def partial_nll(
@@ -238,9 +232,8 @@ def partial_nll(
     (the E-step quantity, treated as a constant with respect to ``weights``).
     """
     weights = _check_weights(lat, weights)
-    loss = forward(lat, weights) - clamped_log_partition(pl, weights)
-    grad = marginals(lat, weights) - clamped_marginals(pl, weights)
-    return float(loss), grad
+    log_z, probs = _posterior(lat, weights)
+    return log_z - clamped_log_partition(pl, weights), probs - clamped_marginals(pl, weights)
 
 
 def hard_em_step(
@@ -248,10 +241,12 @@ def hard_em_step(
 ) -> tuple[float, np.ndarray, TagSequence]:
     """One hard-EM step: clamp to the best-scoring member, then NLL on it.
 
-    Ties keep the earliest member in canonical flip order.
+    It flips exactly the sets whose flip raises the score, so ties keep the
+    earliest member in canonical order (unflipped first, then binary counting
+    over sets from left to right).
     """
     weights = _check_weights(lat, weights)
-    scores = _member_scores(weights, pl)
-    chosen = pl.members[int(np.argmax(scores))]
+    gold, flipped, gains = _flip_gains(pl, weights)
+    chosen = TagSequence.from_indices(np.where(gains[pl.owner + 1] > 0, flipped, gold))
     loss, grad = nll(lat, weights, chosen)
     return loss, grad, chosen

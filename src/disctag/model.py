@@ -26,7 +26,6 @@ from .scheme import (
     SentenceAnnotation,
     TagSequence,
     decode,
-    encode,
 )
 
 __all__ = [
@@ -85,10 +84,10 @@ class LinearScorer:
         self.dim = dim
         if params is None:
             params = np.zeros((dim, NUM_TAGS))
-        params = np.asarray(params, dtype=np.float64)
-        if params.shape != (dim, NUM_TAGS):
-            raise ConfigError(f"params must have shape ({dim}, {NUM_TAGS})")
-        self.params = params
+        # min and max are non-finite iff some entry is, and need no (dim, 10) temporary
+        elif np.shape(params) != (dim, NUM_TAGS) or not np.isfinite([np.min(params), np.max(params)]).all():
+            raise ConfigError(f"params must be a finite ({dim}, {NUM_TAGS}) matrix")
+        self.params = np.asarray(params, dtype=np.float64)
 
     def feature_indices(self, tokens: Sequence[str]) -> list[np.ndarray]:
         """Hashed feature rows per position."""
@@ -158,12 +157,13 @@ class TrainConfig:
             raise ConfigError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be non-negative")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning rate must be positive and finite")
+        if not 0 <= self.l2 < np.inf:
+            raise ConfigError("l2 must be non-negative and finite")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as a ConfigError
 def train(
     data: Iterable[tuple[Sequence[str], SentenceAnnotation]],
     config: TrainConfig,
@@ -185,11 +185,7 @@ def train(
             raise ConfigError(f"annotation length {ann.n} != sentence length {len(tokens)}")
         if mode == "structural":
             ann = ann.structural()
-        if config.loss == "nll":
-            supervision = encode(ann)
-        else:
-            supervision = PartialLabelSet.from_annotation(ann)
-        examples.append((tuple(tokens), supervision))
+        examples.append((tuple(tokens), PartialLabelSet.from_annotation(ann)))
     if not examples:
         raise ConfigError("empty training corpus")
 
@@ -201,9 +197,11 @@ def train(
         for j in rng.permutation(len(examples)):
             tokens, supervision = examples[j]
             w = scorer.score(tokens)
+            if not np.isfinite(w).all():
+                raise ConfigError(f"scores turned non-finite in epoch {epoch + 1}; lower the learning rate")
             lattice = build_lattice(grammar, len(tokens))
             if config.loss == "nll":
-                loss, grad = nll(lattice, w, supervision)
+                loss, grad = nll(lattice, w, supervision.gold)
             elif config.loss == "partial":
                 loss, grad = partial_nll(lattice, w, supervision)
             else:
@@ -211,6 +209,8 @@ def train(
             scorer.apply_gradient(tokens, grad, config.learning_rate, config.l2)
             total += loss
         logger.info("epoch %d: mean %s loss %.6f", epoch + 1, config.loss, total / len(examples))
+    if not np.isfinite(scorer.score(tokens)).all():  # reads the rows of the last update
+        raise ConfigError(f"scores turned non-finite in epoch {config.epochs}; lower the learning rate")
     return scorer
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from disctag.scheme import TAGS, is_well_formed
+from disctag.scheme import TAGS, encode, is_well_formed
 
 
 class WellFormedLanguage:
@@ -29,3 +29,21 @@ class WellFormedLanguage:
 @pytest.fixture(scope="session")
 def language():
     return WellFormedLanguage()
+
+
+def admissible_sequences(ann):
+    """The admissible gold sequences of ``ann``, enumerated in canonical order.
+
+    The oracle for the closed-form sums over a partial label set: every
+    combination of x/y flips of the unresolved sets, encoded, starting with
+    the unflipped annotation and then counting in binary over the sets from
+    left to right.  There are ``2**k`` of them, so only small ``k`` is usable.
+    """
+    free = [i for i, s in enumerate(ann.sets) if not s.resolved]
+    out = []
+    for combo in itertools.product((False, True), repeat=len(free)):
+        flips = [False] * len(ann.sets)
+        for slot, flip in zip(free, combo):
+            flips[slot] = flip
+        out.append(encode(ann.with_flips(flips)))
+    return out

@@ -48,6 +48,8 @@ from disctag.scheme import (
     to_two_layer,
 )
 
+from conftest import admissible_sequences
+
 GRAMMAR = grammar_automaton("semantic")
 README_PATH = __file__.rsplit("/", 2)[0] + "/README.md"
 
@@ -179,26 +181,28 @@ def test_criterion_05_gradient_checks():
 
 def test_criterion_06_partial_label_structure():
     rng = np.random.default_rng(601)
-    for k in range(4):
+    for k in range(6):
         mentions = [
             Mention(((4 * i, 4 * i), (4 * i + 2, 4 * i + 2))) for i in range(k)
         ]
         n = max(4 * k, 2)
         ann = to_two_layer(mentions, n)
         pl = PartialLabelSet.from_annotation(ann)
-        assert len(pl.members) == 2**k
-        assert len({m.tags for m in pl.members}) == 2**k
-        assert len({decode(m) for m in pl.members}) == 1
+        members = admissible_sequences(ann)
+        assert len(pl) == len(members) == 2**k
+        assert len({m.tags for m in members}) == 2**k
+        assert len({decode(m) for m in members}) == 1
         lat = lattice(n)
         for _ in range(10):
             w = rng.uniform(-2.0, 2.0, size=(n, NUM_TAGS))
+            scores = np.array([sequence_score(w, m) for m in members])
             loss, _ = partial_nll(lat, w, pl)
             assert loss >= 0.0
+            assert loss == pytest.approx(forward(lat, w) - np.logaddexp.reduce(scores), abs=1e-12)
             if k == 0:
-                assert loss == pytest.approx(nll(lat, w, pl.members[0])[0], abs=1e-12)
+                assert loss == pytest.approx(nll(lat, w, members[0])[0], abs=1e-12)
             _, _, chosen = hard_em_step(lat, w, pl)
-            best = max(sequence_score(w, m) for m in pl.members)
-            assert sequence_score(w, chosen) == best
+            assert chosen.tags == members[int(np.argmax(scores))].tags
     report(6, "partial-label sets have 2^k members with consistent losses", True)
 
 

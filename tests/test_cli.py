@@ -181,6 +181,19 @@ class TestTrainPredictEval:
         assert main(argv + ["--mode", "structural"]) == 0
         assert [r.mentions for r in read_corpus(pred_path)] == modes["structural"]
 
+    @pytest.mark.parametrize(
+        "option", [["--learning-rate", "nan"], ["--l2", "inf"], ["--learning-rate", "1e308"]]
+    )
+    def test_train_non_finite_numbers_exit_1(self, tmp_path, capsys, option):
+        train_path = tmp_path / "train.txt"
+        write_corpus(synthetic_records(20, length=8, seed=4), train_path)
+        model_path = tmp_path / "model.npz"
+        argv = ["train", str(train_path), "--model", str(model_path), "--dim", "4096", *option]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not model_path.exists()
+
     def test_train_bad_loss_rejected(self, corpus_file, tmp_path):
         with pytest.raises(SystemExit):
             main(["train", str(corpus_file), "--model", "m.npz", "--loss", "mle"])
@@ -195,6 +208,16 @@ class TestBenchAndExport:
         assert "n=   64" in out and "n=  128" in out
         assert "time(n=128) / time(n=64)" in out
         assert (code == 0) == ("EXCEEDED" not in out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--lengths", "8,x"], ["--lengths", "0,8"], ["--lengths", "8,-4"], ["--repeats", "0"]],
+    )
+    def test_bench_bad_arguments_exit_1(self, capsys, argv):
+        assert main(["bench", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_automaton_export(self, tmp_path):
         out = tmp_path / "grammar.txt"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,9 @@ from disctag.inference import (
 )
 from disctag.scheme import (
     CB,
+    DB_BX,
+    DB_BY,
+    DI_BY,
     NUM_TAGS,
     O,
     Mention,
@@ -30,6 +34,8 @@ from disctag.scheme import (
     is_well_formed,
     to_two_layer,
 )
+
+from conftest import admissible_sequences
 
 GRAMMAR = grammar_automaton("semantic")
 
@@ -199,20 +205,34 @@ def annotation_with_sets(k, resolved=()):
 class TestPartialLabelSet:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_two_to_the_k_members(self, k):
-        pl = PartialLabelSet.from_annotation(annotation_with_sets(k))
-        assert len(pl) == 2**k
-        assert len({decode(m) for m in pl.members}) == 1
-        assert all(is_well_formed(m) for m in pl.members)
-        assert len({m.tags for m in pl.members}) == 2**k
+        ann = annotation_with_sets(k)
+        pl = PartialLabelSet.from_annotation(ann)
+        members = admissible_sequences(ann)
+        assert len(pl) == len(members) == 2**k
+        assert len({decode(m) for m in members}) == 1
+        assert all(is_well_formed(m) for m in members)
+        assert len({m.tags for m in members}) == 2**k
 
     def test_resolved_sets_do_not_flip(self):
         pl = PartialLabelSet.from_annotation(annotation_with_sets(2, resolved={0}))
         assert len(pl) == 2
+        assert list(pl.owner) == [-1] * 4 + [0, 0, 0, -1]
 
     def test_canonical_order_starts_unflipped(self):
         ann = annotation_with_sets(2)
         pl = PartialLabelSet.from_annotation(ann)
-        assert pl.members[0].tags == encode(ann).tags
+        assert pl.gold.tags == admissible_sequences(ann)[0].tags == encode(ann).tags
+
+    def test_flips_stay_inside_their_span(self):
+        ann = annotation_with_sets(3)
+        pl = PartialLabelSet.from_annotation(ann)
+        members = admissible_sequences(ann)
+        for bits, member in zip(itertools.product((False, True), repeat=3), members):
+            changed = set(np.flatnonzero(member.indices != pl.gold.indices))
+            for s, flipped in enumerate(bits):
+                span = set(np.flatnonzero(pl.owner == s))
+                assert bool(changed & span) == flipped
+            assert changed <= set(np.flatnonzero(pl.owner >= 0))
 
 
 class TestClampedLogPartition:
@@ -221,23 +241,28 @@ class TestClampedLogPartition:
         # all-continuous annotation: one admissible sequence
         pl = PartialLabelSet.from_annotation(ann)
         w = np.random.default_rng(3).uniform(-1, 1, (ann.n, NUM_TAGS))
-        assert clamped_log_partition(pl, w) == pytest.approx(sequence_score(w, pl.members[0]))
+        member = admissible_sequences(ann)[0]
+        assert clamped_log_partition(pl, w) == pytest.approx(sequence_score(w, member))
 
     def test_symmetric_weights_add_log2(self):
         ann = annotation_with_sets(1)
         pl = PartialLabelSet.from_annotation(ann)
         w = np.zeros((ann.n, NUM_TAGS))  # symmetric under the x<->y tag swap
-        member = sequence_score(w, pl.members[0])
+        member = sequence_score(w, admissible_sequences(ann)[0])
         assert clamped_log_partition(pl, w) == pytest.approx(member + math.log(2))
 
     def test_matches_explicit_enumeration(self):
-        ann = annotation_with_sets(2)
-        pl = PartialLabelSet.from_annotation(ann)
         rng = np.random.default_rng(9)
-        w = rng.uniform(-2, 2, (ann.n, NUM_TAGS))
-        scores = np.array([sequence_score(w, m) for m in pl.members])
-        expected = scores.max() + np.log(np.exp(scores - scores.max()).sum())
-        assert clamped_log_partition(pl, w) == pytest.approx(expected, abs=1e-9)
+        for k, resolved in [(2, ()), (5, ()), (4, {1, 3})]:
+            ann = annotation_with_sets(k, resolved)
+            pl = PartialLabelSet.from_annotation(ann)
+            members = admissible_sequences(ann)
+            w = rng.uniform(-2, 2, (ann.n, NUM_TAGS))
+            scores = np.array([sequence_score(w, m) for m in members])
+            log_z = np.logaddexp.reduce(scores)
+            expected = sum(np.exp(sc - log_z) * m.one_hot() for sc, m in zip(scores, members))
+            assert clamped_log_partition(pl, w) == pytest.approx(log_z, rel=1e-13)
+            assert np.allclose(clamped_marginals(pl, w), expected, rtol=0, atol=1e-13)
 
     def test_gradient_matches_fd(self):
         ann = annotation_with_sets(2)
@@ -281,7 +306,7 @@ class TestPartialNll:
         rng = np.random.default_rng(2)
         w = rng.uniform(-1, 1, (ann.n, NUM_TAGS))
         ploss, pgrad = partial_nll(lat(ann.n), w, pl)
-        floss, fgrad = nll(lat(ann.n), w, pl.members[0])
+        floss, fgrad = nll(lat(ann.n), w, admissible_sequences(ann)[0])
         assert ploss == pytest.approx(floss)
         assert np.allclose(pgrad, fgrad)
 
@@ -293,7 +318,7 @@ class TestPartialNll:
             w = rng.uniform(-3, 3, (ann.n, NUM_TAGS))
             loss, _ = partial_nll(lat(ann.n), w, pl)
             assert loss >= 0
-            for member in pl.members:
+            for member in admissible_sequences(ann):
                 assert loss <= nll(lat(ann.n), w, member)[0] + 1e-9
 
     def test_gradient_matches_fd(self):
@@ -304,6 +329,23 @@ class TestPartialNll:
         fd = central_difference(lambda v: partial_nll(lat(ann.n), v, pl)[0], w)
         assert_close_to_fd(partial_nll(lat(ann.n), w, pl)[1], fd)
 
+    def test_thirty_sets_beyond_enumeration(self):
+        ann = annotation_with_sets(30)  # 2**30 admissible sequences, n = 120
+        pl = PartialLabelSet.from_annotation(ann)
+        assert len(pl) == 2**30
+        rng = np.random.default_rng(31)
+        w = rng.uniform(-2, 2, (ann.n, NUM_TAGS))
+        loss, grad = partial_nll(lat(ann.n), w, pl)
+        assert loss >= 0
+        assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-12)
+        eps = 1e-4
+        for i, t in zip(rng.integers(0, ann.n, 25), rng.integers(0, NUM_TAGS, 25)):
+            up, down = w.copy(), w.copy()
+            up[i, t] += eps
+            down[i, t] -= eps
+            fd = (partial_nll(lat(ann.n), up, pl)[0] - partial_nll(lat(ann.n), down, pl)[0]) / (2 * eps)
+            assert grad[i, t] == pytest.approx(fd, abs=1e-6)
+
 
 class TestHardEm:
     def test_single_member_equals_nll(self):
@@ -311,19 +353,37 @@ class TestHardEm:
         pl = PartialLabelSet.from_annotation(ann)
         w = np.random.default_rng(4).uniform(-1, 1, (ann.n, NUM_TAGS))
         loss, grad, chosen = hard_em_step(lat(ann.n), w, pl)
-        floss, fgrad = nll(lat(ann.n), w, pl.members[0])
-        assert chosen.tags == pl.members[0].tags
+        member = admissible_sequences(ann)[0]
+        floss, fgrad = nll(lat(ann.n), w, member)
+        assert chosen.tags == member.tags
         assert loss == floss and np.array_equal(grad, fgrad)
 
     def test_picks_first_on_ties_and_max_otherwise(self):
         ann = annotation_with_sets(1)
         pl = PartialLabelSet.from_annotation(ann)
+        members = admissible_sequences(ann)
         w = np.zeros((ann.n, NUM_TAGS))
         _, _, chosen = hard_em_step(lat(ann.n), w, pl)
-        assert chosen.tags == pl.members[0].tags  # tie: canonical member
+        assert chosen.tags == members[0].tags  # tie: canonical member
         rng = np.random.default_rng(6)
         for _ in range(10):
             w = rng.uniform(-2, 2, (ann.n, NUM_TAGS))
             _, _, chosen = hard_em_step(lat(ann.n), w, pl)
-            best = max(sequence_score(w, m) for m in pl.members)
+            best = max(sequence_score(w, m) for m in members)
             assert sequence_score(w, chosen) == best
+
+    def test_zero_and_positive_gains_pick_earliest_best(self):
+        # each set encodes as DB-Bx DI-O DI-By at words 4s..4s+2; its flip
+        # gains w[4s, DB-By] - w[4s, DB-Bx] + w[4s+2, DI-Bx] - w[4s+2, DI-By]
+        ann = annotation_with_sets(4)
+        pl = PartialLabelSet.from_annotation(ann)
+        members = admissible_sequences(ann)
+        w = np.zeros((ann.n, NUM_TAGS))
+        w[4, DB_BY.index] = 1.0  # set 1 gains 1
+        w[8, DB_BX.index] = 1.0  # set 2 loses 1
+        w[12, DB_BY.index] = w[14, DI_BY.index] = 0.5  # set 3 gains exactly 0
+        scores = [sequence_score(w, m) for m in members]
+        best = members[scores.index(max(scores))]
+        _, _, chosen = hard_em_step(lat(ann.n), w, pl)
+        assert chosen.tags == best.tags
+        assert chosen.tags == members[0b0100].tags  # only set 1 flipped

@@ -17,6 +17,7 @@ from disctag.scheme import (
     CI,
     NUM_TAGS,
     O,
+    TAGS,
     decode,
     encode,
     is_well_formed,
@@ -98,6 +99,23 @@ class TestLinearScorer:
         assert loaded.dim == 256
         assert np.array_equal(loaded.params, params)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_rejected(self, tmp_path, bad):
+        params = np.zeros((8, NUM_TAGS))
+        params[3, 4] = bad
+        with pytest.raises(ConfigError):
+            LinearScorer(dim=8, params=params)
+        path = tmp_path / "model.npz"
+        np.savez(
+            path,
+            format_version=np.int64(LinearScorer.FORMAT_VERSION),
+            dim=np.int64(8),
+            tagset=np.array([t.symbol for t in TAGS]),
+            params=params,
+        )
+        with pytest.raises(ConfigError):
+            LinearScorer.load(path)
+
     def test_load_rejects_wrong_version(self, tmp_path):
         path = tmp_path / "model.npz"
         np.savez(
@@ -121,6 +139,13 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(l2=-1.0)
+
+    @pytest.mark.parametrize(
+        "bad", [{"learning_rate": float("nan")}, {"learning_rate": float("inf")}, {"l2": float("inf")}]
+    )
+    def test_non_finite_numbers_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
 
 
 class TestGradientThroughScorer:
@@ -181,6 +206,18 @@ class TestTraining:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
             train([], TrainConfig())
+
+    def test_divergence_names_the_epoch(self):
+        corpus = [(t, a) for t, _, a in synthetic_corpus(20, seed=3)]
+        with pytest.raises(ConfigError, match="epoch 1"):
+            train(corpus, TrainConfig(epochs=3, learning_rate=1e308), dim=2**12)
+
+    def test_divergence_in_the_last_update_is_reported(self):
+        # a repeated word accumulates its gradient rows, so one update overflows
+        tokens = ("a",) * 6
+        ann = to_two_layer([], len(tokens))
+        with pytest.raises(ConfigError, match="epoch 1"):
+            train([(tokens, ann)], TrainConfig(epochs=1, learning_rate=1e308), dim=64)
 
 
 class TestPredict:
