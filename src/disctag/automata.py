@@ -15,7 +15,7 @@ import functools
 import itertools
 from collections import deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,7 @@ Transition = tuple[int, "Tag | None", float, int]
 
 @dataclass(frozen=True)
 class Automaton:
-    """A weighted finite-state automaton over the tag alphabet.
+    """A weighted finite-state automaton over the 10 tags.
 
     States are dense integers ``0..num_states-1``.  Transitions are
     ``(source, label, weight, target)`` with ``label`` either a
@@ -66,7 +66,6 @@ class Automaton:
     transitions: frozenset[Transition]
     initial: int
     finals: frozenset[int]
-    alphabet: frozenset[Tag] = field(default=frozenset(TAGS))
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", frozenset(self.transitions))
@@ -79,8 +78,8 @@ class Automaton:
         for src, label, _, dst in self.transitions:
             if src not in states or dst not in states:
                 raise ValueError("transition endpoint out of range")
-            if label is not None and label not in self.alphabet:
-                raise ValueError(f"label {label!r} outside alphabet")
+            if label is not None and not isinstance(label, Tag):
+                raise ValueError(f"label {label!r} is not a tag")
 
     @property
     def is_epsilon_free(self) -> bool:
@@ -155,7 +154,7 @@ class Automaton:
     def language(self, n: int) -> frozenset[tuple[Tag, ...]]:
         """All accepted sequences of exactly ``n`` tags (test-sized n only)."""
         return frozenset(
-            seq for seq in itertools.product(sorted(self.alphabet, key=lambda t: t.index), repeat=n)
+            seq for seq in itertools.product(TAGS, repeat=n)
             if self.accepts(seq)
         )
 
@@ -258,11 +257,10 @@ def minimize(a: Automaton) -> Automaton:
         for src, label, _, dst in a.transitions
         if src in useful and dst in useful
     }
-    tags = sorted(a.alphabet, key=lambda t: t.index)
     block = {q: int(q in a.finals) for q in useful}
     while True:
         signatures = {
-            q: (block[q], tuple(block.get(delta.get((q, t), -1), -1) for t in tags))
+            q: (block[q], tuple(block.get(delta.get((q, t), -1), -1) for t in TAGS))
             for q in useful
         }
         renum: dict[tuple, int] = {}

@@ -203,16 +203,18 @@ def _cmd_silver(args) -> int:
 
 def _cmd_train(args) -> int:
     records = corpus_io.read_corpus(args.corpus)
-    kept, dropped = corpus_io.filter_incompatible(records)
-    if dropped:
-        print(f"ignoring {len(dropped)} incompatible record(s)", file=sys.stderr)
     lexicon = corpus_io.Lexicon.from_file(args.lexicon) if args.lexicon else None
     data = []
-    for record in kept:
-        ann = corpus_io.annotate(record)
+    for record in records:
+        try:
+            ann = corpus_io.annotate(record)
+        except Incompatible:
+            continue
         if lexicon is not None:
             ann = corpus_io.silver_type(ann, record.tokens, lexicon)
         data.append((record.tokens, ann))
+    if len(data) < len(records):
+        print(f"ignoring {len(records) - len(data)} incompatible record(s)", file=sys.stderr)
     config = TrainConfig(
         loss=args.loss,
         epochs=args.epochs,

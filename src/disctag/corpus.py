@@ -59,16 +59,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorpusRecord:
-    """One sentence: tokens, gold mentions, optional gold component types.
+    """One sentence: tokens and gold mentions.
 
-    ``component_types`` maps a component interval to its type for corpora that
-    carry the information; the standard file format does not, so it is usually
-    ``None`` and types are inferred (or marginalised) during training.
+    Mentions carry no component types: :func:`annotate` orients each set
+    structurally, and a lexicon (:func:`silver_type`) or the partial-label
+    losses settle the orientation.
     """
 
     tokens: tuple[str, ...]
     mentions: MentionSet
-    component_types: tuple[tuple[tuple[int, int], ComponentType], ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -165,12 +164,8 @@ def write_tag_file(sequences: Iterable[TagSequence], path) -> None:
 
 
 def annotate(record: CorpusRecord) -> SentenceAnnotation:
-    """Two-layer annotation of a record, using gold component types if any."""
-    typer = None
-    if record.component_types is not None:
-        by_interval = dict(record.component_types)
-        typer = by_interval.get
-    return to_two_layer(record.mentions, record.n, typer=typer)
+    """Two-layer annotation of a record; every set is left unresolved."""
+    return to_two_layer(record.mentions, record.n)
 
 
 def filter_incompatible(
@@ -197,7 +192,7 @@ class CorpusStats:
 
 
 def stats(records: Sequence[CorpusRecord]) -> CorpusStats:
-    kept, dropped = filter_incompatible(records)
+    _, dropped = filter_incompatible(records)
     return CorpusStats(
         sentences=len(records),
         mentions=sum(len(r.mentions) for r in records),
@@ -210,16 +205,13 @@ def stats(records: Sequence[CorpusRecord]) -> CorpusStats:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Names of one semantic class (e.g. body parts), plus their word index."""
+    """Lowercased words of the names of one semantic class (e.g. body parts)."""
 
-    entries: frozenset[str]
     words: frozenset[str]
 
     @classmethod
     def from_entries(cls, entries: Iterable[str]) -> "Lexicon":
-        normalized = frozenset(e.strip().lower() for e in entries if e.strip())
-        words = frozenset(w for e in normalized for w in e.split())
-        return cls(entries=normalized, words=words)
+        return cls(frozenset(w for e in entries for w in e.lower().split()))
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":

@@ -198,7 +198,7 @@ def train(
             tokens, supervision = examples[j]
             w = scorer.score(tokens)
             if not np.isfinite(w).all():
-                raise ConfigError(f"scores turned non-finite in epoch {epoch + 1}; lower the learning rate")
+                raise _diverged(epoch + 1)
             lattice = build_lattice(grammar, len(tokens))
             if config.loss == "nll":
                 loss, grad = nll(lattice, w, supervision.gold)
@@ -206,17 +206,31 @@ def train(
                 loss, grad = partial_nll(lattice, w, supervision)
             else:
                 loss, grad, _ = hard_em_step(lattice, w, supervision)
+            if not loss >= -1e-6:  # every loss is >= 0; huge scores cancel (or give NaN)
+                raise _diverged(epoch + 1)
             scorer.apply_gradient(tokens, grad, config.learning_rate, config.l2)
             total += loss
         logger.info("epoch %d: mean %s loss %.6f", epoch + 1, config.loss, total / len(examples))
     if not np.isfinite(scorer.score(tokens)).all():  # reads the rows of the last update
-        raise ConfigError(f"scores turned non-finite in epoch {config.epochs}; lower the learning rate")
+        raise _diverged(config.epochs)
     return scorer
 
 
+def _diverged(epoch: int) -> ConfigError:
+    return ConfigError(f"training diverged in epoch {epoch}; lower the learning rate")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as a ConfigError
 def predict_tags(scorer: LinearScorer, tokens: Sequence[str], mode: str = "semantic") -> TagSequence:
-    """MAP tag sequence; well-formed by construction."""
-    _, ts = viterbi(build_lattice(grammar_automaton(mode), len(tokens)), scorer.score(tokens))
+    """MAP tag sequence; well-formed by construction.
+
+    Raises :class:`~disctag.errors.ConfigError` when the model's scores for
+    the sentence are not finite (finite but huge weights can overflow).
+    """
+    w = scorer.score(tokens)
+    if not np.isfinite(w).all():
+        raise ConfigError("model scores are not finite; the model's weights are too large")
+    _, ts = viterbi(build_lattice(grammar_automaton(mode), len(tokens)), w)
     return ts
 
 

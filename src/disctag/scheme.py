@@ -1,4 +1,4 @@
-"""Tag alphabet and the two-layer representation of discontinuous mentions.
+"""The 10 tags and the two-layer representation of discontinuous mentions.
 
 A sentence annotation is either flat (continuous mentions, BIO-style) or
 grouped into *sets of mentions*: maximal groups of mentions that share words.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,7 +297,8 @@ class TwoLayerSet:
     """A set of mentions: typed components plus implicit gaps.
 
     ``resolved`` records whether the x/y orientation is semantically grounded
-    (gold or silver types) as opposed to an arbitrary structural choice; it
+    (by :func:`disctag.corpus.silver_type`, or by a caller that builds the set
+    from gold types) as opposed to an arbitrary structural choice; it
     determines whether the set contributes a latent flip during
     weakly-supervised training.
     """
@@ -384,9 +385,6 @@ class SentenceAnnotation:
         )
 
 
-Typer = Callable[[tuple[int, int]], "ComponentType | None"]
-
-
 def _grouped(mentions: Sequence[Mention]) -> list[list[Mention]]:
     """Connected components of the word-sharing graph over mentions."""
     word_to_ids: dict[int, list[int]] = {}
@@ -410,7 +408,7 @@ def _grouped(mentions: Sequence[Mention]) -> list[list[Mention]]:
     return [sorted(g) for g in sorted(groups.values(), key=lambda g: min(g).start)]
 
 
-def _group_to_set(group: list[Mention], typer: Typer | None) -> TwoLayerSet:
+def _group_to_set(group: list[Mention]) -> TwoLayerSet:
     """Express one word-sharing group as a typed-component set.
 
     Raises :class:`Incompatible` when the group is not a complete two-sided
@@ -468,42 +466,19 @@ def _group_to_set(group: list[Mention], typer: Typer | None) -> TwoLayerSet:
         raise Incompatible(PARTIAL_OVERLAP, "mention set is not a full product of its components")
 
     types = {ci: (ComponentType.X if side[ci] == 0 else ComponentType.Y) for ci in side}
-    result = TwoLayerSet(
+    return TwoLayerSet(
         tuple(Component(b, e, types[ci]) for ci, (b, e) in enumerate(intervals))
     )
-    if typer is None:
-        return result
-    votes = {ComponentType.X: set(), ComponentType.Y: set()}
-    for c in result.components:
-        t = typer(c.interval)
-        if t is not None:
-            votes[t].add(c.ctype)
-    x_sides, y_sides = votes[ComponentType.X], votes[ComponentType.Y]
-    if not (x_sides | y_sides):
-        return result  # no votes: keep structural orientation, unresolved
-    if (x_sides & y_sides) or len(x_sides) > 1 or len(y_sides) > 1:
-        return result  # votes straddle the bipartition: unresolved
-    flip = {s is ComponentType.Y for s in x_sides}
-    flip |= {s is ComponentType.X for s in y_sides}
-    if len(flip) != 1:
-        return result  # the two vote groups disagree: unresolved
-    oriented = result.flipped() if flip.pop() else result
-    return TwoLayerSet(oriented.components, resolved=True)
 
 
-def to_two_layer(
-    mentions: Iterable[Mention],
-    n: int,
-    typer: Typer | None = None,
-) -> SentenceAnnotation:
+def to_two_layer(mentions: Iterable[Mention], n: int) -> SentenceAnnotation:
     """Group a mention set into the two-layer representation.
 
     Mentions sharing at least one word are grouped into a single set of
-    mentions; standalone continuous mentions pass through unchanged.  Without
-    a ``typer`` the orientation is structural: the side containing the
-    leftmost component is typed x and the set is left unresolved.  A ``typer``
-    maps a component interval to a semantic type (or None); consistent types
-    orient the set and mark it resolved.
+    mentions; standalone continuous mentions pass through unchanged.  Mention
+    spans carry no component types, so the orientation is structural: the
+    side containing the leftmost component is typed x and the set is left
+    unresolved.  :func:`disctag.corpus.silver_type` orients sets afterwards.
 
     Raises :class:`Incompatible` when the mention set has no tag encoding.
     """
@@ -517,7 +492,7 @@ def to_two_layer(
         if len(group) == 1 and group[0].is_continuous:
             continuous.append(group[0])
         else:
-            sets.append(_group_to_set(group, typer))
+            sets.append(_group_to_set(group))
     spans = sorted([(m.start, m.end) for m in continuous] + [s.span for s in sets])
     for (_, e1), (b2, _) in itertools.pairwise(spans):
         if b2 <= e1:

@@ -41,6 +41,9 @@ class TestAutomatonBasics:
             Automaton(1, set(), 0, {3})
         with pytest.raises(ValueError):
             Automaton(1, {(0, O, 0.0, 5)}, 0, {0})
+        for label in ("O", O.index):
+            with pytest.raises(ValueError, match="not a tag"):
+                Automaton(1, {(0, label, 0.0, 0)}, 0, {0})
 
     def test_accepts_with_epsilon(self):
         a = Automaton(3, {(0, None, 0.0, 1), (1, O, 0.0, 2)}, 0, {2})

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from disctag.cli import main
-from disctag.corpus import read_corpus, synthetic_records, write_corpus
-from disctag.model import LinearScorer, predict_tags
-from disctag.scheme import NUM_TAGS, decode
+from disctag.corpus import (
+    Lexicon,
+    annotate,
+    read_corpus,
+    read_tag_file,
+    silver_type,
+    synthetic_records,
+    write_corpus,
+)
+from disctag.model import LinearScorer, TrainConfig, predict_tags, train
+from disctag.scheme import NUM_TAGS, decode, is_structural
 
 
 @pytest.fixture
@@ -73,6 +81,19 @@ class TestEncodeDecode:
         assert out.read_text(encoding="utf-8") == (
             "DB-Bx DI-Ix DI-By DI-O DI-By\nO O O O\n"
         )
+
+    def test_encode_structural_mode(self, tmp_path):
+        corpus_path = tmp_path / "corpus.txt"
+        write_corpus(synthetic_records(30, length=10, seed=6), corpus_path)
+        out = {}
+        for mode in ("semantic", "structural"):
+            path = tmp_path / f"{mode}.tags"
+            assert main(["encode", str(corpus_path), "--mode", mode, "-o", str(path)]) == 0
+            out[mode] = read_tag_file(path)
+        # mention spans carry no types, so both modes give the structural encoding
+        assert out["structural"] == out["semantic"]
+        assert all(is_structural(ts) for ts in out["structural"])
+        assert any("DB-Bx" in ts.symbols() for ts in out["structural"])
 
     def test_encode_incompatible_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -145,7 +166,9 @@ class TestTrainPredictEval:
     def test_predict_missing_model_exits_2(self, corpus_file, tmp_path):
         assert main(["predict", str(corpus_file), "--model", str(tmp_path / "none.npz")]) == 2
 
-    @pytest.mark.parametrize("kind", ["random-bytes", "wrong-keys", "truncated", "npy-array"])
+    @pytest.mark.parametrize(
+        "kind", ["random-bytes", "wrong-keys", "truncated", "npy-array", "overflowing-scores"]
+    )
     def test_predict_bad_model_file_exits_1(self, corpus_file, tmp_path, capsys, kind):
         bad = tmp_path / "bad.npz"
         if kind == "random-bytes":
@@ -156,9 +179,11 @@ class TestTrainPredictEval:
             good = tmp_path / "good.npz"
             LinearScorer(dim=64).save(good)
             bad.write_bytes(good.read_bytes()[:-100])
-        else:
+        elif kind == "npy-array":
             with open(bad, "wb") as handle:
                 np.save(handle, np.zeros((4, NUM_TAGS)))
+        else:  # finite weights whose per-word sums overflow
+            LinearScorer(dim=64, params=np.full((64, NUM_TAGS), 1e308)).save(bad)
         assert main(["predict", str(corpus_file), "--model", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -193,6 +218,37 @@ class TestTrainPredictEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not model_path.exists()
+
+    def test_train_negative_loss_is_divergence(self, tmp_path, capsys):
+        # huge scores cancel in log Z - A_clamped and the partial loss turns negative
+        train_path = tmp_path / "train.txt"
+        write_corpus(synthetic_records(20, length=8, seed=4), train_path)
+        model_path = tmp_path / "model.npz"
+        argv = ["train", str(train_path), "--model", str(model_path), "--dim", "4096",
+                "--loss", "partial", "--learning-rate", "1e200"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "epoch 2" in err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("loss", ["partial", "hard-em"])
+    def test_train_with_lexicon_matches_library(self, tmp_path, loss):
+        records = synthetic_records(30, length=10, seed=7)
+        train_path = tmp_path / "train.txt"
+        write_corpus(records, train_path)
+        lexicon_path = tmp_path / "lexicon.txt"
+        lexicon_path.write_text("T6w0\nt6w1 t8w2\n", encoding="utf-8")
+        lexicon = Lexicon.from_file(lexicon_path)
+        data = [(r.tokens, silver_type(annotate(r), r.tokens, lexicon)) for r in records]
+        resolved = [s.resolved for _, ann in data for s in ann.sets]
+        assert any(resolved) and not all(resolved)
+        model_path = tmp_path / "model.npz"
+        argv = ["train", str(train_path), "--model", str(model_path), "--lexicon",
+                str(lexicon_path), "--loss", loss, "--epochs", "3", "--dim", "4096"]
+        assert main(argv) == 0
+        expected = train(data, TrainConfig(loss=loss, epochs=3), dim=4096)
+        assert np.array_equal(LinearScorer.load(model_path).params, expected.params)
 
     def test_train_bad_loss_rejected(self, corpus_file, tmp_path):
         with pytest.raises(SystemExit):

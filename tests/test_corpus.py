@@ -184,7 +184,6 @@ class TestLexicon:
         path = tmp_path / "parts.txt"
         path.write_text("Arms\nhip joints\n\nShoulders\n", encoding="utf-8")
         lex = Lexicon.from_file(path)
-        assert lex.entries == {"arms", "hip joints", "shoulders"}
         assert lex.words == {"arms", "hip", "joints", "shoulders"}
 
     def test_whole_word_matching_only(self):

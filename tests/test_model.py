@@ -90,6 +90,24 @@ class TestLinearScorer:
         with pytest.raises(ValueError):
             LinearScorer(dim=8).score([])
 
+    def test_l2_decays_touched_rows_before_the_step(self):
+        rng = np.random.default_rng(5)
+        params = rng.normal(size=(256, NUM_TAGS))
+        tokens = ["pain", "in", "arms"]
+        grad = rng.normal(size=(len(tokens), NUM_TAGS))
+        lr, l2 = 0.1, 0.5
+        decayed = LinearScorer(dim=256, params=params.copy())
+        decayed.apply_gradient(tokens, grad, lr, l2)
+        touched = np.unique(np.concatenate(decayed.feature_indices(tokens)))
+        untouched = np.setdiff1d(np.arange(256), touched)
+        assert 0 < len(touched) < 256
+        reference = params.copy()
+        reference[touched] *= 1.0 - lr * l2
+        plain = LinearScorer(dim=256, params=reference)
+        plain.apply_gradient(tokens, grad, lr, 0.0)
+        assert np.array_equal(decayed.params, plain.params)
+        assert np.array_equal(decayed.params[untouched], params[untouched])
+
     def test_serialization_round_trip(self, tmp_path):
         params = np.random.default_rng(1).normal(size=(256, NUM_TAGS))
         s = LinearScorer(dim=256, params=params)
@@ -197,6 +215,18 @@ class TestTraining:
         a = train(corpus, TrainConfig(loss="nll", epochs=3, seed=4), dim=2**12)
         b = train(corpus, TrainConfig(loss="hard-em", epochs=3, seed=4), dim=2**12)
         assert np.array_equal(a.params, b.params)
+
+    def test_structural_mode_losses_equal_nll(self):
+        # structural mode resolves every set, so no loss has a latent flip left
+        corpus = [(t, a) for t, _, a in synthetic_corpus(40, seed=19)]
+        assert sum(len(a.sets) for _, a in corpus) > 0
+        params = {
+            loss: train(corpus, TrainConfig(loss=loss, epochs=3, seed=2), mode="structural",
+                        dim=2**12).params
+            for loss in ("nll", "partial", "hard-em")
+        }
+        assert np.array_equal(params["partial"], params["nll"])
+        assert np.array_equal(params["hard-em"], params["nll"])
 
     def test_length_mismatch_rejected(self):
         _, _, ann = synthetic_corpus(1, seed=1)[0]

@@ -226,22 +226,6 @@ class TestToTwoLayer:
         with pytest.raises(ValueError):
             to_two_layer({Mention(((0, 5),))}, 3)
 
-    def test_typer_orients_and_resolves(self):
-        lexicon_like = lambda iv: ComponentType.X if iv == (2, 2) else None
-        ann = to_two_layer(PAIN, 5, typer=lexicon_like)
-        (s,) = ann.sets
-        assert s.resolved
-        assert [c.ctype for c in s.components] == [
-            ComponentType.Y, ComponentType.X, ComponentType.X,
-        ]
-
-    def test_conflicting_typer_votes_fall_back_unresolved(self):
-        everything_x = lambda iv: ComponentType.X
-        ann = to_two_layer(PAIN, 5, typer=everything_x)
-        (s,) = ann.sets
-        assert not s.resolved
-        assert s.components[0].ctype is ComponentType.X
-
 
 class TestFromTwoLayer:
     def test_cartesian_product(self):
