@@ -70,8 +70,9 @@ from .inference import (
     partial_nll,
     sequence_score,
     viterbi,
+    viterbi_batch,
 )
-from .model import LinearScorer, TrainConfig, predict, predict_tags, train
+from .model import LinearScorer, TrainConfig, predict, predict_batch, predict_tags, train
 from .scheme import (
     NUM_TAGS,
     TAGS,
@@ -147,6 +148,7 @@ __all__ = [
     "nll",
     "partial_nll",
     "predict",
+    "predict_batch",
     "predict_tags",
     "read_corpus",
     "read_tag_file",
@@ -158,6 +160,7 @@ __all__ = [
     "to_two_layer",
     "train",
     "viterbi",
+    "viterbi_batch",
     "write_corpus",
     "write_tag_file",
 ]

@@ -39,6 +39,7 @@ from .scheme import (
 __all__ = [
     "Automaton",
     "Lattice",
+    "EdgeGroups",
     "grammar_automaton",
     "remove_epsilon",
     "determinize",
@@ -51,6 +52,32 @@ __all__ = [
 EPSILON = None  # transition label for the empty emission
 
 Transition = tuple[int, "Tag | None", float, int]
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeGroups:
+    """A grammar's edges grouped by the state that one chart step updates.
+
+    The edges that update state ``s`` are the run ``bounds[s]:bounds[s + 1]``,
+    in edge order; edge ``e`` reads the chart at state ``reads[e]`` and the
+    weight of tag ``tag[e]``.  A state with no edge gets one that reads the
+    dead state ``S`` (one past the last), whose chart entries stay zero.  A
+    chart step is then one gather and one ``reduceat``, whatever the batch.
+    """
+
+    bounds: np.ndarray  # (S,) int
+    reads: np.ndarray  # (E,) int in 0..S
+    tag: np.ndarray  # (E,) int
+
+    @classmethod
+    def of(cls, key: np.ndarray, reads: np.ndarray, tag: np.ndarray, num_states: int) -> "EdgeGroups":
+        """Groups of the edges that update the states ``key``."""
+        idle = np.flatnonzero(np.bincount(key, minlength=num_states) == 0)
+        key = np.concatenate([key, idle])
+        order = np.argsort(key, kind="stable")
+        reads = np.concatenate([reads, np.full(len(idle), num_states)])[order]
+        tag = np.concatenate([tag, np.zeros(len(idle), dtype=tag.dtype)])[order]
+        return cls(np.searchsorted(key[order], np.arange(num_states)), reads, tag)
 
 
 @dataclass(frozen=True)
@@ -97,13 +124,16 @@ class Automaton:
         return True
 
     @functools.cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only ``(edge_src, edge_tag, edge_dst, next_state, final_mask)``.
+    def _table(self) -> tuple:
+        """Read-only ``(edge_src, edge_tag, edge_dst, next_state, final_mask,
+        backward, forward)``.
 
         The transition table of a deterministic, epsilon-free automaton:
         edges sorted by ``(source, tag index, target)``, the dense successor
-        table (``-1`` where undefined) and the final-state mask.  It is built
-        on first use and shared by every lattice of this automaton.
+        table (``-1`` where undefined), the final-state mask, and the edges
+        grouped for the backward and forward chart steps (see
+        :class:`EdgeGroups`).  It is built on first use and shared by every
+        lattice of this automaton.
         """
         if not self.is_deterministic:
             raise ValueError("intersection requires a deterministic, epsilon-free grammar")
@@ -116,10 +146,14 @@ class Automaton:
         next_state[edge_src, edge_tag] = edge_dst
         final_mask = np.zeros(self.num_states, dtype=bool)
         final_mask[list(self.finals)] = True
-        table = (edge_src, edge_tag, edge_dst, next_state, final_mask)
-        for array in table:
+        groups = (
+            EdgeGroups.of(edge_src, edge_dst, edge_tag, self.num_states),
+            EdgeGroups.of(edge_dst, edge_src, edge_tag, self.num_states),
+        )
+        arrays = (edge_src, edge_tag, edge_dst, next_state, final_mask)
+        for array in arrays + tuple(a for g in groups for a in vars(g).values()):
             array.flags.writeable = False
-        return table
+        return arrays + groups
 
     def _closure(self, states: frozenset[int]) -> frozenset[int]:
         out = set(states)
@@ -376,8 +410,9 @@ class Lattice:
     part is time-invariant, so only ``n`` is per sentence: ``edge_src``,
     ``edge_tag`` and ``edge_dst`` describe the per-step transitions, and
     ``next_state`` is the dense successor table of the (deterministic)
-    grammar.  These arrays are the grammar's compiled table, read-only and
-    shared by the lattices of every length.
+    grammar, and ``backward`` and ``forward`` group the edges for the two
+    directions of a chart step.  These arrays are the grammar's compiled
+    table, read-only and shared by the lattices of every length.
     """
 
     n: int
@@ -388,6 +423,8 @@ class Lattice:
     edge_tag: np.ndarray  # (E,) int, canonical tag indices
     edge_dst: np.ndarray  # (E,) int
     next_state: np.ndarray  # (S, NUM_TAGS) int, -1 where undefined
+    backward: EdgeGroups  # edges by source: a state's suffix sum reads its successors
+    forward: EdgeGroups  # edges by target: a state's prefix sum reads its predecessors
 
     @property
     def num_states(self) -> int:
@@ -431,9 +468,10 @@ def build_lattice(grammar: Automaton, n: int) -> Lattice:
     programs of :mod:`disctag.inference`, which raise
     :class:`~disctag.errors.EmptyLanguage`.
     """
-    edge_src, edge_tag, edge_dst, next_state, final_mask = grammar._table
+    edge_src, edge_tag, edge_dst, next_state, final_mask, backward, forward = grammar._table
     return Lattice(
-        n, grammar.num_states, grammar.initial, final_mask, edge_src, edge_tag, edge_dst, next_state
+        n, grammar.num_states, grammar.initial, final_mask, edge_src, edge_tag, edge_dst, next_state,
+        backward, forward,
     )
 
 

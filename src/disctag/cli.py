@@ -14,7 +14,7 @@ import sys
 from . import corpus as corpus_io
 from .automata import export_text, grammar_automaton, minimize
 from .errors import ConfigError, DisctagError, Incompatible, ParseError
-from .model import LinearScorer, TrainConfig, predict_tags, train
+from .model import LinearScorer, TrainConfig, predict_batch, train
 from .scheme import decode, encode, is_well_formed
 
 SCALING_BOUND = 2.5  # doubling the sentence may at most 2.5x the median time
@@ -43,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="corpus file -> tag file")
     p.add_argument("corpus")
     p.add_argument("-o", "--output", default="-")
-    _add_mode(p)
 
     p = sub.add_parser("decode", help="tag file -> mention lines (or corpus with --corpus)")
     p.add_argument("tags")
@@ -126,8 +125,6 @@ def _cmd_encode(args) -> int:
         except Incompatible as err:
             print(f"record {i}: incompatible ({err.reason})", file=sys.stderr)
             return 1
-        if args.mode == "structural":
-            ann = ann.structural()
         lines.append(encode(ann).symbols())
     _write(args.output, "".join(line + "\n" for line in lines))
     return 0
@@ -231,10 +228,8 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     records = corpus_io.read_corpus(args.corpus)
     scorer = LinearScorer.load(args.model)
-    out = [
-        corpus_io.CorpusRecord(r.tokens, decode(predict_tags(scorer, r.tokens, args.mode)))
-        for r in records
-    ]
+    tags = predict_batch(scorer, [r.tokens for r in records], args.mode)
+    out = [corpus_io.CorpusRecord(r.tokens, decode(ts)) for r, ts in zip(records, tags)]
     _write_records(args.output, out)
     return 0
 

@@ -16,6 +16,7 @@ factorises into one two-way choice per set and takes time linear in ``n``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "LOG",
     "PartialLabelSet",
     "viterbi",
+    "viterbi_batch",
     "forward",
     "marginals",
     "sequence_score",
@@ -64,35 +66,58 @@ TROPICAL = Semiring("tropical", np.maximum, np.add, NEG_INF, 0.0)
 LOG = Semiring("log", np.logaddexp, np.add, NEG_INF, 0.0)
 
 
-def _check_weights(lat: Lattice, weights: np.ndarray) -> np.ndarray:
-    """The weights as float64, checked to be an ``(n, 10)`` matrix of finite scores."""
+def _check_weights(lat: Lattice, weights: np.ndarray, batched: bool = False) -> np.ndarray:
+    """The weights as float64, checked to be an ``(n, 10)`` matrix of finite
+    scores, or with ``batched`` a ``(B, n, 10)`` stack of them."""
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (lat.n, NUM_TAGS):
-        raise ValueError(f"expected weights of shape ({lat.n}, {NUM_TAGS}), got {weights.shape}")
+    shape = (lat.n, NUM_TAGS)
+    if weights.shape[batched:] != shape or weights.ndim != len(shape) + batched:
+        want = f"(B, {lat.n}, {NUM_TAGS})" if batched else f"({lat.n}, {NUM_TAGS})"
+        raise ValueError(f"expected weights of shape {want}, got {weights.shape}")
     if not np.isfinite(weights).all():
         raise ValueError("weight matrix entries must be finite")
     return weights
 
 
-def _chart(lat: Lattice, weights: np.ndarray, sr: Semiring, backward: bool = False):
-    """``(total, chart)``: the ``(n+1, S)`` prefix sums from the initial state,
-    or with ``backward`` the suffix sums into the final states, and their sum
-    over accepting paths.  Raises :class:`EmptyLanguage` if there is none.
+def _chart(
+    lat: Lattice, weights: np.ndarray, sr: Semiring, backward: bool = False, starts: np.ndarray | None = None
+):
+    """``(totals, chart)`` of a batch: the ``(n+1, B, S+1)`` prefix sums from
+    the initial state, or with ``backward`` the suffix sums into the final
+    states, and per sentence the sum over its accepting paths.  Column ``S``
+    is the dead state, with no paths: its sums stay zero.
+
+    ``weights`` is ``(B, n, 10)``.  A backward batch may hold shorter
+    sentences right-aligned: sentence ``b`` scores its words with
+    ``weights[b, starts[b]:]``, so its suffix sums are the rows from
+    ``starts[b]`` on and need no mask.  Each step gathers the chart at the
+    edges' far ends and combines each state's edges with one ``reduceat``, in
+    edge order.  Raises :class:`EmptyLanguage` if some sentence has no
+    accepting path.
     """
-    chart = np.full((lat.n + 1, lat.num_grammar_states), sr.zero)
+    batch, n = weights.shape[:2]
+    states = lat.num_grammar_states
+    chart = np.full((n + 1, batch, states + 1), sr.zero)
+    groups = lat.backward if backward else lat.forward
+    edge_weights = np.take(weights, groups.tag, axis=2).transpose(1, 0, 2)  # (n, B, E)
     if backward:
-        chart[lat.n, lat.final_mask] = sr.one
-        for i in range(lat.n - 1, -1, -1):
-            sr.plus.at(chart[i], lat.edge_src, sr.times(chart[i + 1, lat.edge_dst], weights[i, lat.edge_tag]))
-        total = chart[0, lat.initial]
+        order, read, write = range(n - 1, -1, -1), 1, 0
+        chart[n, :, :states][:, lat.final_mask] = sr.one
     else:
-        chart[0, lat.initial] = sr.one
-        for i in range(lat.n):
-            sr.plus.at(chart[i + 1], lat.edge_dst, sr.times(chart[i, lat.edge_src], weights[i, lat.edge_tag]))
-        total = sr.plus.reduce(chart[lat.n, lat.final_mask])
-    if total == sr.zero:
+        order, read, write = range(n), 0, 1
+        chart[0, :, lat.initial] = sr.one
+    for i in order:
+        edges = chart[i + read][:, groups.reads]
+        sr.times(edges, edge_weights[i], out=edges)
+        sr.plus.reduceat(edges, groups.bounds, axis=1, out=chart[i + write][:, :states])
+    if backward:
+        starts = np.zeros(batch, dtype=np.int64) if starts is None else starts
+        totals = chart[starts, np.arange(batch), lat.initial]
+    else:
+        totals = sr.plus.reduce(chart[n, :, :states][:, lat.final_mask], axis=1)
+    if (totals == sr.zero).any():
         raise EmptyLanguage("lattice has no accepting path")
-    return float(total), chart
+    return totals, chart
 
 
 def _posterior(lat: Lattice, weights: np.ndarray) -> tuple[float, np.ndarray]:
@@ -100,12 +125,13 @@ def _posterior(lat: Lattice, weights: np.ndarray) -> tuple[float, np.ndarray]:
     each marginal row is normalised by its own log-sum (``log Z`` in exact
     arithmetic), so with large weights rounding cannot push a row off one.
     """
-    log_z, alpha = _chart(lat, weights, LOG)
-    _, beta = _chart(lat, weights, LOG, backward=True)
+    (log_z,), alpha = _chart(lat, weights[None], LOG)
+    _, beta = _chart(lat, weights[None], LOG, backward=True)
+    alpha, beta = alpha[:, 0], beta[:, 0]
     edge_logp = alpha[:-1, lat.edge_src] + weights[:, lat.edge_tag] + beta[1:, lat.edge_dst]
     acc = np.full((lat.n, NUM_TAGS), NEG_INF)
     np.logaddexp.at(acc, (np.arange(lat.n)[:, None], lat.edge_tag), edge_logp)
-    return log_z, np.exp(acc - np.logaddexp.reduce(acc, axis=1, keepdims=True))
+    return float(log_z), np.exp(acc - np.logaddexp.reduce(acc, axis=1, keepdims=True))
 
 
 def sequence_score(weights: np.ndarray, ts: TagSequence) -> float:
@@ -122,21 +148,53 @@ def viterbi(lat: Lattice, weights: np.ndarray) -> tuple[float, TagSequence]:
     sequence, making ``score == <y, w>`` exact.
     """
     weights = _check_weights(lat, weights)
-    _, beta = _chart(lat, weights, TROPICAL, backward=True)
-    # best[i][s]: the first tag whose step from state s at word i attains beta[i, s]
-    steps = np.where(lat.next_state >= 0, weights[:, None, :] + beta[1:, lat.next_state], NEG_INF)
-    best, next_state = steps.argmax(axis=2).tolist(), lat.next_state.tolist()
-    tags, state = [], lat.initial
-    for row in best:
-        tags.append(row[state])
-        state = next_state[state][row[state]]
-    ts = TagSequence.from_indices(tags)
+    (ts,) = viterbi_batch(lat, weights[None], [lat.n])
     return sequence_score(weights, ts), ts
+
+
+def viterbi_batch(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> list[TagSequence]:
+    """The :func:`viterbi` sequences of a batch of right-aligned sentences.
+
+    ``weights`` is ``(B, n, 10)`` for the ``n``-word lattice ``lat``;
+    sentence ``b`` has ``lengths[b] <= n`` words, scored by the last
+    ``lengths[b]`` rows of ``weights[b]`` (the rows before them are padding
+    and may hold any finite value).  Each sequence, tie-break included, is
+    the one :func:`viterbi` gives for the sentence alone.
+    """
+    weights = _check_weights(lat, weights, batched=True)
+    batch, n, states = len(weights), lat.n, lat.num_grammar_states
+    starts = n - np.asarray(lengths, dtype=np.int64)
+    if starts.shape != (batch,) or (starts < 0).any() or (starts > n).any():
+        raise ValueError(f"expected {batch} lengths in 0..{n}, got {lengths!r}")
+    beta = _chart(lat, weights, TROPICAL, backward=True, starts=starts)[1][1:]
+    per_word = weights.transpose(1, 0, 2)
+    # best[i, b, s]: the lowest tag of a best step from state s at word i, found
+    # one tag at a time so that no (n, B, S, 10) array is needed; an undefined
+    # step (-1) reads the last column, the dead state
+    best = np.zeros((n, batch, states), dtype=np.intp)
+    top = np.take(beta, lat.next_state[:, 0], axis=2)
+    top += per_word[:, :, :1]
+    for tag in range(1, NUM_TAGS):
+        score = np.take(beta, lat.next_state[:, tag], axis=2)
+        score += per_word[:, :, tag : tag + 1]
+        np.copyto(best, tag, where=score > top)
+        np.maximum(top, score, out=top)
+    succ = lat.next_state[np.arange(states), best]
+    succ[np.arange(n)[:, None] < starts, lat.initial] = lat.initial  # padding keeps the initial state
+    # walk all sentences at once over flat (sentence, state) indices
+    flat_succ = (succ + np.arange(batch)[:, None] * states).reshape(n, batch * states)
+    at = np.arange(batch) * states + lat.initial
+    path = np.empty((n, batch), dtype=np.int64)
+    for i, row in enumerate(flat_succ):
+        path[i] = at
+        at = row[at]
+    tags = best.reshape(n, batch * states)[np.arange(n)[:, None], path].T.tolist()
+    return [TagSequence.from_indices(row[start:]) for row, start in zip(tags, starts.tolist())]
 
 
 def forward(lat: Lattice, weights: np.ndarray) -> float:
     """Log-partition over all well-formed sequences of length ``n``."""
-    return _chart(lat, _check_weights(lat, weights), LOG)[0]
+    return float(_chart(lat, _check_weights(lat, weights)[None], LOG)[0][0])
 
 
 def marginals(lat: Lattice, weights: np.ndarray) -> np.ndarray:

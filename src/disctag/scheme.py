@@ -416,9 +416,8 @@ def _group_to_set(group: list[Mention]) -> TwoLayerSet:
     """
     lo = min(m.start for m in group)
     hi = max(m.end for m in group)
-    profile: list[frozenset[int]] = []
-    for w in range(lo, hi + 1):
-        profile.append(frozenset(i for i, m in enumerate(group) if w in m.words()))
+    covered = [m.words() for m in group]
+    profile = [frozenset(i for i, words in enumerate(covered) if w in words) for w in range(lo, hi + 1)]
 
     # Maximal runs of identical non-empty covering profiles become components.
     intervals: list[tuple[int, int]] = []

@@ -47,3 +47,14 @@ def admissible_sequences(ann):
             flips[slot] = flip
         out.append(encode(ann.with_flips(flips)))
     return out
+
+
+def fnv1a_reference(text: str) -> int:
+    """64-bit FNV-1a of the UTF-8 bytes of ``text``, one byte at a time.
+
+    The oracle for the vectorised hash of :func:`disctag.model.fnv1a`.
+    """
+    h = 0xCBF29CE484222325
+    for byte in text.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -82,18 +84,17 @@ class TestEncodeDecode:
             "DB-Bx DI-Ix DI-By DI-O DI-By\nO O O O\n"
         )
 
-    def test_encode_structural_mode(self, tmp_path):
+    def test_encode_output_is_structural(self, tmp_path):
         corpus_path = tmp_path / "corpus.txt"
         write_corpus(synthetic_records(30, length=10, seed=6), corpus_path)
-        out = {}
-        for mode in ("semantic", "structural"):
-            path = tmp_path / f"{mode}.tags"
-            assert main(["encode", str(corpus_path), "--mode", mode, "-o", str(path)]) == 0
-            out[mode] = read_tag_file(path)
-        # mention spans carry no types, so both modes give the structural encoding
-        assert out["structural"] == out["semantic"]
-        assert all(is_structural(ts) for ts in out["structural"])
-        assert any("DB-Bx" in ts.symbols() for ts in out["structural"])
+        path = tmp_path / "out.tags"
+        assert main(["encode", str(corpus_path), "-o", str(path)]) == 0
+        # mention spans carry no types, so every set is oriented structurally
+        out = read_tag_file(path)
+        assert len(out) == 30 and all(is_structural(ts) for ts in out)
+        assert any("DB-Bx" in ts.symbols() for ts in out)
+        with pytest.raises(SystemExit):  # the option is gone
+            main(["encode", str(corpus_path), "--mode", "structural"])
 
     def test_encode_incompatible_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -219,18 +220,23 @@ class TestTrainPredictEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not model_path.exists()
 
-    def test_train_negative_loss_is_divergence(self, tmp_path, capsys):
+    def test_train_negative_loss_is_divergence(self, tmp_path, capsys, caplog):
         # huge scores cancel in log Z - A_clamped and the partial loss turns negative
         train_path = tmp_path / "train.txt"
         write_corpus(synthetic_records(20, length=8, seed=4), train_path)
         model_path = tmp_path / "model.npz"
         argv = ["train", str(train_path), "--model", str(model_path), "--dim", "4096",
                 "--loss", "partial", "--learning-rate", "1e200"]
-        assert main(argv) == 1
+        with caplog.at_level(logging.INFO):
+            assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "epoch 2" in err
         assert not model_path.exists()
+        # the epoch-1 loss is ~3e199: logged short, and as a float
+        epochs = [r for r in caplog.records if r.getMessage().startswith("epoch ")]
+        assert epochs and isinstance(epochs[0].args[-1], float)
+        assert all(len(r.getMessage()) <= 200 for r in caplog.records)
 
     @pytest.mark.parametrize("loss", ["partial", "hard-em"])
     def test_train_with_lexicon_matches_library(self, tmp_path, loss):

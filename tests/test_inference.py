@@ -19,6 +19,7 @@ from disctag.inference import (
     partial_nll,
     sequence_score,
     viterbi,
+    viterbi_batch,
 )
 from disctag.scheme import (
     CB,
@@ -31,6 +32,7 @@ from disctag.scheme import (
     TagSequence,
     decode,
     encode,
+    is_structural,
     is_well_formed,
     to_two_layer,
 )
@@ -100,6 +102,43 @@ class TestViterbi:
         score2, ts2 = viterbi(lat(6), w + 3.25)
         assert ts2.tags == ts.tags
         assert np.isclose(score2, score + 6 * 3.25)
+
+
+class TestViterbiBatch:
+    def test_matches_brute_force_with_ties(self, language):
+        # integer weights tie often; the tie-break picks the lexicographically
+        # first best sequence, whatever the padding before a sentence holds
+        rng = np.random.default_rng(41)
+        for mode in ("semantic", "structural"):
+            grammar = grammar_automaton(mode)
+            for _ in range(20):
+                lengths = rng.integers(1, 6, size=8)
+                n = int(lengths.max())
+                w = rng.integers(-2, 3, size=(len(lengths), n, NUM_TAGS)).astype(float)
+                got = viterbi_batch(build_lattice(grammar, n), w, lengths)
+                for b, m in enumerate(lengths):
+                    own = w[b, n - m :]
+                    seqs = [s for s in language.sequences(m) if mode == "semantic" or is_structural(s)]
+                    scores = [sequence_score(own, TagSequence(s)) for s in seqs]
+                    best = max(scores)
+                    first = min(tuple(t.index for t in s) for s, x in zip(seqs, scores) if x == best)
+                    assert tuple(got[b].indices) == first
+
+    def test_batch_of_one_is_viterbi(self):
+        rng = np.random.default_rng(43)
+        for n in (1, 7, 64):
+            w = rng.integers(-2, 3, size=(n, NUM_TAGS)).astype(float)
+            assert viterbi_batch(lat(n), w[None], [n])[0].tags == viterbi(lat(n), w)[1].tags
+
+    def test_rejects_bad_shapes_and_lengths(self):
+        w = np.zeros((2, 4, NUM_TAGS))
+        for lengths in ([4], [4, 5], [4, -1]):
+            with pytest.raises(ValueError):
+                viterbi_batch(lat(4), w, lengths)
+        with pytest.raises(ValueError):
+            viterbi_batch(lat(4), np.zeros((4, NUM_TAGS)), [4])
+        with pytest.raises(ValueError):
+            viterbi_batch(lat(3), w, [3, 3])
 
 
 class TestForward:

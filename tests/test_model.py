@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from disctag import model
 from disctag.automata import build_lattice, grammar_automaton, random_well_formed
 from disctag.errors import ConfigError
 from disctag.inference import nll
 from disctag.model import (
+    FEATURES,
     LinearScorer,
     TrainConfig,
+    fnv1a,
     predict,
+    predict_batch,
     predict_tags,
     sentence_features,
     train,
@@ -23,6 +27,15 @@ from disctag.scheme import (
     is_well_formed,
     to_two_layer,
 )
+
+from conftest import fnv1a_reference
+
+# ASCII, two-byte, three-byte and four-byte UTF-8, and a NUL byte
+VOCABULARY = ["pain", "in", "Arms", "é", "café", "日本語", "語", "😀", "x😀y", "a\x00", "", "ÉTÉ"]
+
+
+def random_sentences(rng, lengths):
+    return [tuple(VOCABULARY[i] for i in rng.integers(len(VOCABULARY), size=n)) for n in lengths]
 
 
 def synthetic_corpus(count, seed=0, min_len=4, max_len=10, continuous_only=False):
@@ -64,6 +77,27 @@ class TestFeatures:
         assert "w-1=<bos>" in feats and "w+1=<eos>" in feats
 
 
+class TestFnv1a:
+    def test_matches_scalar_reference(self):
+        strings = [""] + VOCABULARY + [f"w={w}" for w in VOCABULARY] + ["suf=日本語😀" * 9, "w-1=<bos>"]
+        got = fnv1a(strings)
+        assert got.dtype == np.uint64
+        assert [int(h) for h in got] == [fnv1a_reference(t) for t in strings]
+
+    def test_reference_vectors(self):
+        # published 64-bit FNV-1a values
+        assert fnv1a_reference("") == 0xCBF29CE484222325
+        assert fnv1a_reference("a") == 0xAF63DC4C8601EC8C
+        assert int(fnv1a(["a"])[0]) == 0xAF63DC4C8601EC8C
+
+    def test_feature_indices_hash_each_feature(self):
+        tokens = ["Café", "日本語", "😀", "in"]
+        rows = LinearScorer(dim=1000).feature_indices(tokens)
+        want = [[fnv1a_reference(f) % 1000 for f in feats] for feats in sentence_features(tokens)]
+        assert rows.shape == (len(tokens), FEATURES)
+        assert rows.tolist() == want
+
+
 class TestLinearScorer:
     def test_zero_params_zero_scores(self):
         s = LinearScorer(dim=64)
@@ -86,6 +120,18 @@ class TestLinearScorer:
             hits = np.count_nonzero(row == target)
             assert scores[i, 4] == pytest.approx(2.5 * hits)
 
+    def test_batch_scores_bit_identical(self):
+        rng = np.random.default_rng(3)
+        s = LinearScorer(dim=512, params=rng.normal(size=(512, NUM_TAGS)))
+        sentences = random_sentences(rng, [1, 7, 30, 2, 64, 5])
+        single = np.concatenate([s.score(t) for t in sentences])
+        assert np.array_equal(s.score_rows(s.batch_feature_indices(sentences)), single)
+        # each word sums the rows of its features (integers, so the sum is exact in any order)
+        s.params = rng.integers(-50, 50, size=(512, NUM_TAGS)).astype(float)
+        feats = [f for t in sentences for row in sentence_features(t) for f in row]
+        rows = s.params[[fnv1a_reference(f) % 512 for f in feats]].reshape(-1, FEATURES, NUM_TAGS)
+        assert np.array_equal(s.score_rows(s.batch_feature_indices(sentences)), rows.sum(axis=1))
+
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError):
             LinearScorer(dim=8).score([])
@@ -97,14 +143,14 @@ class TestLinearScorer:
         grad = rng.normal(size=(len(tokens), NUM_TAGS))
         lr, l2 = 0.1, 0.5
         decayed = LinearScorer(dim=256, params=params.copy())
-        decayed.apply_gradient(tokens, grad, lr, l2)
+        decayed.apply_gradient(decayed.feature_indices(tokens), grad, lr, l2)
         touched = np.unique(np.concatenate(decayed.feature_indices(tokens)))
         untouched = np.setdiff1d(np.arange(256), touched)
         assert 0 < len(touched) < 256
         reference = params.copy()
         reference[touched] *= 1.0 - lr * l2
         plain = LinearScorer(dim=256, params=reference)
-        plain.apply_gradient(tokens, grad, lr, 0.0)
+        plain.apply_gradient(plain.feature_indices(tokens), grad, lr, 0.0)
         assert np.array_equal(decayed.params, plain.params)
         assert np.array_equal(decayed.params[untouched], params[untouched])
 
@@ -228,6 +274,19 @@ class TestTraining:
         assert np.array_equal(params["partial"], params["nll"])
         assert np.array_equal(params["hard-em"], params["nll"])
 
+    def test_features_hashed_once(self, monkeypatch):
+        calls = []
+        hash_rows = LinearScorer.batch_feature_indices
+
+        def counted(self, sentences):
+            calls.append(sentences)
+            return hash_rows(self, sentences)
+
+        monkeypatch.setattr(LinearScorer, "batch_feature_indices", counted)
+        corpus = [(t, a) for t, _, a in synthetic_corpus(12, seed=9)]
+        train(corpus, TrainConfig(loss="partial", epochs=3), dim=2**10)
+        assert [list(s) for s in calls] == [[t] for t, _ in corpus]  # each once, not once per epoch
+
     def test_length_mismatch_rejected(self):
         _, _, ann = synthetic_corpus(1, seed=1)[0]
         with pytest.raises(ConfigError):
@@ -275,3 +334,31 @@ class TestPredict:
             ts = predict_tags(scorer, tokens, "semantic")
             assert is_well_formed(ts)
             decode(ts)  # must not raise
+
+    @pytest.mark.parametrize("mode", ["semantic", "structural"])
+    def test_batch_matches_per_sentence(self, mode):
+        # integer weights in [-2, 2] make ties common
+        rng = np.random.default_rng(29)
+        scorer = LinearScorer(dim=256, params=rng.integers(-2, 3, size=(256, NUM_TAGS)).astype(float))
+        lengths = [1, 600, 2, 3, 40, 41, 599, 1, 128, 300] + list(rng.integers(1, 601, size=20))
+        sentences = random_sentences(rng, lengths)
+        got = predict_batch(scorer, sentences, mode)
+        assert [len(ts) for ts in got] == lengths
+        assert [ts.tags for ts in got] == [predict_tags(scorer, t, mode).tags for t in sentences]
+
+    def test_sentence_longer_than_the_budget(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        scorer = LinearScorer(dim=128, params=rng.integers(-2, 3, size=(128, NUM_TAGS)).astype(float))
+        sentences = random_sentences(rng, [3, model.TOKEN_BUDGET + 5, 9])
+        want = [predict_tags(scorer, t).tags for t in sentences]
+        assert [ts.tags for ts in predict_batch(scorer, sentences)] == want
+        # many small batches, each cut where the next sentence would overflow
+        monkeypatch.setattr(model, "TOKEN_BUDGET", 16)
+        sentences = random_sentences(rng, rng.integers(1, 25, size=40))
+        want = [predict_tags(scorer, t).tags for t in sentences]
+        assert [ts.tags for ts in predict_batch(scorer, sentences)] == want
+
+    def test_empty_sentence_rejected(self):
+        with pytest.raises(ValueError):
+            predict_batch(LinearScorer(dim=8), [("a",), ()])
+
