@@ -17,6 +17,7 @@ from disctag import (
     Lexicon,
     Mention,
     PartialLabelSet,
+    SentenceAnnotation,
     annotate,
     build_lattice,
     clamped_log_partition,
@@ -42,7 +43,10 @@ record = CorpusRecord(
 )
 ann = annotate(record)
 pl = PartialLabelSet.from_annotation(ann)
-members = [encode(ann.with_flips(flips)) for flips in itertools.product((False, True), repeat=len(ann.sets))]
+members = [
+    encode(SentenceAnnotation(ann.n, ann.continuous, tuple(s.flipped() if f else s for s, f in zip(ann.sets, flips))))
+    for flips in itertools.product((False, True), repeat=len(ann.sets))
+]
 print(f"{len(ann.sets)} set(s) of mentions -> {len(pl)} admissible tag sequences:")
 for member in members:
     print("  ", member.symbols())

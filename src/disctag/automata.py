@@ -6,15 +6,18 @@ Intersecting it with the trivial sentence automaton of an ``n``-word sentence
 yields an acyclic lattice whose accepting paths are the well-formed sequences
 of length ``n``; all dynamic programs run on that lattice.  The lattice is
 ``n`` copies of one time-invariant transition table, which is compiled once
-per grammar and shared by the lattices of every length.
+per grammar and shared by the lattices of every length: a dense successor
+table, and the grammar's edges grouped three ways (:class:`EdgeGroups`), by
+source for the backward chart, by target for the forward chart and by tag
+for the marginals.  The dynamic programs of :mod:`disctag.inference`, the
+path sampler ``random_well_formed`` included, sum over edges only through one
+``reduceat`` over one of these groupings.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import deque
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +49,6 @@ __all__ = [
     "minimize",
     "build_lattice",
     "export_text",
-    "random_well_formed",
 ]
 
 EPSILON = None  # transition label for the empty emission
@@ -56,28 +58,29 @@ Transition = tuple[int, "Tag | None", float, int]
 
 @dataclass(frozen=True, eq=False)
 class EdgeGroups:
-    """A grammar's edges grouped by the state that one chart step updates.
+    """A grammar's edges ``(src, tag, dst)``, grouped by source, tag or target.
 
-    The edges that update state ``s`` are the run ``bounds[s]:bounds[s + 1]``,
-    in edge order; edge ``e`` reads the chart at state ``reads[e]`` and the
-    weight of tag ``tag[e]``.  A state with no edge gets one that reads the
-    dead state ``S`` (one past the last), whose chart entries stay zero.  A
-    chart step is then one gather and one ``reduceat``, whatever the batch.
+    The edges of key ``k`` are the run ``bounds[k]:bounds[k + 1]``, in
+    ``(src, tag, dst)`` order.  A key with no edge gets one dead edge from and
+    to the dead state ``S`` (one past the last), whose chart entries stay
+    zero.  Any sum over edges, such as one chart step, is then one gather and
+    one ``reduceat``, whatever the batch.
     """
 
-    bounds: np.ndarray  # (S,) int
-    reads: np.ndarray  # (E,) int in 0..S
+    bounds: np.ndarray  # (K,) int
+    src: np.ndarray  # (E,) int in 0..S
     tag: np.ndarray  # (E,) int
+    dst: np.ndarray  # (E,) int in 0..S
 
     @classmethod
-    def of(cls, key: np.ndarray, reads: np.ndarray, tag: np.ndarray, num_states: int) -> "EdgeGroups":
-        """Groups of the edges that update the states ``key``."""
-        idle = np.flatnonzero(np.bincount(key, minlength=num_states) == 0)
+    def of(cls, edges: np.ndarray, column: int, num_keys: int, dead: int) -> "EdgeGroups":
+        """The rows ``(src, tag, dst)`` of ``edges`` grouped by ``edges[:, column]``."""
+        key = edges[:, column]
+        idle = np.flatnonzero(np.bincount(key, minlength=num_keys) == 0)
         key = np.concatenate([key, idle])
         order = np.argsort(key, kind="stable")
-        reads = np.concatenate([reads, np.full(len(idle), num_states)])[order]
-        tag = np.concatenate([tag, np.zeros(len(idle), dtype=tag.dtype)])[order]
-        return cls(np.searchsorted(key[order], np.arange(num_states)), reads, tag)
+        rows = np.concatenate([edges, np.tile([dead, 0, dead], (len(idle), 1))])[order]
+        return cls(np.searchsorted(key[order], np.arange(num_keys)), *rows.T.copy())
 
 
 @dataclass(frozen=True)
@@ -125,13 +128,12 @@ class Automaton:
 
     @functools.cached_property
     def _table(self) -> tuple:
-        """Read-only ``(edge_src, edge_tag, edge_dst, next_state, final_mask,
-        backward, forward)``.
+        """Read-only ``(next_state, final_mask, backward, forward, by_tag)``.
 
-        The transition table of a deterministic, epsilon-free automaton:
-        edges sorted by ``(source, tag index, target)``, the dense successor
-        table (``-1`` where undefined), the final-state mask, and the edges
-        grouped for the backward and forward chart steps (see
+        The transition table of a deterministic, epsilon-free automaton: the
+        dense successor table (``-1`` where undefined), the final-state mask,
+        and the edges grouped by source for the backward chart step, by
+        target for the forward one and by tag for the marginals (see
         :class:`EdgeGroups`).  It is built on first use and shared by every
         lattice of this automaton.
         """
@@ -141,19 +143,19 @@ class Automaton:
             sorted((src, label.index, dst) for src, label, _, dst in self.transitions),
             dtype=np.int64,
         ).reshape(-1, 3)
-        edge_src, edge_tag, edge_dst = edges.T.copy()
         next_state = np.full((self.num_states, NUM_TAGS), -1, dtype=np.int64)
-        next_state[edge_src, edge_tag] = edge_dst
+        next_state[edges[:, 0], edges[:, 1]] = edges[:, 2]
         final_mask = np.zeros(self.num_states, dtype=bool)
         final_mask[list(self.finals)] = True
+        states = self.num_states
         groups = (
-            EdgeGroups.of(edge_src, edge_dst, edge_tag, self.num_states),
-            EdgeGroups.of(edge_dst, edge_src, edge_tag, self.num_states),
+            EdgeGroups.of(edges, 0, states, states),
+            EdgeGroups.of(edges, 2, states, states),
+            EdgeGroups.of(edges, 1, NUM_TAGS, states),
         )
-        arrays = (edge_src, edge_tag, edge_dst, next_state, final_mask)
-        for array in arrays + tuple(a for g in groups for a in vars(g).values()):
+        for array in (next_state, final_mask) + tuple(a for g in groups for a in vars(g).values()):
             array.flags.writeable = False
-        return arrays + groups
+        return (next_state, final_mask) + groups
 
     def _closure(self, states: frozenset[int]) -> frozenset[int]:
         out = set(states)
@@ -168,29 +170,6 @@ class Automaton:
                     out.add(dst)
                     stack.append(dst)
         return frozenset(out)
-
-    def accepts(self, sequence: Sequence[Tag]) -> bool:
-        """NFA simulation (epsilon transitions allowed)."""
-        current = self._closure(frozenset((self.initial,)))
-        step: dict[tuple[int, Tag], set[int]] = {}
-        for src, label, _, dst in self.transitions:
-            if label is not None:
-                step.setdefault((src, label), set()).add(dst)
-        for tag in sequence:
-            nxt: set[int] = set()
-            for q in current:
-                nxt |= step.get((q, tag), set())
-            if not nxt:
-                return False
-            current = self._closure(frozenset(nxt))
-        return bool(current & self.finals)
-
-    def language(self, n: int) -> frozenset[tuple[Tag, ...]]:
-        """All accepted sequences of exactly ``n`` tags (test-sized n only)."""
-        return frozenset(
-            seq for seq in itertools.product(TAGS, repeat=n)
-            if self.accepts(seq)
-        )
 
 
 def _trim(transitions: set[Transition], initial: int, finals: set[int]) -> Automaton:
@@ -407,57 +386,21 @@ class Lattice:
     States are pairs ``(position, grammar state)`` with ``position`` in
     ``0..n``; every transition advances the position by one and reads the
     score of one ``(position, tag)`` cell of a weight matrix.  The grammar
-    part is time-invariant, so only ``n`` is per sentence: ``edge_src``,
-    ``edge_tag`` and ``edge_dst`` describe the per-step transitions, and
-    ``next_state`` is the dense successor table of the (deterministic)
-    grammar, and ``backward`` and ``forward`` group the edges for the two
-    directions of a chart step.  These arrays are the grammar's compiled
-    table, read-only and shared by the lattices of every length.
+    part is time-invariant, so only ``n`` is per sentence: ``next_state`` is
+    the dense successor table of the (deterministic) grammar, and
+    ``backward``, ``forward`` and ``by_tag`` group its edges for the
+    dynamic programs.  These arrays are the grammar's compiled table,
+    read-only and shared by the lattices of every length.
     """
 
     n: int
     num_grammar_states: int
     initial: int
-    final_mask: np.ndarray  # (S,) bool
-    edge_src: np.ndarray  # (E,) int
-    edge_tag: np.ndarray  # (E,) int, canonical tag indices
-    edge_dst: np.ndarray  # (E,) int
     next_state: np.ndarray  # (S, NUM_TAGS) int, -1 where undefined
+    final_mask: np.ndarray  # (S,) bool
     backward: EdgeGroups  # edges by source: a state's suffix sum reads its successors
     forward: EdgeGroups  # edges by target: a state's prefix sum reads its predecessors
-
-    @property
-    def num_states(self) -> int:
-        return (self.n + 1) * self.num_grammar_states
-
-    @property
-    def num_transitions(self) -> int:
-        return self.n * len(self.edge_src)
-
-    def coreachable_masks(self) -> np.ndarray:
-        """(n+1, S) bool: states from which a final state at position n is reachable."""
-        masks = np.zeros((self.n + 1, self.num_grammar_states), dtype=bool)
-        masks[self.n] = self.final_mask
-        for i in range(self.n - 1, -1, -1):
-            dst_ok = masks[i + 1, self.edge_dst]
-            np.logical_or.at(masks[i], self.edge_src[dst_ok], True)
-        return masks
-
-    def accepting_sequences(self) -> Iterator[tuple[Tag, ...]]:
-        """Enumerate the tag sequences spelled by accepting paths (small n)."""
-        co = self.coreachable_masks()
-        if not co[0, self.initial]:
-            return
-        stack: list[tuple[int, int, tuple[Tag, ...]]] = [(0, self.initial, ())]
-        while stack:
-            pos, q, prefix = stack.pop()
-            if pos == self.n:
-                yield prefix
-                continue
-            for tag in range(NUM_TAGS - 1, -1, -1):
-                nxt = self.next_state[q, tag]
-                if nxt >= 0 and co[pos + 1, nxt]:
-                    stack.append((pos + 1, int(nxt), prefix + (TAGS[tag],)))
+    by_tag: EdgeGroups  # edges by tag: a tag's marginal sums its edges
 
 
 def build_lattice(grammar: Automaton, n: int) -> Lattice:
@@ -468,11 +411,7 @@ def build_lattice(grammar: Automaton, n: int) -> Lattice:
     programs of :mod:`disctag.inference`, which raise
     :class:`~disctag.errors.EmptyLanguage`.
     """
-    edge_src, edge_tag, edge_dst, next_state, final_mask, backward, forward = grammar._table
-    return Lattice(
-        n, grammar.num_states, grammar.initial, final_mask, edge_src, edge_tag, edge_dst, next_state,
-        backward, forward,
-    )
+    return Lattice(n, grammar.num_states, grammar.initial, *grammar._table)
 
 
 def export_text(a: Automaton) -> str:
@@ -490,21 +429,3 @@ def export_text(a: Automaton) -> str:
         sym = "<eps>" if label is None else label.symbol
         lines.append(f"{src} {sym} {w!r} {dst}")
     return "\n".join(lines) + "\n"
-
-
-def random_well_formed(lattice: Lattice, rng: np.random.Generator) -> tuple[Tag, ...]:
-    """Sample one accepting path uniformly over local choices."""
-    co = lattice.coreachable_masks()
-    if not co[0, lattice.initial]:
-        raise EmptyLanguage("lattice accepts nothing")
-    q = lattice.initial
-    out: list[Tag] = []
-    for pos in range(lattice.n):
-        options = [
-            t for t in range(NUM_TAGS)
-            if lattice.next_state[q, t] >= 0 and co[pos + 1, lattice.next_state[q, t]]
-        ]
-        tag = int(rng.choice(options))
-        out.append(TAGS[tag])
-        q = int(lattice.next_state[q, tag])
-    return tuple(out)

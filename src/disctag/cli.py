@@ -13,7 +13,7 @@ import sys
 
 from . import corpus as corpus_io
 from .automata import export_text, grammar_automaton, minimize
-from .errors import ConfigError, DisctagError, Incompatible, ParseError
+from .errors import ConfigError, DisctagError, Incompatible, LengthMismatch, ParseError
 from .model import LinearScorer, TrainConfig, predict_batch, train
 from .scheme import decode, encode, is_well_formed
 
@@ -141,16 +141,11 @@ def _cmd_decode(args) -> int:
         return 0
     records = corpus_io.read_corpus(args.corpus)
     if len(records) != len(sequences):
-        print(
-            f"corpus has {len(records)} records but tag file has {len(sequences)} sequences",
-            file=sys.stderr,
-        )
-        return 1
+        raise LengthMismatch(f"corpus has {len(records)} records but tag file has {len(sequences)} sequences")
     out = []
     for record, ts, ms in zip(records, sequences, mention_sets):
         if record.n != len(ts):
-            print(f"length mismatch for sentence {' '.join(record.tokens)!r}", file=sys.stderr)
-            return 1
+            raise LengthMismatch(f"length mismatch for sentence {' '.join(record.tokens)!r}")
         out.append(corpus_io.CorpusRecord(record.tokens, ms))
     _write_records(args.output, out)
     return 0

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import build_lattice, grammar_automaton, random_well_formed
+from .automata import build_lattice, grammar_automaton
 from .errors import Incompatible, LengthMismatch, ParseError
+from .inference import random_well_formed
 from .model import LinearScorer, predict_tags
 from .scheme import (
     ComponentType,
@@ -109,10 +110,23 @@ def _parse_mentions(text: str, line_no: int) -> MentionSet:
     return frozenset(mentions)
 
 
+def _read_lines(path) -> list[str]:
+    r"""The lines of a UTF-8 text file, split at ``\n``, ``\r\n`` and ``\r`` as
+    ``open`` splits them; a byte that is not UTF-8 raises :class:`ParseError`
+    naming its line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = len((data[: err.start] + b".").splitlines())
+        raise ParseError(f"byte {data[err.start]:#04x} is not UTF-8", line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def read_corpus(path) -> list[CorpusRecord]:
     """Parse a corpus file; raises :class:`ParseError` with a line number."""
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
+    lines = _read_lines(path)
     records = []
     i = 0
     while i < len(lines):
@@ -146,14 +160,13 @@ def write_corpus(records: Iterable[CorpusRecord], path) -> None:
 
 def read_tag_file(path) -> list[TagSequence]:
     out = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(TagSequence.from_symbols(line))
-            except KeyError as err:
-                raise ParseError(str(err), line_no) from None
+    for line_no, line in enumerate(_read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(TagSequence.from_symbols(line))
+        except KeyError as err:
+            raise ParseError(str(err), line_no) from None
     return out
 
 
@@ -215,8 +228,7 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_entries(handle)
+        return cls.from_entries(_read_lines(path))
 
     def matches(self, tokens: Iterable[str]) -> bool:
         """True when any token equals any single word of any entry."""

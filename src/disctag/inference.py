@@ -6,6 +6,12 @@ the log-partition and marginals.  Scores of a tag sequence are bilinear,
 ``<y, w> = sum_i w[i, y_i]``, so every gradient below is an ``(n, 10)`` matrix
 aligned with the weight matrix.
 
+One chart routine serves every program: each step sums a state's edges, grouped
+by source (backward) or by target (forward), with one ``reduceat``.  The
+marginals sum the edges grouped by tag the same way, and
+:func:`random_well_formed` samples paths through the states that a backward
+tropical chart finds co-reachable.
+
 The partially-supervised losses marginalise over the label set of an
 annotation whose component types are unknown: flipping the x/y orientation of
 any unresolved set of mentions swaps its x and y tags and leaves the denoted
@@ -25,7 +31,9 @@ from .automata import Lattice
 from .errors import EmptyLanguage, IllFormed
 from .scheme import (
     NUM_TAGS,
+    TAGS,
     SentenceAnnotation,
+    Tag,
     TagSequence,
     encode,
     is_well_formed,
@@ -46,6 +54,7 @@ __all__ = [
     "nll",
     "partial_nll",
     "hard_em_step",
+    "random_well_formed",
 ]
 
 NEG_INF = float("-inf")
@@ -99,6 +108,7 @@ def _chart(
     states = lat.num_grammar_states
     chart = np.full((n + 1, batch, states + 1), sr.zero)
     groups = lat.backward if backward else lat.forward
+    far = groups.dst if backward else groups.src
     edge_weights = np.take(weights, groups.tag, axis=2).transpose(1, 0, 2)  # (n, B, E)
     if backward:
         order, read, write = range(n - 1, -1, -1), 1, 0
@@ -107,7 +117,7 @@ def _chart(
         order, read, write = range(n), 0, 1
         chart[0, :, lat.initial] = sr.one
     for i in order:
-        edges = chart[i + read][:, groups.reads]
+        edges = chart[i + read][:, far]
         sr.times(edges, edge_weights[i], out=edges)
         sr.plus.reduceat(edges, groups.bounds, axis=1, out=chart[i + write][:, :states])
     if backward:
@@ -122,16 +132,34 @@ def _chart(
 
 def _posterior(lat: Lattice, weights: np.ndarray) -> tuple[float, np.ndarray]:
     """``log Z`` and the tag marginals, from one forward and one backward chart;
-    each marginal row is normalised by its own log-sum (``log Z`` in exact
+    each tag's edges are summed with one ``reduceat``, in edge order, and each
+    marginal row is normalised by its own log-sum (``log Z`` in exact
     arithmetic), so with large weights rounding cannot push a row off one.
     """
     (log_z,), alpha = _chart(lat, weights[None], LOG)
     _, beta = _chart(lat, weights[None], LOG, backward=True)
-    alpha, beta = alpha[:, 0], beta[:, 0]
-    edge_logp = alpha[:-1, lat.edge_src] + weights[:, lat.edge_tag] + beta[1:, lat.edge_dst]
-    acc = np.full((lat.n, NUM_TAGS), NEG_INF)
-    np.logaddexp.at(acc, (np.arange(lat.n)[:, None], lat.edge_tag), edge_logp)
+    edges = lat.by_tag
+    edge_logp = alpha[:-1, 0, edges.src] + weights[:, edges.tag] + beta[1:, 0, edges.dst]
+    acc = np.logaddexp.reduceat(edge_logp, edges.bounds, axis=1)
     return float(log_z), np.exp(acc - np.logaddexp.reduce(acc, axis=1, keepdims=True))
+
+
+def random_well_formed(lat: Lattice, rng: np.random.Generator) -> tuple[Tag, ...]:
+    """Sample one accepting path uniformly over local choices.
+
+    The choices at each word are the tags that lead to a co-reachable state,
+    one with a finite score in a backward tropical chart over zero weights.
+    Raises :class:`EmptyLanguage` if the lattice has no accepting path.
+    """
+    _, beta = _chart(lat, np.zeros((1, lat.n, NUM_TAGS)), TROPICAL, backward=True)
+    alive = beta[:, 0] > NEG_INF  # the dead state, where next_state is -1, never is
+    q = lat.initial
+    out: list[Tag] = []
+    for pos in range(lat.n):
+        tag = int(rng.choice([t for t in range(NUM_TAGS) if alive[pos + 1, lat.next_state[q, t]]]))
+        out.append(TAGS[tag])
+        q = int(lat.next_state[q, tag])
+    return tuple(out)
 
 
 def sequence_score(weights: np.ndarray, ts: TagSequence) -> float:

@@ -153,17 +153,18 @@ class LinearScorer:
         or missing an entry) raises :class:`~disctag.errors.ConfigError`;
         a file that cannot be opened raises :class:`OSError`.
         """
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                version = int(data["format_version"])
-                if version != cls.FORMAT_VERSION:
-                    raise ConfigError(f"unsupported model format version {version}")
-                tagset = [str(s) for s in data["tagset"]]
-                if tagset != [t.symbol for t in TAGS]:
-                    raise ConfigError("model tagset does not match this build")
-                return cls(dim=int(data["dim"]), params=data["params"])
-        except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as err:
-            raise ConfigError(f"{path} is not a model file written by 'disctag train'") from err
+        with open(path, "rb") as handle:
+            try:
+                with np.load(handle, allow_pickle=False) as data:
+                    version = int(data["format_version"])
+                    if version != cls.FORMAT_VERSION:
+                        raise ConfigError(f"unsupported model format version {version}")
+                    tagset = [str(s) for s in data["tagset"]]
+                    if tagset != [t.symbol for t in TAGS]:
+                        raise ConfigError("model tagset does not match this build")
+                    return cls(dim=int(data["dim"]), params=data["params"])
+            except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as err:
+                raise ConfigError(f"{path} is not a model file written by 'disctag train'") from err
 
 
 @dataclass(frozen=True)

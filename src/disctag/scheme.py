@@ -375,15 +375,6 @@ class SentenceAnnotation:
             tuple(s.with_orientation(ComponentType.X, resolved=True) for s in self.sets),
         )
 
-    def with_flips(self, flips: Sequence[bool]) -> "SentenceAnnotation":
-        if len(flips) != len(self.sets):
-            raise ValueError("one flip flag per set expected")
-        return SentenceAnnotation(
-            self.n,
-            self.continuous,
-            tuple(s.flipped() if f else s for s, f in zip(self.sets, flips)),
-        )
-
 
 def _grouped(mentions: Sequence[Mention]) -> list[list[Mention]]:
     """Connected components of the word-sharing graph over mentions."""

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from disctag.scheme import TAGS, encode, is_well_formed
+from disctag.scheme import TAGS, SentenceAnnotation, encode, is_well_formed
 
 
 class WellFormedLanguage:
@@ -31,6 +31,65 @@ def language():
     return WellFormedLanguage()
 
 
+def accepts(automaton, sequence) -> bool:
+    """Whether ``automaton`` accepts ``sequence``, by NFA simulation.
+
+    The oracle for the language-preserving automaton constructions; epsilon
+    transitions (label ``None``) are allowed.
+    """
+    eps, step = {}, {}
+    for src, label, _, dst in automaton.transitions:
+        if label is None:
+            eps.setdefault(src, set()).add(dst)
+        else:
+            step.setdefault((src, label), set()).add(dst)
+
+    def closure(states):
+        out, stack = set(states), list(states)
+        while stack:
+            for dst in eps.get(stack.pop(), ()):
+                if dst not in out:
+                    out.add(dst)
+                    stack.append(dst)
+        return out
+
+    current = closure({automaton.initial})
+    for tag in sequence:
+        current = closure({dst for q in current for dst in step.get((q, tag), ())})
+    return bool(current & automaton.finals)
+
+
+def language_of(automaton, n: int) -> frozenset:
+    """All sequences of exactly ``n`` tags that ``automaton`` accepts (``10**n`` checks)."""
+    return frozenset(seq for seq in itertools.product(TAGS, repeat=n) if accepts(automaton, seq))
+
+
+def accepting_sequences(lattice) -> set:
+    """The tag sequences spelled by the accepting paths of ``lattice``.
+
+    Walks every path of the successor table from the initial state, so it
+    relies on no dynamic program; small ``n`` only.
+    """
+    paths = [((), lattice.initial)]
+    for _ in range(lattice.n):
+        paths = [
+            (seq + (tag,), int(lattice.next_state[q, tag.index]))
+            for seq, q in paths
+            for tag in TAGS
+            if lattice.next_state[q, tag.index] >= 0
+        ]
+    return {seq for seq, q in paths if lattice.final_mask[q]}
+
+
+def with_flips(ann, flips) -> SentenceAnnotation:
+    """``ann`` with the x/y orientation of each set whose flag is true flipped."""
+    if len(flips) != len(ann.sets):
+        raise ValueError("one flip flag per set expected")
+    return SentenceAnnotation(
+        ann.n, ann.continuous, tuple(s.flipped() if f else s for s, f in zip(ann.sets, flips))
+    )
+
+
 def admissible_sequences(ann):
     """The admissible gold sequences of ``ann``, enumerated in canonical order.
 
@@ -45,7 +104,7 @@ def admissible_sequences(ann):
         flips = [False] * len(ann.sets)
         for slot, flip in zip(free, combo):
             flips[slot] = flip
-        out.append(encode(ann.with_flips(flips)))
+        out.append(encode(with_flips(ann, flips)))
     return out
 
 

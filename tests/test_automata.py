@@ -8,12 +8,13 @@ from disctag.automata import (
     export_text,
     grammar_automaton,
     minimize,
-    random_well_formed,
     remove_epsilon,
 )
 from disctag.errors import EmptyLanguage
-from disctag.inference import forward, marginals, viterbi
+from disctag.inference import forward, marginals, random_well_formed, viterbi
 from disctag.scheme import CB, CI, NUM_TAGS, O, TAGS, is_structural
+
+from conftest import accepting_sequences, accepts, language_of
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +48,9 @@ class TestAutomatonBasics:
 
     def test_accepts_with_epsilon(self):
         a = Automaton(3, {(0, None, 0.0, 1), (1, O, 0.0, 2)}, 0, {2})
-        assert a.accepts([O])
-        assert not a.accepts([CB])
-        assert not a.accepts([])
+        assert accepts(a, [O])
+        assert not accepts(a, [CB])
+        assert not accepts(a, [])
 
 
 class TestRemoveEpsilon:
@@ -60,8 +61,8 @@ class TestRemoveEpsilon:
         a = Automaton(2, {(0, None, 0.0, 1)}, 0, {1})
         b = remove_epsilon(a)
         assert b.is_epsilon_free
-        assert b.accepts([])
-        assert not b.accepts([O])
+        assert accepts(b, [])
+        assert not accepts(b, [O])
 
     def test_language_preserved(self):
         a = Automaton(
@@ -78,7 +79,7 @@ class TestRemoveEpsilon:
         b = remove_epsilon(a)
         assert b.is_epsilon_free
         for n in range(4):
-            assert a.language(n) == b.language(n)
+            assert language_of(a, n) == language_of(b, n)
 
 
 class TestDeterminizeMinimize:
@@ -101,7 +102,7 @@ class TestDeterminizeMinimize:
         dfa = determinize(nfa)
         assert dfa.is_deterministic
         for n in range(5):
-            assert nfa.language(n) == dfa.language(n)
+            assert language_of(nfa, n) == language_of(dfa, n)
 
     def test_minimal_dfa_unique_size(self, semantic):
         minimal = minimize(semantic)
@@ -113,7 +114,7 @@ class TestDeterminizeMinimize:
     def test_minimize_preserves_language(self, semantic, language):
         minimal = minimize(semantic)
         for n in range(1, 5):
-            assert minimal.language(n) == language.as_set(n)
+            assert language_of(minimal, n) == language.as_set(n)
 
     def test_minimize_drops_useless_states(self):
         a = Automaton(
@@ -132,24 +133,24 @@ class TestGrammarAutomaton:
         assert all(w == 0.0 for _, _, w, _ in semantic.transitions)
 
     def test_language_at_small_n(self, semantic):
-        assert semantic.language(1) == {(O,), (CB,)}
-        assert semantic.language(2) == {
+        assert language_of(semantic, 1) == {(O,), (CB,)}
+        assert language_of(semantic, 2) == {
             (O, O), (O, CB), (CB, O), (CB, CB), (CB, CI),
         }
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_language_equals_rule_checker(self, semantic, language, n):
         lat = build_lattice(semantic, n)
-        assert set(lat.accepting_sequences()) == language.as_set(n)
+        assert accepting_sequences(lat) == language.as_set(n)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_structural_language(self, structural, language, n):
         expected = {seq for seq in language.sequences(n) if is_structural(seq)}
-        assert set(build_lattice(structural, n).accepting_sequences()) == expected
+        assert accepting_sequences(build_lattice(structural, n)) == expected
 
     def test_structural_is_strict_subset(self, semantic, structural):
-        sem = semantic.language(3)
-        struct = structural.language(3)
+        sem = language_of(semantic, 3)
+        struct = language_of(structural, 3)
         assert struct < sem
 
     def test_unknown_mode(self):
@@ -160,20 +161,19 @@ class TestGrammarAutomaton:
 class TestLattice:
     def test_paths_at_n1(self, semantic):
         lat = build_lattice(semantic, 1)
-        assert set(lat.accepting_sequences()) == {(O,), (CB,)}
-
-    @pytest.mark.parametrize("m", [4, 8, 16])
-    def test_transition_count_doubles(self, semantic, m):
-        small = build_lattice(semantic, m)
-        big = build_lattice(semantic, 2 * m)
-        assert big.num_transitions == 2 * small.num_transitions
+        assert accepting_sequences(lat) == {(O,), (CB,)}
 
     def test_grammar_table_shared_and_read_only(self, semantic):
         short, long = build_lattice(semantic, 3), build_lattice(semantic, 300)
         assert (short.n, long.n) == (3, 300)
-        for name in ("edge_src", "edge_tag", "edge_dst", "next_state", "final_mask"):
-            array = getattr(short, name)
-            assert array is getattr(long, name)
+
+        def table(lat):
+            groups = (lat.backward, lat.forward, lat.by_tag)
+            return [lat.next_state, lat.final_mask] + [a for g in groups for a in vars(g).values()]
+
+        assert len(table(short)) == 14
+        for array, other in zip(table(short), table(long)):
+            assert array is other
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = array[0]
@@ -182,19 +182,6 @@ class TestLattice:
         nfa = Automaton(2, {(0, O, 0.0, 0), (0, O, 0.0, 1)}, 0, {0})
         with pytest.raises(ValueError):
             build_lattice(nfa, 2)
-
-    def test_coreachability_masks(self, semantic):
-        lat = build_lattice(semantic, 4)
-        bwd = lat.coreachable_masks()
-        assert bwd.shape == (5, lat.num_grammar_states)
-        assert bwd[0, lat.initial]
-        assert np.array_equal(bwd[4], lat.final_mask)
-        # every accepting sequence stays inside the co-reachable states
-        for seq in lat.accepting_sequences():
-            q = lat.initial
-            for pos, tag in enumerate(seq):
-                q = int(lat.next_state[q, tag.index])
-                assert bwd[pos + 1, q]
 
     def test_weight_validation(self, semantic):
         lat = build_lattice(semantic, 3)
@@ -214,11 +201,18 @@ class TestLattice:
             with pytest.raises(EmptyLanguage):
                 dp(lat, np.zeros((0, NUM_TAGS)))
 
-    def test_random_well_formed_paths(self, semantic, language):
+    def test_random_well_formed_paths(self, semantic, structural, language):
         rng = np.random.default_rng(7)
-        lat = build_lattice(semantic, 5)
-        for _ in range(50):
-            assert random_well_formed(lat, rng) in language.as_set(5)
+        for grammar in (semantic, structural):
+            for n in range(7):
+                expected = language.as_set(n)
+                if grammar is structural:
+                    expected = {seq for seq in expected if is_structural(seq)}
+                lat = build_lattice(grammar, n)
+                samples = {random_well_formed(lat, rng) for _ in range(300 if n <= 2 else 50)}
+                assert samples <= expected
+                if n <= 2:  # every accepting path is reachable
+                    assert samples == expected
 
 
 class TestExport:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from disctag.cli import main
 from disctag.corpus import (
@@ -14,7 +18,7 @@ from disctag.corpus import (
     write_corpus,
 )
 from disctag.model import LinearScorer, TrainConfig, predict_tags, train
-from disctag.scheme import NUM_TAGS, decode, is_structural
+from disctag.scheme import NUM_TAGS, TAGS, decode, is_structural
 
 
 @pytest.fixture
@@ -121,6 +125,22 @@ class TestEncodeDecode:
         tags = tmp_path / "tags.txt"
         tags.write_text("O CI\n", encoding="utf-8")
         assert main(["decode", str(tags)]) == 1
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("O O O O O\n", "error: corpus has 2 records but tag file has 1 sequences\n"),
+            ("O O O\nO O O O\n", "error: length mismatch for sentence 'pain in arms and shoulders'\n"),
+        ],
+        ids=["record-count", "sentence-length"],
+    )
+    def test_decode_corpus_mismatch_exits_1(self, corpus_file, tmp_path, capsys, lines, message):
+        tags = tmp_path / "tags.txt"
+        tags.write_text(lines, encoding="utf-8")
+        out = tmp_path / "decoded.txt"
+        assert main(["decode", str(tags), "--corpus", str(corpus_file), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
 
 class TestStatsFilterSilver:
@@ -292,3 +312,49 @@ class TestBenchAndExport:
         assert main(["automaton-export", "--mode", "structural", "--minimal"]) == 0
         text = capsys.readouterr().out
         assert "DB-By" not in text
+
+
+# Pieces of fuzzed input files: bytes that are not UTF-8, NUL, every line
+# ending, and the tokens of the corpus, tag file and lexicon formats.
+FUZZ_PIECES = [
+    b"\xff", b"\x00", b"\r", b"\n", b"\n\n", b" ", b"-", b";", b"|", b"w",
+    *(str(d).encode() for d in range(10)),
+    *(t.symbol.encode() for t in TAGS),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    LinearScorer(dim=64).save(path / "model.npz")
+    (path / "corpus.txt").write_text("pain in arms and shoulders\n0-1;2-2|0-1;4-4\n", encoding="utf-8")
+    return path
+
+
+class TestFuzzedInput:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(FUZZ_PIECES), max_size=50).map(b"".join))
+    @example(b"w w\n0-0\n\nw \xff\n\n")
+    def test_reading_commands_end_with_one_error_line(self, fuzz_dir, data):
+        path = fuzz_dir / "input.txt"
+        path.write_bytes(data)
+        fuzzed, out, corpus = str(path), str(fuzz_dir / "out.txt"), str(fuzz_dir / "corpus.txt")
+        for argv in (
+            ["stats", fuzzed],
+            ["validate", fuzzed],
+            ["decode", fuzzed, "-o", out],
+            ["decode", fuzzed, "--corpus", fuzzed, "-o", out],
+            ["filter", fuzzed, "-o", out],
+            ["encode", fuzzed, "-o", out],
+            ["eval", fuzzed, fuzzed],
+            ["silver", corpus, "--lexicon", fuzzed, "-o", out],
+            ["silver", fuzzed, "--lexicon", corpus, "-o", out],
+            ["train", fuzzed, "--model", str(fuzz_dir / "trained.npz"), "--epochs", "1", "--dim", "64"],
+            ["predict", fuzzed, "--model", str(fuzz_dir / "model.npz"), "-o", out],
+        ):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+            assert code in (0, 1, 2), argv
+            assert len(errors) <= 1, (argv, errors)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +64,14 @@ class TestCorpusIO:
         with pytest.raises(ParseError) as err:
             read_corpus(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_bytes_not_utf8_name_their_line(self, tmp_path, newline):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(newline.join([b"O O", b"0-0", b"", "O \u00e9 \xff O".encode("latin-1"), b""]))
+        for read in (read_corpus, read_tag_file, Lexicon.from_file):
+            with pytest.raises(ParseError, match="^line 4: byte 0xe9 is not UTF-8$"):
+                read(path)
 
     def test_mention_outside_sentence(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -290,3 +300,17 @@ class TestSyntheticRecords:
 
     def test_deterministic_given_seed(self):
         assert synthetic_records(5, 8, seed=2) == synthetic_records(5, 8, seed=2)
+
+    @pytest.mark.parametrize(
+        "count, length, seed, digest",
+        [
+            (5, 1, 0, "03ebe46bcdb3e10b36f64d7e5b43ea1fbbf4fc4bc47ceadafe7cae3a7aae249b"),
+            (20, 8, 3, "32b300891d9cc1a54e781df095a7f706644482efef4be8b4b2bc16869a14cc5d"),
+            (10, 40, 0, "957850526ad0323301af4dff49ef378bd293439d741cb0adb8862993dcbbfce3"),
+            (3, 128, 11, "82e807d69631bd217dbf882d11b7f0a8f04582f78cad75c61ffb55c40a8eecf0"),
+        ],
+    )
+    def test_text_is_pinned(self, count, length, seed, digest):
+        # the inputs of 'disctag bench' and of the scaling criterion
+        text = corpus_text(synthetic_records(count, length, seed=seed))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from disctag import model
-from disctag.automata import build_lattice, grammar_automaton, random_well_formed
+from disctag.automata import build_lattice, grammar_automaton
 from disctag.errors import ConfigError
-from disctag.inference import nll
+from disctag.inference import nll, random_well_formed
 from disctag.model import (
     FEATURES,
     LinearScorer,

@@ -26,6 +26,8 @@ from disctag.scheme import (
     to_two_layer,
 )
 
+from conftest import with_flips
+
 
 def ts(symbols: str) -> TagSequence:
     return TagSequence.from_symbols(symbols)
@@ -238,7 +240,7 @@ class TestFromTwoLayer:
 
     def test_flip_invariance(self):
         ann = to_two_layer(PAIN, 5)
-        assert from_two_layer(ann.with_flips([True])) == PAIN
+        assert from_two_layer(with_flips(ann, [True])) == PAIN
 
 
 class TestEncodeDecode:
@@ -298,7 +300,7 @@ class TestRoundTrips:
             again = encode(ann)
             k = len(ann.sets)
             orbit = {
-                encode(ann.with_flips(flips)).tags
+                encode(with_flips(ann, flips)).tags
                 for flips in itertools.product([False, True], repeat=k)
             }
             assert len(orbit) == 2 ** k
