@@ -11,7 +11,7 @@ from disctag.automata import (
     remove_epsilon,
 )
 from disctag.errors import EmptyLanguage
-from disctag.inference import forward, marginals, random_well_formed, viterbi
+from disctag.inference import TROPICAL, _chart, forward, marginals, random_well_formed, viterbi
 from disctag.scheme import CB, CI, NUM_TAGS, O, TAGS, is_structural
 
 from conftest import accepting_sequences, accepts, language_of
@@ -182,6 +182,29 @@ class TestLattice:
         nfa = Automaton(2, {(0, O, 0.0, 0), (0, O, 0.0, 1)}, 0, {0})
         with pytest.raises(ValueError):
             build_lattice(nfa, 2)
+
+    def test_coreachability_masks(self, semantic):
+        # the backward tropical chart over zero weights that random_well_formed
+        # samples through: a finite score marks a co-reachable state
+        lat = build_lattice(semantic, 4)
+        _, beta = _chart(lat, np.zeros((1, 4, NUM_TAGS)), TROPICAL, backward=True)
+        bwd = beta[:, 0, : lat.num_grammar_states] > -np.inf
+        assert bwd.shape == (5, lat.num_grammar_states)
+        assert bwd[0, lat.initial]
+        assert np.array_equal(bwd[4], lat.final_mask)
+        # every accepting sequence stays inside the co-reachable states
+        for seq in accepting_sequences(lat):
+            q = lat.initial
+            for pos, tag in enumerate(seq):
+                q = int(lat.next_state[q, tag.index])
+                assert bwd[pos + 1, q]
+        # and a state is co-reachable exactly when some suffix walk from it ends final
+        for pos in range(5):
+            for q in range(lat.num_grammar_states):
+                ends = {q}
+                for _ in range(4 - pos):
+                    ends = {int(lat.next_state[p, t]) for p in ends for t in range(NUM_TAGS)} - {-1}
+                assert bwd[pos, q] == any(lat.final_mask[e] for e in ends)
 
     def test_weight_validation(self, semantic):
         lat = build_lattice(semantic, 3)
