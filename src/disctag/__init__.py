@@ -75,7 +75,7 @@ from .inference import (
     viterbi,
     viterbi_batch,
 )
-from .model import LinearScorer, TrainConfig, predict, predict_batch, predict_tags, train
+from .model import LinearScorer, TrainConfig, predict, predict_batch, predict_mentions, predict_tags, train
 from .scheme import (
     NUM_TAGS,
     TAGS,
@@ -152,6 +152,7 @@ __all__ = [
     "partial_nll",
     "predict",
     "predict_batch",
+    "predict_mentions",
     "predict_tags",
     "read_corpus",
     "read_tag_file",

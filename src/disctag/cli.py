@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 from . import corpus as corpus_io
 from .automata import export_text, grammar_automaton, minimize
 from .errors import ConfigError, DisctagError, Incompatible, LengthMismatch, ParseError
-from .model import LinearScorer, TrainConfig, predict_batch, train
-from .scheme import decode, encode, is_well_formed
+from .model import LinearScorer, TrainConfig, predict_mentions, train
+from .scheme import as_rows, decode_batch, encode, is_well_formed_batch
 
 SCALING_BOUND = 2.5  # doubling the sentence may at most 2.5x the median time
 
@@ -109,7 +110,8 @@ def _write_records(path: str, records) -> None:
 
 def _cmd_validate(args) -> int:
     sequences = corpus_io.read_tag_file(args.tags)
-    bad = [i for i, ts in enumerate(sequences, start=1) if not is_well_formed(ts)]
+    ok = is_well_formed_batch(*as_rows(sequences)).tolist()
+    bad = [i for i, good in enumerate(ok, start=1) if not good]
     for i in bad:
         print(f"sequence {i}: ill-formed")
     print(f"{len(sequences) - len(bad)}/{len(sequences)} sequences well-formed")
@@ -132,7 +134,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     sequences = corpus_io.read_tag_file(args.tags)
-    mention_sets = [decode(ts) for ts in sequences]
+    mention_sets = decode_batch(*as_rows(sequences))
     if args.corpus is None:
         _write(
             args.output,
@@ -214,7 +216,17 @@ def _cmd_train(args) -> int:
         l2=args.l2,
         seed=args.seed,
     )
-    scorer = train(data, config, mode=args.mode, dim=args.dim)
+    # open the output now, so that a path that cannot be written fails before
+    # the first epoch; a run that fails leaves no file that was not there
+    created = not os.path.exists(args.model)
+    with open(args.model, "ab"):
+        pass
+    try:
+        scorer = train(data, config, mode=args.mode, dim=args.dim)
+    except BaseException:
+        if created:
+            os.remove(args.model)
+        raise
     scorer.save(args.model)
     print(f"trained on {len(data)} sentences; model written to {args.model}", file=sys.stderr)
     return 0
@@ -223,8 +235,8 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     records = corpus_io.read_corpus(args.corpus)
     scorer = LinearScorer.load(args.model)
-    tags = predict_batch(scorer, [r.tokens for r in records], args.mode)
-    out = [corpus_io.CorpusRecord(r.tokens, decode(ts)) for r, ts in zip(records, tags)]
+    mention_sets = predict_mentions(scorer, [r.tokens for r in records], args.mode)
+    out = [corpus_io.CorpusRecord(r.tokens, ms) for r, ms in zip(records, mention_sets)]
     _write_records(args.output, out)
     return 0
 

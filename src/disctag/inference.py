@@ -36,6 +36,7 @@ from .scheme import (
     Tag,
     TagSequence,
     encode,
+    from_rows,
     is_well_formed,
 )
 
@@ -46,6 +47,7 @@ __all__ = [
     "PartialLabelSet",
     "viterbi",
     "viterbi_batch",
+    "viterbi_rows",
     "forward",
     "marginals",
     "sequence_score",
@@ -189,6 +191,12 @@ def viterbi_batch(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> 
     and may hold any finite value).  Each sequence, tie-break included, is
     the one :func:`viterbi` gives for the sentence alone.
     """
+    return from_rows(viterbi_rows(lat, weights, lengths), np.cumsum([0, *lengths]))
+
+
+def viterbi_rows(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """The :func:`viterbi_batch` sequences as tag indices, one sentence
+    after another in one flat array."""
     weights = _check_weights(lat, weights, batched=True)
     batch, n, states = len(weights), lat.n, lat.num_grammar_states
     starts = n - np.asarray(lengths, dtype=np.int64)
@@ -216,8 +224,8 @@ def viterbi_batch(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> 
     for i, row in enumerate(flat_succ):
         path[i] = at
         at = row[at]
-    tags = best.reshape(n, batch * states)[np.arange(n)[:, None], path].T.tolist()
-    return [TagSequence.from_indices(row[start:]) for row, start in zip(tags, starts.tolist())]
+    tags = best.reshape(n, batch * states)[np.arange(n)[:, None], path].T
+    return tags[np.arange(n) >= starts[:, None]]
 
 
 def forward(lat: Lattice, weights: np.ndarray) -> float:

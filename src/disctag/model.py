@@ -8,8 +8,10 @@ is plain SGD on the exact loss gradients from :mod:`disctag.inference`.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import zipfile
+from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -17,14 +19,15 @@ import numpy as np
 
 from .automata import build_lattice, grammar_automaton
 from .errors import ConfigError
-from .inference import PartialLabelSet, hard_em_step, nll, partial_nll, viterbi_batch
+from .inference import PartialLabelSet, hard_em_step, nll, partial_nll, viterbi_rows
 from .scheme import (
     NUM_TAGS,
     TAGS,
     MentionSet,
     SentenceAnnotation,
     TagSequence,
-    decode,
+    decode_batch,
+    from_rows,
 )
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "predict",
     "predict_tags",
     "predict_batch",
+    "predict_mentions",
     "sentence_features",
 ]
 
@@ -48,21 +52,27 @@ FEATURES = 5  # features per word, see sentence_features
 TOKEN_BUDGET = 2048  # padded words per predict batch: bounds the batch's strings and arrays
 
 
-def fnv1a(strings: Sequence[str]) -> np.ndarray:
-    """64-bit FNV-1a of each string's UTF-8 bytes; fixed and seed-free for reproducibility.
-
-    All strings are hashed at once, one byte column at a time: sorted by
-    byte length, the strings still running at column ``j`` are a prefix, so
-    the work is one ``uint64`` xor and multiply (wrapping mod ``2**64``) per
-    byte.
-    """
+def fnv1a(strings: Iterable[str]) -> np.ndarray:
+    """64-bit FNV-1a of each string's UTF-8 bytes; fixed and seed-free for reproducibility."""
     data = [s.encode("utf-8") for s in strings]
     lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
-    order = np.argsort(-lengths, kind="stable")
-    starts = (np.cumsum(lengths) - lengths)[order]
-    longer = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # longer[j]: strings of more than j bytes
     flat = np.frombuffer(b"".join(data), dtype=np.uint8)
-    h = np.full(len(data), _FNV_OFFSET)
+    return _fnv1a_continue(np.full(len(data), _FNV_OFFSET), flat, np.cumsum(lengths) - lengths, lengths)
+
+
+def _fnv1a_continue(h: np.ndarray, flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """FNV-1a states ``h`` carried on over the byte ranges ``flat[starts:starts + lengths]``.
+
+    FNV-1a is a running state, so the hash of ``a + b`` is the hash of ``a``
+    carried on over ``b``.  All ranges are hashed at once, one byte column at
+    a time: sorted by length, the ranges still running at column ``j`` are a
+    prefix, so the work is one ``uint64`` xor and multiply (wrapping mod
+    ``2**64``) per byte.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    starts = starts[order]
+    longer = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # longer[j]: ranges of more than j bytes
+    h = h[order]
     for j, count in enumerate(longer):
         live = h[:count]
         live ^= flat[starts[:count] + j]
@@ -70,6 +80,9 @@ def fnv1a(strings: Sequence[str]) -> np.ndarray:
     out = np.empty_like(h)
     out[order] = h
     return out
+
+
+_PREFIX_HASHES = fnv1a(["w=", "w-1=", "w+1=", "pre=", "suf="])  # the five features of a type, in order
 
 
 def sentence_features(tokens: Sequence[str]) -> list[list[str]]:
@@ -110,10 +123,43 @@ class LinearScorer:
         return self.batch_feature_indices([tokens])
 
     def batch_feature_indices(self, sentences: Iterable[Sequence[str]]) -> np.ndarray:
-        """The feature rows of the sentences' words, concatenated in order;
-        their feature strings are all held, and hashed, at once."""
-        strings = [f for tokens in sentences for row in sentence_features(tokens) for f in row]
-        return (fnv1a(strings) % np.uint64(self.dim)).astype(np.int64).reshape(-1, FEATURES)
+        """The feature rows of the sentences' words, concatenated in order.
+
+        Each feature string of a word is one of five strings of a single
+        lowercased type: the word's own, a neighbour's, or ``<bos>``/``<eos>``
+        (see :func:`sentence_features`).  So each distinct type's five strings
+        are hashed once, and each word gathers its row from its own and its
+        neighbours' types.
+        """
+        sentences = list(sentences)
+        lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+        # raw token -> type id, numbered as first seen; equal lowercases hash equally
+        types = defaultdict(None, {"<bos>": 0, "<eos>": 1})
+        types.default_factory = types.__len__
+        own = np.fromiter(map(types.__getitem__, itertools.chain.from_iterable(sentences)),
+                          dtype=np.intp, count=lengths.sum())
+        # a type's strings are prefixes carried on over its bytes, or over the
+        # bytes of its first or last three characters (as many as characters if ASCII)
+        low = list(map(str.lower, types))
+        data = [t.encode("utf-8") for t in low]
+        size = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
+        pre, suf = np.minimum(size, 3), np.minimum(size, 3)
+        for i in np.flatnonzero(~np.fromiter(map(str.isascii, low), dtype=bool, count=len(low))):
+            pre[i], suf[i] = len(low[i][:3].encode("utf-8")), len(low[i][-3:].encode("utf-8"))
+        start = np.cumsum(size) - size
+        h = _fnv1a_continue(
+            np.tile(_PREFIX_HASHES, len(data)),
+            np.frombuffer(b"".join(data), dtype=np.uint8),
+            np.stack([start, start, start, start, start + size - suf], axis=1).ravel(),
+            np.stack([size, size, size, pre, suf], axis=1).ravel(),
+        )
+        table = (h % np.uint64(self.dim)).astype(np.int64).reshape(-1, FEATURES)
+        prev, after = np.empty_like(own), np.empty_like(own)
+        prev[1:], after[:-1] = own[:-1], own[1:]
+        ends = np.cumsum(lengths)[lengths > 0]
+        prev[ends - lengths[lengths > 0]] = types["<bos>"]
+        after[ends - 1] = types["<eos>"]
+        return table[np.stack([own, prev, after, own, own], axis=1), np.arange(FEATURES)]
 
     def score(self, tokens: Sequence[str]) -> np.ndarray:
         """Deterministic ``(n, 10)`` score matrix for a non-empty sentence."""
@@ -137,13 +183,15 @@ class LinearScorer:
         np.subtract.at(self.params, flat, lr * np.repeat(grad, FEATURES, axis=0))
 
     def save(self, path) -> None:
-        np.savez(
-            path,
-            format_version=np.int64(self.FORMAT_VERSION),
-            dim=np.int64(self.dim),
-            tagset=np.array([t.symbol for t in TAGS]),
-            params=self.params,
-        )
+        """Write the model to exactly ``path`` (``np.savez`` would add ``.npz``)."""
+        with open(path, "wb") as handle:
+            np.savez(
+                handle,
+                format_version=np.int64(self.FORMAT_VERSION),
+                dim=np.int64(self.dim),
+                tagset=np.array([t.symbol for t in TAGS]),
+                params=self.params,
+            )
 
     @classmethod
     def load(cls, path) -> "LinearScorer":
@@ -203,16 +251,17 @@ def train(
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     scorer = LinearScorer(dim=dim)
-    examples = []
+    sentences, annotations = [], []
     for tokens, ann in data:
         if len(tokens) != ann.n:
             raise ConfigError(f"annotation length {ann.n} != sentence length {len(tokens)}")
-        if mode == "structural":
-            ann = ann.structural()
-        # hashed once for every epoch, one sentence at a time so that few strings are alive
-        examples.append((scorer.feature_indices(tokens), PartialLabelSet.from_annotation(ann)))
-    if not examples:
+        sentences.append(tokens)
+        annotations.append(ann.structural() if mode == "structural" else ann)
+    if not sentences:
         raise ConfigError("empty training corpus")
+    # hashed once for every epoch, in one pass over the corpus's types
+    rows = np.split(scorer.batch_feature_indices(sentences), np.cumsum([len(t) for t in sentences[:-1]]))
+    examples = [(r, PartialLabelSet.from_annotation(ann)) for r, ann in zip(rows, annotations)]
 
     grammar = grammar_automaton(mode)
     rng = np.random.default_rng(config.seed)
@@ -253,7 +302,6 @@ def predict_tags(scorer: LinearScorer, tokens: Sequence[str], mode: str = "seman
     return predict_batch(scorer, [tokens], mode)[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as a ConfigError
 def predict_batch(
     scorer: LinearScorer, sentences: Sequence[Sequence[str]], mode: str = "semantic"
 ) -> list[TagSequence]:
@@ -262,30 +310,55 @@ def predict_batch(
     Sentences are sorted by length and cut into runs of at most
     ``TOKEN_BUDGET`` padded words (a longer sentence runs alone).  Each batch
     is hashed and scored in one pass and decoded by one right-aligned
-    :func:`~disctag.inference.viterbi_batch`, so every sequence is the one
+    :func:`~disctag.inference.viterbi_rows`, so every sequence is the one
     the sentence gets alone.
     """
+    return from_rows(*_predicted_rows(scorer, sentences, mode))
+
+
+def predict_mentions(
+    scorer: LinearScorer, sentences: Sequence[Sequence[str]], mode: str = "semantic"
+) -> list[MentionSet]:
+    """:func:`predict` of every sentence, in order: the tag indices of
+    :func:`predict_batch`, decoded under one well-formedness check."""
+    return decode_batch(*_predicted_rows(scorer, sentences, mode))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as a ConfigError
+def _predicted_rows(
+    scorer: LinearScorer, sentences: Sequence[Sequence[str]], mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tag indices of :func:`predict_batch`, flat and in order, and the
+    bounds of each sentence in them (see :func:`~disctag.scheme.as_rows`)."""
     if not all(sentences):
         raise ValueError("cannot score an empty sentence")
     grammar = grammar_automaton(mode)
+    lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
     batches: list[list[int]] = [[]]
-    for k in sorted(range(len(sentences)), key=lambda k: len(sentences[k])):
-        if batches[-1] and (len(batches[-1]) + 1) * len(sentences[k]) > TOKEN_BUDGET:
+    for k in sorted(range(len(sentences)), key=lengths.__getitem__):
+        if batches[-1] and (len(batches[-1]) + 1) * lengths[k] > TOKEN_BUDGET:
             batches.append([])
         batches[-1].append(k)
-    out: dict[int, TagSequence] = {}
+    pieces = [np.empty(0, dtype=np.intp)]
     for batch in filter(None, batches):
-        lengths = np.array([len(sentences[k]) for k in batch])
+        batch_lengths = lengths[batch]
         scores = scorer.score_rows(scorer.batch_feature_indices(sentences[k] for k in batch))
         if not np.isfinite(scores).all():
             raise ConfigError("model scores are not finite; the model's weights are too large")
         # word j of sentence b goes to row n - lengths[b] + j of the padded (B, n) batch
-        n, ends = int(lengths[-1]), np.cumsum(lengths)
-        slots = np.arange(ends[-1]) + np.repeat(np.arange(len(batch)) * n + n - ends, lengths)
+        n, ends = int(batch_lengths[-1]), np.cumsum(batch_lengths)
+        slots = np.arange(ends[-1]) + np.repeat(np.arange(len(batch)) * n + n - ends, batch_lengths)
         padded = np.zeros((len(batch), n, NUM_TAGS))
         padded.reshape(-1, NUM_TAGS)[slots] = scores
-        out.update(zip(batch, viterbi_batch(build_lattice(grammar, n), padded, lengths)))
-    return [out[k] for k in range(len(sentences))]
+        pieces.append(viterbi_rows(build_lattice(grammar, n), padded, batch_lengths))
+    # the pieces hold the sentences in batch order: gather each back to its place
+    order = np.array([k for batch in batches for k in batch], dtype=np.intp)
+    source = np.empty_like(lengths)
+    source[order] = np.cumsum(lengths[order]) - lengths[order]
+    bounds = np.zeros(len(sentences) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=bounds[1:])
+    flat = np.concatenate(pieces)[np.arange(bounds[-1]) + np.repeat(source - bounds[:-1], lengths)]
+    return flat, bounds
 
 
 def predict(scorer: LinearScorer, tokens: Sequence[str], mode: str = "semantic") -> MentionSet:
@@ -293,4 +366,4 @@ def predict(scorer: LinearScorer, tokens: Sequence[str], mode: str = "semantic")
 
     Decoding cannot fail: the lattice only admits well-formed sequences.
     """
-    return decode(predict_tags(scorer, tokens, mode))
+    return predict_mentions(scorer, [tokens], mode)[0]

@@ -57,6 +57,10 @@ __all__ = [
     "encode",
     "decode",
     "decode_annotation",
+    "decode_batch",
+    "as_rows",
+    "from_rows",
+    "is_well_formed_batch",
 ]
 
 
@@ -87,21 +91,40 @@ NUM_TAGS = len(TAGS)
 
 _BY_SYMBOL = {t.symbol: t for t in TAGS}
 
-# Tag families used by the well-formedness rules.
-_SET_TAGS = frozenset((DB_BX, DB_BY, DI_BX, DI_BY, DI_IX, DI_IY, DI_O))
-_SET_START = frozenset((DB_BX, DB_BY))
-_SET_INSIDE = frozenset((DI_BX, DI_BY, DI_IX, DI_IY, DI_O))
-_COMPONENT_BEGIN = frozenset((DB_BX, DB_BY, DI_BX, DI_BY))
+# Tag indices by their part in a parse (see _elements).
+_SET_OPENERS = frozenset((DB_BX.index, DB_BY.index))
+_X_BEGINS = frozenset((DB_BX.index, DI_BX.index))
+_Y_BEGINS = frozenset((DB_BY.index, DI_BY.index))
+_COMPONENT_INSIDE = frozenset((DI_IX.index, DI_IY.index))
 
-# Allowed predecessor per tag (rules 1-3); tags absent here accept anything.
-_ALLOWED_PREV = {
-    CI: frozenset((CB, CI)),
+# The six rules as tables over tag indices; row _START of a table indexed by
+# the previous tag stands for the start of a sentence.
+_START = NUM_TAGS
+_SET_TAGS = TAGS[DB_BX.index :]  # DB-* and DI-*
+_IN_SET = np.array([t in _SET_TAGS for t in (*TAGS, None)])
+_FOLLOWS = {  # rules 1-3: the tags that may come before each constrained tag
+    CI: (CB, CI),
     DI_BX: _SET_TAGS,
     DI_BY: _SET_TAGS,
     DI_O: _SET_TAGS,
-    DI_IX: frozenset((DB_BX, DI_BX, DI_IX)),
-    DI_IY: frozenset((DB_BY, DI_BY, DI_IY)),
+    DI_IX: (DB_BX, DI_BX, DI_IX),
+    DI_IY: (DB_BY, DI_BY, DI_IY),
 }
+# _BREAKS[p, t]: tag t may not follow p: rules 1-3, and rule 6 inside a
+# sentence (a set span ends with DI-O iff a DI-O is followed by no DI-*)
+_BREAKS = np.array([[t in _FOLLOWS and p not in _FOLLOWS[t] for t in TAGS] for p in (*TAGS, None)])
+_BREAKS[DI_O.index, : DI_BX.index] = True  # CB, CI, O and DB-* after DI-O
+# _OPENS[p, t]: set tag t after p starts a set span (at a DB-*, or after no set tag)
+_OPENS = np.array([[t in _SET_OPENERS or not _IN_SET[p] for t in range(NUM_TAGS)] for p in range(NUM_TAGS + 1)])
+# per tag, what a set span counts: x begins, y begins and gap words, capped at
+# 2, 2 and 1; _SPAN_BREAKS[x, y, gaps]: such a span breaks rule 4 or 5
+_SPAN_COUNTS = np.array(
+    [[t in _X_BEGINS, t in _Y_BEGINS, t == DI_O.index] for t in range(NUM_TAGS)], dtype=np.int32
+)
+_SPAN_CAP = np.array([2, 2, 1], dtype=np.int32)
+_SPAN_BREAKS = np.ones((3, 3, 2), dtype=bool)
+_SPAN_BREAKS[1:, 1:] = False
+_SPAN_BREAKS[1, 1, 0] = True  # two components without a gap: one continuous mention
 
 
 def tag_by_symbol(symbol: str) -> Tag:
@@ -160,24 +183,24 @@ class TagSequence:
         return f"TagSequence({self.symbols()!r})"
 
 
-def _set_spans(tags: Sequence[Tag]) -> list[tuple[int, int]]:
-    """Half-open index ranges of the maximal set spans (DB-* followed by DI-*)."""
-    spans = []
-    i, n = 0, len(tags)
-    while i < n:
-        if tags[i] in _SET_START:
-            j = i + 1
-            while j < n and tags[j] in _SET_INSIDE:
-                j += 1
-            spans.append((i, j))
-            i = j
-        else:
-            i += 1
-    return spans
+def as_rows(sequences: Iterable[Sequence[Tag] | TagSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """Tag sequences as one flat array of tag indices and the ``len + 1``
+    bounds of the sequences in it: sequence ``k`` is ``flat[bounds[k]:bounds[k + 1]]``."""
+    sequences = list(sequences)
+    bounds = np.zeros(len(sequences) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences)), out=bounds[1:])
+    flat = np.fromiter((t.index for tags in sequences for t in tags), dtype=np.intp, count=bounds[-1])
+    return flat, bounds
 
 
-def is_well_formed(tags: Sequence[Tag] | TagSequence) -> bool:
-    """Rule-based well-formedness check.
+def from_rows(flat: np.ndarray, bounds: np.ndarray) -> list[TagSequence]:
+    """The tag sequences of a batch given as by :func:`as_rows`."""
+    flat, bounds = np.asarray(flat).tolist(), np.asarray(bounds).tolist()
+    return [TagSequence.from_indices(flat[a:b]) for a, b in itertools.pairwise(bounds)]
+
+
+def is_well_formed_batch(flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Rule-based well-formedness of each sequence of a batch (see :func:`as_rows`).
 
     A sequence is well-formed iff:
 
@@ -188,27 +211,40 @@ def is_well_formed(tags: Sequence[Tag] | TagSequence) -> bool:
     5. no set span reconstructs to a single continuous mention (exactly two
        components with no gap between them);
     6. no set span ends with DI-O.
+
+    A set span is a DB-* and the DI-* tags after it.  Rules 1-3 and 6 are
+    checked on each pair of neighbouring tags (and on each sequence's first
+    and last tag); rules 4 and 5 on each span's counts, summed by one
+    ``np.add.reduceat``.  A run of DB-*/DI-* tags is also cut at the start of
+    each sequence, so no sequence's verdict depends on its neighbours.
     """
-    if isinstance(tags, TagSequence):
-        tags = tags.tags
-    prev = None
-    for t in tags:
-        allowed = _ALLOWED_PREV.get(t)
-        if allowed is not None and prev not in allowed:
-            return False
-        prev = t
-    for i, j in _set_spans(tags):
-        span = tags[i:j]
-        if span[-1] is DI_O:
-            return False
-        begins = sum(1 for t in span if t in _COMPONENT_BEGIN)
-        if not any(t is DB_BX or t is DI_BX for t in span):
-            return False
-        if not any(t is DB_BY or t is DI_BY for t in span):
-            return False
-        if begins == 2 and DI_O not in span:
-            return False
-    return True
+    flat = np.asarray(flat)
+    bounds = np.asarray(bounds, dtype=np.intp)
+    prev = np.empty(len(flat) + 1, dtype=np.int8)
+    prev[1:] = flat
+    prev[bounds[:-1]] = _START
+    prev = prev[:-1]
+    bad = _BREAKS[prev, flat]  # per word
+    starts, ends = bounds[:-1], bounds[1:]
+    filled = starts < ends
+    starts, ends = starts[filled], ends[filled]
+    bad[ends - 1] |= flat[ends - 1] == DI_O.index  # rule 6 at the end of a sentence
+    words = np.flatnonzero(_IN_SET[flat])  # rules 4 and 5, per set span
+    if len(words):
+        tags = flat[words]
+        heads = np.flatnonzero(_OPENS[prev[words], tags])
+        counts = np.add.reduceat(_SPAN_COUNTS[tags], heads, axis=0, dtype=np.int32)
+        np.minimum(counts, _SPAN_CAP, out=counts)
+        bad[words[heads]] |= _SPAN_BREAKS[counts[:, 0], counts[:, 1], counts[:, 2]]
+    out = np.ones(len(bounds) - 1, dtype=bool)
+    if len(starts):
+        out[filled] = ~np.logical_or.reduceat(bad, starts)
+    return out
+
+
+def is_well_formed(tags: Sequence[Tag] | TagSequence) -> bool:
+    """Whether one sequence keeps the six rules of :func:`is_well_formed_batch`."""
+    return bool(is_well_formed_batch(*as_rows([tags]))[0])
 
 
 def is_structural(tags: Sequence[Tag] | TagSequence) -> bool:
@@ -532,52 +568,77 @@ def encode(ann: SentenceAnnotation) -> TagSequence:
     return ts
 
 
+def _elements(row: Sequence[int]) -> tuple[list[list[int]], list[tuple[list, list]]]:
+    """Parse a well-formed sequence of tag indices: the ``[start, end]`` of
+    each continuous mention, and per set those of its x and of its y components."""
+    cb, ci = CB.index, CI.index
+    continuous: list[list[int]] = []
+    sets: list[tuple[list, list]] = []
+    for i, t in enumerate(row):
+        if t == cb:
+            continuous.append([i, i])
+        elif t == ci:
+            continuous[-1][1] = i
+        elif t in _COMPONENT_INSIDE:
+            component[1] = i
+        elif t in _X_BEGINS or t in _Y_BEGINS:
+            if t in _SET_OPENERS:
+                sets.append(([], []))
+            component = [i, i]
+            sets[-1][t in _Y_BEGINS].append(component)
+    return continuous, sets
+
+
+def _checked_rows(flat: np.ndarray, bounds: np.ndarray) -> list[list[int]]:
+    """The sequences of a batch as lists of tag indices.
+
+    Raises :class:`IllFormed`, naming the first sequence that breaks a rule.
+    """
+    ok = is_well_formed_batch(flat, bounds)
+    flat, bounds = np.asarray(flat).tolist(), np.asarray(bounds).tolist()
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise IllFormed(" ".join(TAGS[t].symbol for t in flat[bounds[k] : bounds[k + 1]]))
+    return [flat[a:b] for a, b in itertools.pairwise(bounds)]
+
+
 def decode_annotation(ts: TagSequence | Sequence[Tag]) -> SentenceAnnotation:
     """Parse a well-formed tag sequence back into an annotation.
 
     Raises :class:`IllFormed` if the sequence breaks any rule; decoding never
     guesses.
     """
-    tags = ts.tags if isinstance(ts, TagSequence) else tuple(ts)
-    if not is_well_formed(tags):
-        raise IllFormed(" ".join(t.symbol for t in tags) or "<empty>")
-    n = len(tags)
-    continuous: list[Mention] = []
-    sets: list[TwoLayerSet] = []
-    i = 0
-    while i < n:
-        t = tags[i]
-        if t is CB:
-            j = i + 1
-            while j < n and tags[j] is CI:
-                j += 1
-            continuous.append(Mention(((i, j - 1),)))
-            i = j
-        elif t in _SET_START:
-            j = i + 1
-            while j < n and tags[j] in _SET_INSIDE:
-                j += 1
-            comps: list[Component] = []
-            k = i
-            while k < j:
-                tk = tags[k]
-                if tk is DI_O:
-                    k += 1
-                    continue
-                ctype = ComponentType.X if tk in (DB_BX, DI_BX) else ComponentType.Y
-                inside = DI_IX if ctype is ComponentType.X else DI_IY
-                e = k
-                while e + 1 < j and tags[e + 1] is inside:
-                    e += 1
-                comps.append(Component(k, e, ctype))
-                k = e + 1
-            sets.append(TwoLayerSet(tuple(comps)))
-            i = j
-        else:
-            i += 1
-    return SentenceAnnotation(n, tuple(continuous), tuple(sets))
+    (row,) = _checked_rows(*as_rows([ts]))
+    continuous, sets = _elements(row)
+    return SentenceAnnotation(
+        len(row),
+        tuple(Mention((span,)) for span in continuous),
+        tuple(
+            TwoLayerSet(
+                tuple(Component(b, e, ComponentType.X) for b, e in xs)
+                + tuple(Component(b, e, ComponentType.Y) for b, e in ys)
+            )
+            for xs, ys in sets
+        ),
+    )
+
+
+def decode_batch(flat: np.ndarray, bounds: np.ndarray) -> list[MentionSet]:
+    """:func:`decode` of each sequence of a batch (see :func:`as_rows`), under
+    one :func:`is_well_formed_batch` check.
+
+    Raises :class:`IllFormed`, naming the first sequence that breaks a rule.
+    """
+    out = []
+    for row in _checked_rows(flat, bounds):
+        continuous, sets = _elements(row)
+        mentions = {Mention((span,)) for span in continuous}
+        for xs, ys in sets:  # the Cartesian product of x- and y-components
+            mentions.update(Mention((x, y)) for x in xs for y in ys)
+        out.append(frozenset(mentions))
+    return out
 
 
 def decode(ts: TagSequence | Sequence[Tag]) -> MentionSet:
     """Mention set denoted by a well-formed tag sequence."""
-    return from_two_layer(decode_annotation(ts))
+    return decode_batch(*as_rows([ts]))[0]

@@ -2,14 +2,93 @@ import itertools
 
 import pytest
 
-from disctag.scheme import TAGS, SentenceAnnotation, encode, is_well_formed
+from disctag.scheme import (
+    CB,
+    CI,
+    DB_BX,
+    DB_BY,
+    DI_BX,
+    DI_BY,
+    DI_IX,
+    DI_IY,
+    DI_O,
+    TAGS,
+    SentenceAnnotation,
+    encode,
+)
+
+_SET_TAGS = frozenset((DB_BX, DB_BY, DI_BX, DI_BY, DI_IX, DI_IY, DI_O))
+_SET_START = frozenset((DB_BX, DB_BY))
+_SET_INSIDE = frozenset((DI_BX, DI_BY, DI_IX, DI_IY, DI_O))
+_COMPONENT_BEGIN = frozenset((DB_BX, DB_BY, DI_BX, DI_BY))
+
+# Allowed predecessor per tag (rules 1-3); tags absent here accept anything.
+_ALLOWED_PREV = {
+    CI: frozenset((CB, CI)),
+    DI_BX: _SET_TAGS,
+    DI_BY: _SET_TAGS,
+    DI_O: _SET_TAGS,
+    DI_IX: frozenset((DB_BX, DI_BX, DI_IX)),
+    DI_IY: frozenset((DB_BY, DI_BY, DI_IY)),
+}
+
+
+def _set_spans(tags) -> list[tuple[int, int]]:
+    """Half-open index ranges of the maximal set spans (DB-* followed by DI-*)."""
+    spans = []
+    i, n = 0, len(tags)
+    while i < n:
+        if tags[i] in _SET_START:
+            j = i + 1
+            while j < n and tags[j] in _SET_INSIDE:
+                j += 1
+            spans.append((i, j))
+            i = j
+        else:
+            i += 1
+    return spans
+
+
+def is_well_formed_reference(tags) -> bool:
+    """The six well-formedness rules, checked one tag at a time.
+
+    The oracle for the vectorised :func:`disctag.scheme.is_well_formed_batch`:
+
+    1. every CI is preceded by CB or CI;
+    2. every DI-* is preceded by DB-* or DI-*;
+    3. every *-Ix is preceded by *-Bx or *-Ix (same for y);
+    4. every set span contains at least one *-Bx and one *-By;
+    5. no set span reconstructs to a single continuous mention (exactly two
+       components with no gap between them);
+    6. no set span ends with DI-O.
+    """
+    tags = tuple(tags)
+    prev = None
+    for t in tags:
+        allowed = _ALLOWED_PREV.get(t)
+        if allowed is not None and prev not in allowed:
+            return False
+        prev = t
+    for i, j in _set_spans(tags):
+        span = tags[i:j]
+        if span[-1] is DI_O:
+            return False
+        begins = sum(1 for t in span if t in _COMPONENT_BEGIN)
+        if not any(t is DB_BX or t is DI_BX for t in span):
+            return False
+        if not any(t is DB_BY or t is DI_BY for t in span):
+            return False
+        if begins == 2 and DI_O not in span:
+            return False
+    return True
 
 
 class WellFormedLanguage:
     """Brute-force enumeration of well-formed tag sequences, cached per length.
 
     This is the independent oracle for everything automaton- or DP-based:
-    it only relies on the rule checker, never on the grammar automaton.
+    it only relies on the reference rule checker, never on the grammar
+    automaton or on :mod:`disctag.scheme`'s vectorised check.
     """
 
     def __init__(self):
@@ -18,7 +97,7 @@ class WellFormedLanguage:
     def sequences(self, n: int) -> tuple[tuple, ...]:
         if n not in self._cache:
             self._cache[n] = tuple(
-                seq for seq in itertools.product(TAGS, repeat=n) if is_well_formed(seq)
+                seq for seq in itertools.product(TAGS, repeat=n) if is_well_formed_reference(seq)
             )
         return self._cache[n]
 

@@ -276,6 +276,33 @@ class TestTrainPredictEval:
         expected = train(data, TrainConfig(loss=loss, epochs=3), dim=4096)
         assert np.array_equal(LinearScorer.load(model_path).params, expected.params)
 
+    def test_model_written_to_the_path_given(self, corpus_file, tmp_path, capsys):
+        model_path = tmp_path / "m"  # no .npz suffix
+        assert main(["train", str(corpus_file), "--model", str(model_path), "--epochs", "1", "--dim", "64"]) == 0
+        assert model_path.is_file() and not (tmp_path / "m.npz").exists()
+        assert f"model written to {model_path}\n" in capsys.readouterr().err
+        assert main(["predict", str(corpus_file), "--model", str(model_path), "-o", str(tmp_path / "p.txt")]) == 0
+        assert read_corpus(tmp_path / "p.txt")
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_unwritable_model_path_fails_before_training(self, corpus_file, tmp_path, capsys, caplog, where):
+        model_path = tmp_path / "missing" / "m.npz" if where == "missing-dir" else tmp_path
+        with caplog.at_level(logging.INFO):
+            assert main(["train", str(corpus_file), "--model", str(model_path), "--dim", "64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not [r for r in caplog.records if r.getMessage().startswith("epoch ")]
+
+    def test_failed_run_keeps_an_existing_model(self, tmp_path):
+        train_path = tmp_path / "train.txt"
+        write_corpus(synthetic_records(20, length=8, seed=4), train_path)
+        model_path = tmp_path / "model.npz"
+        LinearScorer(dim=64).save(model_path)
+        before = model_path.read_bytes()
+        argv = ["train", str(train_path), "--model", str(model_path), "--dim", "4096", "--learning-rate", "1e308"]
+        assert main(argv) == 1
+        assert model_path.read_bytes() == before
+
     def test_train_bad_loss_rejected(self, corpus_file, tmp_path):
         with pytest.raises(SystemExit):
             main(["train", str(corpus_file), "--model", "m.npz", "--loss", "mle"])
@@ -358,3 +385,35 @@ class TestFuzzedInput:
             errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
             assert code in (0, 1, 2), argv
             assert len(errors) <= 1, (argv, errors)
+
+
+@pytest.fixture(scope="module")
+def train_fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("train-fuzz")
+    write_corpus(synthetic_records(3, length=5, seed=2), path / "corpus.txt")
+    (path / "existing.npz").write_bytes(b"")
+    return path
+
+
+TRAIN_NUMBERS = ["0", "-1", "1e-300", "0.1", "0.5", "1e200", "1e308", "nan", "inf", "-inf"]
+
+
+class TestFuzzedTrainOptions:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        epochs=st.integers(-2, 3),
+        learning_rate=st.sampled_from(TRAIN_NUMBERS),
+        l2=st.sampled_from(TRAIN_NUMBERS),
+        dim=st.integers(-3, 2**16),  # never a huge table
+        model=st.sampled_from(["m.npz", "m", "existing.npz", "missing/m.npz", ".", "corpus.txt/m"]),
+    )
+    def test_train_ends_with_one_error_line(self, train_fuzz_dir, epochs, learning_rate, l2, dim, model):
+        argv = ["train", str(train_fuzz_dir / "corpus.txt"), "--model", str(train_fuzz_dir / model),
+                f"--epochs={epochs}", f"--learning-rate={learning_rate}", f"--l2={l2}", f"--dim={dim}"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+        assert code in (0, 1, 2), argv
+        assert len(errors) <= 1, (argv, errors)
+        assert (code == 0) == (not errors), argv

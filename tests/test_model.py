@@ -98,6 +98,42 @@ class TestFnv1a:
         assert rows.tolist() == want
 
 
+class TestTypeHashing:
+    """Rows hashed once per word type equal the hash of every word's own
+    feature strings, bit for bit."""
+
+    @staticmethod
+    def oracle_rows(sentences, dim):
+        return [[fnv1a_reference(f) % dim for f in row] for tokens in sentences for row in sentence_features(tokens)]
+
+    @pytest.mark.parametrize("dim", [2**16, 65521])
+    @pytest.mark.parametrize(
+        "sentences",
+        [
+            [("The", "THE", "the", "tHe"), ("Pain", "in", "ARMS")],
+            [("İ", "İstanbul", "iSTANBUL", "ǅ")],  # "İ".lower() is two code points
+            [("a", "ab", "Ab", "é", "x"), ("I",), ("of", "to")],
+            [("solo",), ("X",), ("日本語",)],
+            [("<BOS>", "<eos>", "<bos>"), ("<EOS>",), ("a", "<bos>", "b")],
+            [("é", "É", "café", "😀", "x😀y", "😀😀😀😀"), ("", "a\x00")],
+            [("same", "type"), ("type", "same", "same"), ("Same",), ("same",)],
+        ],
+    )
+    def test_rows_match_the_hash_of_every_word(self, sentences, dim):
+        scorer = LinearScorer(dim=dim)
+        rows = scorer.batch_feature_indices(sentences)
+        assert rows.shape == (sum(map(len, sentences)), FEATURES)
+        assert rows.tolist() == self.oracle_rows(sentences, dim)
+        assert np.array_equal(rows, np.concatenate([scorer.feature_indices(t) for t in sentences]))
+
+    def test_random_batches_with_empty_sentences(self):
+        rng = np.random.default_rng(37)
+        scorer = LinearScorer(dim=4099)
+        for _ in range(20):
+            sentences = random_sentences(rng, rng.integers(0, 6, size=int(rng.integers(1, 8))))
+            assert scorer.batch_feature_indices(sentences).tolist() == self.oracle_rows(sentences, 4099)
+
+
 class TestLinearScorer:
     def test_zero_params_zero_scores(self):
         s = LinearScorer(dim=64)
@@ -285,7 +321,8 @@ class TestTraining:
         monkeypatch.setattr(LinearScorer, "batch_feature_indices", counted)
         corpus = [(t, a) for t, _, a in synthetic_corpus(12, seed=9)]
         train(corpus, TrainConfig(loss="partial", epochs=3), dim=2**10)
-        assert [list(s) for s in calls] == [[t] for t, _ in corpus]  # each once, not once per epoch
+        # one pass over the whole corpus, not one per sentence or per epoch
+        assert [list(s) for s in calls] == [[t for t, _ in corpus]]
 
     def test_length_mismatch_rejected(self):
         _, _, ann = synthetic_corpus(1, seed=1)[0]

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,17 +17,21 @@ from disctag.scheme import (
     Mention,
     SentenceAnnotation,
     TagSequence,
+    as_rows,
     decode,
     decode_annotation,
+    decode_batch,
     encode,
+    from_rows,
     from_two_layer,
     is_structural,
     is_well_formed,
+    is_well_formed_batch,
     tag_by_symbol,
     to_two_layer,
 )
 
-from conftest import with_flips
+from conftest import _ALLOWED_PREV, is_well_formed_reference, with_flips
 
 
 def ts(symbols: str) -> TagSequence:
@@ -332,6 +337,83 @@ class TestRoundTrips:
     def test_encode_output_always_well_formed(self, language, n):
         for seq in language.sequences(n):
             assert is_well_formed(encode(to_two_layer(decode(seq), n)))
+
+
+def random_batch(rng, count, max_len=10):
+    """Tag sequences of mixed lengths, mostly following rules 1-3 so that the
+    set rules are reached; a third start with any tag at all, such as a DI-*,
+    CI or *-I* right after a sequence that ends inside a set span."""
+    follows = {p: [t for t in TAGS if t not in _ALLOWED_PREV or p in _ALLOWED_PREV[t]] for p in TAGS}
+    out = []
+    for n, (u, v) in zip(rng.integers(0, max_len + 1, size=count), rng.random((count, 2, max_len))):
+        seq = [TAGS[int(10 * u[0])] if v[0] < 1 / 3 else (CB, O)[int(2 * u[0])]]
+        for a, b in zip(u[1:n], v[1:n]):
+            options = TAGS if b < 0.05 else follows[seq[-1]]
+            seq.append(options[int(a * len(options))])
+        out.append(tuple(seq[:n]))
+    return out
+
+
+class TestBatchedRuleCheck:
+    """The vectorised check against the tag-at-a-time reference in conftest."""
+
+    def test_every_sequence_up_to_six_words(self, language):
+        # all 1,111,110 sequences of 1-6 tags, in lexicographic order, in one call
+        flat = np.concatenate([np.indices((10,) * n, dtype=np.uint8).reshape(n, -1).T.ravel() for n in range(1, 7)])
+        lengths = np.repeat(np.arange(1, 7), 10 ** np.arange(1, 7))
+        got = is_well_formed_batch(flat, np.concatenate(([0], np.cumsum(lengths))))
+        assert got.shape == (1_111_110,)
+        offset = 0
+        for n in range(1, 7):
+            want = np.zeros(10**n, dtype=bool)
+            for seq in language.sequences(n):  # enumerated with the reference
+                want[int("".join(str(t.index) for t in seq))] = True
+            assert np.array_equal(got[offset : offset + 10**n], want), n
+            offset += 10**n
+
+    def test_random_mixed_length_batches(self):
+        # 10**5 sequences of 0-10 tags, checked in batches of 1 to 200
+        rng = np.random.default_rng(41)
+        sequences = random_batch(rng, 10**5)
+        assert 0.2 < np.mean([is_well_formed_reference(s) for s in sequences[:2000]]) < 0.8
+        start = 0
+        while start < len(sequences):
+            batch = sequences[start : start + int(rng.integers(1, 201))]
+            got = is_well_formed_batch(*as_rows(batch)).tolist()
+            assert got == [is_well_formed_reference(s) for s in batch], start
+            start += len(batch)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("DB-Bx DI-O DI-By", "DI-O"),  # would end the span above with DI-O
+            ("DB-Bx DI-O DI-By", "DI-By DI-O"),
+            ("DB-Bx DI-O DI-By DI-Iy", "DI-Iy"),
+            ("DB-Bx DI-O", "DI-By"),  # together they would be well-formed
+            ("DB-Bx DI-By", "DI-O DI-Bx"),
+            ("DB-Bx DI-Ix DI-O DI-By", "DI-Ix O"),
+            ("CB CI", "CI"),
+            ("DB-By DI-O DI-Bx", "DI-Bx DI-Ix"),
+        ],
+    )
+    def test_no_span_runs_into_the_next_sequence(self, first, second):
+        batch = [ts(first), ts(second), ts(""), ts(first)]
+        want = [is_well_formed_reference(s) for s in batch]
+        assert want[1] is False and want[2] is True
+        assert is_well_formed_batch(*as_rows(batch)).tolist() == want
+        assert [is_well_formed(s) for s in batch] == want
+
+    def test_rows_round_trip(self):
+        batch = [ts("CB CI O"), ts(""), ts("DB-Bx DI-O DI-By")]
+        flat, bounds = as_rows(batch)
+        assert flat.tolist() == [0, 1, 2, 3, 9, 6] and bounds.tolist() == [0, 3, 3, 6]
+        assert from_rows(flat, bounds) == batch
+
+    def test_batch_decode_names_the_first_ill_formed_sequence(self):
+        batch = [ts("CB O"), ts("DB-Bx DI-O DI-By"), ts("O CI"), ts("DI-O")]
+        assert decode_batch(*as_rows(batch[:2])) == [decode(s) for s in batch[:2]]
+        with pytest.raises(IllFormed, match="^O CI$"):
+            decode_batch(*as_rows(batch))
 
 
 @st.composite
