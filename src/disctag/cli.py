@@ -251,11 +251,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        lengths = sorted(int(x) for x in args.lengths.split(","))
+        lengths = sorted({int(x) for x in args.lengths.split(",")})
     except ValueError:
         raise ConfigError(f"--lengths must be comma-separated integers, got {args.lengths!r}") from None
     if lengths[0] < 1 or args.repeats < 1:
         raise ConfigError("--lengths and --repeats must be positive")
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     results = corpus_io.benchmark_predict(lengths, repeats=args.repeats, seed=args.seed)
     ok = True
     by_length = {r.length: r for r in results}

@@ -84,7 +84,7 @@ class CorpusRecord:
 
 def format_mentions(mentions: MentionSet) -> str:
     return "|".join(
-        ";".join(f"{b}-{e}" for b, e in m.fragments) for m in sorted(mentions)
+        ";".join(f"{b}-{e}" for b, e in m.fragments) for m in sorted(mentions, key=lambda m: m.fragments)
     )
 
 

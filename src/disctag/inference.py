@@ -1,16 +1,19 @@
 """Exact inference on the tag lattice and the training losses.
 
 All programs run on the acyclic lattice from :mod:`disctag.automata` in one of
-two semirings: tropical (max, +) for MAP inference and log (logaddexp, +) for
-the log-partition and marginals.  Scores of a tag sequence are bilinear,
-``<y, w> = sum_i w[i, y_i]``, so every gradient below is an ``(n, 10)`` matrix
-aligned with the weight matrix.
+three semirings: tropical (max, +) for MAP inference, and for the
+log-partition and marginals the probability semiring (+, *) with each chart
+step rescaled, falling back to log (logaddexp, +) where that underflows.
+Scores of a tag sequence are bilinear, ``<y, w> = sum_i w[i, y_i]``, so every
+gradient below is an ``(n, 10)`` matrix aligned with the weight matrix.
 
-One chart routine serves every program: each step sums a state's edges, grouped
-by source (backward) or by target (forward), with one ``reduceat``.  The
-marginals sum the edges grouped by tag the same way, and
-:func:`random_well_formed` samples paths through the states that a backward
-tropical chart finds co-reachable.
+One chart routine serves every program, on a batch of right-aligned
+sentences: each step sums a state's edges, grouped by source (backward) or by
+target (forward), with one ``reduceat``.  The marginals sum the edges grouped
+by tag the same way, and :func:`random_well_formed` samples paths through the
+states that a backward tropical chart finds co-reachable.  The losses of a
+batch (:func:`batch_losses`) run one forward and one backward chart; the
+single-sentence losses are batches of one.
 
 The partially-supervised losses marginalise over the label set of an
 annotation whose component types are unknown: flipping the x/y orientation of
@@ -44,6 +47,7 @@ __all__ = [
     "Semiring",
     "TROPICAL",
     "LOG",
+    "SCALED",
     "PartialLabelSet",
     "viterbi",
     "viterbi_batch",
@@ -56,6 +60,8 @@ __all__ = [
     "nll",
     "partial_nll",
     "hard_em_step",
+    "batch_losses",
+    "LOSSES",
     "random_well_formed",
 ]
 
@@ -75,6 +81,15 @@ class Semiring:
 
 TROPICAL = Semiring("tropical", np.maximum, np.add, NEG_INF, 0.0)
 LOG = Semiring("log", np.logaddexp, np.add, NEG_INF, 0.0)
+# the probability semiring, which :func:`_chart` runs rescaled and reports as logs
+SCALED = Semiring("scaled", np.add, np.multiply, 0.0, 1.0)
+# Bounds of a scaled chart without underflow (see :func:`_chart`), for
+# grammars of up to a million edges: a cell of at least _TINY, before its row
+# is divided, loses under 1e-67 of itself to products that underflow; and
+# with a word's weights spanning at most _SPAN, a product read from such a
+# cell is at least exp(-_SPAN) * _TINY / 1e6 > 0, so none underflows to zero.
+_TINY = 1e-250
+_SPAN = 150.0
 
 
 def _check_weights(lat: Lattice, weights: np.ndarray, batched: bool = False) -> np.ndarray:
@@ -90,60 +105,142 @@ def _check_weights(lat: Lattice, weights: np.ndarray, batched: bool = False) -> 
     return weights
 
 
+def _check_lengths(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """The lengths of a batch of ``len(weights)`` sentences as an array, checked to be in ``0..n``."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (len(weights),) or (lengths < 0).any() or (lengths > lat.n).any():
+        raise ValueError(f"expected {len(weights)} lengths in 0..{lat.n}, got {lengths!r}")
+    return lengths
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # a scaled underflow shows in the totals
 def _chart(
-    lat: Lattice, weights: np.ndarray, sr: Semiring, backward: bool = False, starts: np.ndarray | None = None
+    lat: Lattice, weights: np.ndarray, sr: Semiring, backward: bool = False, lengths: np.ndarray | None = None
 ):
     """``(totals, chart)`` of a batch: the ``(n+1, B, S+1)`` prefix sums from
     the initial state, or with ``backward`` the suffix sums into the final
     states, and per sentence the sum over its accepting paths.  Column ``S``
     is the dead state, with no paths: its sums stay zero.
 
-    ``weights`` is ``(B, n, 10)``.  A backward batch may hold shorter
-    sentences right-aligned: sentence ``b`` scores its words with
-    ``weights[b, starts[b]:]``, so its suffix sums are the rows from
-    ``starts[b]`` on and need no mask.  Each step gathers the chart at the
-    edges' far ends and combines each state's edges with one ``reduceat``, in
-    edge order.  Raises :class:`EmptyLanguage` if some sentence has no
-    accepting path.
+    ``weights`` is ``(B, n, 10)``.  Sentences may be shorter and
+    right-aligned: sentence ``b`` has ``lengths[b]`` words (by default
+    ``n``), scored by the rows of ``weights[b]`` from ``start = n -
+    lengths[b]`` on.  Its suffix sums are the chart rows from ``start`` on,
+    and its prefix sums stay in the initial state up to row ``start``; the
+    other rows are padding.  Each step gathers the chart at the edges' far
+    ends and combines each state's edges with one ``reduceat``, in edge
+    order.
+
+    :data:`SCALED` is Rabiner's scaled forward-backward: each word's
+    weights are ``exp(w - max w)``, each step divides its row by the row's
+    sum, and a total is the log of the last sum plus the logs of every
+    divisor and word maximum.  Its total is NaN for a sentence whose chart
+    may have lost mass to underflow: one where some real word's weights span
+    more than ``_SPAN``, or some cell at a real word was positive but below
+    ``_TINY`` before its row was divided.  In any other sentence no cell can
+    underflow to zero, and every cell is right to rounding.  The other
+    semirings raise :class:`EmptyLanguage` if some sentence has no accepting
+    path.
     """
     batch, n = weights.shape[:2]
+    starts = np.zeros(batch, dtype=np.intp) if lengths is None else n - lengths
     states = lat.num_grammar_states
     chart = np.full((n + 1, batch, states + 1), sr.zero)
     groups = lat.backward if backward else lat.forward
-    far = groups.dst if backward else groups.src
-    edge_weights = np.take(weights, groups.tag, axis=2).transpose(1, 0, 2)  # (n, B, E)
+    # each sentence's chart entries at the edges' far ends, as indices into a flat chart row
+    far = np.arange(batch)[:, None] * (states + 1) + (groups.dst if backward else groups.src)
+    flat = chart.reshape(n + 1, -1)
+    per_word = weights.transpose(1, 0, 2)  # (n, B, 10)
+    scaled = sr is SCALED
+    if scaled:
+        top = per_word.max(axis=2, keepdims=True)
+        per_word = np.exp(per_word - top)
+        scale = np.ones((n, batch, 1))
+    edge_weights = np.take(per_word, groups.tag, axis=2)  # (n, B, E)
     if backward:
         order, read, write = range(n - 1, -1, -1), 1, 0
         chart[n, :, :states][:, lat.final_mask] = sr.one
     else:
         order, read, write = range(n), 0, 1
         chart[0, :, lat.initial] = sr.one
+        waiting = (np.arange(n)[:, None] < starts)[..., None]  # (n, B, 1): row i + 1 still before the first word
+    last_start = starts.max(initial=0)
     for i in order:
-        edges = chart[i + read][:, far]
+        edges = flat[i + read].take(far)
         sr.times(edges, edge_weights[i], out=edges)
-        sr.plus.reduceat(edges, groups.bounds, axis=1, out=chart[i + write][:, :states])
+        row = chart[i + write]
+        sr.plus.reduceat(edges, groups.bounds, axis=1, out=row[:, :states])
+        if not backward and i < last_start:
+            np.copyto(row, chart[0], where=waiting[i])
+        if scaled:
+            np.add.reduce(row, axis=1, keepdims=True, out=scale[i])
+            row /= scale[i]
     if backward:
-        starts = np.zeros(batch, dtype=np.int64) if starts is None else starts
         totals = chart[starts, np.arange(batch), lat.initial]
     else:
         totals = sr.plus.reduce(chart[n, :, :states][:, lat.final_mask], axis=1)
+    if scaled:
+        real = np.arange(n)[:, None] >= starts  # (n, B): step i reads a real word
+        # summed in word order, so padding (zeros, first) leaves a sentence's sum as it is alone
+        logs = np.where(real, np.log(scale[..., 0]) + top[..., 0], 0.0)
+        log_totals = np.log(totals) + (np.cumsum(logs, axis=0)[-1] if n else 0.0)
+        written = chart[write : n + write, :, :states] * scale  # each step's cells before the division
+        small = (written > 0) & (written < _TINY)
+        wide = per_word < np.exp(-_SPAN)
+        if small.any() or wide.any():  # rare, so the sentences are looked for only then
+            log_totals[((small.any(axis=2) | wide.any(axis=2)) & real).any(axis=0)] = np.nan
+        return log_totals, chart
     if (totals == sr.zero).any():
         raise EmptyLanguage("lattice has no accepting path")
     return totals, chart
 
 
-def _posterior(lat: Lattice, weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """``log Z`` and the tag marginals, from one forward and one backward chart;
-    each tag's edges are summed with one ``reduceat``, in edge order, and each
-    marginal row is normalised by its own log-sum (``log Z`` in exact
-    arithmetic), so with large weights rounding cannot push a row off one.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # failed rows are recomputed
+def _posterior(lat: Lattice, weights: np.ndarray, lengths: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``log Z`` and the tag marginals of a batch, ``(B,)`` and ``(B, n, 10)``,
+    for right-aligned sentences as in :func:`_chart` (padding rows of the
+    marginals are undefined).
+
+    One scaled forward and one scaled backward chart; each tag's edges are
+    summed with one ``reduceat``, in edge order, and each marginal row is
+    divided by its own sum, so the scales cancel.  A sentence where either
+    chart may have lost mass to underflow (see :func:`_chart`), or where
+    some marginal row sums to less than ``_TINY``, is recomputed alone by
+    :func:`_log_posterior`; that happens only with large weights, whose
+    scores differ by hundreds.  Each sentence gets, bit for bit, what it gets
+    alone.
+    """
+    batch, n = weights.shape[:2]
+    starts = np.zeros(batch, dtype=np.intp) if lengths is None else n - lengths
+    log_z, alpha = _chart(lat, weights, SCALED, lengths=lengths)
+    log_z_back, beta = _chart(lat, weights, SCALED, backward=True, lengths=lengths)
+    per_word = weights.transpose(1, 0, 2)
+    scaled = np.exp(per_word - per_word.max(axis=2, keepdims=True))
+    edges = lat.by_tag
+    mass = alpha[:-1][:, :, edges.src] * scaled[:, :, edges.tag] * beta[1:][:, :, edges.dst]
+    acc = np.add.reduceat(mass, edges.bounds, axis=2)  # (n, B, 10)
+    sums = acc.sum(axis=2, keepdims=True)
+    acc /= sums
+    real = np.arange(n)[:, None] >= starts
+    good = np.isfinite(log_z + log_z_back) & ((sums[..., 0] >= _TINY) | ~real).all(axis=0)  # NaN >= is false
+    probs = acc.transpose(1, 0, 2)
+    for b in np.flatnonzero(~good):
+        log_z[b], probs[b, starts[b] :] = _log_posterior(lat, weights[b, starts[b] :])
+    return log_z, probs
+
+
+def _log_posterior(lat: Lattice, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """``log Z`` and the tag marginals of one sentence, from one forward and
+    one backward log-semiring chart; each marginal row is normalised by its
+    own log-sum (``log Z`` in exact arithmetic), so with large weights
+    rounding cannot push a row off one.
     """
     (log_z,), alpha = _chart(lat, weights[None], LOG)
     _, beta = _chart(lat, weights[None], LOG, backward=True)
     edges = lat.by_tag
     edge_logp = alpha[:-1, 0, edges.src] + weights[:, edges.tag] + beta[1:, 0, edges.dst]
     acc = np.logaddexp.reduceat(edge_logp, edges.bounds, axis=1)
-    return float(log_z), np.exp(acc - np.logaddexp.reduce(acc, axis=1, keepdims=True))
+    return log_z, np.exp(acc - np.logaddexp.reduce(acc, axis=1, keepdims=True))
 
 
 def random_well_formed(lat: Lattice, rng: np.random.Generator) -> tuple[Tag, ...]:
@@ -198,11 +295,10 @@ def viterbi_rows(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> n
     """The :func:`viterbi_batch` sequences as tag indices, one sentence
     after another in one flat array."""
     weights = _check_weights(lat, weights, batched=True)
+    lengths = _check_lengths(lat, weights, lengths)
     batch, n, states = len(weights), lat.n, lat.num_grammar_states
-    starts = n - np.asarray(lengths, dtype=np.int64)
-    if starts.shape != (batch,) or (starts < 0).any() or (starts > n).any():
-        raise ValueError(f"expected {batch} lengths in 0..{n}, got {lengths!r}")
-    beta = _chart(lat, weights, TROPICAL, backward=True, starts=starts)[1][1:]
+    starts = n - lengths
+    beta = _chart(lat, weights, TROPICAL, backward=True, lengths=lengths)[1][1:]
     per_word = weights.transpose(1, 0, 2)
     # best[i, b, s]: the lowest tag of a best step from state s at word i, found
     # one tag at a time so that no (n, B, S, 10) array is needed; an undefined
@@ -229,8 +325,13 @@ def viterbi_rows(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> n
 
 
 def forward(lat: Lattice, weights: np.ndarray) -> float:
-    """Log-partition over all well-formed sequences of length ``n``."""
-    return float(_chart(lat, _check_weights(lat, weights)[None], LOG)[0][0])
+    """Log-partition over all well-formed sequences of length ``n``.
+
+    It is the :func:`_posterior` of a batch of one, so that it is, bit for
+    bit, the ``log Z`` of the losses, under the same fallback rule; that
+    costs two to four times one chart.
+    """
+    return float(_posterior(lat, _check_weights(lat, weights)[None])[0][0])
 
 
 def marginals(lat: Lattice, weights: np.ndarray) -> np.ndarray:
@@ -240,7 +341,7 @@ def marginals(lat: Lattice, weights: np.ndarray) -> np.ndarray:
     with tag ``t``; rows sum to one and cells unusable by any accepting path
     are exactly zero.
     """
-    return _posterior(lat, _check_weights(lat, weights))[1]
+    return _posterior(lat, _check_weights(lat, weights)[None])[1][0]
 
 
 # Canonical tag index after a flip: swaps DB-Bx/DB-By, DI-Bx/DI-By and DI-Ix/DI-Iy.
@@ -270,36 +371,100 @@ class PartialLabelSet:
         return 2**self.k
 
 
-def _flip_gains(pl: PartialLabelSet, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per word the gold tag and its flip (itself outside unresolved sets), and
-    the score gain of flipping each set, with slot 0 standing for no set."""
-    gold = pl.gold.indices
-    flipped = np.where(pl.owner >= 0, _FLIP[gold], gold)
+def _sums(values: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Sums of consecutive runs of ``values`` of the given sizes, each added in order."""
+    return np.bincount(np.repeat(np.arange(len(sizes)), sizes), weights=values, minlength=len(sizes))
+
+
+def _flip_gains(labels: Sequence[PartialLabelSet], weights: np.ndarray):
+    """Flip terms of a batch of label sets, over their words concatenated in
+    order, ``weights`` holding the words' rows.
+
+    Returns per word the gold tag, its flip (itself outside unresolved sets)
+    and its slot, and per slot the score gain of flipping it.  Slot 0 stands
+    for no set; the unresolved sets follow, sentence by sentence.
+    """
+    gold = np.concatenate([pl.gold.indices for pl in labels])
+    owner = np.concatenate([pl.owner for pl in labels])
+    sets = np.array([pl.k for pl in labels])
+    before = np.repeat(np.cumsum(sets) - sets, [len(pl.owner) for pl in labels])  # sets of earlier sentences
+    slot = np.where(owner >= 0, owner + 1 + before, 0)
+    flipped = np.where(owner >= 0, _FLIP[gold], gold)
     words = np.arange(len(gold))
     change = weights[words, flipped] - weights[words, gold]
-    return gold, flipped, np.bincount(pl.owner + 1, weights=change, minlength=pl.k + 1)
+    return gold, flipped, slot, np.bincount(slot, weights=change, minlength=sets.sum() + 1)
+
+
+def _clamped(labels: Sequence[PartialLabelSet], weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sentence the clamped log-partition, and per word the clamped
+    marginals (see :func:`clamped_log_partition` and
+    :func:`clamped_marginals`), of a batch as in :func:`_flip_gains`."""
+    gold, flipped, slot, gains = _flip_gains(labels, weights)
+    p = np.exp(-np.logaddexp(0.0, -gains))[slot]  # sigmoid without overflow
+    words = np.arange(len(gold))
+    out = np.zeros((len(gold), NUM_TAGS))
+    out[words, gold] += 1.0 - p  # outside sets flipped == gold, so the row still sums to 1
+    out[words, flipped] += p
+    gold_scores = _sums(weights[words, gold], [len(pl.owner) for pl in labels])
+    return gold_scores + _sums(np.logaddexp(0.0, gains[1:]), [pl.k for pl in labels]), out
 
 
 def clamped_log_partition(pl: PartialLabelSet, weights: np.ndarray) -> float:
     """Log-sum-exp of the member scores (the clamped log-partition):
     ``<gold, w> + sum_s log(1 + exp(delta_s))``, ``delta_s`` the gain of flipping set ``s``.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    gains = _flip_gains(pl, weights)[2][1:]
-    return sequence_score(weights, pl.gold) + float(np.logaddexp(0.0, gains).sum())
+    return float(_clamped([pl], np.asarray(weights, dtype=np.float64))[0][0])
 
 
 def clamped_marginals(pl: PartialLabelSet, weights: np.ndarray) -> np.ndarray:
     """Posterior-weighted average of member one-hots (gradient of the clamp):
     inside each set's span, ``gold`` and its flip mixed with weight ``sigmoid(delta_s)``.
     """
-    gold, flipped, gains = _flip_gains(pl, np.asarray(weights, dtype=np.float64))
-    p = np.exp(-np.logaddexp(0.0, -gains))[pl.owner + 1]  # sigmoid without overflow
-    words = np.arange(len(gold))
-    out = np.zeros((len(gold), NUM_TAGS))
-    out[words, gold] += 1.0 - p  # outside sets flipped == gold, so the row still sums to 1
-    out[words, flipped] += p
-    return out
+    return _clamped([pl], np.asarray(weights, dtype=np.float64))[1]
+
+
+def _hard_em_targets(labels: Sequence[PartialLabelSet], weights: np.ndarray) -> np.ndarray:
+    """The members picked by :func:`hard_em_step`, concatenated: each set is
+    flipped iff that raises the score."""
+    gold, flipped, slot, gains = _flip_gains(labels, weights)
+    return np.where(gains[slot] > 0, flipped, gold)
+
+
+LOSSES = ("nll", "partial", "hard-em")
+
+
+def batch_losses(
+    lat: Lattice, weights: np.ndarray, lengths: Sequence[int], labels: Sequence[PartialLabelSet], loss: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The losses of a batch of right-aligned sentences, and their gradients.
+
+    ``weights`` and ``lengths`` are as in :func:`viterbi_rows`;
+    ``labels[b]`` is sentence ``b``'s label set, and ``loss`` one of
+    :data:`LOSSES`: :func:`nll` of each gold sequence (taken to be
+    well-formed), :func:`partial_nll`, or :func:`hard_em_step`.  Returns the
+    ``(B,)`` losses and the gradient rows of the sentences' words, one
+    sentence after another; each sentence gets, bit for bit, what it gets
+    alone.
+    """
+    weights = _check_weights(lat, weights, batched=True)
+    lengths = _check_lengths(lat, weights, lengths)
+    if [len(pl.owner) for pl in labels] != lengths.tolist():
+        raise ValueError("label set lengths do not match the sentence lengths")
+    log_z, probs = _posterior(lat, weights, lengths)
+    real = np.arange(lat.n) >= (lat.n - lengths)[:, None]
+    scores, grad = weights[real], probs[real]
+    if loss == "partial":
+        clamped_z, clamped = _clamped(labels, scores)
+        return log_z - clamped_z, grad - clamped
+    if loss == "hard-em":
+        target = _hard_em_targets(labels, scores)
+    elif loss == "nll":
+        target = np.concatenate([pl.gold.indices for pl in labels])
+    else:
+        raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
+    words = np.arange(len(target))
+    grad[words, target] -= 1.0
+    return log_z - _sums(scores[words, target], lengths), grad
 
 
 def nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np.ndarray]:
@@ -312,8 +477,14 @@ def nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np
         raise ValueError(f"gold length {len(gold)} != lattice length {lat.n}")
     if not is_well_formed(gold):
         raise IllFormed(gold.symbols())
-    log_z, probs = _posterior(lat, weights)
-    return log_z - sequence_score(weights, gold), probs - gold.one_hot()
+    return _nll(lat, weights, gold)
+
+
+def _nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np.ndarray]:
+    """:func:`nll` of checked weights and a well-formed gold sequence."""
+    alone = PartialLabelSet(gold, np.full(lat.n, -1), 0)
+    (loss,), grad = batch_losses(lat, weights[None], [lat.n], [alone], "nll")
+    return float(loss), grad
 
 
 def partial_nll(
@@ -326,8 +497,8 @@ def partial_nll(
     (the E-step quantity, treated as a constant with respect to ``weights``).
     """
     weights = _check_weights(lat, weights)
-    log_z, probs = _posterior(lat, weights)
-    return log_z - clamped_log_partition(pl, weights), probs - clamped_marginals(pl, weights)
+    (loss,), grad = batch_losses(lat, weights[None], [lat.n], [pl], "partial")
+    return float(loss), grad
 
 
 def hard_em_step(
@@ -340,7 +511,7 @@ def hard_em_step(
     over sets from left to right).
     """
     weights = _check_weights(lat, weights)
-    gold, flipped, gains = _flip_gains(pl, weights)
-    chosen = TagSequence.from_indices(np.where(gains[pl.owner + 1] > 0, flipped, gold))
-    loss, grad = nll(lat, weights, chosen)
-    return loss, grad, chosen
+    if len(pl.owner) != lat.n:
+        raise ValueError(f"label set length {len(pl.owner)} != lattice length {lat.n}")
+    chosen = TagSequence.from_indices(_hard_em_targets([pl], weights))
+    return *_nll(lat, weights, chosen), chosen

@@ -291,6 +291,17 @@ class Mention:
                 merged.append((b, e))
         object.__setattr__(self, "fragments", tuple(merged))
 
+    @classmethod
+    def _of_spans(cls, *spans: Sequence[int]) -> "Mention":
+        """The mention of one ``[start, end]`` span, or of two disjoint ones,
+        merged if they touch; built without the checks of the constructor."""
+        frags = sorted(map(tuple, spans))
+        if len(frags) == 2 and frags[0][1] + 1 == frags[1][0]:
+            frags = [(frags[0][0], frags[1][1])]
+        mention = object.__new__(cls)
+        object.__setattr__(mention, "fragments", tuple(frags))
+        return mention
+
     @property
     def is_continuous(self) -> bool:
         return len(self.fragments) == 1
@@ -632,9 +643,9 @@ def decode_batch(flat: np.ndarray, bounds: np.ndarray) -> list[MentionSet]:
     out = []
     for row in _checked_rows(flat, bounds):
         continuous, sets = _elements(row)
-        mentions = {Mention((span,)) for span in continuous}
+        mentions = {Mention._of_spans(span) for span in continuous}
         for xs, ys in sets:  # the Cartesian product of x- and y-components
-            mentions.update(Mention((x, y)) for x in xs for y in ys)
+            mentions.update(Mention._of_spans(x, y) for x in xs for y in ys)
         out.append(frozenset(mentions))
     return out
 

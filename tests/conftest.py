@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from disctag.inference import hard_em_step, nll, partial_nll
 from disctag.scheme import (
     CB,
     CI,
@@ -196,3 +197,12 @@ def fnv1a_reference(text: str) -> int:
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+# Each training loss as ``(lattice, weights, label set) -> (loss, gradient)``
+# for one sentence, through the library's one-sentence functions.
+LIBRARY_LOSSES = {
+    "nll": lambda lattice, w, pl: nll(lattice, w, pl.gold),
+    "partial": partial_nll,
+    "hard-em": lambda lattice, w, pl: hard_em_step(lattice, w, pl)[:2],
+}

@@ -4,12 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from disctag.automata import build_lattice, grammar_automaton
+from disctag import inference
+from disctag.automata import Automaton, build_lattice, grammar_automaton
 from disctag.errors import IllFormed
 from disctag.inference import (
     LOG,
+    SCALED,
     TROPICAL,
     PartialLabelSet,
+    _chart,
+    _log_posterior,
+    _posterior,
+    batch_losses,
     clamped_log_partition,
     clamped_marginals,
     forward,
@@ -17,12 +23,14 @@ from disctag.inference import (
     marginals,
     nll,
     partial_nll,
+    random_well_formed,
     sequence_score,
     viterbi,
     viterbi_batch,
 )
 from disctag.scheme import (
     CB,
+    CI,
     DB_BX,
     DB_BY,
     DI_BY,
@@ -37,7 +45,7 @@ from disctag.scheme import (
     to_two_layer,
 )
 
-from conftest import admissible_sequences
+from conftest import LIBRARY_LOSSES, admissible_sequences
 
 GRAMMAR = grammar_automaton("semantic")
 
@@ -58,7 +66,7 @@ def random_weights(rng, n, scale=2.0):
 
 
 class TestSemirings:
-    @pytest.mark.parametrize("sr", [TROPICAL, LOG], ids=lambda s: s.name)
+    @pytest.mark.parametrize("sr", [TROPICAL, LOG, SCALED], ids=lambda s: s.name)
     def test_identities_and_laws(self, sr):
         xs = np.array([-2.0, 0.0, 1.5])
         assert np.allclose(sr.plus(xs, sr.zero), xs)
@@ -426,3 +434,152 @@ class TestHardEm:
         _, _, chosen = hard_em_step(lat(ann.n), w, pl)
         assert chosen.tags == best.tags
         assert chosen.tags == members[0b0100].tags  # only set 1 flipped
+
+
+def right_aligned(rng, sentences, pad_scale=5.0):
+    """A (B, n, 10) batch of the (n_b, 10) matrices, with random padding before each."""
+    n = max(len(w) for w in sentences)
+    batch = rng.uniform(-pad_scale, pad_scale, (len(sentences), n, NUM_TAGS))
+    for b, w in enumerate(sentences):
+        batch[b, n - len(w) :] = w
+    return batch
+
+
+def random_labels(rng, mode, n):
+    """The label set of a random sequence of n words of the mode's grammar;
+    its sets are unresolved, except in structural mode."""
+    ann = to_two_layer(decode(random_well_formed(build_lattice(grammar_automaton(mode), n), rng)), n)
+    return PartialLabelSet.from_annotation(ann.structural() if mode == "structural" else ann)
+
+
+class TestBatchedPosterior:
+    @pytest.mark.parametrize("mode", ["semantic", "structural"])
+    def test_batch_equals_each_sentence_alone(self, mode):
+        grammar = grammar_automaton(mode)
+        rng = np.random.default_rng(61)
+        for batch in range(1, 17):
+            lengths = rng.integers(1, 301 if batch % 4 == 0 else 40, batch)
+            sentences = [random_weights(rng, n, scale=rng.choice([0.5, 3.0, 30.0])) for n in lengths]
+            log_z, probs = _posterior(build_lattice(grammar, lengths.max()), right_aligned(rng, sentences), lengths)
+            for b, w in enumerate(sentences):
+                alone = build_lattice(grammar, len(w))
+                assert log_z[b] == forward(alone, w)
+                assert np.array_equal(probs[b, lengths.max() - len(w) :], marginals(alone, w))
+
+    def test_log_fallback_in_a_batch(self, monkeypatch):
+        calls = []
+        log_posterior = inference._log_posterior
+        monkeypatch.setattr(inference, "_log_posterior", lambda *a: calls.append(a) or log_posterior(*a))
+        rng = np.random.default_rng(67)
+        lengths = np.array([5, 9, 3, 12])
+        sentences = [random_weights(rng, n) for n in lengths]
+        sentences[1] = random_weights(rng, 9, scale=1e300)  # underflows in the scaled chart
+        log_z, probs = _posterior(lat(12), right_aligned(rng, sentences), lengths)
+        assert len(calls) == 1 and np.array_equal(calls[0][1], sentences[1])
+        assert np.all(np.isfinite(log_z)) and np.all(np.isfinite(probs[1, 3:]))
+        calls.clear()
+        for b, w in enumerate(sentences):
+            assert log_z[b] == forward(lat(len(w)), w)
+            assert np.array_equal(probs[b, 12 - len(w) :], marginals(lat(len(w)), w))
+        # alone, forward and marginals each fall back for the 1e300 sentence, and only for it
+        assert len(calls) == 2 and all(np.array_equal(c[1], sentences[1]) for c in calls)
+
+    @pytest.mark.parametrize("mode", ["semantic", "structural"])
+    def test_scaled_matches_log_chart(self, mode):
+        grammar = grammar_automaton(mode)
+        rng = np.random.default_rng(71)
+        for n in [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233]:
+            for scale in (0.1, 2.0, 20.0):
+                w = random_weights(rng, n, scale=scale)
+                lat_n = build_lattice(grammar, n)
+                (log_z,), probs = _posterior(lat_n, w[None])
+                log_z_ref, probs_ref = _log_posterior(lat_n, w)
+                assert abs(log_z - log_z_ref) <= 1e-12 * abs(log_z_ref)
+                assert np.max(np.abs(probs[0] - probs_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["semantic", "structural"])
+    def test_scaled_matches_log_chart_at_large_weights(self, mode):
+        # scores that differ by hundreds underflow exp: such sentences must take the log chart
+        grammar = grammar_automaton(mode)
+        rng = np.random.default_rng(89)
+        for n in [2, 6, 20, 80]:
+            for scale in (1e2, 3e2, 1e3, 1e4):
+                for _ in range(3):
+                    w = random_weights(rng, n, scale=scale)
+                    lat_n = build_lattice(grammar, n)
+                    (log_z,), probs = _posterior(lat_n, w[None])
+                    log_z_ref, probs_ref = _log_posterior(lat_n, w)
+                    assert abs(log_z - log_z_ref) <= 1e-12 * abs(log_z_ref)
+                    # the log chart rounds its log sums, up to n * scale, to eps of them
+                    assert np.max(np.abs(probs[0] - probs_ref)) <= max(1e-12, 4 * n * scale * np.finfo(float).eps)
+
+    def test_subnormal_path_takes_the_log_chart(self):
+        # the best path opens a mention at 740 below the word's best tag, and
+        # exp(w - max w) keeps only a few digits of that: scaled alone, log Z
+        # would be off by 7e-3
+        w = np.full((2, NUM_TAGS), -100.0)
+        w[0, O.index] = 0.0
+        w[0, CB.index] = -740.0
+        w[1] = 300.0
+        w[1, CI.index] = 1042.0
+        (log_z,), probs = _posterior(lat(2), w[None])
+        log_z_ref, probs_ref = _log_posterior(lat(2), w)
+        assert abs(log_z - log_z_ref) <= 1e-12 * abs(log_z_ref)
+        assert np.max(np.abs(probs[0] - probs_ref)) <= 1e-12
+
+    def test_scaled_chart_flags_possible_underflow(self):
+        # a word's weights spanning more than 150 make the total NaN
+        w = np.zeros((2, 4, NUM_TAGS))
+        w[0, 1, CB.index] = -151.0
+        w[1, 1, CB.index] = -149.0
+        for backward in (False, True):
+            log_z, _ = _chart(lat(4), w, SCALED, backward=backward)
+            assert np.isnan(log_z[0]) and np.isfinite(log_z[1])
+        # so does a cell below 1e-250: in a chain grammar, the cell j steps
+        # along the chain is exp(-100 j) of its row, below it from j = 6 on
+        chain = 8
+        transitions = {(0, O, 0.0, 0), (0, CB, 0.0, 1), (chain, CI, 0.0, chain)}
+        transitions |= {(j, CI, 0.0, j + 1) for j in range(1, chain)}
+        grammar = Automaton(chain + 1, frozenset(transitions), 0, frozenset({0, chain}))
+        w = np.zeros((2, 6, NUM_TAGS))
+        w[..., CB.index] = w[..., CI.index] = -100.0
+        log_z, _ = _chart(build_lattice(grammar, 6), w, SCALED, lengths=np.array([6, 5]))
+        assert np.isnan(log_z[0]) and np.isfinite(log_z[1])
+
+    def test_unusable_cells_exactly_zero(self):
+        rng = np.random.default_rng(73)
+        lengths = np.array([4, 1, 7])
+        sentences = [random_weights(rng, n) for n in lengths]
+        _, probs = _posterior(lat(7), right_aligned(rng, sentences), lengths)
+        for b, w in enumerate(sentences):
+            usable = marginals(lat(len(w)), np.zeros_like(w)) > 0
+            assert np.all(probs[b, 7 - len(w) :][~usable] == 0.0)
+            assert np.all(probs[b, 7 - len(w) :][usable] > 0.0)
+
+
+class TestBatchLosses:
+    @pytest.mark.parametrize("loss", list(LIBRARY_LOSSES))
+    @pytest.mark.parametrize("mode", ["semantic", "structural"])
+    def test_batch_equals_library_loss_of_each_sentence(self, loss, mode):
+        grammar = grammar_automaton(mode)
+        rng = np.random.default_rng(79)
+        for batch in (1, 2, 8, 13):
+            lengths = rng.integers(1, 30, batch)
+            labels = [random_labels(rng, mode, n) for n in lengths]
+            sentences = [random_weights(rng, n) for n in lengths]
+            n = lengths.max()
+            losses, grad = batch_losses(build_lattice(grammar, n), right_aligned(rng, sentences), lengths, labels, loss)
+            rows = np.cumsum([0, *lengths])
+            for b, (w, pl) in enumerate(zip(sentences, labels)):
+                alone_loss, alone_grad = LIBRARY_LOSSES[loss](build_lattice(grammar, len(w)), w, pl)
+                assert losses[b] == alone_loss
+                assert np.array_equal(grad[rows[b] : rows[b + 1]], alone_grad)
+
+    def test_rejects_mismatched_labels_and_unknown_loss(self):
+        rng = np.random.default_rng(83)
+        labels = [random_labels(rng, "semantic", 4), random_labels(rng, "semantic", 3)]
+        w = np.zeros((2, 4, NUM_TAGS))
+        with pytest.raises(ValueError):
+            batch_losses(lat(4), w, [3, 4], labels, "nll")
+        with pytest.raises(ValueError):
+            batch_losses(lat(4), w, [4, 3], labels, "mle")

@@ -4,7 +4,7 @@ import pytest
 from disctag import model
 from disctag.automata import build_lattice, grammar_automaton
 from disctag.errors import ConfigError
-from disctag.inference import nll, random_well_formed
+from disctag.inference import PartialLabelSet, nll, random_well_formed
 from disctag.model import (
     FEATURES,
     LinearScorer,
@@ -28,7 +28,7 @@ from disctag.scheme import (
     to_two_layer,
 )
 
-from conftest import fnv1a_reference
+from conftest import LIBRARY_LOSSES, fnv1a_reference
 
 # ASCII, two-byte, three-byte and four-byte UTF-8, and a NUL byte
 VOCABULARY = ["pain", "in", "Arms", "é", "café", "日本語", "語", "😀", "x😀y", "a\x00", "", "ÉTÉ"]
@@ -239,6 +239,8 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(l2=-1.0)
+        with pytest.raises(ConfigError):
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize(
         "bad", [{"learning_rate": float("nan")}, {"learning_rate": float("inf")}, {"l2": float("inf")}]
@@ -324,6 +326,22 @@ class TestTraining:
         # one pass over the whole corpus, not one per sentence or per epoch
         assert [list(s) for s in calls] == [[t for t, _ in corpus]]
 
+    @pytest.mark.parametrize("loss", ["nll", "partial", "hard-em"])
+    def test_batch_of_one_is_the_library_loop(self, monkeypatch, loss):
+        monkeypatch.setattr(model, "TRAIN_BATCH", 1)
+        corpus = [(t, a) for t, _, a in synthetic_corpus(30, seed=23, min_len=1, max_len=14)]
+        config = TrainConfig(loss=loss, epochs=2, learning_rate=0.3, l2=0.01, seed=5)
+        expected = sgd_oracle(corpus, config, batch=1)
+        assert np.array_equal(train(corpus, config, dim=2**10).params, expected.params)
+
+    @pytest.mark.parametrize("loss", ["nll", "partial", "hard-em"])
+    def test_batch_of_eight_is_a_frozen_batch_oracle(self, loss):
+        assert model.TRAIN_BATCH == 8
+        corpus = [(t, a) for t, _, a in synthetic_corpus(45, seed=29, min_len=1, max_len=20)]
+        config = TrainConfig(loss=loss, epochs=2, learning_rate=0.3, l2=0.01, seed=6)
+        expected = sgd_oracle(corpus, config, batch=8)
+        assert np.array_equal(train(corpus, config, dim=2**10).params, expected.params)
+
     def test_length_mismatch_rejected(self):
         _, _, ann = synthetic_corpus(1, seed=1)[0]
         with pytest.raises(ConfigError):
@@ -338,12 +356,50 @@ class TestTraining:
         with pytest.raises(ConfigError, match="epoch 1"):
             train(corpus, TrainConfig(epochs=3, learning_rate=1e308), dim=2**12)
 
+    def test_negative_loss_is_divergence(self, monkeypatch):
+        # huge scores can cancel in log Z - A_clamped; a loss below zero stops training
+        corpus = [(t, a) for t, _, a in synthetic_corpus(20, seed=3)]  # three runs an epoch
+        calls = []
+        batch_losses = model.batch_losses
+
+        def fourth_negative(*args):
+            losses, grad = batch_losses(*args)
+            calls.append(len(losses))
+            return (np.full_like(losses, -1e-3) if len(calls) == 4 else losses), grad
+
+        monkeypatch.setattr(model, "batch_losses", fourth_negative)
+        with pytest.raises(ConfigError, match="epoch 2"):
+            train(corpus, TrainConfig(epochs=3), dim=2**12)
+        assert calls == [8, 8, 4, 8]
+
     def test_divergence_in_the_last_update_is_reported(self):
         # a repeated word accumulates its gradient rows, so one update overflows
         tokens = ("a",) * 6
         ann = to_two_layer([], len(tokens))
         with pytest.raises(ConfigError, match="epoch 1"):
             train([(tokens, ann)], TrainConfig(epochs=1, learning_rate=1e308), dim=64)
+
+
+def sgd_oracle(corpus, config, batch, dim=2**10):
+    """SGD with the library losses, one sentence at a time: the epoch's
+    permutation in runs of ``batch`` sentences, each scored with the params
+    frozen at the start of its run; then the run's touched rows decay once
+    and each sentence's gradient is applied in order."""
+    scorer = LinearScorer(dim=dim)
+    grammar = grammar_automaton("semantic")
+    examples = [(scorer.feature_indices(tokens), PartialLabelSet.from_annotation(ann)) for tokens, ann in corpus]
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        order = rng.permutation(len(examples))
+        for first in range(0, len(order), batch):
+            run = [examples[j] for j in order[first : first + batch]]
+            grads = [LIBRARY_LOSSES[config.loss](build_lattice(grammar, len(rows)), scorer.score_rows(rows), pl)[1]
+                     for rows, pl in run]
+            touched = np.unique(np.concatenate([rows for rows, _ in run]))
+            scorer.params[touched] *= 1.0 - config.learning_rate * config.l2
+            for (rows, _), grad in zip(run, grads):
+                scorer.apply_gradient(rows, grad, config.learning_rate, 0.0)
+    return scorer
 
 
 class TestPredict:

@@ -315,6 +315,21 @@ class TestRoundTrips:
             for member in orbit:
                 assert decode(member) == mentions
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_decoded_mentions_are_canonical(self, language, n):
+        # decoding builds mentions without the constructor's checks; each must
+        # equal, fragment for fragment, the mention the constructor builds
+        for ms in decode_batch(*as_rows(language.sequences(n))):
+            for m in ms:
+                assert m.fragments == Mention(m.fragments).fragments
+                assert all(type(i) is int for fragment in m.fragments for i in fragment)
+
+    def test_touching_components_merge(self):
+        # x at words 0-1, y at word 2 and again at 4: the pair (0-1, 2) touches
+        seq = [tag_by_symbol(s) for s in "DB-Bx DI-Ix DI-By DI-O DI-By".split()]
+        assert decode(seq) == {Mention(((0, 2),)), Mention(((0, 1), (4, 4)))}
+        assert {m.fragments for m in decode(seq)} == {((0, 2),), ((0, 1), (4, 4))}
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_flip_orbits_are_complete_preimages(self, language, n):
         # one-to-one mapping: no sequence outside the flip orbit may decode
