@@ -6,9 +6,10 @@ The package provides:
   one-to-one mapping between well-formed tag sequences and annotations
   (:mod:`disctag.scheme`);
 - a grammar automaton recognising exactly the well-formed sequences, compiled
-  once into a transition table (a successor table and the edges grouped by
-  source, by target and by tag) that ``build_lattice`` pairs with a sentence
-  length to give the acyclic intersection lattice (:mod:`disctag.automata`);
+  once, from its minimal DFA, into a transition table (a successor table and
+  the edges grouped for a two-way chart, for a backward chart and by tag)
+  that ``build_lattice`` pairs with a sentence length to give the acyclic
+  intersection lattice (:mod:`disctag.automata`);
 - exact MAP, log-partition and marginal inference on the lattice, all on one
   semiring chart routine whose steps are ``reduceat`` sums over those edge
   groups, plus fully- and partially-supervised losses with exact gradients

@@ -6,10 +6,10 @@ Intersecting it with the trivial sentence automaton of an ``n``-word sentence
 yields an acyclic lattice whose accepting paths are the well-formed sequences
 of length ``n``; all dynamic programs run on that lattice.  The lattice is
 ``n`` copies of one time-invariant transition table, which is compiled once
-per grammar and shared by the lattices of every length: a dense successor
-table, and the grammar's edges grouped three ways (:class:`EdgeGroups`), by
-source for the backward chart, by target for the forward chart and by tag
-for the marginals.  The dynamic programs of :mod:`disctag.inference`, the
+per grammar, from the minimal DFA of its language, and shared by the lattices
+of every length: a dense successor table, and the machine's edges grouped
+(:class:`EdgeGroups`) for the two-way chart, for the backward chart and by
+tag for the marginals.  The dynamic programs of :mod:`disctag.inference`, the
 path sampler ``random_well_formed`` included, sum over edges only through one
 ``reduceat`` over one of these groupings.
 """
@@ -58,13 +58,13 @@ Transition = tuple[int, "Tag | None", float, int]
 
 @dataclass(frozen=True, eq=False)
 class EdgeGroups:
-    """A grammar's edges ``(src, tag, dst)``, grouped by source, tag or target.
+    """Edges ``(src, tag, dst)`` grouped by one of their columns.
 
-    The edges of key ``k`` are the run ``bounds[k]:bounds[k + 1]``, in
-    ``(src, tag, dst)`` order.  A key with no edge gets one dead edge from and
-    to the dead state ``S`` (one past the last), whose chart entries stay
-    zero.  Any sum over edges, such as one chart step, is then one gather and
-    one ``reduceat``, whatever the batch.
+    The edges of key ``k`` are the run ``bounds[k]:bounds[k + 1]``, in the
+    order they are given.  A key with no edge gets one dead edge from and to
+    the dead state ``S`` (one past the last), whose chart entries stay zero.
+    Any sum over edges, such as one chart step, is then one gather and one
+    ``reduceat``, whatever the batch.
     """
 
     bounds: np.ndarray  # (K,) int
@@ -128,34 +128,46 @@ class Automaton:
 
     @functools.cached_property
     def _table(self) -> tuple:
-        """Read-only ``(next_state, final_mask, backward, forward, by_tag)``.
+        """Read-only ``(num_states, initial, next_state, final_mask, two_way, reverse, by_tag)``.
 
-        The transition table of a deterministic, epsilon-free automaton: the
-        dense successor table (``-1`` where undefined), the final-state mask,
-        and the edges grouped by source for the backward chart step, by
-        target for the forward one and by tag for the marginals (see
-        :class:`EdgeGroups`).  It is built on first use and shared by every
-        lattice of this automaton.
+        The transition table of the minimal DFA of this deterministic,
+        epsilon-free automaton's language, numbered as :func:`minimize` does:
+        its state count and initial state, the dense successor table (``-1``
+        where undefined), the final-state mask, and its edges grouped (see
+        :class:`EdgeGroups`) three ways, each group read at its edges' ``src``:
+
+        - ``two_way`` runs the forward and the backward chart in one pass over
+          ``2 * (S + 1)`` columns: the edges grouped by target, the dead state
+          ``S`` (its own group, one dead edge), then the reversed edges, from
+          ``S + 1 + dst`` to ``S + 1 + src``, grouped by their target;
+        - ``reverse`` is that backward half alone, over ``S + 1`` columns;
+        - ``by_tag`` holds the edges grouped by tag, for the marginals.
+
+        Each group keeps its edges in ``(src, tag, dst)`` order.  The table is
+        built on first use and shared by every lattice of this automaton.
         """
         if not self.is_deterministic:
             raise ValueError("intersection requires a deterministic, epsilon-free grammar")
+        minimal = minimize(self)
+        states = minimal.num_states
         edges = np.array(
-            sorted((src, label.index, dst) for src, label, _, dst in self.transitions),
+            sorted((src, label.index, dst) for src, label, _, dst in minimal.transitions),
             dtype=np.int64,
         ).reshape(-1, 3)
-        next_state = np.full((self.num_states, NUM_TAGS), -1, dtype=np.int64)
+        next_state = np.full((states, NUM_TAGS), -1, dtype=np.int64)
         next_state[edges[:, 0], edges[:, 1]] = edges[:, 2]
-        final_mask = np.zeros(self.num_states, dtype=bool)
-        final_mask[list(self.finals)] = True
-        states = self.num_states
+        final_mask = np.zeros(states, dtype=bool)
+        final_mask[list(minimal.finals)] = True
+        reversed_edges = edges[:, ::-1]
+        both = np.concatenate([edges, reversed_edges + [states + 1, 0, states + 1]])
         groups = (
-            EdgeGroups.of(edges, 0, states, states),
-            EdgeGroups.of(edges, 2, states, states),
+            EdgeGroups.of(both, 2, 2 * states + 1, states),
+            EdgeGroups.of(reversed_edges, 2, states, states),
             EdgeGroups.of(edges, 1, NUM_TAGS, states),
         )
         for array in (next_state, final_mask) + tuple(a for g in groups for a in vars(g).values()):
             array.flags.writeable = False
-        return (next_state, final_mask) + groups
+        return (states, minimal.initial, next_state, final_mask) + groups
 
     def _closure(self, states: frozenset[int]) -> frozenset[int]:
         out = set(states)
@@ -386,11 +398,11 @@ class Lattice:
     States are pairs ``(position, grammar state)`` with ``position`` in
     ``0..n``; every transition advances the position by one and reads the
     score of one ``(position, tag)`` cell of a weight matrix.  The grammar
-    part is time-invariant, so only ``n`` is per sentence: ``next_state`` is
-    the dense successor table of the (deterministic) grammar, and
-    ``backward``, ``forward`` and ``by_tag`` group its edges for the
-    dynamic programs.  These arrays are the grammar's compiled table,
-    read-only and shared by the lattices of every length.
+    part is time-invariant, so only ``n`` is per sentence: the grammar states
+    are those of the minimal DFA of the grammar's language, ``next_state`` is
+    its dense successor table, and ``two_way``, ``reverse`` and ``by_tag``
+    group its edges for the dynamic programs.  These arrays are the grammar's
+    compiled table, read-only and shared by the lattices of every length.
     """
 
     n: int
@@ -398,8 +410,8 @@ class Lattice:
     initial: int
     next_state: np.ndarray  # (S, NUM_TAGS) int, -1 where undefined
     final_mask: np.ndarray  # (S,) bool
-    backward: EdgeGroups  # edges by source: a state's suffix sum reads its successors
-    forward: EdgeGroups  # edges by target: a state's prefix sum reads its predecessors
+    two_way: EdgeGroups  # edges by target, then reversed edges by source: one pass of prefix and suffix sums
+    reverse: EdgeGroups  # reversed edges by source: a state's suffix sum reads its successors
     by_tag: EdgeGroups  # edges by tag: a tag's marginal sums its edges
 
 
@@ -409,9 +421,10 @@ def build_lattice(grammar: Automaton, n: int) -> Lattice:
     Constant time: the lattice attaches ``n`` to the grammar's compiled
     table.  A length with no accepting path is reported by the dynamic
     programs of :mod:`disctag.inference`, which raise
-    :class:`~disctag.errors.EmptyLanguage`.
+    :class:`~disctag.errors.EmptyLanguage`; a grammar that accepts nothing
+    at all raises it here, from :func:`minimize`.
     """
-    return Lattice(n, grammar.num_states, grammar.initial, *grammar._table)
+    return Lattice(n, *grammar._table)
 
 
 def export_text(a: Automaton) -> str:

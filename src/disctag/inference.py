@@ -8,12 +8,15 @@ Scores of a tag sequence are bilinear, ``<y, w> = sum_i w[i, y_i]``, so every
 gradient below is an ``(n, 10)`` matrix aligned with the weight matrix.
 
 One chart routine serves every program, on a batch of right-aligned
-sentences: each step sums a state's edges, grouped by source (backward) or by
-target (forward), with one ``reduceat``.  The marginals sum the edges grouped
-by tag the same way, and :func:`random_well_formed` samples paths through the
-states that a backward tropical chart finds co-reachable.  The losses of a
-batch (:func:`batch_losses`) run one forward and one backward chart; the
-single-sentence losses are batches of one.
+sentences and the grammar's table compiled from its minimal DFA.  The
+backward chart is the forward chart of the reversed edges with the words read
+right to left, so one pass of ``n`` steps gives both: each step sums every
+state's edges, of both halves, with one ``reduceat``.  Viterbi and
+:func:`random_well_formed` run the backward half alone; the latter samples
+paths through the states that a backward tropical chart finds co-reachable.
+The marginals sum the edges grouped by tag the same way.  The losses of a
+batch (:func:`batch_losses`) run one two-way pass; the single-sentence losses
+are batches of one.
 
 The partially-supervised losses marginalise over the label set of an
 annotation whose component types are unknown: flipping the x/y orientation of
@@ -113,31 +116,44 @@ def _check_lengths(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) ->
     return lengths
 
 
+def _in_word_order(steps: np.ndarray) -> np.ndarray:
+    """An ``(n, B, halves, ...)`` array of :func:`_chart`'s steps, its last half
+    (the backward one, whose step ``t`` reads word ``n - 1 - t``) reversed, so
+    that row ``i`` of every half belongs to word ``i``."""
+    return np.concatenate([steps[:, :, :-1], steps[::-1, :, -1:]], axis=2)
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # a scaled underflow shows in the totals
 def _chart(
-    lat: Lattice, weights: np.ndarray, sr: Semiring, backward: bool = False, lengths: np.ndarray | None = None
+    lat: Lattice, weights: np.ndarray, sr: Semiring, lengths: np.ndarray | None = None, backward: bool = False
 ):
-    """``(totals, chart)`` of a batch: the ``(n+1, B, S+1)`` prefix sums from
-    the initial state, or with ``backward`` the suffix sums into the final
-    states, and per sentence the sum over its accepting paths.  Column ``S``
-    is the dead state, with no paths: its sums stay zero.
+    """``(totals, charts)`` of a batch in one pass: ``charts`` is ``(alpha,
+    beta)``, the ``(n+1, B, S+1)`` prefix sums from the initial state and
+    suffix sums into the final states, or with ``backward`` only ``(beta,)``;
+    ``totals`` is ``(halves, B)``, per chart and sentence the sum over its
+    accepting paths.  Column ``S`` is the dead state, with no paths: its sums
+    stay zero.
 
     ``weights`` is ``(B, n, 10)``.  Sentences may be shorter and
     right-aligned: sentence ``b`` has ``lengths[b]`` words (by default
     ``n``), scored by the rows of ``weights[b]`` from ``start = n -
-    lengths[b]`` on.  Its suffix sums are the chart rows from ``start`` on,
-    and its prefix sums stay in the initial state up to row ``start``; the
-    other rows are padding.  Each step gathers the chart at the edges' far
-    ends and combines each state's edges with one ``reduceat``, in edge
+    lengths[b]`` on.  Its suffix sums are the rows of ``beta`` from
+    ``start`` on, and its prefix sums stay in the initial state up to row
+    ``start``; the other rows are padding.  The backward chart is the
+    forward chart of the reversed edges with the words read right to left,
+    so step ``t`` writes ``alpha[t + 1]`` and ``beta[n - 1 - t]`` together
+    (the grammar's ``two_way`` table, or its ``reverse`` half alone): it
+    gathers the chart at every edge's far end, multiplies by the edge
+    weights, and combines each state's edges with one ``reduceat``, in edge
     order.
 
     :data:`SCALED` is Rabiner's scaled forward-backward: each word's
-    weights are ``exp(w - max w)``, each step divides its row by the row's
+    weights are ``exp(w - max w)``, each step divides each half by its own
     sum, and a total is the log of the last sum plus the logs of every
-    divisor and word maximum.  Its total is NaN for a sentence whose chart
-    may have lost mass to underflow: one where some real word's weights span
-    more than ``_SPAN``, or some cell at a real word was positive but below
-    ``_TINY`` before its row was divided.  In any other sentence no cell can
+    divisor and word maximum.  Its total is NaN for a chart that may have
+    lost mass to underflow: one where some real word's weights span more
+    than ``_SPAN``, or some cell at a real word was positive but below
+    ``_TINY`` before its half was divided.  In any other chart no cell can
     underflow to zero, and every cell is right to rounding.  The other
     semirings raise :class:`EmptyLanguage` if some sentence has no accepting
     path.
@@ -145,54 +161,56 @@ def _chart(
     batch, n = weights.shape[:2]
     starts = np.zeros(batch, dtype=np.intp) if lengths is None else n - lengths
     states = lat.num_grammar_states
-    chart = np.full((n + 1, batch, states + 1), sr.zero)
-    groups = lat.backward if backward else lat.forward
-    # each sentence's chart entries at the edges' far ends, as indices into a flat chart row
-    far = np.arange(batch)[:, None] * (states + 1) + (groups.dst if backward else groups.src)
-    flat = chart.reshape(n + 1, -1)
+    halves, groups = (1, lat.reverse) if backward else (2, lat.two_way)
+    steps = np.full((n + 1, batch, halves, states + 1), sr.zero)  # steps[t]: after t words of each half
+    rows = steps.reshape(n + 1, batch, -1)
+    flat = steps.reshape(n + 1, -1)
+    far = np.arange(batch)[:, None] * rows.shape[2] + groups.src  # edges' far ends in a flat chart row
     per_word = weights.transpose(1, 0, 2)  # (n, B, 10)
     scaled = sr is SCALED
     if scaled:
         top = per_word.max(axis=2, keepdims=True)
         per_word = np.exp(per_word - top)
-        scale = np.ones((n, batch, 1))
-    edge_weights = np.take(per_word, groups.tag, axis=2)  # (n, B, E)
-    if backward:
-        order, read, write = range(n - 1, -1, -1), 1, 0
-        chart[n, :, :states][:, lat.final_mask] = sr.one
-    else:
-        order, read, write = range(n), 0, 1
-        chart[0, :, lat.initial] = sr.one
-        waiting = (np.arange(n)[:, None] < starts)[..., None]  # (n, B, 1): row i + 1 still before the first word
-    last_start = starts.max(initial=0)
-    for i in order:
-        edges = flat[i + read].take(far)
-        sr.times(edges, edge_weights[i], out=edges)
-        row = chart[i + write]
-        sr.plus.reduceat(edges, groups.bounds, axis=1, out=row[:, :states])
-        if not backward and i < last_start:
-            np.copyto(row, chart[0], where=waiting[i])
+        scale = np.ones((n, batch, halves, 1))
+    # the edges of the forward half read word t at step t, the reversed ones word n - 1 - t
+    split = groups.bounds[(halves - 1) * (states + 1)]
+    edge_weights = np.empty((n, batch, len(groups.tag)))
+    np.take(per_word, groups.tag[:split], axis=2, out=edge_weights[:, :, :split], mode="clip")
+    np.take(per_word[::-1], groups.tag[split:], axis=2, out=edge_weights[:, :, split:], mode="clip")
+    steps[0, :, -1, :states][:, lat.final_mask] = sr.one
+    last_start = 0
+    if not backward:
+        steps[0, :, 0, lat.initial] = sr.one
+        waiting = (np.arange(n)[:, None] < starts)[..., None]  # (n, B, 1): row t + 1 still before the first word
+        last_start = starts.max(initial=0)
+    for t in range(n):
+        edges = flat[t].take(far)
+        sr.times(edges, edge_weights[t], out=edges)
+        sr.plus.reduceat(edges, groups.bounds, axis=1, out=rows[t + 1, :, :-1])  # the last dead state stays
+        if t < last_start:
+            np.copyto(steps[t + 1, :, 0], steps[0, :, 0], where=waiting[t])
         if scaled:
-            np.add.reduce(row, axis=1, keepdims=True, out=scale[i])
-            row /= scale[i]
-    if backward:
-        totals = chart[starts, np.arange(batch), lat.initial]
-    else:
-        totals = sr.plus.reduce(chart[n, :, :states][:, lat.final_mask], axis=1)
+            np.add.reduce(steps[t + 1], axis=2, keepdims=True, out=scale[t])
+            steps[t + 1] /= scale[t]
+    charts = (steps[:, :, 0], steps[::-1, :, -1])[2 - halves :]
+    totals = [steps[n - starts, np.arange(batch), -1, lat.initial]]
+    if not backward:
+        totals.insert(0, sr.plus.reduce(steps[n, :, 0, :states][:, lat.final_mask], axis=1))
+    totals = np.stack(totals)
     if scaled:
-        real = np.arange(n)[:, None] >= starts  # (n, B): step i reads a real word
+        real = (np.arange(n)[:, None] >= starts)[..., None]  # (n, B, 1): word i is real
         # summed in word order, so padding (zeros, first) leaves a sentence's sum as it is alone
-        logs = np.where(real, np.log(scale[..., 0]) + top[..., 0], 0.0)
-        log_totals = np.log(totals) + (np.cumsum(logs, axis=0)[-1] if n else 0.0)
-        written = chart[write : n + write, :, :states] * scale  # each step's cells before the division
-        small = (written > 0) & (written < _TINY)
-        wide = per_word < np.exp(-_SPAN)
+        logs = np.where(real, np.log(_in_word_order(scale)[..., 0]) + top, 0.0)
+        log_totals = np.log(totals) + (np.cumsum(logs, axis=0)[-1].T if n else 0.0)
+        written = steps[1:, :, :, :states] * scale  # each step's cells before the division
+        small = ((written > 0) & (written < _TINY)).any(axis=3)
+        wide = (per_word < np.exp(-_SPAN)).any(axis=2, keepdims=True)
         if small.any() or wide.any():  # rare, so the sentences are looked for only then
-            log_totals[((small.any(axis=2) | wide.any(axis=2)) & real).any(axis=0)] = np.nan
-        return log_totals, chart
+            log_totals[((_in_word_order(small) | wide) & real).any(axis=0).T] = np.nan
+        return log_totals, charts
     if (totals == sr.zero).any():
         raise EmptyLanguage("lattice has no accepting path")
-    return totals, chart
+    return totals, charts
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # failed rows are recomputed
@@ -201,19 +219,18 @@ def _posterior(lat: Lattice, weights: np.ndarray, lengths: np.ndarray | None = N
     for right-aligned sentences as in :func:`_chart` (padding rows of the
     marginals are undefined).
 
-    One scaled forward and one scaled backward chart; each tag's edges are
-    summed with one ``reduceat``, in edge order, and each marginal row is
-    divided by its own sum, so the scales cancel.  A sentence where either
-    chart may have lost mass to underflow (see :func:`_chart`), or where
-    some marginal row sums to less than ``_TINY``, is recomputed alone by
+    One scaled two-way chart; each tag's edges are summed with one
+    ``reduceat``, in edge order, and each marginal row is divided by its own
+    sum, so the scales cancel.  A sentence where either half of the chart
+    may have lost mass to underflow (see :func:`_chart`), or where some
+    marginal row sums to less than ``_TINY``, is recomputed alone by
     :func:`_log_posterior`; that happens only with large weights, whose
     scores differ by hundreds.  Each sentence gets, bit for bit, what it gets
     alone.
     """
     batch, n = weights.shape[:2]
     starts = np.zeros(batch, dtype=np.intp) if lengths is None else n - lengths
-    log_z, alpha = _chart(lat, weights, SCALED, lengths=lengths)
-    log_z_back, beta = _chart(lat, weights, SCALED, backward=True, lengths=lengths)
+    (log_z, log_z_back), (alpha, beta) = _chart(lat, weights, SCALED, lengths)
     per_word = weights.transpose(1, 0, 2)
     scaled = np.exp(per_word - per_word.max(axis=2, keepdims=True))
     edges = lat.by_tag
@@ -230,13 +247,12 @@ def _posterior(lat: Lattice, weights: np.ndarray, lengths: np.ndarray | None = N
 
 
 def _log_posterior(lat: Lattice, weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """``log Z`` and the tag marginals of one sentence, from one forward and
-    one backward log-semiring chart; each marginal row is normalised by its
-    own log-sum (``log Z`` in exact arithmetic), so with large weights
-    rounding cannot push a row off one.
+    """``log Z`` and the tag marginals of one sentence, from one two-way
+    log-semiring chart; each marginal row is normalised by its own log-sum
+    (``log Z`` in exact arithmetic), so with large weights rounding cannot
+    push a row off one.
     """
-    (log_z,), alpha = _chart(lat, weights[None], LOG)
-    _, beta = _chart(lat, weights[None], LOG, backward=True)
+    ((log_z,), _), (alpha, beta) = _chart(lat, weights[None], LOG)
     edges = lat.by_tag
     edge_logp = alpha[:-1, 0, edges.src] + weights[:, edges.tag] + beta[1:, 0, edges.dst]
     acc = np.logaddexp.reduceat(edge_logp, edges.bounds, axis=1)
@@ -250,7 +266,7 @@ def random_well_formed(lat: Lattice, rng: np.random.Generator) -> tuple[Tag, ...
     one with a finite score in a backward tropical chart over zero weights.
     Raises :class:`EmptyLanguage` if the lattice has no accepting path.
     """
-    _, beta = _chart(lat, np.zeros((1, lat.n, NUM_TAGS)), TROPICAL, backward=True)
+    _, (beta,) = _chart(lat, np.zeros((1, lat.n, NUM_TAGS)), TROPICAL, backward=True)
     alive = beta[:, 0] > NEG_INF  # the dead state, where next_state is -1, never is
     q = lat.initial
     out: list[Tag] = []
@@ -298,7 +314,8 @@ def viterbi_rows(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> n
     lengths = _check_lengths(lat, weights, lengths)
     batch, n, states = len(weights), lat.n, lat.num_grammar_states
     starts = n - lengths
-    beta = _chart(lat, weights, TROPICAL, backward=True, lengths=lengths)[1][1:]
+    # contiguous, in position order: gathers from the chart's reversed view run up to 3x slower
+    beta = np.ascontiguousarray(_chart(lat, weights, TROPICAL, lengths, backward=True)[1][0][1:])
     per_word = weights.transpose(1, 0, 2)
     # best[i, b, s]: the lowest tag of a best step from state s at word i, found
     # one tag at a time so that no (n, B, S, 10) array is needed; an undefined
@@ -329,7 +346,8 @@ def forward(lat: Lattice, weights: np.ndarray) -> float:
 
     It is the :func:`_posterior` of a batch of one, so that it is, bit for
     bit, the ``log Z`` of the losses, under the same fallback rule; that
-    costs two to four times one chart.
+    costs one two-way pass, and one more in the log semiring where the
+    scaled one may have underflowed.
     """
     return float(_posterior(lat, _check_weights(lat, weights)[None])[0][0])
 
@@ -360,12 +378,15 @@ class PartialLabelSet:
     k: int
 
     @classmethod
-    def from_annotation(cls, ann: SentenceAnnotation) -> "PartialLabelSet":
+    def from_annotation(cls, ann: SentenceAnnotation, *, gold: TagSequence | None = None) -> "PartialLabelSet":
+        """The label set of ``ann``, whose encoding is ``gold``: by default
+        ``encode(ann)``, or the caller's own, as :func:`~disctag.scheme.encode_batch`
+        gives it for a whole corpus."""
         owner = np.full(ann.n, -1)
         free = [s for s in ann.sets if not s.resolved]
         for slot, s in enumerate(free):
             owner[s.span[0] : s.span[1] + 1] = slot
-        return cls(gold=encode(ann), owner=owner, k=len(free))
+        return cls(gold=encode(ann) if gold is None else gold, owner=owner, k=len(free))
 
     def __len__(self) -> int:
         return 2**self.k

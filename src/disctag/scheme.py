@@ -55,6 +55,7 @@ __all__ = [
     "to_two_layer",
     "from_two_layer",
     "encode",
+    "encode_batch",
     "decode",
     "decode_annotation",
     "decode_batch",
@@ -555,28 +556,42 @@ def encode(ann: SentenceAnnotation) -> TagSequence:
     ``DB-B<type>``, later component starts ``DI-B<type>``, continuations
     ``DI-I<type>`` and gap words ``DI-O``; everything else is ``O``.
     """
-    tags: list[Tag] = [O] * ann.n
-    for m in ann.continuous:
-        b, e = m.fragments[0]
-        tags[b] = CB
-        for w in range(b + 1, e + 1):
-            tags[w] = CI
-    for s in ann.sets:
-        span_b, span_e = s.span
-        for w in range(span_b, span_e + 1):
-            tags[w] = DI_O
-        for c in s.components:
-            if c.ctype is ComponentType.X:
-                begin, inside = (DB_BX if c.start == span_b else DI_BX), DI_IX
-            else:
-                begin, inside = (DB_BY if c.start == span_b else DI_BY), DI_IY
-            tags[c.start] = begin
-            for w in range(c.start + 1, c.end + 1):
-                tags[w] = inside
-    ts = TagSequence(tuple(tags))
-    if not is_well_formed(ts):
+    return encode_batch([ann])[0]
+
+
+def encode_batch(anns: Iterable[SentenceAnnotation]) -> list[TagSequence]:
+    """The :func:`encode` of each annotation, checked by one
+    :func:`is_well_formed_batch` call.
+
+    Raises :class:`EncodingViolation`, naming the first annotation's tags
+    that break a rule.
+    """
+    out = []
+    for ann in anns:
+        tags: list[Tag] = [O] * ann.n
+        for m in ann.continuous:
+            b, e = m.fragments[0]
+            tags[b] = CB
+            for w in range(b + 1, e + 1):
+                tags[w] = CI
+        for s in ann.sets:
+            span_b, span_e = s.span
+            for w in range(span_b, span_e + 1):
+                tags[w] = DI_O
+            for c in s.components:
+                if c.ctype is ComponentType.X:
+                    begin, inside = (DB_BX if c.start == span_b else DI_BX), DI_IX
+                else:
+                    begin, inside = (DB_BY if c.start == span_b else DI_BY), DI_IY
+                tags[c.start] = begin
+                for w in range(c.start + 1, c.end + 1):
+                    tags[w] = inside
+        out.append(TagSequence(tuple(tags)))
+    ok = is_well_formed_batch(*as_rows(out))
+    if not ok.all():
+        ts = out[int(np.argmin(ok))]
         raise EncodingViolation(f"annotation encodes to an ill-formed sequence: {ts.symbols()}")
-    return ts
+    return out
 
 
 def _elements(row: Sequence[int]) -> tuple[list[list[int]], list[tuple[list, list]]]:

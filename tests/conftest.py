@@ -161,6 +161,36 @@ def accepting_sequences(lattice) -> set:
     return {seq for seq, q in paths if lattice.final_mask[q]}
 
 
+def max_sum_reference(automaton, weights) -> tuple[float, tuple[int, ...]]:
+    """Best score and tag indices of a sequence that ``automaton`` accepts,
+    by plain-Python max-sum over its transition list.
+
+    The oracle for Viterbi on the compiled (minimal) table: it reads the
+    determinised machine's transitions, so it shares neither the table nor
+    its state numbering.  Suffix scores come first; then the walk from the
+    initial state takes at each word the lowest tag that keeps the best
+    score, so ties go to the lowest tag, left to right.
+    """
+    weights = [list(map(float, row)) for row in weights]
+    step: dict[int, list[tuple[int, int]]] = {}
+    for src, label, _, dst in automaton.transitions:
+        step.setdefault(src, []).append((label.index, dst))
+    best = [{q: 0.0 for q in automaton.finals}]  # best[j]: suffix scores before the last j words
+    for row in reversed(weights):
+        after, here = best[-1], {}
+        for q, edges in step.items():
+            scores = [row[t] + after[d] for t, d in edges if d in after]
+            if scores:
+                here[q] = max(scores)
+        best.append(here)
+    best.reverse()
+    q, tags = automaton.initial, []
+    for i, row in enumerate(weights):
+        t, q = min((t, d) for t, d in step[q] if d in best[i + 1] and row[t] + best[i + 1][d] == best[i][q])
+        tags.append(t)
+    return best[0][automaton.initial], tuple(tags)
+
+
 def with_flips(ann, flips) -> SentenceAnnotation:
     """``ann`` with the x/y orientation of each set whose flag is true flipped."""
     if len(flips) != len(ann.sets):

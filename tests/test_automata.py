@@ -168,7 +168,7 @@ class TestLattice:
         assert (short.n, long.n) == (3, 300)
 
         def table(lat):
-            groups = (lat.backward, lat.forward, lat.by_tag)
+            groups = (lat.two_way, lat.reverse, lat.by_tag)
             return [lat.next_state, lat.final_mask] + [a for g in groups for a in vars(g).values()]
 
         assert len(table(short)) == 14
@@ -177,6 +177,15 @@ class TestLattice:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = array[0]
+
+    def test_compiled_table_is_the_minimal_dfa(self, semantic, structural):
+        # the grammar (and its export) stays determinised; its table is compiled from the minimal DFA
+        for grammar, determinised, compiled in ((semantic, (16, 77), (13, 58)), (structural, (9, 39), (9, 39))):
+            lat = build_lattice(grammar, 2)
+            assert (grammar.num_states, len(grammar.transitions)) == determinised
+            assert (lat.num_grammar_states, int((lat.next_state >= 0).sum())) == compiled
+            minimal = minimize(grammar)
+            assert (minimal.num_states, len(minimal.transitions)) == compiled
 
     def test_nondeterministic_grammar_rejected(self):
         nfa = Automaton(2, {(0, O, 0.0, 0), (0, O, 0.0, 1)}, 0, {0})
@@ -187,7 +196,7 @@ class TestLattice:
         # the backward tropical chart over zero weights that random_well_formed
         # samples through: a finite score marks a co-reachable state
         lat = build_lattice(semantic, 4)
-        _, beta = _chart(lat, np.zeros((1, 4, NUM_TAGS)), TROPICAL, backward=True)
+        _, (beta,) = _chart(lat, np.zeros((1, 4, NUM_TAGS)), TROPICAL, backward=True)
         bwd = beta[:, 0, : lat.num_grammar_states] > -np.inf
         assert bwd.shape == (5, lat.num_grammar_states)
         assert bwd[0, lat.initial]

@@ -33,7 +33,10 @@ from disctag.scheme import (
     CI,
     DB_BX,
     DB_BY,
+    DI_BX,
     DI_BY,
+    DI_IX,
+    DI_IY,
     NUM_TAGS,
     O,
     Mention,
@@ -45,7 +48,7 @@ from disctag.scheme import (
     to_two_layer,
 )
 
-from conftest import LIBRARY_LOSSES, admissible_sequences
+from conftest import LIBRARY_LOSSES, admissible_sequences, max_sum_reference
 
 GRAMMAR = grammar_automaton("semantic")
 
@@ -131,6 +134,21 @@ class TestViterbiBatch:
                     best = max(scores)
                     first = min(tuple(t.index for t in s) for s, x in zip(seqs, scores) if x == best)
                     assert tuple(got[b].indices) == first
+
+    @pytest.mark.parametrize("mode", ["semantic", "structural"])
+    def test_matches_max_sum_over_the_determinised_grammar(self, mode):
+        # Viterbi runs on the minimal DFA's table, the oracle on the
+        # determinised machine's transitions; integer weights tie often
+        grammar = grammar_automaton(mode)
+        rng = np.random.default_rng(47)
+        for lengths in ([1], [200], [3, 200, 57, 1, 120], rng.integers(1, 201, 8), np.arange(1, 41)):
+            n = int(max(lengths))
+            w = rng.integers(-2, 3, size=(len(lengths), n, NUM_TAGS)).astype(float)
+            got = viterbi_batch(build_lattice(grammar, n), w, lengths)
+            for b, m in enumerate(lengths):
+                score, tags = max_sum_reference(grammar, w[b, n - m :])
+                assert tuple(got[b].indices) == tags
+                assert sequence_score(w[b, n - m :], got[b]) == score
 
     def test_batch_of_one_is_viterbi(self):
         rng = np.random.default_rng(43)
@@ -534,7 +552,7 @@ class TestBatchedPosterior:
         w[1, 1, CB.index] = -149.0
         for backward in (False, True):
             log_z, _ = _chart(lat(4), w, SCALED, backward=backward)
-            assert np.isnan(log_z[0]) and np.isfinite(log_z[1])
+            assert np.isnan(log_z[:, 0]).all() and np.isfinite(log_z[:, 1]).all()
         # so does a cell below 1e-250: in a chain grammar, the cell j steps
         # along the chain is exp(-100 j) of its row, below it from j = 6 on
         chain = 8
@@ -544,7 +562,77 @@ class TestBatchedPosterior:
         w = np.zeros((2, 6, NUM_TAGS))
         w[..., CB.index] = w[..., CI.index] = -100.0
         log_z, _ = _chart(build_lattice(grammar, 6), w, SCALED, lengths=np.array([6, 5]))
-        assert np.isnan(log_z[0]) and np.isfinite(log_z[1])
+        assert np.isnan(log_z[:, 0]).all() and np.isfinite(log_z[:, 1]).all()
+
+    @pytest.mark.parametrize("small_half", [0, 1], ids=["forward", "backward"])
+    def test_underflow_in_one_half_falls_back_alone(self, monkeypatch, small_half):
+        # a chain of six states, each step along it costing 100: entered one
+        # step at a time and left at once, its prefix sums underflow and its
+        # suffix sums do not; entered at once and left one step at a time,
+        # the other way round
+        if small_half == 0:
+            transitions = {(0, O, 0.0, 0), (0, CB, 0.0, 1)} | {(j, CI, 0.0, j + 1) for j in range(1, 6)}
+            transitions |= {(j, O, 0.0, 0) for j in range(1, 7)}
+        else:
+            entries = (DB_BX, DB_BY, DI_BX, DI_BY, DI_IX, DI_IY)
+            transitions = {(0, O, 0.0, 0), (1, CB, 0.0, 0)} | {(j, CI, 0.0, j - 1) for j in range(2, 7)}
+            transitions |= {(0, tag, 0.0, j) for j, tag in enumerate(entries, start=1)}
+        grammar = Automaton(7, frozenset(transitions), 0, frozenset({0}))
+        rng = np.random.default_rng(103)
+        lengths = np.array([9, 4, 12, 7])
+        sentences = [random_weights(rng, n) for n in lengths]
+        sentences[2] = np.zeros((12, NUM_TAGS))
+        sentences[2][:, [CB.index, CI.index]] = -100.0
+        batch = right_aligned(rng, sentences)
+        log_z, _ = _chart(build_lattice(grammar, 12), batch, SCALED, lengths)
+        assert np.isnan(log_z[small_half, 2]) and np.isfinite(log_z[1 - small_half, 2])
+        assert np.isfinite(np.delete(log_z, 2, axis=1)).all()
+        calls = []
+        log_posterior = inference._log_posterior
+        monkeypatch.setattr(inference, "_log_posterior", lambda *a: calls.append(a) or log_posterior(*a))
+        log_z, probs = _posterior(build_lattice(grammar, 12), batch, lengths)
+        assert len(calls) == 1 and np.array_equal(calls[0][1], sentences[2])
+        for b, w in enumerate(sentences):
+            alone = build_lattice(grammar, len(w))
+            assert log_z[b] == forward(alone, w)
+            assert np.array_equal(probs[b, 12 - len(w) :], marginals(alone, w))
+
+    @pytest.mark.parametrize("mode", ["semantic", "structural"])
+    def test_log_pass_matches_enumeration(self, language, mode):
+        grammar = grammar_automaton(mode)
+        rng = np.random.default_rng(97)
+        for n in range(1, 6):
+            seqs = [s for s in language.sequences(n) if mode == "semantic" or is_structural(s)]
+            idx = np.array([[t.index for t in s] for s in seqs])
+            for scale in (0.5, 3.0, 300.0):
+                w = random_weights(rng, n, scale=scale)
+                scores = w[np.arange(n), idx].sum(axis=1)
+                log_z = np.logaddexp.reduce(scores)
+                expected = np.zeros((n, NUM_TAGS))
+                for i in range(n):
+                    np.add.at(expected[i], idx[:, i], np.exp(scores - log_z))
+                lat_n = build_lattice(grammar, n)
+                totals, _ = _chart(lat_n, w[None], LOG)
+                assert totals[:, 0] == pytest.approx([log_z, log_z], rel=1e-12)
+                got_z, got = _log_posterior(lat_n, w)
+                assert got_z == totals[0, 0]
+                assert np.max(np.abs(got - expected)) <= max(1e-12, 4 * n * scale * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("mode", ["semantic", "structural"])
+    def test_every_length_up_to_n_equals_alone(self, mode):
+        grammar = grammar_automaton(mode)
+        rng = np.random.default_rng(107)
+        for n in (9, 40):
+            lengths = rng.permutation(np.arange(1, n + 1))
+            sentences = [random_weights(rng, m, scale=rng.choice([0.5, 3.0, 30.0])) for m in lengths]
+            batch = right_aligned(rng, sentences)
+            log_z, probs = _posterior(build_lattice(grammar, n), batch, lengths)
+            log_totals, _ = _chart(build_lattice(grammar, n), batch, LOG, lengths)
+            for b, w in enumerate(sentences):
+                alone = build_lattice(grammar, len(w))
+                assert log_z[b] == forward(alone, w)
+                assert np.array_equal(probs[b, n - len(w) :], marginals(alone, w))
+                assert np.array_equal(log_totals[:, b], _chart(alone, w[None], LOG)[0][:, 0])
 
     def test_unusable_cells_exactly_zero(self):
         rng = np.random.default_rng(73)

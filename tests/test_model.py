@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from disctag import model
+from disctag import model, scheme
 from disctag.automata import build_lattice, grammar_automaton
-from disctag.errors import ConfigError
+from disctag.errors import ConfigError, EncodingViolation
 from disctag.inference import PartialLabelSet, nll, random_well_formed
 from disctag.model import (
     FEATURES,
@@ -22,6 +22,10 @@ from disctag.scheme import (
     NUM_TAGS,
     O,
     TAGS,
+    Component,
+    ComponentType,
+    SentenceAnnotation,
+    TwoLayerSet,
     decode,
     encode,
     is_well_formed,
@@ -190,6 +194,24 @@ class TestLinearScorer:
         assert np.array_equal(decayed.params, plain.params)
         assert np.array_equal(decayed.params[untouched], params[untouched])
 
+    def test_flat_update_is_the_row_wise_update(self):
+        # repeated rows, and a word whose features share a row: each cell's
+        # updates apply in word order, bit for bit as row-wise subtract.at does
+        rng = np.random.default_rng(17)
+        params = rng.normal(size=(64, NUM_TAGS))
+        rows = rng.integers(0, 64, size=(40, FEATURES))
+        rows[7], rows[9, 2] = rows[3], rows[9, 0]
+        assert len(np.unique(rows)) < rows.size
+        grad = rng.normal(size=(40, NUM_TAGS))
+        lr, l2 = 0.3, 0.05
+        expected = params.copy()
+        expected[np.unique(rows)] *= 1.0 - lr * l2
+        np.subtract.at(expected, rows.ravel(), lr * np.repeat(grad, FEATURES, axis=0))
+        for start in (params.copy(), np.asfortranarray(params)):
+            scorer = LinearScorer(dim=64, params=start)
+            scorer.apply_gradient(rows, grad, lr, l2)
+            assert np.array_equal(scorer.params, expected)
+
     def test_serialization_round_trip(self, tmp_path):
         params = np.random.default_rng(1).normal(size=(256, NUM_TAGS))
         s = LinearScorer(dim=256, params=params)
@@ -341,6 +363,24 @@ class TestTraining:
         config = TrainConfig(loss=loss, epochs=2, learning_rate=0.3, l2=0.01, seed=6)
         expected = sgd_oracle(corpus, config, batch=8)
         assert np.array_equal(train(corpus, config, dim=2**10).params, expected.params)
+
+    def test_gold_sequences_checked_in_one_call(self, monkeypatch):
+        corpus = [(t, a) for t, _, a in synthetic_corpus(12, seed=9)]
+        calls = []
+        check = scheme.is_well_formed_batch
+        monkeypatch.setattr(scheme, "is_well_formed_batch", lambda *a: calls.append(a) or check(*a))
+        train(corpus, TrainConfig(loss="partial", epochs=1), dim=2**10)
+        assert len(calls) == 1 and len(calls[0][1]) == len(corpus) + 1
+
+    def test_ill_formed_encoding_names_its_tags(self):
+        corpus = [(t, a) for t, _, a in synthetic_corpus(5, seed=2)]
+        # two adjacent single-word components: to_two_layer never builds this set
+        bad = SentenceAnnotation(
+            2, (), (TwoLayerSet((Component(0, 0, ComponentType.X), Component(1, 1, ComponentType.Y))),)
+        )
+        corpus.insert(3, (("a", "b"), bad))
+        with pytest.raises(EncodingViolation, match="ill-formed sequence: DB-Bx DI-By$"):
+            train(corpus, TrainConfig(epochs=1), dim=2**10)
 
     def test_length_mismatch_rejected(self):
         _, _, ann = synthetic_corpus(1, seed=1)[0]

@@ -18,6 +18,7 @@ from disctag.scheme import (
     SentenceAnnotation,
     TagSequence,
     as_rows,
+    encode_batch,
     decode,
     decode_annotation,
     decode_batch,
@@ -289,6 +290,22 @@ class TestEncodeDecode:
         )
         with pytest.raises(EncodingViolation):
             encode(bad)
+
+    def test_encode_batch_names_the_first_violation(self):
+        from disctag.scheme import Component, TwoLayerSet
+
+        good = [decode_annotation(ts(s)) for s in ("O CB CI", "DB-By DI-O DI-Bx", "CB DB-Bx DI-O DI-By DI-Iy")]
+        assert encode_batch(good) == [encode(a) for a in good]
+        assert encode_batch([]) == []
+        def adjacent(n):  # an x word, then a y component up to word n - 1: ill-formed
+            components = (Component(0, 0, ComponentType.X), Component(1, n - 1, ComponentType.Y))
+            return SentenceAnnotation(n, (), (TwoLayerSet(components),))
+
+        bad = [adjacent(2), adjacent(3)]
+        with pytest.raises(EncodingViolation, match="ill-formed sequence: DB-Bx DI-By$"):
+            encode_batch([good[0], bad[0], good[1], bad[1]])
+        with pytest.raises(EncodingViolation, match="ill-formed sequence: DB-Bx DI-By DI-Iy$"):
+            encode_batch([good[0], bad[1]])
 
     def test_structural_canonicalisation(self):
         seq = ts("DB-By DI-O DI-Bx")
