@@ -8,6 +8,7 @@ bounds), 2 on I/O or parse errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -106,6 +107,22 @@ def _write(path: str, text: str) -> None:
 
 def _write_records(path: str, records) -> None:
     _write(path, corpus_io.corpus_text(records))
+
+
+@contextlib.contextmanager
+def _opened_first(path: str):
+    """Open the output ``path`` before the work that fills it, so that a path
+    that cannot be written fails first; a run that fails leaves no file that
+    was not there, and an existing file as it was until the work writes it."""
+    created = not os.path.exists(path)
+    with open(path, "ab"):
+        pass
+    try:
+        yield
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _cmd_validate(args) -> int:
@@ -216,18 +233,9 @@ def _cmd_train(args) -> int:
         l2=args.l2,
         seed=args.seed,
     )
-    # open the output now, so that a path that cannot be written fails before
-    # the first epoch; a run that fails leaves no file that was not there
-    created = not os.path.exists(args.model)
-    with open(args.model, "ab"):
-        pass
-    try:
+    with _opened_first(args.model):  # fails before the first epoch
         scorer = train(data, config, mode=args.mode, dim=args.dim)
-    except BaseException:
-        if created:
-            os.remove(args.model)
-        raise
-    scorer.save(args.model)
+        scorer.save(args.model)
     print(f"trained on {len(data)} sentences; model written to {args.model}", file=sys.stderr)
     return 0
 
@@ -235,9 +243,11 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     records = corpus_io.read_corpus(args.corpus)
     scorer = LinearScorer.load(args.model)
-    mention_sets = predict_mentions(scorer, [r.tokens for r in records], args.mode)
-    out = [corpus_io.CorpusRecord(r.tokens, ms) for r, ms in zip(records, mention_sets)]
-    _write_records(args.output, out)
+    output = contextlib.nullcontext() if args.output == "-" else _opened_first(args.output)
+    with output:  # a path that cannot be written fails before predicting
+        mention_sets = predict_mentions(scorer, [r.tokens for r in records], args.mode)
+        out = [corpus_io.CorpusRecord(r.tokens, ms) for r, ms in zip(records, mention_sets)]
+        _write_records(args.output, out)
     return 0
 
 

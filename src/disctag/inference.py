@@ -312,33 +312,31 @@ def viterbi_rows(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> n
     after another in one flat array."""
     weights = _check_weights(lat, weights, batched=True)
     lengths = _check_lengths(lat, weights, lengths)
-    batch, n, states = len(weights), lat.n, lat.num_grammar_states
+    batch, n, width = len(weights), lat.n, lat.num_grammar_states + 1
     starts = n - lengths
-    # contiguous, in position order: gathers from the chart's reversed view run up to 3x slower
-    beta = np.ascontiguousarray(_chart(lat, weights, TROPICAL, lengths, backward=True)[1][0][1:])
+    _, (beta,) = _chart(lat, weights, TROPICAL, lengths, backward=True)
     per_word = weights.transpose(1, 0, 2)
-    # best[i, b, s]: the lowest tag of a best step from state s at word i, found
-    # one tag at a time so that no (n, B, S, 10) array is needed; an undefined
-    # step (-1) reads the last column, the dead state
-    best = np.zeros((n, batch, states), dtype=np.intp)
-    top = np.take(beta, lat.next_state[:, 0], axis=2)
-    top += per_word[:, :, :1]
-    for tag in range(1, NUM_TAGS):
-        score = np.take(beta, lat.next_state[:, tag], axis=2)
-        score += per_word[:, :, tag : tag + 1]
-        np.copyto(best, tag, where=score > top)
-        np.maximum(top, score, out=top)
-    succ = lat.next_state[np.arange(states), best]
-    succ[np.arange(n)[:, None] < starts, lat.initial] = lat.initial  # padding keeps the initial state
-    # walk all sentences at once over flat (sentence, state) indices
-    flat_succ = (succ + np.arange(batch)[:, None] * states).reshape(n, batch * states)
-    at = np.arange(batch) * states + lat.initial
-    path = np.empty((n, batch), dtype=np.int64)
-    for i, row in enumerate(flat_succ):
-        path[i] = at
-        at = row[at]
-    tags = best.reshape(n, batch * states)[np.arange(n)[:, None], path].T
-    return tags[np.arange(n) >= starts[:, None]]
+    # Walk along the best path, every sentence at once, each one's state held as
+    # its cell b * width + q of a chart row: at word i a sentence scores the ten
+    # successors of its state, beta[i + 1, b, next_state[q]] + w[i, b], and takes
+    # the first best tag, the lowest.  These are the sums and comparisons of a
+    # best tag per (word, state), made on the path only, so no (n, B, S) array
+    # is built.  An undefined step (-1) reads the last column, the dead state,
+    # whose score is -inf.
+    rows = np.arange(batch)
+    succ = np.vstack([lat.next_state, np.full(NUM_TAGS, -1)]) % width  # the dead state's row is dead
+    cells = (succ + rows[:, None, None] * width).reshape(batch * width, NUM_TAGS)
+    chosen = rows * NUM_TAGS  # sentence b's tag t is cell b * 10 + t of a (B, 10) step
+    at = rows * width + lat.initial
+    tags = np.empty((n, batch), dtype=np.intp)
+    last_start = starts.max(initial=0)
+    for i in range(n):
+        step = cells.take(at, axis=0)
+        score = beta[i + 1].take(step)
+        score += per_word[i]
+        best = step.take(score.argmax(axis=1, out=tags[i]) + chosen)
+        at = best if i >= last_start else np.where(i < starts, at, best)  # padding keeps the initial state
+    return tags.T[np.arange(n) >= starts[:, None]]
 
 
 def forward(lat: Lattice, weights: np.ndarray) -> float:

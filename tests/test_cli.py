@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from disctag import model
+from disctag import cli, model
 from disctag.cli import main
 from disctag.corpus import (
     Lexicon,
@@ -209,6 +209,28 @@ class TestTrainPredictEval:
         assert main(["predict", str(corpus_file), "--model", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_unwritable_output_fails_before_predicting(self, corpus_file, tmp_path, capsys, monkeypatch, where):
+        model_path = tmp_path / "model.npz"
+        LinearScorer(dim=64).save(model_path)
+        out = tmp_path / "missing" / "out.txt" if where == "missing-dir" else tmp_path
+        calls = []
+        monkeypatch.setattr(cli, "predict_mentions", lambda *args: calls.append(args))
+        assert main(["predict", str(corpus_file), "--model", str(model_path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not calls
+
+    def test_failed_predict_leaves_no_new_output(self, corpus_file, tmp_path, capsys):
+        bad = tmp_path / "huge.npz"
+        LinearScorer(dim=64, params=np.full((64, NUM_TAGS), 1e308)).save(bad)  # scores overflow
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        old.write_text("kept\n", encoding="utf-8")
+        for out in (new, old):
+            assert main(["predict", str(corpus_file), "--model", str(bad), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.count("error: ") == 2
+        assert not new.exists() and old.read_text(encoding="utf-8") == "kept\n"
 
     def test_predict_structural_mode(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -27,6 +27,7 @@ from disctag.inference import (
     sequence_score,
     viterbi,
     viterbi_batch,
+    viterbi_rows,
 )
 from disctag.scheme import (
     CB,
@@ -149,6 +150,19 @@ class TestViterbiBatch:
                 score, tags = max_sum_reference(grammar, w[b, n - m :])
                 assert tuple(got[b].indices) == tags
                 assert sequence_score(w[b, n - m :], got[b]) == score
+
+    @pytest.mark.parametrize("mode", ["semantic", "structural"])
+    def test_wide_batch_equals_each_sentence_alone(self, mode):
+        # as wide as the batches `disctag predict` runs, in no order, a 1-word
+        # sentence included; integer weights tie often, and padding rows hold
+        # weights too
+        grammar = grammar_automaton(mode)
+        rng = np.random.default_rng(53)
+        lengths = rng.permutation(np.concatenate([[1, 40], rng.integers(1, 41, size=510)]))
+        w = rng.integers(-2, 3, size=(len(lengths), 40, NUM_TAGS)).astype(float)
+        got = viterbi_rows(build_lattice(grammar, 40), w, lengths)
+        alone = [viterbi(build_lattice(grammar, m), w[b, 40 - m :])[1].indices for b, m in enumerate(lengths)]
+        assert got.tolist() == np.concatenate(alone).tolist()
 
     def test_batch_of_one_is_viterbi(self):
         rng = np.random.default_rng(43)

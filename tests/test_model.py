@@ -4,7 +4,7 @@ import pytest
 from disctag import model, scheme
 from disctag.automata import build_lattice, grammar_automaton
 from disctag.errors import ConfigError, EncodingViolation
-from disctag.inference import PartialLabelSet, nll, random_well_formed
+from disctag.inference import PartialLabelSet, nll, random_well_formed, viterbi_rows
 from disctag.model import (
     FEATURES,
     LinearScorer,
@@ -478,6 +478,22 @@ class TestPredict:
         got = predict_batch(scorer, sentences, mode)
         assert [len(ts) for ts in got] == lengths
         assert [ts.tags for ts in got] == [predict_tags(scorer, t, mode).tags for t in sentences]
+
+    @pytest.mark.parametrize("mode", ["semantic", "structural"])
+    def test_batches_at_the_real_budget_match_per_sentence(self, mode, monkeypatch):
+        rng = np.random.default_rng(37)
+        scorer = LinearScorer(dim=256, params=rng.integers(-2, 3, size=(256, NUM_TAGS)).astype(float))
+        sentences = random_sentences(rng, [1, 2, 3, *rng.integers(100, 401, size=150)])
+        widths = []
+
+        def counted(lat, weights, lengths):
+            widths.append(len(lengths))
+            return viterbi_rows(lat, weights, lengths)
+
+        monkeypatch.setattr(model, "viterbi_rows", counted)
+        got = [ts.tags for ts in predict_batch(scorer, sentences, mode)]
+        assert len(widths) >= 3 and sum(widths) == len(sentences)
+        assert got == [predict_tags(scorer, t, mode).tags for t in sentences]
 
     def test_sentence_longer_than_the_budget(self, monkeypatch):
         rng = np.random.default_rng(31)
