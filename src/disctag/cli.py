@@ -16,8 +16,8 @@ import sys
 from . import corpus as corpus_io
 from .automata import export_text, grammar_automaton, minimize
 from .errors import ConfigError, DisctagError, Incompatible, LengthMismatch, ParseError
-from .model import LinearScorer, TrainConfig, predict_mentions, train
-from .scheme import as_rows, decode_batch, encode, is_well_formed_batch
+from .model import LinearScorer, TrainConfig, predict_rows, train
+from .scheme import as_rows, encode_batch, is_well_formed_batch, mention_table
 
 SCALING_BOUND = 2.5  # doubling the sentence may at most 2.5x the median time
 
@@ -105,10 +105,6 @@ def _write(path: str, text: str) -> None:
             handle.write(text)
 
 
-def _write_records(path: str, records) -> None:
-    _write(path, corpus_io.corpus_text(records))
-
-
 @contextlib.contextmanager
 def _opened_first(path: str):
     """Open the output ``path`` before the work that fills it, so that a path
@@ -136,37 +132,38 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    """``encode``, and ``silver``, which orients sets by its lexicon first."""
     records = corpus_io.read_corpus(args.corpus)
-    lines = []
+    lexicon = corpus_io.Lexicon.from_file(args.lexicon) if args.command == "silver" else None
+    anns = []
     for i, record in enumerate(records, start=1):
         try:
             ann = corpus_io.annotate(record)
         except Incompatible as err:
             print(f"record {i}: incompatible ({err.reason})", file=sys.stderr)
             return 1
-        lines.append(encode(ann).symbols())
-    _write(args.output, "".join(line + "\n" for line in lines))
+        anns.append(ann if lexicon is None else corpus_io.silver_type(ann, record.tokens, lexicon))
+    if lexicon is not None:
+        resolved = [s.resolved for ann in anns for s in ann.sets]
+        print(f"sets disambiguated by the lexicon: {sum(resolved)}; left latent: {resolved.count(False)}",
+              file=sys.stderr)
+    _write(args.output, "".join(ts.symbols() + "\n" for ts in encode_batch(anns)))
     return 0
 
 
 def _cmd_decode(args) -> int:
     sequences = corpus_io.read_tag_file(args.tags)
-    mention_sets = decode_batch(*as_rows(sequences))
+    table = mention_table(*as_rows(sequences))
     if args.corpus is None:
-        _write(
-            args.output,
-            "".join(corpus_io.format_mentions(ms) + "\n" for ms in mention_sets),
-        )
+        _write(args.output, "".join(line + "\n" for line in corpus_io.mention_lines(table, len(sequences))))
         return 0
     records = corpus_io.read_corpus(args.corpus)
     if len(records) != len(sequences):
         raise LengthMismatch(f"corpus has {len(records)} records but tag file has {len(sequences)} sequences")
-    out = []
-    for record, ts, ms in zip(records, sequences, mention_sets):
+    for record, ts in zip(records, sequences):
         if record.n != len(ts):
             raise LengthMismatch(f"length mismatch for sentence {' '.join(record.tokens)!r}")
-        out.append(corpus_io.CorpusRecord(record.tokens, ms))
-    _write_records(args.output, out)
+    _write(args.output, corpus_io.table_text([r.tokens for r in records], table))
     return 0
 
 
@@ -188,27 +185,7 @@ def _cmd_filter(args) -> int:
     for reason, count in sorted(by_reason.items()):
         print(f"dropped {count} record(s): {reason}", file=sys.stderr)
     print(f"kept {len(kept)}/{len(records)} records", file=sys.stderr)
-    _write_records(args.output, kept)
-    return 0
-
-
-def _cmd_silver(args) -> int:
-    records = corpus_io.read_corpus(args.corpus)
-    lexicon = corpus_io.Lexicon.from_file(args.lexicon)
-    resolved = unresolved = 0
-    lines = []
-    for i, record in enumerate(records, start=1):
-        try:
-            ann = corpus_io.annotate(record)
-        except Incompatible as err:
-            print(f"record {i}: incompatible ({err.reason})", file=sys.stderr)
-            return 1
-        ann = corpus_io.silver_type(ann, record.tokens, lexicon)
-        resolved += sum(s.resolved for s in ann.sets)
-        unresolved += sum(not s.resolved for s in ann.sets)
-        lines.append(encode(ann).symbols())
-    print(f"sets disambiguated by the lexicon: {resolved}; left latent: {unresolved}", file=sys.stderr)
-    _write(args.output, "".join(line + "\n" for line in lines))
+    _write(args.output, corpus_io.corpus_text(kept))
     return 0
 
 
@@ -245,15 +222,18 @@ def _cmd_predict(args) -> int:
     scorer = LinearScorer.load(args.model)
     output = contextlib.nullcontext() if args.output == "-" else _opened_first(args.output)
     with output:  # a path that cannot be written fails before predicting
-        mention_sets = predict_mentions(scorer, [r.tokens for r in records], args.mode)
-        out = [corpus_io.CorpusRecord(r.tokens, ms) for r, ms in zip(records, mention_sets)]
-        _write_records(args.output, out)
+        sentences = [r.tokens for r in records]
+        table = mention_table(*predict_rows(scorer, sentences, args.mode))
+        _write(args.output, corpus_io.table_text(sentences, table))
     return 0
 
 
 def _cmd_eval(args) -> int:
     gold = corpus_io.read_corpus(args.gold)
     predicted = corpus_io.read_corpus(args.predicted)
+    for i, (g, p) in enumerate(zip(gold, predicted), start=1):
+        if g.n != p.n:
+            raise LengthMismatch(f"record {i} has {g.n} gold tokens but {p.n} predicted tokens")
     report = corpus_io.evaluate([r.mentions for r in gold], [r.mentions for r in predicted])
     print(report.summary())
     return 0
@@ -298,7 +278,7 @@ _COMMANDS = {
     "decode": _cmd_decode,
     "stats": _cmd_stats,
     "filter": _cmd_filter,
-    "silver": _cmd_silver,
+    "silver": _cmd_encode,
     "train": _cmd_train,
     "predict": _cmd_predict,
     "eval": _cmd_eval,

@@ -40,6 +40,8 @@ __all__ = [
     "CorpusRecord",
     "format_mentions",
     "corpus_text",
+    "mention_lines",
+    "table_text",
     "read_corpus",
     "write_corpus",
     "read_tag_file",
@@ -147,10 +149,27 @@ def read_corpus(path) -> list[CorpusRecord]:
     return records
 
 
+def mention_lines(table: np.ndarray, count: int) -> list[str]:
+    """The mention line of each of ``count`` sentences from their
+    :func:`~disctag.scheme.mention_table`, as :func:`format_mentions` writes it."""
+    texts = [f"{b1}-{e1}" if b2 < 0 else f"{b1}-{e1};{b2}-{e2}" for _, b1, e1, b2, e2 in table.tolist()]
+    cuts = np.searchsorted(table[:, 0], np.arange(count + 1)).tolist()
+    return ["|".join(texts[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _layout(lines: Iterable[tuple[str, str]]) -> str:
+    """The corpus file of records given as (token line, mention line) pairs."""
+    return "\n".join(f"{tokens}\n{mentions}\n" for tokens, mentions in lines)
+
+
 def corpus_text(records: Iterable[CorpusRecord]) -> str:
-    return "\n".join(
-        f"{' '.join(r.tokens)}\n{format_mentions(r.mentions)}\n" for r in records
-    )
+    return _layout((" ".join(r.tokens), format_mentions(r.mentions)) for r in records)
+
+
+def table_text(sentences: Sequence[Sequence[str]], table: np.ndarray) -> str:
+    """The :func:`corpus_text` of the sentences with the mentions of their
+    :func:`~disctag.scheme.mention_table`, built without mention objects."""
+    return _layout(zip(map(" ".join, sentences), mention_lines(table, len(sentences))))
 
 
 def write_corpus(records: Iterable[CorpusRecord], path) -> None:

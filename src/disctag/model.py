@@ -39,6 +39,7 @@ __all__ = [
     "predict_tags",
     "predict_batch",
     "predict_mentions",
+    "predict_rows",
     "sentence_features",
 ]
 
@@ -117,7 +118,10 @@ class LinearScorer:
             raise ConfigError("feature dimension must be positive")
         self.dim = dim
         if params is None:
-            params = np.zeros((dim, NUM_TAGS))
+            try:
+                params = np.zeros((dim, NUM_TAGS))
+            except (MemoryError, ValueError):  # ValueError: more bytes than an address holds
+                raise ConfigError(f"feature dimension {dim} is too large: its params cannot be allocated") from None
         # min and max are non-finite iff some entry is, and need no (dim, 10) temporary
         elif np.shape(params) != (dim, NUM_TAGS) or not np.isfinite([np.min(params), np.max(params)]).all():
             raise ConfigError(f"params must be a finite ({dim}, {NUM_TAGS}) matrix")
@@ -343,7 +347,7 @@ def predict_batch(
     :func:`~disctag.inference.viterbi_rows`, so every sequence is the one
     the sentence gets alone.
     """
-    return from_rows(*_predicted_rows(scorer, sentences, mode))
+    return from_rows(*predict_rows(scorer, sentences, mode))
 
 
 def predict_mentions(
@@ -351,15 +355,16 @@ def predict_mentions(
 ) -> list[MentionSet]:
     """:func:`predict` of every sentence, in order: the tag indices of
     :func:`predict_batch`, decoded under one well-formedness check."""
-    return decode_batch(*_predicted_rows(scorer, sentences, mode))
+    return decode_batch(*predict_rows(scorer, sentences, mode))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as a ConfigError
-def _predicted_rows(
-    scorer: LinearScorer, sentences: Sequence[Sequence[str]], mode: str
+def predict_rows(
+    scorer: LinearScorer, sentences: Sequence[Sequence[str]], mode: str = "semantic"
 ) -> tuple[np.ndarray, np.ndarray]:
     """The tag indices of :func:`predict_batch`, flat and in order, and the
-    bounds of each sentence in them (see :func:`~disctag.scheme.as_rows`)."""
+    bounds of each sentence in them (see :func:`~disctag.scheme.as_rows`),
+    as :func:`~disctag.scheme.mention_table` reads them."""
     if not all(sentences):
         raise ValueError("cannot score an empty sentence")
     grammar = grammar_automaton(mode)

@@ -59,6 +59,7 @@ __all__ = [
     "decode",
     "decode_annotation",
     "decode_batch",
+    "mention_table",
     "as_rows",
     "from_rows",
     "is_well_formed_batch",
@@ -92,11 +93,14 @@ NUM_TAGS = len(TAGS)
 
 _BY_SYMBOL = {t.symbol: t for t in TAGS}
 
-# Tag indices by their part in a parse (see _elements).
+# Tag indices by their part in a parse; _PART[t]: tag t opens a set (2), begins
+# a continuous mention or a component (1), continues one (-1), or none (0)
 _SET_OPENERS = frozenset((DB_BX.index, DB_BY.index))
 _X_BEGINS = frozenset((DB_BX.index, DI_BX.index))
 _Y_BEGINS = frozenset((DB_BY.index, DI_BY.index))
-_COMPONENT_INSIDE = frozenset((DI_IX.index, DI_IY.index))
+_PART = np.zeros(NUM_TAGS, dtype=np.int8)
+_PART[[CB.index, DI_BX.index, DI_BY.index, *_SET_OPENERS]] = [1, 1, 1, 2, 2]
+_PART[[CI.index, DI_IX.index, DI_IY.index]] = -1
 
 # The six rules as tables over tag indices; row _START of a table indexed by
 # the previous tag stands for the start of a sentence.
@@ -291,17 +295,6 @@ class Mention:
             else:
                 merged.append((b, e))
         object.__setattr__(self, "fragments", tuple(merged))
-
-    @classmethod
-    def _of_spans(cls, *spans: Sequence[int]) -> "Mention":
-        """The mention of one ``[start, end]`` span, or of two disjoint ones,
-        merged if they touch; built without the checks of the constructor."""
-        frags = sorted(map(tuple, spans))
-        if len(frags) == 2 and frags[0][1] + 1 == frags[1][0]:
-            frags = [(frags[0][0], frags[1][1])]
-        mention = object.__new__(cls)
-        object.__setattr__(mention, "fragments", tuple(frags))
-        return mention
 
     @property
     def is_continuous(self) -> bool:
@@ -594,75 +587,78 @@ def encode_batch(anns: Iterable[SentenceAnnotation]) -> list[TagSequence]:
     return out
 
 
-def _elements(row: Sequence[int]) -> tuple[list[list[int]], list[tuple[list, list]]]:
-    """Parse a well-formed sequence of tag indices: the ``[start, end]`` of
-    each continuous mention, and per set those of its x and of its y components."""
-    cb, ci = CB.index, CI.index
-    continuous: list[list[int]] = []
-    sets: list[tuple[list, list]] = []
-    for i, t in enumerate(row):
-        if t == cb:
-            continuous.append([i, i])
-        elif t == ci:
-            continuous[-1][1] = i
-        elif t in _COMPONENT_INSIDE:
-            component[1] = i
-        elif t in _X_BEGINS or t in _Y_BEGINS:
-            if t in _SET_OPENERS:
-                sets.append(([], []))
-            component = [i, i]
-            sets[-1][t in _Y_BEGINS].append(component)
-    return continuous, sets
-
-
-def _checked_rows(flat: np.ndarray, bounds: np.ndarray) -> list[list[int]]:
-    """The sequences of a batch as lists of tag indices.
-
-    Raises :class:`IllFormed`, naming the first sequence that breaks a rule.
-    """
+def _components(flat: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per continuous mention and set component of a batch (see :func:`as_rows`),
+    in order: its sentence, first and last word, begin tag, and set (the DB-*
+    tags up to it).  Raises :class:`IllFormed`, naming the first sequence that
+    fails the one :func:`is_well_formed_batch` check."""
+    flat = np.asarray(flat)
+    bounds = np.asarray(bounds, dtype=np.intp)
     ok = is_well_formed_batch(flat, bounds)
-    flat, bounds = np.asarray(flat).tolist(), np.asarray(bounds).tolist()
     if not ok.all():
         k = int(np.argmin(ok))
-        raise IllFormed(" ".join(TAGS[t].symbol for t in flat[bounds[k] : bounds[k + 1]]))
-    return [flat[a:b] for a, b in itertools.pairwise(bounds)]
+        raise IllFormed(" ".join(TAGS[t].symbol for t in flat[bounds[k] : bounds[k + 1]].tolist()))
+    part = _PART[flat]
+    begins = (part > 0).nonzero()[0]  # array methods: a batch of one pays less per call
+    # an element ends before the next tag that does not continue it; no
+    # well-formed sequence starts with CI or DI-I*, so it ends in its sentence
+    stops = np.concatenate(((part >= 0).nonzero()[0], [len(flat)]))
+    ends = stops[stops.searchsorted(begins, side="right")] - 1
+    sentence = bounds.searchsorted(begins, side="right") - 1
+    offset = bounds[sentence]
+    return sentence, begins - offset, ends - offset, flat[begins], (part[begins] == 2).cumsum()
+
+
+def mention_table(flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The mentions of a batch (see :func:`as_rows`) as rows ``(sentence, b1,
+    e1, b2, e2)`` of their fragments, ``b2 = e2 = -1`` for a single one.
+
+    A set's mentions are the product of its x and y components; a pair that
+    touches is one fragment.  Rows are sorted (-1 first), the order of
+    :func:`~disctag.corpus.format_mentions`.  Raises as :func:`_components`."""
+    sentence, start, end, tags, sets = _components(flat, bounds)
+    x = _SPAN_COUNTS[tags, 0].nonzero()[0]
+    y = _SPAN_COUNTS[tags, 1].nonzero()[0]
+    # each x component pairs with the y components of its set, a run of y
+    first = sets[y].searchsorted(sets[x])
+    pairs = sets[y].searchsorted(sets[x], side="right") - first
+    xs = x.repeat(pairs)
+    ys = y[(first - pairs.cumsum() + pairs).repeat(pairs) + np.arange(len(xs))]
+    # elements are in word order; a continuous mention pairs with itself
+    cont = (tags == CB.index).nonzero()[0]
+    lo = np.concatenate((cont, np.minimum(xs, ys)))
+    hi = np.concatenate((cont, np.maximum(xs, ys)))
+    b1, e1, b2, e2 = start[lo], end[lo], start[hi], end[hi]
+    one = (lo == hi) | (e1 + 1 == b2)
+    e1[one] = e2[one]
+    b2[one] = e2[one] = -1
+    # by element; a touching pair last, as its first fragment ends later
+    order = np.lexsort((hi, one, lo))
+    return np.array((sentence[lo], b1, e1, b2, e2)).T[order]
 
 
 def decode_annotation(ts: TagSequence | Sequence[Tag]) -> SentenceAnnotation:
-    """Parse a well-formed tag sequence back into an annotation.
-
-    Raises :class:`IllFormed` if the sequence breaks any rule; decoding never
-    guesses.
-    """
-    (row,) = _checked_rows(*as_rows([ts]))
-    continuous, sets = _elements(row)
-    return SentenceAnnotation(
-        len(row),
-        tuple(Mention((span,)) for span in continuous),
-        tuple(
-            TwoLayerSet(
-                tuple(Component(b, e, ComponentType.X) for b, e in xs)
-                + tuple(Component(b, e, ComponentType.Y) for b, e in ys)
-            )
-            for xs, ys in sets
-        ),
-    )
+    """Parse a well-formed tag sequence back into an annotation, typing each
+    component by its tag.  Raises :class:`IllFormed` if the sequence breaks
+    any rule; decoding never guesses."""
+    flat, bounds = as_rows([ts])
+    _, start, end, tags, sets = _components(flat, bounds)
+    continuous, components = [], {}
+    for b, e, t, s in zip(start.tolist(), end.tolist(), tags.tolist(), sets.tolist()):
+        if t == CB.index:
+            continuous.append(Mention(((b, e),)))
+        else:
+            components.setdefault(s, []).append(Component(b, e, ComponentType.X if t in _X_BEGINS else ComponentType.Y))
+    return SentenceAnnotation(len(flat), tuple(continuous), tuple(map(TwoLayerSet, components.values())))
 
 
 def decode_batch(flat: np.ndarray, bounds: np.ndarray) -> list[MentionSet]:
-    """:func:`decode` of each sequence of a batch (see :func:`as_rows`), under
-    one :func:`is_well_formed_batch` check.
-
-    Raises :class:`IllFormed`, naming the first sequence that breaks a rule.
-    """
-    out = []
-    for row in _checked_rows(flat, bounds):
-        continuous, sets = _elements(row)
-        mentions = {Mention._of_spans(span) for span in continuous}
-        for xs, ys in sets:  # the Cartesian product of x- and y-components
-            mentions.update(Mention._of_spans(x, y) for x in xs for y in ys)
-        out.append(frozenset(mentions))
-    return out
+    """:func:`decode` of each sequence of a batch (see :func:`as_rows`), from
+    the rows of its :func:`mention_table`."""
+    table = mention_table(flat, bounds)
+    mentions = [Mention(((b1, e1),) if b2 < 0 else ((b1, e1), (b2, e2))) for _, b1, e1, b2, e2 in table.tolist()]
+    cuts = np.searchsorted(table[:, 0], np.arange(len(bounds))).tolist()
+    return [frozenset(mentions[a:b]) for a, b in itertools.pairwise(cuts)]
 
 
 def decode(ts: TagSequence | Sequence[Tag]) -> MentionSet:

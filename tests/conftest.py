@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from disctag.inference import hard_em_step, nll, partial_nll
@@ -14,7 +15,11 @@ from disctag.scheme import (
     DI_IY,
     DI_O,
     TAGS,
+    Component,
+    ComponentType,
+    Mention,
     SentenceAnnotation,
+    TwoLayerSet,
     encode,
 )
 
@@ -236,3 +241,64 @@ LIBRARY_LOSSES = {
     "partial": partial_nll,
     "hard-em": lambda lattice, w, pl: hard_em_step(lattice, w, pl)[:2],
 }
+
+
+def _elements(seq) -> tuple[list[list[int]], list[tuple[list, list]]]:
+    """Parse a well-formed tag sequence one tag at a time: the ``[start, end]``
+    of each continuous mention, and per set those of its x and of its y components."""
+    continuous: list[list[int]] = []
+    sets: list[tuple[list, list]] = []
+    for i, t in enumerate(seq):
+        if t is CB:
+            continuous.append([i, i])
+        elif t is CI:
+            continuous[-1][1] = i
+        elif t in (DI_IX, DI_IY):
+            component[1] = i
+        elif t in _COMPONENT_BEGIN:
+            if t in _SET_START:
+                sets.append(([], []))
+            component = [i, i]
+            sets[-1][t in (DB_BY, DI_BY)].append(component)
+    return continuous, sets
+
+
+def decode_reference(seq) -> frozenset:
+    """The mentions of a well-formed tag sequence: its continuous mentions, and
+    the Cartesian product of each set's x and y components, built by the
+    checking :class:`Mention` constructor (which merges a pair that touches).
+
+    The oracle for :func:`disctag.scheme.mention_table` and the decoders built on it.
+    """
+    continuous, sets = _elements(seq)
+    mentions = {Mention((tuple(span),)) for span in continuous}
+    for xs, ys in sets:
+        mentions.update(Mention((tuple(x), tuple(y))) for x in xs for y in ys)
+    return frozenset(mentions)
+
+
+def decode_annotation_reference(seq) -> SentenceAnnotation:
+    """The annotation of a well-formed tag sequence, parsed one tag at a time."""
+    continuous, sets = _elements(seq)
+    return SentenceAnnotation(
+        len(seq),
+        tuple(Mention((tuple(span),)) for span in continuous),
+        tuple(
+            TwoLayerSet(
+                tuple(Component(b, e, ComponentType.X) for b, e in xs)
+                + tuple(Component(b, e, ComponentType.Y) for b, e in ys)
+            )
+            for xs, ys in sets
+        ),
+    )
+
+
+def mention_table_reference(sequences) -> np.ndarray:
+    """The rows ``(sentence, b1, e1, b2, e2)`` of :func:`decode_reference` for
+    each sequence, sorted by their fragments, ``-1`` standing for no second fragment."""
+    rows = []
+    for k, seq in enumerate(sequences):
+        for m in sorted(decode_reference(seq), key=lambda m: m.fragments):
+            (b1, e1), (b2, e2) = (*m.fragments, (-1, -1))[:2]
+            rows.append((k, b1, e1, b2, e2))
+    return np.array(rows, dtype=np.intp).reshape(-1, 5)

@@ -127,6 +127,16 @@ class TestEncodeDecode:
         tags.write_text("O CI\n", encoding="utf-8")
         assert main(["decode", str(tags)]) == 1
 
+    @pytest.mark.parametrize("with_corpus", [False, True])
+    def test_decode_names_the_first_ill_formed_sequence(self, corpus_file, tmp_path, capsys, with_corpus):
+        tags = tmp_path / "tags.txt"
+        tags.write_text("DB-Bx DI-O DI-By DI-O DI-By\nO CI\nDB-Bx DI-By\n", encoding="utf-8")
+        out = tmp_path / "decoded.txt"
+        argv = ["decode", str(tags), "-o", str(out)] + (["--corpus", str(corpus_file)] if with_corpus else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: O CI\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "lines, message",
         [
@@ -185,6 +195,15 @@ class TestTrainPredictEval:
         out = capsys.readouterr().out
         assert "F1=1.0000" in out
 
+    def test_eval_records_that_do_not_align_exit_1(self, tmp_path, capsys):
+        gold, predicted = tmp_path / "gold.txt", tmp_path / "pred.txt"
+        gold.write_text("x y\n\n\na b c\n0-1\n", encoding="utf-8")
+        predicted.write_text("x y\n\n\na b c d e\n3-4\n", encoding="utf-8")
+        assert main(["eval", str(gold), str(predicted)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: record 2 has 3 gold tokens but 5 predicted tokens\n"
+        assert captured.out == ""
+
     def test_predict_missing_model_exits_2(self, corpus_file, tmp_path):
         assert main(["predict", str(corpus_file), "--model", str(tmp_path / "none.npz")]) == 2
 
@@ -216,7 +235,7 @@ class TestTrainPredictEval:
         LinearScorer(dim=64).save(model_path)
         out = tmp_path / "missing" / "out.txt" if where == "missing-dir" else tmp_path
         calls = []
-        monkeypatch.setattr(cli, "predict_mentions", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "predict_rows", lambda *args: calls.append(args))
         assert main(["predict", str(corpus_file), "--model", str(model_path), "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -336,6 +355,22 @@ class TestTrainPredictEval:
         argv = ["train", str(train_path), "--model", str(model_path), "--dim", "4096", "--learning-rate", "1e308"]
         assert main(argv) == 1
         assert model_path.read_bytes() == before
+
+    def test_train_dim_too_large_exits_1(self, corpus_file, tmp_path, capsys, monkeypatch):
+        dim, zeros = 2**40, np.zeros
+
+        def refuse(shape, *args, **kwargs):  # numpy's answer to 80 TiB, without asking for it
+            if shape == (dim, NUM_TAGS):
+                raise MemoryError(f"Unable to allocate {dim * NUM_TAGS * 8} bytes")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        model_path = tmp_path / "model.npz"
+        assert main(["train", str(corpus_file), "--model", str(model_path), "--dim", str(dim)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: feature dimension {dim} is too large: its params cannot be allocated\n"
+        )
+        assert not model_path.exists()
 
     def test_train_bad_loss_rejected(self, corpus_file, tmp_path):
         with pytest.raises(SystemExit):

@@ -13,16 +13,18 @@ from disctag.corpus import (
     evaluate,
     filter_incompatible,
     format_mentions,
+    mention_lines,
     read_corpus,
     read_tag_file,
     silver_type,
     stats,
     synthetic_records,
+    table_text,
     write_corpus,
     write_tag_file,
 )
 from disctag.errors import LengthMismatch, ParseError
-from disctag.scheme import ComponentType, Mention, TagSequence, from_two_layer
+from disctag.scheme import ComponentType, Mention, TagSequence, as_rows, encode, from_two_layer, mention_table
 
 GOLDEN = """pain in arms and shoulders
 0-1;2-2|0-1;4-4
@@ -289,6 +291,19 @@ class TestFormatMentions:
     def test_corpus_text_layout(self):
         text = corpus_text([PAIN_RECORD])
         assert text == "pain in arms and shoulders\n0-1;4-4|0-2\n"
+
+    def test_table_text_equals_corpus_text(self):
+        # the text written from the mention table of the records' tag sequences
+        records = synthetic_records(40, length=9, seed=6) + synthetic_records(3, length=1, seed=6) + [
+            CorpusRecord(tuple("abcdefg"), {Mention(((0, 0), (2, 2))), Mention(((0, 0), (6, 6))),
+                                           Mention(((4, 4), (2, 2))), Mention(((4, 4), (6, 6)))}),
+            CorpusRecord(("no", "mention"), ()),
+        ]
+        sequences = [encode(annotate(r)) for r in records]
+        table = mention_table(*as_rows(sequences))
+        assert table_text([r.tokens for r in records], table) == corpus_text(records)
+        assert mention_lines(table, len(records)) == [format_mentions(r.mentions) for r in records]
+        assert table_text([], mention_table(*as_rows([]))) == corpus_text([]) == ""
 
 
 class TestSyntheticRecords:

@@ -238,6 +238,11 @@ class TestLinearScorer:
         with pytest.raises(ConfigError):
             LinearScorer.load(path)
 
+    def test_dim_beyond_any_address_space_rejected(self):
+        # numpy refuses the shape before allocating anything
+        with pytest.raises(ConfigError, match="too large"):
+            LinearScorer(dim=2**62)
+
     def test_load_rejects_wrong_version(self, tmp_path):
         path = tmp_path / "model.npz"
         np.savez(

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disctag.automata import build_lattice, grammar_automaton
 from disctag.errors import EncodingViolation, IllFormed, Incompatible
+from disctag.inference import random_well_formed
 from disctag.scheme import (
     CB,
     CI,
@@ -28,11 +30,19 @@ from disctag.scheme import (
     is_structural,
     is_well_formed,
     is_well_formed_batch,
+    mention_table,
     tag_by_symbol,
     to_two_layer,
 )
 
-from conftest import _ALLOWED_PREV, is_well_formed_reference, with_flips
+from conftest import (
+    _ALLOWED_PREV,
+    decode_annotation_reference,
+    decode_reference,
+    is_well_formed_reference,
+    mention_table_reference,
+    with_flips,
+)
 
 
 def ts(symbols: str) -> TagSequence:
@@ -446,6 +456,78 @@ class TestBatchedRuleCheck:
         assert decode_batch(*as_rows(batch[:2])) == [decode(s) for s in batch[:2]]
         with pytest.raises(IllFormed, match="^O CI$"):
             decode_batch(*as_rows(batch))
+
+
+# Sequences that decode to the table's corner cases: no mention, one word, a
+# pair that touches (x then y, and y then x), and a 2x2 product
+CORNER_CASES = [
+    "", "O", "CB", "O O O", "CB CI CI",
+    "DB-Bx DI-Ix DI-By DI-O DI-By",
+    "DB-By DI-Bx DI-O DI-By",
+    "DB-Bx DI-O DI-By DI-O DI-Bx DI-O DI-By",
+    "CB DB-By DI-Iy DI-O DI-Bx DI-By DI-O DI-Bx DI-Ix O CB",
+]
+
+
+def well_formed_batches(language, seed, count):
+    """Random batches of well-formed sequences of mixed lengths, the first one
+    empty (a table of no rows): corner cases, short sequences of every shape,
+    and samples of up to 40 words from the grammar of either mode."""
+    rng = np.random.default_rng(seed)
+    short = [s for n in range(1, 6) for s in language.sequences(n)]
+    lattices = [build_lattice(grammar_automaton(mode), n) for mode in ("semantic", "structural") for n in range(1, 41)]
+    batches = [[]]
+    for _ in range(count - 1):
+        batch = []
+        for u in rng.random(int(rng.integers(1, 40))):
+            if u < 0.3:
+                batch.append(ts(CORNER_CASES[int(rng.integers(len(CORNER_CASES)))]).tags)
+            elif u < 0.6:
+                batch.append(short[int(rng.integers(len(short)))])
+            else:
+                batch.append(random_well_formed(lattices[int(rng.integers(len(lattices)))], rng))
+        batches.append(batch)
+    return batches
+
+
+class TestMentionTable:
+    """The one-pass decode against the tag-at-a-time oracles in conftest."""
+
+    def test_every_sequence_up_to_six_words(self, language):
+        batch = [seq for n in range(1, 7) for seq in language.sequences(n)]
+        table = mention_table(*as_rows(batch))
+        assert np.array_equal(table, mention_table_reference(batch))
+        assert decode_batch(*as_rows(batch)) == [decode_reference(seq) for seq in batch]
+        for seq in batch:
+            assert decode_annotation(seq) == decode_annotation_reference(seq)
+
+    def test_random_mixed_length_batches(self, language):
+        touching = products = 0
+        for batch in well_formed_batches(language, 43, 150):
+            table = mention_table(*as_rows(batch))
+            assert table.shape[1] == 5 and table.dtype.kind == "i"
+            assert np.array_equal(np.lexsort(table.T[::-1]), np.arange(len(table)))  # sorted rows
+            assert np.array_equal(table, mention_table_reference(batch))
+            assert decode_batch(*as_rows(batch)) == [decode_reference(seq) for seq in batch]
+            for seq in batch:
+                ann = decode_annotation_reference(seq)
+                assert decode_annotation(seq) == ann
+                for s in ann.sets:
+                    xs = [c for c in s.components if c.ctype is ComponentType.X]
+                    ys = [c for c in s.components if c.ctype is ComponentType.Y]
+                    touching += sum(x.end + 1 == y.start or y.end + 1 == x.start for x in xs for y in ys)
+                    products += len(xs) >= 2 and len(ys) >= 2
+        assert touching > 100 and products > 100  # the batches reach the corner cases
+
+    @pytest.mark.parametrize("decoder", [mention_table, decode_batch])
+    def test_names_the_first_ill_formed_sequence(self, decoder):
+        batch = [ts("CB O"), ts("DB-Bx DI-O DI-By"), ts(""), ts("DB-Bx DI-By"), ts("O CI")]
+        with pytest.raises(IllFormed, match="^DB-Bx DI-By$"):
+            decoder(*as_rows(batch))
+        with pytest.raises(IllFormed, match="^O CI$"):
+            decoder(*as_rows(batch[:3] + batch[4:]))
+        with pytest.raises(IllFormed, match="^DI-O$"):
+            decode_annotation(ts("DI-O"))
 
 
 @st.composite
