@@ -17,7 +17,7 @@ from . import corpus as corpus_io
 from .automata import export_text, grammar_automaton, minimize
 from .errors import ConfigError, DisctagError, Incompatible, LengthMismatch, ParseError
 from .model import LinearScorer, TrainConfig, predict_rows, train
-from .scheme import as_rows, encode_batch, is_well_formed_batch, mention_table
+from .scheme import encode_batch, is_well_formed_batch, mention_table
 
 SCALING_BOUND = 2.5  # doubling the sentence may at most 2.5x the median time
 
@@ -122,12 +122,11 @@ def _opened_first(path: str):
 
 
 def _cmd_validate(args) -> int:
-    sequences = corpus_io.read_tag_file(args.tags)
-    ok = is_well_formed_batch(*as_rows(sequences)).tolist()
+    ok = is_well_formed_batch(*corpus_io.read_tag_rows(args.tags)).tolist()
     bad = [i for i, good in enumerate(ok, start=1) if not good]
     for i in bad:
         print(f"sequence {i}: ill-formed")
-    print(f"{len(sequences) - len(bad)}/{len(sequences)} sequences well-formed")
+    print(f"{len(ok) - len(bad)}/{len(ok)} sequences well-formed")
     return 1 if bad else 0
 
 
@@ -152,16 +151,17 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    sequences = corpus_io.read_tag_file(args.tags)
-    table = mention_table(*as_rows(sequences))
+    flat, bounds = corpus_io.read_tag_rows(args.tags)
+    table = mention_table(flat, bounds)
+    count = len(bounds) - 1
     if args.corpus is None:
-        _write(args.output, "".join(line + "\n" for line in corpus_io.mention_lines(table, len(sequences))))
+        _write(args.output, "".join(line + "\n" for line in corpus_io.mention_lines(table, count)))
         return 0
     records = corpus_io.read_corpus(args.corpus)
-    if len(records) != len(sequences):
-        raise LengthMismatch(f"corpus has {len(records)} records but tag file has {len(sequences)} sequences")
-    for record, ts in zip(records, sequences):
-        if record.n != len(ts):
+    if len(records) != count:
+        raise LengthMismatch(f"corpus has {len(records)} records but tag file has {count} sequences")
+    for record, n in zip(records, (bounds[1:] - bounds[:-1]).tolist()):
+        if record.n != n:
             raise LengthMismatch(f"length mismatch for sentence {' '.join(record.tokens)!r}")
     _write(args.output, corpus_io.table_text([r.tokens for r in records], table))
     return 0

@@ -14,6 +14,7 @@ File formats (all UTF-8):
 from __future__ import annotations
 
 import gc
+import itertools
 import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .errors import Incompatible, LengthMismatch, ParseError
 from .inference import random_well_formed
 from .model import LinearScorer, predict_tags
 from .scheme import (
+    TAGS,
     ComponentType,
     Mention,
     MentionSet,
@@ -33,6 +35,7 @@ from .scheme import (
     TwoLayerSet,
     decode,
     encode,
+    from_rows,
     to_two_layer,
 )
 
@@ -45,6 +48,7 @@ __all__ = [
     "read_corpus",
     "write_corpus",
     "read_tag_file",
+    "read_tag_rows",
     "write_tag_file",
     "annotate",
     "filter_incompatible",
@@ -177,16 +181,32 @@ def write_corpus(records: Iterable[CorpusRecord], path) -> None:
         handle.write(corpus_text(records))
 
 
+_TAG_INDEX = {t.symbol: t.index for t in TAGS}
+
+
+def read_tag_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """The sequences of a tag file, one per non-blank line, as one flat array
+    of tag indices and their bounds (see :func:`~disctag.scheme.as_rows`).
+    An unknown symbol raises :class:`ParseError` naming its line."""
+    lines = _read_lines(path)
+    symbols = [row for row in map(str.split, lines) if row]
+    bounds = np.zeros(len(symbols) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, symbols), dtype=np.intp, count=len(symbols)), out=bounds[1:])
+    try:
+        flat = np.fromiter(map(_TAG_INDEX.__getitem__, itertools.chain.from_iterable(symbols)),
+                           dtype=np.intp, count=bounds[-1])
+    except KeyError:
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                TagSequence.from_symbols(line)
+            except KeyError as err:
+                raise ParseError(str(err), line_no) from None
+        raise
+    return flat, bounds
+
+
 def read_tag_file(path) -> list[TagSequence]:
-    out = []
-    for line_no, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(TagSequence.from_symbols(line))
-        except KeyError as err:
-            raise ParseError(str(err), line_no) from None
-    return out
+    return from_rows(*read_tag_rows(path))
 
 
 def write_tag_file(sequences: Iterable[TagSequence], path) -> None:

@@ -241,7 +241,7 @@ def _posterior(lat: Lattice, weights: np.ndarray, lengths: np.ndarray | None = N
     real = np.arange(n)[:, None] >= starts
     good = np.isfinite(log_z + log_z_back) & ((sums[..., 0] >= _TINY) | ~real).all(axis=0)  # NaN >= is false
     probs = acc.transpose(1, 0, 2)
-    for b in np.flatnonzero(~good):
+    for b in (~good).nonzero()[0]:
         log_z[b], probs[b, starts[b] :] = _log_posterior(lat, weights[b, starts[b] :])
     return log_z, probs
 

@@ -56,6 +56,13 @@ FEATURES = 5  # features per word, see sentence_features
 # and 32,768 no faster.
 TOKEN_BUDGET = 16384
 TRAIN_BATCH = 8  # sentences per SGD step, scored with the same params; 16 lowered held-out F1
+# Sentences per length pool of an epoch (see train).  On the train-partial
+# benchmark corpus (800 sentences of 8-48 words) chart steps per epoch, the
+# sum of each batch's longest sentence, fell from 4,396 for runs of the plain
+# permutation to 2,921 (mean of 20 epochs), against 2,798 without padding.
+# Pools of 32, 64, 256 and 800 gave 3,235, 3,026, 2,868 and 2,815; at 64 and
+# at 128 held-out F1 stayed within its spread across benchmark seeds.
+TRAIN_POOL = 16 * TRAIN_BATCH
 
 
 def fnv1a(strings: Iterable[str]) -> np.ndarray:
@@ -260,10 +267,15 @@ def train(
 ) -> LinearScorer:
     """SGD over (tokens, annotation) pairs; returns the trained scorer.
 
-    Each epoch takes a fresh permutation of the corpus in runs of
-    ``TRAIN_BATCH`` sentences.  A run is scored with the params as they are
-    at its start, its losses come from one batched chart, and its gradients
-    are applied as one update, summed word by word in order.
+    Each epoch takes a fresh permutation of the corpus and cuts it into
+    pools of ``TRAIN_POOL`` sentences.  Each pool is stable-sorted by sentence
+    length and cut into runs of at most ``TRAIN_BATCH`` sentences, so a run
+    never crosses a pool and its sentences have similar lengths: a batched
+    chart takes as many steps as its longest sentence.  The epoch visits the
+    runs in an order drawn from the same generator.  A run is scored with
+    the params as they are at its start, its losses come from one batched
+    chart, and its gradients are applied as one update, summed word by word
+    in order.
 
     In structural mode every annotation is canonicalised so that the leftmost
     component of each set is typed x and the restricted grammar applies; the
@@ -281,8 +293,9 @@ def train(
         annotations.append(ann.structural() if mode == "structural" else ann)
     if not sentences:
         raise ConfigError("empty training corpus")
+    sizes = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
     # hashed once for every epoch, in one pass over the corpus's types
-    rows = np.split(scorer.batch_feature_indices(sentences), np.cumsum([len(t) for t in sentences[:-1]]))
+    rows = np.split(scorer.batch_feature_indices(sentences), np.cumsum(sizes[:-1]))
     golds = encode_batch(annotations)  # checked at once, not one annotation at a time
     examples = [
         (r, PartialLabelSet.from_annotation(ann, gold=gold)) for r, ann, gold in zip(rows, annotations, golds)
@@ -293,13 +306,18 @@ def train(
     for epoch in range(config.epochs):
         total = 0.0
         order = rng.permutation(len(examples))
-        for first in range(0, len(order), TRAIN_BATCH):
-            batch = [examples[j] for j in order[first : first + TRAIN_BATCH]]
+        runs = []
+        for first in range(0, len(order), TRAIN_POOL):
+            pool = order[first : first + TRAIN_POOL]
+            pool = pool[np.argsort(sizes[pool], kind="stable")]
+            runs += [pool[i : i + TRAIN_BATCH] for i in range(0, len(pool), TRAIN_BATCH)]
+        for k in rng.permutation(len(runs)):
+            batch = [examples[j] for j in runs[k]]
             rows = np.concatenate([r for r, _ in batch])
             w = scorer.score_rows(rows)
             if not np.isfinite(w).all():
                 raise _diverged(epoch + 1)
-            lengths = np.array([len(r) for r, _ in batch])
+            lengths = sizes[runs[k]]
             lattice = build_lattice(grammar, int(lengths.max()))
             labels = [s for _, s in batch]
             losses, grad = batch_losses(lattice, _right_aligned(w, lengths), lengths, labels, config.loss)

@@ -234,10 +234,10 @@ def is_well_formed_batch(flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     filled = starts < ends
     starts, ends = starts[filled], ends[filled]
     bad[ends - 1] |= flat[ends - 1] == DI_O.index  # rule 6 at the end of a sentence
-    words = np.flatnonzero(_IN_SET[flat])  # rules 4 and 5, per set span
+    words = _IN_SET[flat].nonzero()[0]  # rules 4 and 5, per set span
     if len(words):
         tags = flat[words]
-        heads = np.flatnonzero(_OPENS[prev[words], tags])
+        heads = _OPENS[prev[words], tags].nonzero()[0]
         counts = np.add.reduceat(_SPAN_COUNTS[tags], heads, axis=0, dtype=np.int32)
         np.minimum(counts, _SPAN_CAP, out=counts)
         bad[words[heads]] |= _SPAN_BREAKS[counts[:, 0], counts[:, 1], counts[:, 2]]

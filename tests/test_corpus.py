@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from disctag.corpus import (
     mention_lines,
     read_corpus,
     read_tag_file,
+    read_tag_rows,
     silver_type,
     stats,
     synthetic_records,
@@ -71,7 +73,7 @@ class TestCorpusIO:
     def test_bytes_not_utf8_name_their_line(self, tmp_path, newline):
         path = tmp_path / "bad.txt"
         path.write_bytes(newline.join([b"O O", b"0-0", b"", "O \u00e9 \xff O".encode("latin-1"), b""]))
-        for read in (read_corpus, read_tag_file, Lexicon.from_file):
+        for read in (read_corpus, read_tag_file, read_tag_rows, Lexicon.from_file):
             with pytest.raises(ParseError, match="^line 4: byte 0xe9 is not UTF-8$"):
                 read(path)
 
@@ -125,12 +127,23 @@ class TestCorpusIO:
         write_tag_file(sequences, path)
         assert read_tag_file(path) == sequences
 
+    def test_tag_rows_skip_blank_lines(self, tmp_path):
+        path = tmp_path / "tags.txt"
+        path.write_text("\nO CB CI\n \t\nDB-Bx  DI-O DI-By\nO\n\n", encoding="utf-8")
+        flat, bounds = read_tag_rows(path)
+        want = [TagSequence.from_symbols(s) for s in ("O CB CI", "DB-Bx DI-O DI-By", "O")]
+        assert flat.dtype == bounds.dtype == np.intp
+        assert flat.tolist() == [t.index for ts in want for t in ts] and bounds.tolist() == [0, 3, 6, 7]
+        assert read_tag_file(path) == want
+
     def test_tag_file_unknown_symbol(self, tmp_path):
         path = tmp_path / "tags.txt"
-        path.write_text("O DB-O\n", encoding="utf-8")
-        with pytest.raises(ParseError) as err:
-            read_tag_file(path)
-        assert err.value.line == 1
+        path.write_text("O CB\n\nO DB-O\nO XX\n", encoding="utf-8")
+        for read in (read_tag_file, read_tag_rows):
+            with pytest.raises(ParseError) as err:
+                read(path)
+            assert err.value.line == 3
+            assert str(err.value) == "line 3: \"unknown tag symbol: 'DB-O'\""
 
 
 INCOMPATIBLE = CorpusRecord(

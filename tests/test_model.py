@@ -356,18 +356,68 @@ class TestTraining:
     @pytest.mark.parametrize("loss", ["nll", "partial", "hard-em"])
     def test_batch_of_one_is_the_library_loop(self, monkeypatch, loss):
         monkeypatch.setattr(model, "TRAIN_BATCH", 1)
+        monkeypatch.setattr(model, "TRAIN_POOL", 4)  # 30 sentences: seven pools and a short one
         corpus = [(t, a) for t, _, a in synthetic_corpus(30, seed=23, min_len=1, max_len=14)]
         config = TrainConfig(loss=loss, epochs=2, learning_rate=0.3, l2=0.01, seed=5)
-        expected = sgd_oracle(corpus, config, batch=1)
+        expected = sgd_oracle(corpus, config, batch=1, pool=4)
         assert np.array_equal(train(corpus, config, dim=2**10).params, expected.params)
 
     @pytest.mark.parametrize("loss", ["nll", "partial", "hard-em"])
     def test_batch_of_eight_is_a_frozen_batch_oracle(self, loss):
-        assert model.TRAIN_BATCH == 8
+        assert (model.TRAIN_BATCH, model.TRAIN_POOL) == (8, 128)
         corpus = [(t, a) for t, _, a in synthetic_corpus(45, seed=29, min_len=1, max_len=20)]
         config = TrainConfig(loss=loss, epochs=2, learning_rate=0.3, l2=0.01, seed=6)
-        expected = sgd_oracle(corpus, config, batch=8)
+        expected = sgd_oracle(corpus, config, batch=8, pool=128)
         assert np.array_equal(train(corpus, config, dim=2**10).params, expected.params)
+
+    def test_runs_are_length_sorted_pieces_of_pools(self, monkeypatch):
+        assert (model.TRAIN_BATCH, model.TRAIN_POOL) == (8, 128)
+        corpus = [(t, a) for t, _, a in synthetic_corpus(300, seed=31, min_len=1, max_len=48)]
+        lengths = np.array([len(t) for t, _ in corpus])
+        assert (lengths.min(), lengths.max()) == (1, 48)
+        # each sentence's label set names it; the generator's draws give each epoch's permutation
+        index, runs, draws = {}, [], []
+        from_annotation, batch_losses = PartialLabelSet.from_annotation, model.batch_losses
+        default_rng = np.random.default_rng
+
+        def named(ann, gold=None):
+            label = from_annotation(ann, gold=gold)
+            index[id(label)] = len(index)
+            return label
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def permutation(self, n):
+                draws.append(self.rng.permutation(n))
+                return draws[-1]
+
+        def recorded(lattice, w, lengths, labels, loss):
+            runs.append((len(draws) // 2 - 1, [index[id(label)] for label in labels]))
+            return batch_losses(lattice, w, lengths, labels, loss)
+
+        monkeypatch.setattr(PartialLabelSet, "from_annotation", named)
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        monkeypatch.setattr(model, "batch_losses", recorded)
+        epochs = 3
+        train(corpus, TrainConfig(epochs=epochs, seed=7), dim=2**12)
+        assert len(draws) == 2 * epochs
+        for epoch in range(epochs):
+            order = draws[2 * epoch]
+            pool_of = np.empty(len(corpus), dtype=int)
+            pool_of[order] = np.arange(len(corpus)) // 128
+            these = [run for e, run in runs if e == epoch]
+            assert sorted(j for run in these for j in run) == list(range(len(corpus)))
+            assert all(1 <= len(run) <= 8 and len(set(pool_of[run])) == 1 for run in these)
+            for pool in range(3):
+                pieces = sorted((run for run in these if pool_of[run[0]] == pool),
+                                key=lambda run: (lengths[run].min(), lengths[run].max()))
+                in_order = np.concatenate([lengths[run] for run in pieces])
+                assert (np.diff(in_order) >= 0).all()
+            padded = sum(lengths[run].max() for run in these)
+            plain = sum(lengths[order[i : i + 8]].max() for i in range(0, len(order), 8))
+            assert padded < plain
 
     def test_gold_sequences_checked_in_one_call(self, monkeypatch):
         corpus = [(t, a) for t, _, a in synthetic_corpus(12, seed=9)]
@@ -403,7 +453,7 @@ class TestTraining:
 
     def test_negative_loss_is_divergence(self, monkeypatch):
         # huge scores can cancel in log Z - A_clamped; a loss below zero stops training
-        corpus = [(t, a) for t, _, a in synthetic_corpus(20, seed=3)]  # three runs an epoch
+        corpus = [(t, a) for t, _, a in synthetic_corpus(20, seed=3)]  # one pool: runs of 8, 8 and 4
         calls = []
         batch_losses = model.batch_losses
 
@@ -415,7 +465,8 @@ class TestTraining:
         monkeypatch.setattr(model, "batch_losses", fourth_negative)
         with pytest.raises(ConfigError, match="epoch 2"):
             train(corpus, TrainConfig(epochs=3), dim=2**12)
-        assert calls == [8, 8, 4, 8]
+        # seed 0 visits the runs as [2, 0, 1] in epoch 1 and starts epoch 2 with run 2
+        assert calls == [4, 8, 8, 4]
 
     def test_divergence_in_the_last_update_is_reported(self):
         # a repeated word accumulates its gradient rows, so one update overflows
@@ -425,19 +476,25 @@ class TestTraining:
             train([(tokens, ann)], TrainConfig(epochs=1, learning_rate=1e308), dim=64)
 
 
-def sgd_oracle(corpus, config, batch, dim=2**10):
-    """SGD with the library losses, one sentence at a time: the epoch's
-    permutation in runs of ``batch`` sentences, each scored with the params
-    frozen at the start of its run; then the run's touched rows decay once
-    and each sentence's gradient is applied in order."""
+def sgd_oracle(corpus, config, batch, pool, dim=2**10):
+    """SGD with the library losses, one sentence at a time.  Each epoch cuts
+    its permutation into pools of ``pool`` sentences, sorts each pool by
+    length (``sorted`` is stable) and cuts it into runs of ``batch``; a second
+    permutation orders the runs.  Each run is scored with the params frozen
+    at its start; then the run's touched rows decay once and each sentence's
+    gradient is applied in order."""
     scorer = LinearScorer(dim=dim)
     grammar = grammar_automaton("semantic")
     examples = [(scorer.feature_indices(tokens), PartialLabelSet.from_annotation(ann)) for tokens, ann in corpus]
     rng = np.random.default_rng(config.seed)
     for _ in range(config.epochs):
-        order = rng.permutation(len(examples))
-        for first in range(0, len(order), batch):
-            run = [examples[j] for j in order[first : first + batch]]
+        order = rng.permutation(len(examples)).tolist()
+        runs = []
+        for first in range(0, len(order), pool):
+            members = sorted(order[first : first + pool], key=lambda j: len(corpus[j][0]))
+            runs += [members[i : i + batch] for i in range(0, len(members), batch)]
+        for k in rng.permutation(len(runs)).tolist():
+            run = [examples[j] for j in runs[k]]
             grads = [LIBRARY_LOSSES[config.loss](build_lattice(grammar, len(rows)), scorer.score_rows(rows), pl)[1]
                      for rows, pl in run]
             touched = np.unique(np.concatenate([rows for rows, _ in run]))
