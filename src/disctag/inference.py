@@ -29,7 +29,7 @@ factorises into one two-way choice per set and takes time linear in ``n``.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -368,12 +368,19 @@ _FLIP = np.array([0, 1, 2, 4, 3, 6, 5, 8, 7, 9])
 class PartialLabelSet:
     """The ``2**k`` admissible gold sequences: ``gold`` with any of its ``k``
     unresolved sets flipped.  ``owner[i]`` is the unresolved set covering word
-    ``i`` (numbered left to right), or -1.
+    ``i`` (numbered left to right), or -1.  ``gold_indices`` holds ``gold``'s
+    tag indices, read-only, taken once for every loss that reads them.
     """
 
     gold: TagSequence
     owner: np.ndarray
     k: int
+    gold_indices: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        indices = self.gold.indices
+        indices.flags.writeable = False
+        object.__setattr__(self, "gold_indices", indices)
 
     @classmethod
     def from_annotation(cls, ann: SentenceAnnotation, *, gold: TagSequence | None = None) -> "PartialLabelSet":
@@ -403,7 +410,7 @@ def _flip_gains(labels: Sequence[PartialLabelSet], weights: np.ndarray):
     and its slot, and per slot the score gain of flipping it.  Slot 0 stands
     for no set; the unresolved sets follow, sentence by sentence.
     """
-    gold = np.concatenate([pl.gold.indices for pl in labels])
+    gold = np.concatenate([pl.gold_indices for pl in labels])
     owner = np.concatenate([pl.owner for pl in labels])
     sets = np.array([pl.k for pl in labels])
     before = np.repeat(np.cumsum(sets) - sets, [len(pl.owner) for pl in labels])  # sets of earlier sentences
@@ -478,7 +485,7 @@ def batch_losses(
     if loss == "hard-em":
         target = _hard_em_targets(labels, scores)
     elif loss == "nll":
-        target = np.concatenate([pl.gold.indices for pl in labels])
+        target = np.concatenate([pl.gold_indices for pl in labels])
     else:
         raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
     words = np.arange(len(target))

@@ -118,7 +118,7 @@ def sentence_features(tokens: Sequence[str]) -> list[list[str]]:
 class LinearScorer:
     """Linear model mapping token sequences to ``(n, 10)`` weight matrices."""
 
-    FORMAT_VERSION = 1
+    FORMAT_VERSION = 2
 
     def __init__(self, dim: int = 2**18, params: np.ndarray | None = None):
         if dim < 1:
@@ -205,23 +205,33 @@ class LinearScorer:
         np.subtract.at(self.params.reshape(-1), cells, (lr * np.repeat(grad, FEATURES, axis=0)).ravel())
 
     def save(self, path) -> None:
-        """Write the model to exactly ``path`` (``np.savez`` would add ``.npz``)."""
+        """Write the model to exactly ``path`` (``np.savez`` would add ``.npz``).
+
+        Only the rows with a bit set are stored, as their ids (``rows``) and
+        params (``values``): a corpus's features touch few of the ``dim``
+        rows, and a row of ``-0.0`` is kept.
+        """
+        rows = np.flatnonzero(self.params.view(np.int64).any(axis=1))
         with open(path, "wb") as handle:
             np.savez(
                 handle,
                 format_version=np.int64(self.FORMAT_VERSION),
                 dim=np.int64(self.dim),
                 tagset=np.array([t.symbol for t in TAGS]),
-                params=self.params,
+                rows=rows,
+                values=self.params[rows],
             )
 
     @classmethod
     def load(cls, path) -> "LinearScorer":
-        """Read a model written by :meth:`save`.
+        """Read a model written by :meth:`save`: the zero model of its ``dim``
+        with the stored rows scattered in.
 
         A file that is not such a model (not an ``.npz`` archive, truncated,
-        or missing an entry) raises :class:`~disctag.errors.ConfigError`;
-        a file that cannot be opened raises :class:`OSError`.
+        missing an entry, or with rows that are not increasing ids below
+        ``dim`` or values that are not their finite params) raises
+        :class:`~disctag.errors.ConfigError`; a file that cannot be opened
+        raises :class:`OSError`.
         """
         with open(path, "rb") as handle:
             try:
@@ -232,9 +242,22 @@ class LinearScorer:
                     tagset = [str(s) for s in data["tagset"]]
                     if tagset != [t.symbol for t in TAGS]:
                         raise ConfigError("model tagset does not match this build")
-                    return cls(dim=int(data["dim"]), params=data["params"])
+                    scorer = cls(dim=int(data["dim"]))
+                    rows, values = data["rows"], data["values"]
             except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as err:
                 raise ConfigError(f"{path} is not a model file written by 'disctag train'") from err
+        if not (
+            rows.ndim == 1
+            and rows.dtype.kind in "iu"
+            and (rows[1:] > rows[:-1]).all()
+            and (len(rows) == 0 or (rows[0] >= 0 and rows[-1] < scorer.dim))
+        ):
+            raise ConfigError(f"model rows must be increasing row ids in [0, {scorer.dim})")
+        # the other rows are zeros, so only the stored values need the finite check
+        if values.shape != (len(rows), NUM_TAGS) or values.dtype.kind != "f" or not np.isfinite(values).all():
+            raise ConfigError(f"model values must be a finite float ({len(rows)}, {NUM_TAGS}) matrix")
+        scorer.params[rows] = values
+        return scorer
 
 
 @dataclass(frozen=True)

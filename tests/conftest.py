@@ -14,6 +14,7 @@ from disctag.scheme import (
     DI_IX,
     DI_IY,
     DI_O,
+    NUM_TAGS,
     TAGS,
     Component,
     ComponentType,
@@ -232,6 +233,40 @@ def fnv1a_reference(text: str) -> int:
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def write_model(path, **fields) -> None:
+    """Write a version-2 model file of ``dim`` 8 with rows 1 and 5 set, its
+    entries replaced by ``fields``; an entry given as ``None`` is left out."""
+    entries = {
+        "format_version": np.int64(2),
+        "dim": np.int64(8),
+        "tagset": np.array([t.symbol for t in TAGS]),
+        "rows": np.array([1, 5], dtype=np.int64),
+        "values": np.ones((2, NUM_TAGS)),
+        **fields,
+    }
+    with open(path, "wb") as handle:
+        np.savez(handle, **{key: value for key, value in entries.items() if value is not None})
+
+
+# Model files that are not a model, as the entries :func:`write_model` replaces,
+# and what the error names.
+MALFORMED_MODELS = {
+    "rows-out-of-range": ({"rows": np.array([1, 8])}, r"row ids in \[0, 8\)"),
+    "rows-negative": ({"rows": np.array([-1, 5])}, r"row ids in \[0, 8\)"),
+    "rows-unsorted": ({"rows": np.array([5, 1])}, "increasing row ids"),
+    "rows-duplicated": ({"rows": np.array([5, 5])}, "increasing row ids"),
+    "rows-float": ({"rows": np.array([1.0, 5.0])}, "increasing row ids"),
+    "rows-2d": ({"rows": np.array([[1, 5]])}, "increasing row ids"),
+    "values-too-few-columns": ({"values": np.ones((2, NUM_TAGS - 1))}, r"finite float \(2, 10\) matrix"),
+    "values-too-many-rows": ({"values": np.ones((3, NUM_TAGS))}, r"finite float \(2, 10\) matrix"),
+    "values-integer": ({"values": np.ones((2, NUM_TAGS), dtype=np.int64)}, r"finite float \(2, 10\) matrix"),
+    "version-1-dense": (
+        {"format_version": np.int64(1), "rows": None, "values": None, "params": np.zeros((8, NUM_TAGS))},
+        "unsupported model format version 1$",
+    ),
+}
 
 
 # Each training loss as ``(lattice, weights, label set) -> (loss, gradient)``

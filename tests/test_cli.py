@@ -1,6 +1,7 @@
 import contextlib
 import io
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from disctag.corpus import (
 )
 from disctag.model import LinearScorer, TrainConfig, predict_tags, train
 from disctag.scheme import NUM_TAGS, TAGS, decode, is_structural
+
+from conftest import MALFORMED_MODELS, write_model
 
 
 @pytest.fixture
@@ -57,6 +60,38 @@ def trained_model(tmp_path):
     )
     assert code == 0
     return train_path, model_path
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_leak_no_options(self, monkeypatch):
+        seen = []
+        for command in ("predict", "decode"):
+            monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(vars(args)) or 0)
+        assert main(["predict", "c.txt", "--model", "m", "--mode", "structural", "-o", "out.txt"]) == 0
+        assert main(["predict", "c.txt", "--model", "m"]) == 0
+        assert main(["decode", "t.txt", "--corpus", "c.txt"]) == 0
+        assert main(["decode", "t.txt"]) == 0
+        assert seen == [
+            {"command": "predict", "corpus": "c.txt", "model": "m", "output": "out.txt", "mode": "structural"},
+            {"command": "predict", "corpus": "c.txt", "model": "m", "output": "-", "mode": "semantic"},
+            {"command": "decode", "tags": "t.txt", "corpus": "c.txt", "output": "-"},
+            {"command": "decode", "tags": "t.txt", "corpus": None, "output": "-"},
+        ]
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["--help"], ["predict", "--help"], ["predict"], ["train", "c.txt", "--model", "m", "--loss", "mle"]]
+    )
+    def test_help_and_usage_errors_are_a_fresh_parsers(self, capsys, argv):
+        outputs = []
+        for parse in (cli.build_parser.__wrapped__().parse_args, main, main):
+            with pytest.raises(SystemExit) as exit_:
+                parse(argv)
+            outputs.append((exit_.value.code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][1] or outputs[0][2]
 
 
 class TestValidate:
@@ -228,6 +263,17 @@ class TestTrainPredictEval:
         assert main(["predict", str(corpus_file), "--model", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", MALFORMED_MODELS)
+    def test_predict_malformed_model_exits_1(self, corpus_file, tmp_path, capsys, kind):
+        fields, message = MALFORMED_MODELS[kind]
+        bad = tmp_path / "bad.npz"
+        write_model(bad, **fields)
+        assert main(["predict", str(corpus_file), "--model", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert re.search(message, captured.err.rstrip("\n"))
+        assert captured.out == ""
 
     @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
     def test_unwritable_output_fails_before_predicting(self, corpus_file, tmp_path, capsys, monkeypatch, where):

@@ -302,6 +302,12 @@ class TestPartialLabelSet:
         pl = PartialLabelSet.from_annotation(ann)
         assert pl.gold.tags == admissible_sequences(ann)[0].tags == encode(ann).tags
 
+    def test_gold_indices_are_read_only(self):
+        pl = PartialLabelSet.from_annotation(annotation_with_sets(2))
+        assert np.array_equal(pl.gold_indices, pl.gold.indices)
+        with pytest.raises(ValueError, match="read-only"):
+            pl.gold_indices[0] = 0
+
     def test_flips_stay_inside_their_span(self):
         ann = annotation_with_sets(3)
         pl = PartialLabelSet.from_annotation(ann)

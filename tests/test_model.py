@@ -32,7 +32,7 @@ from disctag.scheme import (
     to_two_layer,
 )
 
-from conftest import LIBRARY_LOSSES, fnv1a_reference
+from conftest import LIBRARY_LOSSES, MALFORMED_MODELS, fnv1a_reference, write_model
 
 # ASCII, two-byte, three-byte and four-byte UTF-8, and a NUL byte
 VOCABULARY = ["pain", "in", "Arms", "é", "café", "日本語", "語", "😀", "x😀y", "a\x00", "", "ÉTÉ"]
@@ -221,6 +221,28 @@ class TestLinearScorer:
         assert loaded.dim == 256
         assert np.array_equal(loaded.params, params)
 
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        dim = 64
+        params = np.zeros((dim, NUM_TAGS))
+        params[2] = -0.0  # no bit but the sign's
+        params[7, 4] = 1.5  # one nonzero cell
+        params[dim - 1] = np.random.default_rng(2).normal(size=NUM_TAGS)
+        path = tmp_path / "model.npz"
+        for start, stored in ((params, [2, 7, dim - 1]), (np.zeros((dim, NUM_TAGS)), [])):
+            LinearScorer(dim=dim, params=start).save(path)
+            with np.load(path) as data:
+                assert data["rows"].dtype == np.int64 and data["rows"].tolist() == stored
+                assert data["values"].shape == (len(stored), NUM_TAGS)
+            loaded = LinearScorer.load(path)
+            assert loaded.dim == dim
+            assert np.array_equal(loaded.params.view(np.int64), start.view(np.int64))
+
+    def test_zero_model_file_is_small(self, tmp_path):
+        path = tmp_path / "model.npz"
+        LinearScorer(dim=2**18).save(path)
+        assert path.stat().st_size < 4096
+        assert LinearScorer.load(path).dim == 2**18
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_params_rejected(self, tmp_path, bad):
         params = np.zeros((8, NUM_TAGS))
@@ -228,14 +250,18 @@ class TestLinearScorer:
         with pytest.raises(ConfigError):
             LinearScorer(dim=8, params=params)
         path = tmp_path / "model.npz"
-        np.savez(
-            path,
-            format_version=np.int64(LinearScorer.FORMAT_VERSION),
-            dim=np.int64(8),
-            tagset=np.array([t.symbol for t in TAGS]),
-            params=params,
-        )
-        with pytest.raises(ConfigError):
+        write_model(path, rows=np.array([3]), values=params[3:4])
+        with pytest.raises(ConfigError, match="finite"):
+            LinearScorer.load(path)
+
+    @pytest.mark.parametrize("kind", MALFORMED_MODELS)
+    def test_load_rejects_malformed_file(self, tmp_path, kind):
+        fields, message = MALFORMED_MODELS[kind]
+        path = tmp_path / "model.npz"
+        write_model(path)
+        assert np.flatnonzero(LinearScorer.load(path).params.any(axis=1)).tolist() == [1, 5]
+        write_model(path, **fields)
+        with pytest.raises(ConfigError, match=message):
             LinearScorer.load(path)
 
     def test_dim_beyond_any_address_space_rejected(self):
