@@ -4,8 +4,9 @@ The grammar is a small cyclic DFA accepting exactly the well-formed tag
 sequences of any length.  Intersecting it with an n-word sentence gives an
 acyclic lattice whose accepting paths are the well-formed sequences of length
 n, with one transition batch per word: inference cost is linear in n.  That
-batch does not depend on n, so it is compiled once per grammar, from the
-minimal DFA of its language, and every lattice shares it.
+batch does not depend on n, so only it is built: ``build_lattice`` compiles it
+once per grammar, from the minimal DFA of its language, and the dynamic
+programs read n from the weight matrix.
 """
 
 import itertools
@@ -36,20 +37,23 @@ structural = grammar_automaton("structural")
 print("structural grammar:", structural.num_states, "states (leftmost component forced to x)")
 
 # The language, counted by brute force vs. by lattice paths: over zero weights
-# the log-partition is the log of the number of accepting paths.
+# the log-partition is the log of the number of accepting paths.  One table
+# serves every length.
+table = build_lattice(semantic)
 print("\n n  well-formed  lattice-paths")
 for n in range(1, 5):
     brute = sum(1 for seq in itertools.product(TAGS, repeat=n) if is_well_formed(seq))
-    paths = round(math.exp(forward(build_lattice(semantic, n), np.zeros((n, NUM_TAGS)))))
+    paths = round(math.exp(forward(table, np.zeros((n, NUM_TAGS)))))
     print(f"{n:2d}  {brute:11d}  {paths:13d}")
 
-# Lattice size grows exactly linearly with the sentence, over one shared table,
-# compiled from the minimal DFA.
-edges = int((build_lattice(semantic, 1).next_state >= 0).sum())
+# Lattice size grows exactly linearly with the sentence: n copies of the
+# table's edges, those of the minimal DFA.
+edges = int((table.next_state >= 0).sum())
+print(f"table: {table.num_grammar_states} states, {edges} edges")
 for n in (8, 16, 32):
     print(f"lattice transitions at n={n:2d}: {n * edges}")
-shared = build_lattice(semantic, 8).next_state is build_lattice(semantic, 32).next_state
-print("successor table shared across lengths:", shared)
+# The table is compiled on the first call for a grammar; later calls return it.
+print("table built once per grammar:", build_lattice(grammar_automaton("semantic")) is table)
 
 # Text export, e.g. for graph tooling; here just the first lines.
 print("\nexport preview:")

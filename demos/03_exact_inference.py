@@ -23,7 +23,7 @@ rng = np.random.default_rng(42)
 n = 6
 grammar = grammar_automaton("semantic")
 weights = rng.normal(0.0, 1.5, size=(n, 10))
-lattice = build_lattice(grammar, n)
+lattice = build_lattice(grammar)  # the grammar's table; each program reads n from the weights
 
 score, best = viterbi(lattice, weights)
 print("MAP sequence:", best.symbols())

@@ -53,7 +53,7 @@ for member in members:
 
 rng = np.random.default_rng(1)
 weights = rng.normal(0.0, 1.0, size=(len(tokens), 10))
-lattice = build_lattice(grammar_automaton("semantic"), len(tokens))
+lattice = build_lattice(grammar_automaton("semantic"))  # one table, for sentences of any length
 
 loss, grad = partial_nll(lattice, weights, pl)
 print("\npartial NLL:", round(loss, 4))

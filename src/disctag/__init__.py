@@ -5,16 +5,16 @@ The package provides:
 - a 10-tag encoding of (possibly discontinuous) mention sets with a
   one-to-one mapping between well-formed tag sequences and annotations
   (:mod:`disctag.scheme`);
-- a grammar automaton recognising exactly the well-formed sequences, compiled
-  once, from its minimal DFA, into a transition table (a successor table and
-  the edges grouped for a two-way chart, for a backward chart and by tag)
-  that ``build_lattice`` pairs with a sentence length to give the acyclic
-  intersection lattice (:mod:`disctag.automata`);
-- exact MAP, log-partition and marginal inference on the lattice, all on one
-  semiring chart routine whose steps are ``reduceat`` sums over those edge
-  groups, plus fully- and partially-supervised losses with exact gradients
-  and the sampler of random well-formed sequences, ``random_well_formed``
-  (:mod:`disctag.inference`);
+- a grammar automaton recognising exactly the well-formed sequences, which
+  ``build_lattice`` compiles once, from its minimal DFA, into one layer of
+  the acyclic intersection lattice (a successor table and the edges grouped
+  for a two-way chart, for a backward chart and by tag); the lattice of an
+  ``n``-word sentence is ``n`` such layers (:mod:`disctag.automata`);
+- exact MAP, log-partition and marginal inference on the lattice, ``n`` read
+  from the weight matrix, all on one semiring chart routine whose steps are
+  ``reduceat`` sums over those edge groups, plus fully- and
+  partially-supervised losses with exact gradients and the sampler of random
+  well-formed sequences, ``random_well_formed`` (:mod:`disctag.inference`);
 - a small hashed-feature linear scorer and SGD training loop
   (:mod:`disctag.model`);
 - corpus I/O, incompatibility filtering, silver component typing and

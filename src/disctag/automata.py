@@ -4,14 +4,15 @@ The grammar automaton is a small cyclic machine whose language is exactly the
 set of well-formed tag sequences of any length (see :mod:`disctag.scheme`).
 Intersecting it with the trivial sentence automaton of an ``n``-word sentence
 yields an acyclic lattice whose accepting paths are the well-formed sequences
-of length ``n``; all dynamic programs run on that lattice.  The lattice is
-``n`` copies of one time-invariant transition table, which is compiled once
-per grammar, from the minimal DFA of its language, and shared by the lattices
-of every length: a dense successor table, and the machine's edges grouped
+of length ``n``; all dynamic programs run on that lattice.  It is ``n``
+copies of one time-invariant layer, the :class:`Lattice` that
+:func:`build_lattice` compiles once per grammar, from the minimal DFA of its
+language: a dense successor table, and the machine's edges grouped
 (:class:`EdgeGroups`) for the two-way chart, for the backward chart and by
 tag for the marginals.  The dynamic programs of :mod:`disctag.inference`, the
-path sampler ``random_well_formed`` included, sum over edges only through one
-``reduceat`` over one of these groupings.
+path sampler ``random_well_formed`` included, read ``n`` from the weight
+matrix and sum over edges only through one ``reduceat`` over one of these
+groupings.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ class Automaton:
     States are dense integers ``0..num_states-1``.  Transitions are
     ``(source, label, weight, target)`` with ``label`` either a
     :class:`~disctag.scheme.Tag` or ``None`` for an epsilon transition.
+    Scores come from the weight matrix alone, so every transition weight
+    must be ``0.0``; any other is rejected rather than dropped.
     """
 
     num_states: int
@@ -105,11 +108,13 @@ class Automaton:
             raise ValueError("initial state out of range")
         if not self.finals <= set(states):
             raise ValueError("final state out of range")
-        for src, label, _, dst in self.transitions:
+        for src, label, weight, dst in self.transitions:
             if src not in states or dst not in states:
                 raise ValueError("transition endpoint out of range")
             if label is not None and not isinstance(label, Tag):
                 raise ValueError(f"label {label!r} is not a tag")
+            if weight != 0.0:
+                raise ValueError(f"transition weight {weight!r} is not 0.0")
 
     @property
     def is_epsilon_free(self) -> bool:
@@ -125,49 +130,6 @@ class Automaton:
                 return False
             seen.add((src, label))
         return True
-
-    @functools.cached_property
-    def _table(self) -> tuple:
-        """Read-only ``(num_states, initial, next_state, final_mask, two_way, reverse, by_tag)``.
-
-        The transition table of the minimal DFA of this deterministic,
-        epsilon-free automaton's language, numbered as :func:`minimize` does:
-        its state count and initial state, the dense successor table (``-1``
-        where undefined), the final-state mask, and its edges grouped (see
-        :class:`EdgeGroups`) three ways, each group read at its edges' ``src``:
-
-        - ``two_way`` runs the forward and the backward chart in one pass over
-          ``2 * (S + 1)`` columns: the edges grouped by target, the dead state
-          ``S`` (its own group, one dead edge), then the reversed edges, from
-          ``S + 1 + dst`` to ``S + 1 + src``, grouped by their target;
-        - ``reverse`` is that backward half alone, over ``S + 1`` columns;
-        - ``by_tag`` holds the edges grouped by tag, for the marginals.
-
-        Each group keeps its edges in ``(src, tag, dst)`` order.  The table is
-        built on first use and shared by every lattice of this automaton.
-        """
-        if not self.is_deterministic:
-            raise ValueError("intersection requires a deterministic, epsilon-free grammar")
-        minimal = minimize(self)
-        states = minimal.num_states
-        edges = np.array(
-            sorted((src, label.index, dst) for src, label, _, dst in minimal.transitions),
-            dtype=np.int64,
-        ).reshape(-1, 3)
-        next_state = np.full((states, NUM_TAGS), -1, dtype=np.int64)
-        next_state[edges[:, 0], edges[:, 1]] = edges[:, 2]
-        final_mask = np.zeros(states, dtype=bool)
-        final_mask[list(minimal.finals)] = True
-        reversed_edges = edges[:, ::-1]
-        both = np.concatenate([edges, reversed_edges + [states + 1, 0, states + 1]])
-        groups = (
-            EdgeGroups.of(both, 2, 2 * states + 1, states),
-            EdgeGroups.of(reversed_edges, 2, states, states),
-            EdgeGroups.of(edges, 1, NUM_TAGS, states),
-        )
-        for array in (next_state, final_mask) + tuple(a for g in groups for a in vars(g).values()):
-            array.flags.writeable = False
-        return (states, minimal.initial, next_state, final_mask) + groups
 
     def _closure(self, states: frozenset[int]) -> frozenset[int]:
         out = set(states)
@@ -209,9 +171,7 @@ def _trim(transitions: set[Transition], initial: int, finals: set[int]) -> Autom
 
 
 def remove_epsilon(a: Automaton) -> Automaton:
-    """Language-preserving epsilon removal (all weights must be zero)."""
-    if any(w != 0.0 for _, _, w, _ in a.transitions):
-        raise ValueError("epsilon removal requires all-zero weights")
+    """Language-preserving epsilon removal."""
     if a.is_epsilon_free:
         return a
     closures = {q: a._closure(frozenset((q,))) for q in range(a.num_states)}
@@ -393,19 +353,28 @@ def grammar_automaton(mode: str = "semantic") -> Automaton:
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """Acyclic intersection of the grammar with an ``n``-word sentence.
+    """A grammar's compiled table: one layer of its intersection with a sentence.
 
-    States are pairs ``(position, grammar state)`` with ``position`` in
-    ``0..n``; every transition advances the position by one and reads the
-    score of one ``(position, tag)`` cell of a weight matrix.  The grammar
-    part is time-invariant, so only ``n`` is per sentence: the grammar states
-    are those of the minimal DFA of the grammar's language, ``next_state`` is
-    its dense successor table, and ``two_way``, ``reverse`` and ``by_tag``
-    group its edges for the dynamic programs.  These arrays are the grammar's
-    compiled table, read-only and shared by the lattices of every length.
+    The intersection with an ``n``-word sentence is an acyclic lattice of
+    states ``(position, grammar state)`` whose every transition advances the
+    position by one and reads one ``(position, tag)`` cell of a weight
+    matrix: ``n`` copies of this layer, so the dynamic programs read ``n``
+    from the weights.  The grammar states are those of the minimal DFA of
+    the grammar's language, numbered as :func:`minimize` does; the table
+    holds its initial state, its dense successor table and its final-state
+    mask, and its edges grouped (see :class:`EdgeGroups`) three ways, each
+    group read at its edges' ``src`` and kept in ``(src, tag, dst)`` order:
+
+    - ``two_way`` runs the forward and the backward chart in one pass over
+      ``2 * (S + 1)`` columns: the edges grouped by target, the dead state
+      ``S`` (its own group, one dead edge), then the reversed edges, from
+      ``S + 1 + dst`` to ``S + 1 + src``, grouped by their target;
+    - ``reverse`` is that backward half alone, over ``S + 1`` columns;
+    - ``by_tag`` holds the edges grouped by tag, for the marginals.
+
+    Every array is read-only.
     """
 
-    n: int
     num_grammar_states: int
     initial: int
     next_state: np.ndarray  # (S, NUM_TAGS) int, -1 where undefined
@@ -415,16 +384,38 @@ class Lattice:
     by_tag: EdgeGroups  # edges by tag: a tag's marginal sums its edges
 
 
-def build_lattice(grammar: Automaton, n: int) -> Lattice:
-    """Intersection lattice for a sentence of ``n`` words.
+@functools.cache
+def build_lattice(grammar: Automaton) -> Lattice:
+    """The compiled table of a deterministic, epsilon-free grammar.
 
-    Constant time: the lattice attaches ``n`` to the grammar's compiled
-    table.  A length with no accepting path is reported by the dynamic
+    It is built once per grammar: repeated calls return the same object.  A
+    sentence length with no accepting path is reported by the dynamic
     programs of :mod:`disctag.inference`, which raise
     :class:`~disctag.errors.EmptyLanguage`; a grammar that accepts nothing
     at all raises it here, from :func:`minimize`.
     """
-    return Lattice(n, *grammar._table)
+    if not grammar.is_deterministic:
+        raise ValueError("intersection requires a deterministic, epsilon-free grammar")
+    minimal = minimize(grammar)
+    states = minimal.num_states
+    edges = np.array(
+        sorted((src, label.index, dst) for src, label, _, dst in minimal.transitions),
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    next_state = np.full((states, NUM_TAGS), -1, dtype=np.int64)
+    next_state[edges[:, 0], edges[:, 1]] = edges[:, 2]
+    final_mask = np.zeros(states, dtype=bool)
+    final_mask[list(minimal.finals)] = True
+    reversed_edges = edges[:, ::-1]
+    both = np.concatenate([edges, reversed_edges + [states + 1, 0, states + 1]])
+    groups = (
+        EdgeGroups.of(both, 2, 2 * states + 1, states),
+        EdgeGroups.of(reversed_edges, 2, states, states),
+        EdgeGroups.of(edges, 1, NUM_TAGS, states),
+    )
+    for array in (next_state, final_mask) + tuple(a for g in groups for a in vars(g).values()):
+        array.flags.writeable = False
+    return Lattice(states, minimal.initial, next_state, final_mask, *groups)
 
 
 def export_text(a: Automaton) -> str:

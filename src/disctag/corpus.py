@@ -366,10 +366,10 @@ def evaluate(gold: Sequence[MentionSet], predicted: Sequence[MentionSet]) -> Eva
 def synthetic_records(count: int, length: int, seed: int = 0) -> list[CorpusRecord]:
     """Random fixed-length sentences with per-tag trigger tokens."""
     rng = np.random.default_rng(seed)
-    lattice = build_lattice(grammar_automaton("semantic"), length)
+    lattice = build_lattice(grammar_automaton("semantic"))
     records = []
     for _ in range(count):
-        seq = random_well_formed(lattice, rng)
+        seq = random_well_formed(lattice, length, rng)
         gold = encode(to_two_layer(decode(seq), length))
         tokens = tuple(f"t{t.index}w{rng.integers(3)}" for t in gold)
         records.append(CorpusRecord(tokens, decode(gold)))
@@ -386,14 +386,12 @@ class BenchResult:
         return 1.0 / self.median_seconds if self.median_seconds else float("inf")
 
 
-def benchmark_predict(
-    lengths: Sequence[int],
-    repeats: int = 5,
-    seed: int = 0,
-    scorer: LinearScorer | None = None,
-    mode: str = "semantic",
-    batch: int = 3,
-) -> list[BenchResult]:
+BENCH_DIM = 2**12  # rows of the random scorer that benchmark_predict times
+BENCH_WORDS = 1024  # words per timed run of one length, in at least BENCH_BATCH sentences
+BENCH_BATCH = 3
+
+
+def benchmark_predict(lengths: Sequence[int], repeats: int = 5, seed: int = 0) -> list[BenchResult]:
     """Median wall-clock time of one MAP prediction per sentence length.
 
     Each of the ``repeats`` timed runs predicts a batch sized so that every
@@ -401,15 +399,14 @@ def benchmark_predict(
     lengths, and garbage collection is paused while timing; machine noise
     then spreads over all lengths instead of skewing their ratios.
     """
-    if scorer is None:
-        rng = np.random.default_rng(seed)
-        scorer = LinearScorer(dim=2**12, params=rng.normal(0, 1.0, (2**12, 10)))
+    rng = np.random.default_rng(seed)
+    scorer = LinearScorer(dim=BENCH_DIM, params=rng.normal(0, 1.0, (BENCH_DIM, 10)))
     lengths = sorted(lengths)
     per_length = {}
     for length in lengths:
-        count = max(batch, 1024 // length)
+        count = max(BENCH_BATCH, BENCH_WORDS // length)
         records = synthetic_records(count, length, seed=seed + length)
-        predict_tags(scorer, records[0].tokens, mode)  # warm-up
+        predict_tags(scorer, records[0].tokens)  # warm-up
         per_length[length] = records
     times: dict[int, list[float]] = {length: [] for length in lengths}
     gc_was_enabled = gc.isenabled()
@@ -420,7 +417,7 @@ def benchmark_predict(
                 records = per_length[length]
                 start = time.perf_counter()
                 for record in records:
-                    predict_tags(scorer, record.tokens, mode)
+                    predict_tags(scorer, record.tokens)
                 times[length].append((time.perf_counter() - start) / len(records))
     finally:
         if gc_was_enabled:

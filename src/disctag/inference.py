@@ -1,9 +1,11 @@
 """Exact inference on the tag lattice and the training losses.
 
-All programs run on the acyclic lattice from :mod:`disctag.automata` in one of
-three semirings: tropical (max, +) for MAP inference, and for the
-log-partition and marginals the probability semiring (+, *) with each chart
-step rescaled, falling back to log (logaddexp, +) where that underflows.
+All programs run on the acyclic lattice of :mod:`disctag.automata`, one
+layer of the grammar's compiled table per word, ``n`` read from the shape of
+the weight matrix.  They run in one of three semirings: tropical (max, +) for
+MAP inference, and for the log-partition and marginals the probability
+semiring (+, *) with each chart step rescaled, falling back to log
+(logaddexp, +) where that underflows.
 Scores of a tag sequence are bilinear, ``<y, w> = sum_i w[i, y_i]``, so every
 gradient below is an ``(n, 10)`` matrix aligned with the weight matrix.
 
@@ -95,24 +97,24 @@ _TINY = 1e-250
 _SPAN = 150.0
 
 
-def _check_weights(lat: Lattice, weights: np.ndarray, batched: bool = False) -> np.ndarray:
+def _check_weights(weights: np.ndarray, batched: bool = False) -> np.ndarray:
     """The weights as float64, checked to be an ``(n, 10)`` matrix of finite
     scores, or with ``batched`` a ``(B, n, 10)`` stack of them."""
     weights = np.asarray(weights, dtype=np.float64)
-    shape = (lat.n, NUM_TAGS)
-    if weights.shape[batched:] != shape or weights.ndim != len(shape) + batched:
-        want = f"(B, {lat.n}, {NUM_TAGS})" if batched else f"({lat.n}, {NUM_TAGS})"
+    if weights.ndim != 2 + batched or weights.shape[-1] != NUM_TAGS:
+        want = f"(B, n, {NUM_TAGS})" if batched else f"(n, {NUM_TAGS})"
         raise ValueError(f"expected weights of shape {want}, got {weights.shape}")
     if not np.isfinite(weights).all():
         raise ValueError("weight matrix entries must be finite")
     return weights
 
 
-def _check_lengths(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-    """The lengths of a batch of ``len(weights)`` sentences as an array, checked to be in ``0..n``."""
+def _check_lengths(weights: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """The lengths of a ``(B, n, 10)`` batch as an array, checked to be ``B`` values in ``0..n``."""
+    batch, n = weights.shape[:2]
     lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.shape != (len(weights),) or (lengths < 0).any() or (lengths > lat.n).any():
-        raise ValueError(f"expected {len(weights)} lengths in 0..{lat.n}, got {lengths!r}")
+    if lengths.shape != (batch,) or (lengths < 0).any() or (lengths > n).any():
+        raise ValueError(f"expected {batch} lengths in 0..{n}, got {lengths!r}")
     return lengths
 
 
@@ -259,18 +261,18 @@ def _log_posterior(lat: Lattice, weights: np.ndarray) -> tuple[float, np.ndarray
     return log_z, np.exp(acc - np.logaddexp.reduce(acc, axis=1, keepdims=True))
 
 
-def random_well_formed(lat: Lattice, rng: np.random.Generator) -> tuple[Tag, ...]:
-    """Sample one accepting path uniformly over local choices.
+def random_well_formed(lat: Lattice, n: int, rng: np.random.Generator) -> tuple[Tag, ...]:
+    """Sample one accepting path of ``n`` words uniformly over local choices.
 
     The choices at each word are the tags that lead to a co-reachable state,
     one with a finite score in a backward tropical chart over zero weights.
     Raises :class:`EmptyLanguage` if the lattice has no accepting path.
     """
-    _, (beta,) = _chart(lat, np.zeros((1, lat.n, NUM_TAGS)), TROPICAL, backward=True)
+    _, (beta,) = _chart(lat, np.zeros((1, n, NUM_TAGS)), TROPICAL, backward=True)
     alive = beta[:, 0] > NEG_INF  # the dead state, where next_state is -1, never is
     q = lat.initial
     out: list[Tag] = []
-    for pos in range(lat.n):
+    for pos in range(n):
         tag = int(rng.choice([t for t in range(NUM_TAGS) if alive[pos + 1, lat.next_state[q, t]]]))
         out.append(TAGS[tag])
         q = int(lat.next_state[q, tag])
@@ -290,18 +292,17 @@ def viterbi(lat: Lattice, weights: np.ndarray) -> tuple[float, TagSequence]:
     the result is deterministic.  The score is recomputed from the returned
     sequence, making ``score == <y, w>`` exact.
     """
-    weights = _check_weights(lat, weights)
-    (ts,) = viterbi_batch(lat, weights[None], [lat.n])
+    weights = _check_weights(weights)
+    (ts,) = viterbi_batch(lat, weights[None], [len(weights)])
     return sequence_score(weights, ts), ts
 
 
 def viterbi_batch(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> list[TagSequence]:
     """The :func:`viterbi` sequences of a batch of right-aligned sentences.
 
-    ``weights`` is ``(B, n, 10)`` for the ``n``-word lattice ``lat``;
-    sentence ``b`` has ``lengths[b] <= n`` words, scored by the last
-    ``lengths[b]`` rows of ``weights[b]`` (the rows before them are padding
-    and may hold any finite value).  Each sequence, tie-break included, is
+    ``weights`` is ``(B, n, 10)``; sentence ``b`` has ``lengths[b] <= n``
+    words, scored by the last ``lengths[b]`` rows of ``weights[b]`` (the rows
+    before them are padding and may hold any finite value).  Each sequence, tie-break included, is
     the one :func:`viterbi` gives for the sentence alone.
     """
     return from_rows(viterbi_rows(lat, weights, lengths), np.cumsum([0, *lengths]))
@@ -310,9 +311,9 @@ def viterbi_batch(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> 
 def viterbi_rows(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
     """The :func:`viterbi_batch` sequences as tag indices, one sentence
     after another in one flat array."""
-    weights = _check_weights(lat, weights, batched=True)
-    lengths = _check_lengths(lat, weights, lengths)
-    batch, n, width = len(weights), lat.n, lat.num_grammar_states + 1
+    weights = _check_weights(weights, batched=True)
+    lengths = _check_lengths(weights, lengths)
+    (batch, n, _), width = weights.shape, lat.num_grammar_states + 1
     starts = n - lengths
     _, (beta,) = _chart(lat, weights, TROPICAL, lengths, backward=True)
     per_word = weights.transpose(1, 0, 2)
@@ -347,7 +348,7 @@ def forward(lat: Lattice, weights: np.ndarray) -> float:
     costs one two-way pass, and one more in the log semiring where the
     scaled one may have underflowed.
     """
-    return float(_posterior(lat, _check_weights(lat, weights)[None])[0][0])
+    return float(_posterior(lat, _check_weights(weights)[None])[0][0])
 
 
 def marginals(lat: Lattice, weights: np.ndarray) -> np.ndarray:
@@ -357,7 +358,7 @@ def marginals(lat: Lattice, weights: np.ndarray) -> np.ndarray:
     with tag ``t``; rows sum to one and cells unusable by any accepting path
     are exactly zero.
     """
-    return _posterior(lat, _check_weights(lat, weights)[None])[1][0]
+    return _posterior(lat, _check_weights(weights)[None])[1][0]
 
 
 # Canonical tag index after a flip: swaps DB-Bx/DB-By, DI-Bx/DI-By and DI-Ix/DI-Iy.
@@ -435,18 +436,26 @@ def _clamped(labels: Sequence[PartialLabelSet], weights: np.ndarray) -> tuple[np
     return gold_scores + _sums(np.logaddexp(0.0, gains[1:]), [pl.k for pl in labels]), out
 
 
+def _check_label_set(pl: PartialLabelSet, weights: np.ndarray) -> np.ndarray:
+    """:func:`_check_weights` of one sentence's weights, checked to have one row per word of ``pl``."""
+    weights = _check_weights(weights)
+    if len(pl.owner) != len(weights):
+        raise ValueError(f"label set length {len(pl.owner)} != sentence length {len(weights)}")
+    return weights
+
+
 def clamped_log_partition(pl: PartialLabelSet, weights: np.ndarray) -> float:
     """Log-sum-exp of the member scores (the clamped log-partition):
     ``<gold, w> + sum_s log(1 + exp(delta_s))``, ``delta_s`` the gain of flipping set ``s``.
     """
-    return float(_clamped([pl], np.asarray(weights, dtype=np.float64))[0][0])
+    return float(_clamped([pl], _check_label_set(pl, weights))[0][0])
 
 
 def clamped_marginals(pl: PartialLabelSet, weights: np.ndarray) -> np.ndarray:
     """Posterior-weighted average of member one-hots (gradient of the clamp):
     inside each set's span, ``gold`` and its flip mixed with weight ``sigmoid(delta_s)``.
     """
-    return _clamped([pl], np.asarray(weights, dtype=np.float64))[1]
+    return _clamped([pl], _check_label_set(pl, weights))[1]
 
 
 def _hard_em_targets(labels: Sequence[PartialLabelSet], weights: np.ndarray) -> np.ndarray:
@@ -472,12 +481,13 @@ def batch_losses(
     sentence after another; each sentence gets, bit for bit, what it gets
     alone.
     """
-    weights = _check_weights(lat, weights, batched=True)
-    lengths = _check_lengths(lat, weights, lengths)
+    weights = _check_weights(weights, batched=True)
+    lengths = _check_lengths(weights, lengths)
     if [len(pl.owner) for pl in labels] != lengths.tolist():
         raise ValueError("label set lengths do not match the sentence lengths")
     log_z, probs = _posterior(lat, weights, lengths)
-    real = np.arange(lat.n) >= (lat.n - lengths)[:, None]
+    n = weights.shape[1]
+    real = np.arange(n) >= (n - lengths)[:, None]
     scores, grad = weights[real], probs[real]
     if loss == "partial":
         clamped_z, clamped = _clamped(labels, scores)
@@ -498,9 +508,9 @@ def nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np
 
     Returns ``(loss, gradient)`` with ``gradient = marginals - onehot(gold)``.
     """
-    weights = _check_weights(lat, weights)
-    if len(gold) != lat.n:
-        raise ValueError(f"gold length {len(gold)} != lattice length {lat.n}")
+    weights = _check_weights(weights)
+    if len(gold) != len(weights):
+        raise ValueError(f"gold length {len(gold)} != sentence length {len(weights)}")
     if not is_well_formed(gold):
         raise IllFormed(gold.symbols())
     return _nll(lat, weights, gold)
@@ -508,8 +518,8 @@ def nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np
 
 def _nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np.ndarray]:
     """:func:`nll` of checked weights and a well-formed gold sequence."""
-    alone = PartialLabelSet(gold, np.full(lat.n, -1), 0)
-    (loss,), grad = batch_losses(lat, weights[None], [lat.n], [alone], "nll")
+    alone = PartialLabelSet(gold, np.full(len(weights), -1), 0)
+    (loss,), grad = batch_losses(lat, weights[None], [len(weights)], [alone], "nll")
     return float(loss), grad
 
 
@@ -522,8 +532,8 @@ def partial_nll(
     between full marginals and the member-posterior mean of member one-hots
     (the E-step quantity, treated as a constant with respect to ``weights``).
     """
-    weights = _check_weights(lat, weights)
-    (loss,), grad = batch_losses(lat, weights[None], [lat.n], [pl], "partial")
+    weights = _check_label_set(pl, weights)
+    (loss,), grad = batch_losses(lat, weights[None], [len(weights)], [pl], "partial")
     return float(loss), grad
 
 
@@ -536,8 +546,6 @@ def hard_em_step(
     earliest member in canonical order (unflipped first, then binary counting
     over sets from left to right).
     """
-    weights = _check_weights(lat, weights)
-    if len(pl.owner) != lat.n:
-        raise ValueError(f"label set length {len(pl.owner)} != lattice length {lat.n}")
+    weights = _check_label_set(pl, weights)
     chosen = TagSequence.from_indices(_hard_em_targets([pl], weights))
     return *_nll(lat, weights, chosen), chosen

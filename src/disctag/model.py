@@ -324,7 +324,7 @@ def train(
         (r, PartialLabelSet.from_annotation(ann, gold=gold)) for r, ann, gold in zip(rows, annotations, golds)
     ]
 
-    grammar = grammar_automaton(mode)
+    lattice = build_lattice(grammar_automaton(mode))
     rng = np.random.default_rng(config.seed)
     for epoch in range(config.epochs):
         total = 0.0
@@ -341,7 +341,6 @@ def train(
             if not np.isfinite(w).all():
                 raise _diverged(epoch + 1)
             lengths = sizes[runs[k]]
-            lattice = build_lattice(grammar, int(lengths.max()))
             labels = [s for _, s in batch]
             losses, grad = batch_losses(lattice, _right_aligned(w, lengths), lengths, labels, config.loss)
             if not (losses >= -1e-6).all():  # every loss is >= 0; huge scores cancel (or give NaN)
@@ -408,7 +407,7 @@ def predict_rows(
     as :func:`~disctag.scheme.mention_table` reads them."""
     if not all(sentences):
         raise ValueError("cannot score an empty sentence")
-    grammar = grammar_automaton(mode)
+    lattice = build_lattice(grammar_automaton(mode))
     lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
     batches: list[list[int]] = [[]]
     for k in sorted(range(len(sentences)), key=lengths.__getitem__):
@@ -421,7 +420,6 @@ def predict_rows(
         scores = scorer.score_rows(scorer.batch_feature_indices(sentences[k] for k in batch))
         if not np.isfinite(scores).all():
             raise ConfigError("model scores are not finite; the model's weights are too large")
-        lattice = build_lattice(grammar, int(batch_lengths[-1]))
         pieces.append(viterbi_rows(lattice, _right_aligned(scores, batch_lengths), batch_lengths))
     # the pieces hold the sentences in batch order: gather each back to its place
     order = np.array([k for batch in batches for k in batch], dtype=np.intp)

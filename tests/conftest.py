@@ -150,14 +150,14 @@ def language_of(automaton, n: int) -> frozenset:
     return frozenset(seq for seq in itertools.product(TAGS, repeat=n) if accepts(automaton, seq))
 
 
-def accepting_sequences(lattice) -> set:
-    """The tag sequences spelled by the accepting paths of ``lattice``.
+def accepting_sequences(lattice, n: int) -> set:
+    """The ``n``-tag sequences spelled by the accepting paths of ``lattice``.
 
     Walks every path of the successor table from the initial state, so it
     relies on no dynamic program; small ``n`` only.
     """
     paths = [((), lattice.initial)]
-    for _ in range(lattice.n):
+    for _ in range(n):
         paths = [
             (seq + (tag,), int(lattice.next_state[q, tag.index]))
             for seq, q in paths

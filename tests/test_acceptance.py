@@ -61,8 +61,7 @@ def report(number, name, ok, detail=""):
     assert ok, f"criterion {number} ({name}) failed{suffix}"
 
 
-def lattice(n):
-    return build_lattice(GRAMMAR, n)
+LATTICE = build_lattice(GRAMMAR)
 
 
 def random_instances(count, seed, max_n=8, min_n=2):
@@ -71,7 +70,7 @@ def random_instances(count, seed, max_n=8, min_n=2):
     out = []
     while len(out) < count:
         n = int(rng.integers(min_n, max_n + 1))
-        seq = random_well_formed(lattice(n), rng)
+        seq = random_well_formed(LATTICE, n, rng)
         ann = to_two_layer(decode(seq), n)
         w = rng.uniform(-2.0, 2.0, size=(n, NUM_TAGS))
         out.append((n, w, ann, encode(ann)))
@@ -97,7 +96,7 @@ def test_criterion_01_language_equivalence(language):
     start = time.perf_counter()
     for n in range(1, 7):
         expected = language.as_set(n)
-        got = frozenset(accepting_sequences(lattice(n)))
+        got = frozenset(accepting_sequences(LATTICE, n))
         assert got == expected, f"mismatch at n={n}"
     elapsed = time.perf_counter() - start
     report(
@@ -117,7 +116,7 @@ def test_criterion_02_canonical_automaton_size(language):
     # Fallback: language equivalence stays authoritative and the measured
     # count must be recorded in the project docs.
     for n in range(1, 7):
-        got = frozenset(accepting_sequences(build_lattice(minimal, n)))
+        got = frozenset(accepting_sequences(build_lattice(minimal), n))
         assert got == language.as_set(n), f"minimized automaton differs at n={n}"
     with open(README_PATH, encoding="utf-8") as handle:
         documented = f"{count} states" in handle.read()
@@ -130,8 +129,8 @@ def test_criterion_02_canonical_automaton_size(language):
 
 
 def test_criterion_03_forward_oracle(language):
-    assert forward(lattice(1), np.zeros((1, NUM_TAGS))) == pytest.approx(math.log(2), abs=1e-9)
-    assert forward(lattice(2), np.zeros((2, NUM_TAGS))) == pytest.approx(math.log(5), abs=1e-9)
+    assert forward(LATTICE, np.zeros((1, NUM_TAGS))) == pytest.approx(math.log(2), abs=1e-9)
+    assert forward(LATTICE, np.zeros((2, NUM_TAGS))) == pytest.approx(math.log(5), abs=1e-9)
     rng = np.random.default_rng(301)
     worst = 0.0
     for n in range(1, 7):
@@ -141,7 +140,7 @@ def test_criterion_03_forward_oracle(language):
             w = rng.uniform(-3.0, 3.0, size=(n, NUM_TAGS))
             scores = w[np.arange(n), idx].sum(axis=1)
             brute = scores.max() + math.log(np.exp(scores - scores.max()).sum())
-            worst = max(worst, abs(forward(lattice(n), w) - brute))
+            worst = max(worst, abs(forward(LATTICE, w) - brute))
     report(3, "forward equals brute-force log-sum-exp", worst <= 1e-6, f"max abs err {worst:.2e}")
 
 
@@ -153,7 +152,7 @@ def test_criterion_04_viterbi_oracle(language):
         for _ in range(100):
             w = rng.uniform(-3.0, 3.0, size=(n, NUM_TAGS))
             scores = w[np.arange(n), idx].sum(axis=1)
-            score, ts = viterbi(lattice(n), w)
+            score, ts = viterbi(LATTICE, w)
             assert score == scores.max(), f"inexact max at n={n}"
             assert is_well_formed(ts)
             assert sequence_score(w, ts) == score
@@ -164,16 +163,15 @@ def test_criterion_05_gradient_checks():
     instances = random_instances(50, seed=501)
     worst = {"marginals": 0.0, "clamped": 0.0, "nll": 0.0, "partial": 0.0}
     for n, w, ann, gold in instances:
-        lat = lattice(n)
         pl = PartialLabelSet.from_annotation(ann)
-        fd = central_difference(lambda v: forward(lat, v), w)
-        worst["marginals"] = max(worst["marginals"], max_relative_error(marginals(lat, w), fd))
+        fd = central_difference(lambda v: forward(LATTICE, v), w)
+        worst["marginals"] = max(worst["marginals"], max_relative_error(marginals(LATTICE, w), fd))
         fd = central_difference(lambda v: clamped_log_partition(pl, v), w)
         worst["clamped"] = max(worst["clamped"], max_relative_error(clamped_marginals(pl, w), fd))
-        fd = central_difference(lambda v: nll(lat, v, gold)[0], w)
-        worst["nll"] = max(worst["nll"], max_relative_error(nll(lat, w, gold)[1], fd))
-        fd = central_difference(lambda v: partial_nll(lat, v, pl)[0], w)
-        worst["partial"] = max(worst["partial"], max_relative_error(partial_nll(lat, w, pl)[1], fd))
+        fd = central_difference(lambda v: nll(LATTICE, v, gold)[0], w)
+        worst["nll"] = max(worst["nll"], max_relative_error(nll(LATTICE, w, gold)[1], fd))
+        fd = central_difference(lambda v: partial_nll(LATTICE, v, pl)[0], w)
+        worst["partial"] = max(worst["partial"], max_relative_error(partial_nll(LATTICE, w, pl)[1], fd))
     ok = all(v <= 1e-4 for v in worst.values())
     detail = ", ".join(f"{k}: {v:.2e}" for k, v in worst.items())
     report(5, "gradients match central finite differences", ok, detail)
@@ -192,16 +190,15 @@ def test_criterion_06_partial_label_structure():
         assert len(pl) == len(members) == 2**k
         assert len({m.tags for m in members}) == 2**k
         assert len({decode(m) for m in members}) == 1
-        lat = lattice(n)
         for _ in range(10):
             w = rng.uniform(-2.0, 2.0, size=(n, NUM_TAGS))
             scores = np.array([sequence_score(w, m) for m in members])
-            loss, _ = partial_nll(lat, w, pl)
+            loss, _ = partial_nll(LATTICE, w, pl)
             assert loss >= 0.0
-            assert loss == pytest.approx(forward(lat, w) - np.logaddexp.reduce(scores), abs=1e-12)
+            assert loss == pytest.approx(forward(LATTICE, w) - np.logaddexp.reduce(scores), abs=1e-12)
             if k == 0:
-                assert loss == pytest.approx(nll(lat, w, members[0])[0], abs=1e-12)
-            _, _, chosen = hard_em_step(lat, w, pl)
+                assert loss == pytest.approx(nll(LATTICE, w, members[0])[0], abs=1e-12)
+            _, _, chosen = hard_em_step(LATTICE, w, pl)
             assert chosen.tags == members[int(np.argmax(scores))].tags
     report(6, "partial-label sets have 2^k members with consistent losses", True)
 
@@ -255,11 +252,10 @@ def test_criterion_08_round_trips(language, tmp_path):
 
 def _toy_corpus(count=50, seed=901):
     rng = np.random.default_rng(seed)
-    lattices = {n: lattice(n) for n in range(4, 11)}
     corpus = []
     for _ in range(count):
         n = int(rng.integers(4, 11))
-        seq = random_well_formed(lattices[n], rng)
+        seq = random_well_formed(LATTICE, n, rng)
         ann = to_two_layer(decode(seq), n)
         gold = encode(ann)
         tokens = tuple(f"t{t.index}w{rng.integers(3)}" for t in gold)

@@ -46,6 +46,12 @@ class TestAutomatonBasics:
             with pytest.raises(ValueError, match="not a tag"):
                 Automaton(1, {(0, label, 0.0, 0)}, 0, {0})
 
+    def test_rejects_nonzero_weights(self):
+        # scores come from the weight matrix alone: a transition weight would be dropped
+        for weight in (5.0, float("nan")):
+            with pytest.raises(ValueError, match="weight"):
+                Automaton(1, {(0, O, weight, 0)}, 0, {0})
+
     def test_accepts_with_epsilon(self):
         a = Automaton(3, {(0, None, 0.0, 1), (1, O, 0.0, 2)}, 0, {2})
         assert accepts(a, [O])
@@ -140,13 +146,12 @@ class TestGrammarAutomaton:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_language_equals_rule_checker(self, semantic, language, n):
-        lat = build_lattice(semantic, n)
-        assert accepting_sequences(lat) == language.as_set(n)
+        assert accepting_sequences(build_lattice(semantic), n) == language.as_set(n)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_structural_language(self, structural, language, n):
         expected = {seq for seq in language.sequences(n) if is_structural(seq)}
-        assert accepting_sequences(build_lattice(structural, n)) == expected
+        assert accepting_sequences(build_lattice(structural), n) == expected
 
     def test_structural_is_strict_subset(self, semantic, structural):
         sem = language_of(semantic, 3)
@@ -160,20 +165,15 @@ class TestGrammarAutomaton:
 
 class TestLattice:
     def test_paths_at_n1(self, semantic):
-        lat = build_lattice(semantic, 1)
-        assert accepting_sequences(lat) == {(O,), (CB,)}
+        assert accepting_sequences(build_lattice(semantic), 1) == {(O,), (CB,)}
 
     def test_grammar_table_shared_and_read_only(self, semantic):
-        short, long = build_lattice(semantic, 3), build_lattice(semantic, 300)
-        assert (short.n, long.n) == (3, 300)
-
-        def table(lat):
-            groups = (lat.two_way, lat.reverse, lat.by_tag)
-            return [lat.next_state, lat.final_mask] + [a for g in groups for a in vars(g).values()]
-
-        assert len(table(short)) == 14
-        for array, other in zip(table(short), table(long)):
-            assert array is other
+        lat = build_lattice(semantic)
+        assert build_lattice(semantic) is lat
+        groups = (lat.two_way, lat.reverse, lat.by_tag)
+        table = [lat.next_state, lat.final_mask] + [a for g in groups for a in vars(g).values()]
+        assert len(table) == 14
+        for array in table:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = array[0]
@@ -181,7 +181,7 @@ class TestLattice:
     def test_compiled_table_is_the_minimal_dfa(self, semantic, structural):
         # the grammar (and its export) stays determinised; its table is compiled from the minimal DFA
         for grammar, determinised, compiled in ((semantic, (16, 77), (13, 58)), (structural, (9, 39), (9, 39))):
-            lat = build_lattice(grammar, 2)
+            lat = build_lattice(grammar)
             assert (grammar.num_states, len(grammar.transitions)) == determinised
             assert (lat.num_grammar_states, int((lat.next_state >= 0).sum())) == compiled
             minimal = minimize(grammar)
@@ -190,19 +190,19 @@ class TestLattice:
     def test_nondeterministic_grammar_rejected(self):
         nfa = Automaton(2, {(0, O, 0.0, 0), (0, O, 0.0, 1)}, 0, {0})
         with pytest.raises(ValueError):
-            build_lattice(nfa, 2)
+            build_lattice(nfa)
 
     def test_coreachability_masks(self, semantic):
         # the backward tropical chart over zero weights that random_well_formed
         # samples through: a finite score marks a co-reachable state
-        lat = build_lattice(semantic, 4)
+        lat = build_lattice(semantic)
         _, (beta,) = _chart(lat, np.zeros((1, 4, NUM_TAGS)), TROPICAL, backward=True)
         bwd = beta[:, 0, : lat.num_grammar_states] > -np.inf
         assert bwd.shape == (5, lat.num_grammar_states)
         assert bwd[0, lat.initial]
         assert np.array_equal(bwd[4], lat.final_mask)
         # every accepting sequence stays inside the co-reachable states
-        for seq in accepting_sequences(lat):
+        for seq in accepting_sequences(lat, 4):
             q = lat.initial
             for pos, tag in enumerate(seq):
                 q = int(lat.next_state[q, tag.index])
@@ -216,7 +216,7 @@ class TestLattice:
                 assert bwd[pos, q] == any(lat.final_mask[e] for e in ends)
 
     def test_weight_validation(self, semantic):
-        lat = build_lattice(semantic, 3)
+        lat = build_lattice(semantic)
         for dp in (viterbi, forward, marginals):
             with pytest.raises(ValueError):
                 dp(lat, np.zeros((3, 4)))
@@ -228,7 +228,7 @@ class TestLattice:
 
     def test_empty_language_flagged(self):
         no_final_at_start = Automaton(2, {(0, O, 0.0, 1)}, 0, {1})
-        lat = build_lattice(no_final_at_start, 0)
+        lat = build_lattice(no_final_at_start)
         for dp in (viterbi, forward, marginals):
             with pytest.raises(EmptyLanguage):
                 dp(lat, np.zeros((0, NUM_TAGS)))
@@ -240,8 +240,8 @@ class TestLattice:
                 expected = language.as_set(n)
                 if grammar is structural:
                     expected = {seq for seq in expected if is_structural(seq)}
-                lat = build_lattice(grammar, n)
-                samples = {random_well_formed(lat, rng) for _ in range(300 if n <= 2 else 50)}
+                lat = build_lattice(grammar)
+                samples = {random_well_formed(lat, n, rng) for _ in range(300 if n <= 2 else 50)}
                 assert samples <= expected
                 if n <= 2:  # every accepting path is reachable
                     assert samples == expected

@@ -52,10 +52,7 @@ from disctag.scheme import (
 from conftest import LIBRARY_LOSSES, admissible_sequences, max_sum_reference
 
 GRAMMAR = grammar_automaton("semantic")
-
-
-def lat(n):
-    return build_lattice(GRAMMAR, n)
+LAT = build_lattice(GRAMMAR)
 
 
 def brute_scores(language, n, w):
@@ -85,12 +82,12 @@ class TestViterbi:
         w = np.full((1, NUM_TAGS), -5.0)
         w[0, O.index] = 1.0
         w[0, CB.index] = 0.0
-        score, ts = viterbi(lat(1), w)
+        score, ts = viterbi(LAT, w)
         assert score == 1.0
         assert ts.tags == (O,)
 
     def test_zero_weights_canonical_tie_break(self):
-        score, ts = viterbi(lat(3), np.zeros((3, NUM_TAGS)))
+        score, ts = viterbi(LAT, np.zeros((3, NUM_TAGS)))
         assert score == 0.0
         # lowest tag index wins at every position, left to right
         assert ts.symbols() == "CB CB CB"
@@ -101,7 +98,7 @@ class TestViterbi:
         for _ in range(25):
             w = random_weights(rng, n)
             seqs, scores = brute_scores(language, n, w)
-            score, ts = viterbi(lat(n), w)
+            score, ts = viterbi(LAT, w)
             assert score == scores.max()
             assert tuple(ts) in set(seqs)
             assert is_well_formed(ts)
@@ -110,8 +107,8 @@ class TestViterbi:
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
         w = random_weights(rng, 6)
-        score, ts = viterbi(lat(6), w)
-        score2, ts2 = viterbi(lat(6), w + 3.25)
+        score, ts = viterbi(LAT, w)
+        score2, ts2 = viterbi(LAT, w + 3.25)
         assert ts2.tags == ts.tags
         assert np.isclose(score2, score + 6 * 3.25)
 
@@ -127,7 +124,7 @@ class TestViterbiBatch:
                 lengths = rng.integers(1, 6, size=8)
                 n = int(lengths.max())
                 w = rng.integers(-2, 3, size=(len(lengths), n, NUM_TAGS)).astype(float)
-                got = viterbi_batch(build_lattice(grammar, n), w, lengths)
+                got = viterbi_batch(build_lattice(grammar), w, lengths)
                 for b, m in enumerate(lengths):
                     own = w[b, n - m :]
                     seqs = [s for s in language.sequences(m) if mode == "semantic" or is_structural(s)]
@@ -145,7 +142,7 @@ class TestViterbiBatch:
         for lengths in ([1], [200], [3, 200, 57, 1, 120], rng.integers(1, 201, 8), np.arange(1, 41)):
             n = int(max(lengths))
             w = rng.integers(-2, 3, size=(len(lengths), n, NUM_TAGS)).astype(float)
-            got = viterbi_batch(build_lattice(grammar, n), w, lengths)
+            got = viterbi_batch(build_lattice(grammar), w, lengths)
             for b, m in enumerate(lengths):
                 score, tags = max_sum_reference(grammar, w[b, n - m :])
                 assert tuple(got[b].indices) == tags
@@ -160,31 +157,29 @@ class TestViterbiBatch:
         rng = np.random.default_rng(53)
         lengths = rng.permutation(np.concatenate([[1, 40], rng.integers(1, 41, size=510)]))
         w = rng.integers(-2, 3, size=(len(lengths), 40, NUM_TAGS)).astype(float)
-        got = viterbi_rows(build_lattice(grammar, 40), w, lengths)
-        alone = [viterbi(build_lattice(grammar, m), w[b, 40 - m :])[1].indices for b, m in enumerate(lengths)]
+        got = viterbi_rows(build_lattice(grammar), w, lengths)
+        alone = [viterbi(build_lattice(grammar), w[b, 40 - m :])[1].indices for b, m in enumerate(lengths)]
         assert got.tolist() == np.concatenate(alone).tolist()
 
     def test_batch_of_one_is_viterbi(self):
         rng = np.random.default_rng(43)
         for n in (1, 7, 64):
             w = rng.integers(-2, 3, size=(n, NUM_TAGS)).astype(float)
-            assert viterbi_batch(lat(n), w[None], [n])[0].tags == viterbi(lat(n), w)[1].tags
+            assert viterbi_batch(LAT, w[None], [n])[0].tags == viterbi(LAT, w)[1].tags
 
     def test_rejects_bad_shapes_and_lengths(self):
         w = np.zeros((2, 4, NUM_TAGS))
         for lengths in ([4], [4, 5], [4, -1]):
             with pytest.raises(ValueError):
-                viterbi_batch(lat(4), w, lengths)
+                viterbi_batch(LAT, w, lengths)
         with pytest.raises(ValueError):
-            viterbi_batch(lat(4), np.zeros((4, NUM_TAGS)), [4])
-        with pytest.raises(ValueError):
-            viterbi_batch(lat(3), w, [3, 3])
+            viterbi_batch(LAT, np.zeros((4, NUM_TAGS)), [4])
 
 
 class TestForward:
     def test_uniform_counts(self):
-        assert forward(lat(1), np.zeros((1, NUM_TAGS))) == pytest.approx(math.log(2), abs=1e-12)
-        assert forward(lat(2), np.zeros((2, NUM_TAGS))) == pytest.approx(math.log(5), abs=1e-12)
+        assert forward(LAT, np.zeros((1, NUM_TAGS))) == pytest.approx(math.log(2), abs=1e-12)
+        assert forward(LAT, np.zeros((2, NUM_TAGS))) == pytest.approx(math.log(5), abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_brute_force(self, language, n):
@@ -193,20 +188,20 @@ class TestForward:
             w = random_weights(rng, n)
             _, scores = brute_scores(language, n, w)
             expected = scores.max() + np.log(np.exp(scores - scores.max()).sum())
-            assert forward(lat(n), w) == pytest.approx(expected, abs=1e-6)
+            assert forward(LAT, w) == pytest.approx(expected, abs=1e-6)
 
     def test_sandwich_bounds(self, language):
         rng = np.random.default_rng(11)
         for n in (2, 4, 6):
             w = random_weights(rng, n)
-            v, _ = viterbi(lat(n), w)
-            a = forward(lat(n), w)
+            v, _ = viterbi(LAT, w)
+            a = forward(LAT, w)
             assert v <= a <= v + math.log(len(language.sequences(n))) + 1e-9
 
     def test_shift_adds_nc(self):
         rng = np.random.default_rng(12)
         w = random_weights(rng, 5)
-        assert forward(lat(5), w + 1.5) == pytest.approx(forward(lat(5), w) + 5 * 1.5)
+        assert forward(LAT, w + 1.5) == pytest.approx(forward(LAT, w) + 5 * 1.5)
 
 
 def central_difference(f, w, eps=1e-3):
@@ -227,7 +222,7 @@ def assert_close_to_fd(analytic, fd, rtol=1e-4):
 
 class TestMarginals:
     def test_two_path_posterior(self):
-        m = marginals(lat(1), np.zeros((1, NUM_TAGS)))
+        m = marginals(LAT, np.zeros((1, NUM_TAGS)))
         assert m[0, O.index] == pytest.approx(0.5)
         assert m[0, CB.index] == pytest.approx(0.5)
         assert m.sum() == pytest.approx(1.0)
@@ -239,7 +234,7 @@ class TestMarginals:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(31)
         w = random_weights(rng, 7)
-        m = marginals(lat(7), w)
+        m = marginals(LAT, w)
         assert np.allclose(m.sum(axis=1), 1.0, atol=1e-9)
         assert np.all((m >= 0) & (m <= 1))
 
@@ -247,20 +242,20 @@ class TestMarginals:
     def test_gradient_of_forward(self, n):
         rng = np.random.default_rng(40 + n)
         w = random_weights(rng, n)
-        fd = central_difference(lambda v: forward(lat(n), v), w)
-        assert_close_to_fd(marginals(lat(n), w), fd)
+        fd = central_difference(lambda v: forward(LAT, v), w)
+        assert_close_to_fd(marginals(LAT, w), fd)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(17)
         w = random_weights(rng, 4)
-        assert np.allclose(marginals(lat(4), w), marginals(lat(4), w + 2.0), atol=1e-9)
+        assert np.allclose(marginals(LAT, w), marginals(LAT, w + 2.0), atol=1e-9)
 
     @pytest.mark.parametrize("scale", [1e14, 1e50, 1e300])
     def test_large_finite_weights(self, scale):
         rng = np.random.default_rng(59)
         w = random_weights(rng, 6, scale=scale)
-        assert math.isfinite(forward(lat(6), w))
-        m = marginals(lat(6), w)
+        assert math.isfinite(forward(LAT, w))
+        m = marginals(LAT, w)
         assert np.all(np.isfinite(m))
         assert np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -357,11 +352,20 @@ class TestClampedLogPartition:
         fd = central_difference(lambda v: clamped_log_partition(pl, v), w)
         assert_close_to_fd(clamped_marginals(pl, w), fd)
 
+    def test_rejects_bad_weights(self):
+        pl = PartialLabelSet.from_annotation(to_two_layer([Mention(((0, 0), (2, 2)))], 5))
+        nan = np.zeros((5, NUM_TAGS))
+        nan[1, 2] = np.nan
+        for w in (np.zeros((9, NUM_TAGS)), nan, np.zeros((5, 4))):
+            for clamped in (clamped_log_partition, clamped_marginals):
+                with pytest.raises(ValueError):
+                    clamped(pl, w)
+
 
 class TestNll:
     def test_value_at_zero_weights(self):
         gold = TagSequence.from_symbols("O")
-        loss, grad = nll(lat(1), np.zeros((1, NUM_TAGS)), gold)
+        loss, grad = nll(LAT, np.zeros((1, NUM_TAGS)), gold)
         assert loss == pytest.approx(math.log(2))
         assert grad.shape == (1, NUM_TAGS)
 
@@ -369,19 +373,25 @@ class TestNll:
         gold = TagSequence.from_symbols("CB CI O")
         w = np.full((3, NUM_TAGS), -30.0)
         w[np.arange(3), gold.indices] = 30.0
-        loss, _ = nll(lat(3), w, gold)
+        loss, _ = nll(LAT, w, gold)
         assert 0 <= loss < 1e-9
 
     def test_rejects_ill_formed_gold(self):
         with pytest.raises(IllFormed):
-            nll(lat(2), np.zeros((2, NUM_TAGS)), TagSequence.from_symbols("O CI"))
+            nll(LAT, np.zeros((2, NUM_TAGS)), TagSequence.from_symbols("O CI"))
+
+    def test_rejects_gold_of_another_length(self):
+        gold = TagSequence.from_symbols("O CB CI")
+        for n in (2, 4):
+            with pytest.raises(ValueError, match="gold length"):
+                nll(LAT, np.zeros((n, NUM_TAGS)), gold)
 
     def test_gradient_matches_fd(self):
         gold = TagSequence.from_symbols("O CB CI O DB-Bx DI-O DI-By")
         rng = np.random.default_rng(21)
         w = rng.uniform(-1, 1, (7, NUM_TAGS))
-        fd = central_difference(lambda v: nll(lat(7), v, gold)[0], w)
-        assert_close_to_fd(nll(lat(7), w, gold)[1], fd)
+        fd = central_difference(lambda v: nll(LAT, v, gold)[0], w)
+        assert_close_to_fd(nll(LAT, w, gold)[1], fd)
 
 
 class TestPartialNll:
@@ -390,8 +400,8 @@ class TestPartialNll:
         pl = PartialLabelSet.from_annotation(ann)
         rng = np.random.default_rng(2)
         w = rng.uniform(-1, 1, (ann.n, NUM_TAGS))
-        ploss, pgrad = partial_nll(lat(ann.n), w, pl)
-        floss, fgrad = nll(lat(ann.n), w, admissible_sequences(ann)[0])
+        ploss, pgrad = partial_nll(LAT, w, pl)
+        floss, fgrad = nll(LAT, w, admissible_sequences(ann)[0])
         assert ploss == pytest.approx(floss)
         assert np.allclose(pgrad, fgrad)
 
@@ -401,18 +411,18 @@ class TestPartialNll:
         rng = np.random.default_rng(23)
         for _ in range(20):
             w = rng.uniform(-3, 3, (ann.n, NUM_TAGS))
-            loss, _ = partial_nll(lat(ann.n), w, pl)
+            loss, _ = partial_nll(LAT, w, pl)
             assert loss >= 0
             for member in admissible_sequences(ann):
-                assert loss <= nll(lat(ann.n), w, member)[0] + 1e-9
+                assert loss <= nll(LAT, w, member)[0] + 1e-9
 
     def test_gradient_matches_fd(self):
         ann = annotation_with_sets(2)
         pl = PartialLabelSet.from_annotation(ann)
         rng = np.random.default_rng(29)
         w = rng.uniform(-1, 1, (ann.n, NUM_TAGS))
-        fd = central_difference(lambda v: partial_nll(lat(ann.n), v, pl)[0], w)
-        assert_close_to_fd(partial_nll(lat(ann.n), w, pl)[1], fd)
+        fd = central_difference(lambda v: partial_nll(LAT, v, pl)[0], w)
+        assert_close_to_fd(partial_nll(LAT, w, pl)[1], fd)
 
     def test_thirty_sets_beyond_enumeration(self):
         ann = annotation_with_sets(30)  # 2**30 admissible sequences, n = 120
@@ -420,7 +430,7 @@ class TestPartialNll:
         assert len(pl) == 2**30
         rng = np.random.default_rng(31)
         w = rng.uniform(-2, 2, (ann.n, NUM_TAGS))
-        loss, grad = partial_nll(lat(ann.n), w, pl)
+        loss, grad = partial_nll(LAT, w, pl)
         assert loss >= 0
         assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-12)
         eps = 1e-4
@@ -428,7 +438,7 @@ class TestPartialNll:
             up, down = w.copy(), w.copy()
             up[i, t] += eps
             down[i, t] -= eps
-            fd = (partial_nll(lat(ann.n), up, pl)[0] - partial_nll(lat(ann.n), down, pl)[0]) / (2 * eps)
+            fd = (partial_nll(LAT, up, pl)[0] - partial_nll(LAT, down, pl)[0]) / (2 * eps)
             assert grad[i, t] == pytest.approx(fd, abs=1e-6)
 
 
@@ -437,9 +447,9 @@ class TestHardEm:
         ann = annotation_with_sets(0)
         pl = PartialLabelSet.from_annotation(ann)
         w = np.random.default_rng(4).uniform(-1, 1, (ann.n, NUM_TAGS))
-        loss, grad, chosen = hard_em_step(lat(ann.n), w, pl)
+        loss, grad, chosen = hard_em_step(LAT, w, pl)
         member = admissible_sequences(ann)[0]
-        floss, fgrad = nll(lat(ann.n), w, member)
+        floss, fgrad = nll(LAT, w, member)
         assert chosen.tags == member.tags
         assert loss == floss and np.array_equal(grad, fgrad)
 
@@ -448,12 +458,12 @@ class TestHardEm:
         pl = PartialLabelSet.from_annotation(ann)
         members = admissible_sequences(ann)
         w = np.zeros((ann.n, NUM_TAGS))
-        _, _, chosen = hard_em_step(lat(ann.n), w, pl)
+        _, _, chosen = hard_em_step(LAT, w, pl)
         assert chosen.tags == members[0].tags  # tie: canonical member
         rng = np.random.default_rng(6)
         for _ in range(10):
             w = rng.uniform(-2, 2, (ann.n, NUM_TAGS))
-            _, _, chosen = hard_em_step(lat(ann.n), w, pl)
+            _, _, chosen = hard_em_step(LAT, w, pl)
             best = max(sequence_score(w, m) for m in members)
             assert sequence_score(w, chosen) == best
 
@@ -469,9 +479,15 @@ class TestHardEm:
         w[12, DB_BY.index] = w[14, DI_BY.index] = 0.5  # set 3 gains exactly 0
         scores = [sequence_score(w, m) for m in members]
         best = members[scores.index(max(scores))]
-        _, _, chosen = hard_em_step(lat(ann.n), w, pl)
+        _, _, chosen = hard_em_step(LAT, w, pl)
         assert chosen.tags == best.tags
         assert chosen.tags == members[0b0100].tags  # only set 1 flipped
+
+    def test_rejects_label_set_of_another_length(self):
+        pl = PartialLabelSet.from_annotation(annotation_with_sets(2))  # 8 words
+        for n in (7, 9):
+            with pytest.raises(ValueError, match="label set length"):
+                hard_em_step(LAT, np.zeros((n, NUM_TAGS)), pl)
 
 
 def right_aligned(rng, sentences, pad_scale=5.0):
@@ -486,7 +502,7 @@ def right_aligned(rng, sentences, pad_scale=5.0):
 def random_labels(rng, mode, n):
     """The label set of a random sequence of n words of the mode's grammar;
     its sets are unresolved, except in structural mode."""
-    ann = to_two_layer(decode(random_well_formed(build_lattice(grammar_automaton(mode), n), rng)), n)
+    ann = to_two_layer(decode(random_well_formed(build_lattice(grammar_automaton(mode)), n, rng)), n)
     return PartialLabelSet.from_annotation(ann.structural() if mode == "structural" else ann)
 
 
@@ -494,15 +510,15 @@ class TestBatchedPosterior:
     @pytest.mark.parametrize("mode", ["semantic", "structural"])
     def test_batch_equals_each_sentence_alone(self, mode):
         grammar = grammar_automaton(mode)
+        lattice = build_lattice(grammar)
         rng = np.random.default_rng(61)
         for batch in range(1, 17):
             lengths = rng.integers(1, 301 if batch % 4 == 0 else 40, batch)
             sentences = [random_weights(rng, n, scale=rng.choice([0.5, 3.0, 30.0])) for n in lengths]
-            log_z, probs = _posterior(build_lattice(grammar, lengths.max()), right_aligned(rng, sentences), lengths)
+            log_z, probs = _posterior(lattice, right_aligned(rng, sentences), lengths)
             for b, w in enumerate(sentences):
-                alone = build_lattice(grammar, len(w))
-                assert log_z[b] == forward(alone, w)
-                assert np.array_equal(probs[b, lengths.max() - len(w) :], marginals(alone, w))
+                assert log_z[b] == forward(lattice, w)
+                assert np.array_equal(probs[b, lengths.max() - len(w) :], marginals(lattice, w))
 
     def test_log_fallback_in_a_batch(self, monkeypatch):
         calls = []
@@ -512,26 +528,26 @@ class TestBatchedPosterior:
         lengths = np.array([5, 9, 3, 12])
         sentences = [random_weights(rng, n) for n in lengths]
         sentences[1] = random_weights(rng, 9, scale=1e300)  # underflows in the scaled chart
-        log_z, probs = _posterior(lat(12), right_aligned(rng, sentences), lengths)
+        log_z, probs = _posterior(LAT, right_aligned(rng, sentences), lengths)
         assert len(calls) == 1 and np.array_equal(calls[0][1], sentences[1])
         assert np.all(np.isfinite(log_z)) and np.all(np.isfinite(probs[1, 3:]))
         calls.clear()
         for b, w in enumerate(sentences):
-            assert log_z[b] == forward(lat(len(w)), w)
-            assert np.array_equal(probs[b, 12 - len(w) :], marginals(lat(len(w)), w))
+            assert log_z[b] == forward(LAT, w)
+            assert np.array_equal(probs[b, 12 - len(w) :], marginals(LAT, w))
         # alone, forward and marginals each fall back for the 1e300 sentence, and only for it
         assert len(calls) == 2 and all(np.array_equal(c[1], sentences[1]) for c in calls)
 
     @pytest.mark.parametrize("mode", ["semantic", "structural"])
     def test_scaled_matches_log_chart(self, mode):
         grammar = grammar_automaton(mode)
+        lattice = build_lattice(grammar)
         rng = np.random.default_rng(71)
         for n in [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233]:
             for scale in (0.1, 2.0, 20.0):
                 w = random_weights(rng, n, scale=scale)
-                lat_n = build_lattice(grammar, n)
-                (log_z,), probs = _posterior(lat_n, w[None])
-                log_z_ref, probs_ref = _log_posterior(lat_n, w)
+                (log_z,), probs = _posterior(lattice, w[None])
+                log_z_ref, probs_ref = _log_posterior(lattice, w)
                 assert abs(log_z - log_z_ref) <= 1e-12 * abs(log_z_ref)
                 assert np.max(np.abs(probs[0] - probs_ref)) <= 1e-12
 
@@ -539,14 +555,14 @@ class TestBatchedPosterior:
     def test_scaled_matches_log_chart_at_large_weights(self, mode):
         # scores that differ by hundreds underflow exp: such sentences must take the log chart
         grammar = grammar_automaton(mode)
+        lattice = build_lattice(grammar)
         rng = np.random.default_rng(89)
         for n in [2, 6, 20, 80]:
             for scale in (1e2, 3e2, 1e3, 1e4):
                 for _ in range(3):
                     w = random_weights(rng, n, scale=scale)
-                    lat_n = build_lattice(grammar, n)
-                    (log_z,), probs = _posterior(lat_n, w[None])
-                    log_z_ref, probs_ref = _log_posterior(lat_n, w)
+                    (log_z,), probs = _posterior(lattice, w[None])
+                    log_z_ref, probs_ref = _log_posterior(lattice, w)
                     assert abs(log_z - log_z_ref) <= 1e-12 * abs(log_z_ref)
                     # the log chart rounds its log sums, up to n * scale, to eps of them
                     assert np.max(np.abs(probs[0] - probs_ref)) <= max(1e-12, 4 * n * scale * np.finfo(float).eps)
@@ -560,8 +576,8 @@ class TestBatchedPosterior:
         w[0, CB.index] = -740.0
         w[1] = 300.0
         w[1, CI.index] = 1042.0
-        (log_z,), probs = _posterior(lat(2), w[None])
-        log_z_ref, probs_ref = _log_posterior(lat(2), w)
+        (log_z,), probs = _posterior(LAT, w[None])
+        log_z_ref, probs_ref = _log_posterior(LAT, w)
         assert abs(log_z - log_z_ref) <= 1e-12 * abs(log_z_ref)
         assert np.max(np.abs(probs[0] - probs_ref)) <= 1e-12
 
@@ -571,7 +587,7 @@ class TestBatchedPosterior:
         w[0, 1, CB.index] = -151.0
         w[1, 1, CB.index] = -149.0
         for backward in (False, True):
-            log_z, _ = _chart(lat(4), w, SCALED, backward=backward)
+            log_z, _ = _chart(LAT, w, SCALED, backward=backward)
             assert np.isnan(log_z[:, 0]).all() and np.isfinite(log_z[:, 1]).all()
         # so does a cell below 1e-250: in a chain grammar, the cell j steps
         # along the chain is exp(-100 j) of its row, below it from j = 6 on
@@ -581,7 +597,7 @@ class TestBatchedPosterior:
         grammar = Automaton(chain + 1, frozenset(transitions), 0, frozenset({0, chain}))
         w = np.zeros((2, 6, NUM_TAGS))
         w[..., CB.index] = w[..., CI.index] = -100.0
-        log_z, _ = _chart(build_lattice(grammar, 6), w, SCALED, lengths=np.array([6, 5]))
+        log_z, _ = _chart(build_lattice(grammar), w, SCALED, lengths=np.array([6, 5]))
         assert np.isnan(log_z[:, 0]).all() and np.isfinite(log_z[:, 1]).all()
 
     @pytest.mark.parametrize("small_half", [0, 1], ids=["forward", "backward"])
@@ -598,28 +614,29 @@ class TestBatchedPosterior:
             transitions = {(0, O, 0.0, 0), (1, CB, 0.0, 0)} | {(j, CI, 0.0, j - 1) for j in range(2, 7)}
             transitions |= {(0, tag, 0.0, j) for j, tag in enumerate(entries, start=1)}
         grammar = Automaton(7, frozenset(transitions), 0, frozenset({0}))
+        lattice = build_lattice(grammar)
         rng = np.random.default_rng(103)
         lengths = np.array([9, 4, 12, 7])
         sentences = [random_weights(rng, n) for n in lengths]
         sentences[2] = np.zeros((12, NUM_TAGS))
         sentences[2][:, [CB.index, CI.index]] = -100.0
         batch = right_aligned(rng, sentences)
-        log_z, _ = _chart(build_lattice(grammar, 12), batch, SCALED, lengths)
+        log_z, _ = _chart(lattice, batch, SCALED, lengths)
         assert np.isnan(log_z[small_half, 2]) and np.isfinite(log_z[1 - small_half, 2])
         assert np.isfinite(np.delete(log_z, 2, axis=1)).all()
         calls = []
         log_posterior = inference._log_posterior
         monkeypatch.setattr(inference, "_log_posterior", lambda *a: calls.append(a) or log_posterior(*a))
-        log_z, probs = _posterior(build_lattice(grammar, 12), batch, lengths)
+        log_z, probs = _posterior(lattice, batch, lengths)
         assert len(calls) == 1 and np.array_equal(calls[0][1], sentences[2])
         for b, w in enumerate(sentences):
-            alone = build_lattice(grammar, len(w))
-            assert log_z[b] == forward(alone, w)
-            assert np.array_equal(probs[b, 12 - len(w) :], marginals(alone, w))
+            assert log_z[b] == forward(lattice, w)
+            assert np.array_equal(probs[b, 12 - len(w) :], marginals(lattice, w))
 
     @pytest.mark.parametrize("mode", ["semantic", "structural"])
     def test_log_pass_matches_enumeration(self, language, mode):
         grammar = grammar_automaton(mode)
+        lattice = build_lattice(grammar)
         rng = np.random.default_rng(97)
         for n in range(1, 6):
             seqs = [s for s in language.sequences(n) if mode == "semantic" or is_structural(s)]
@@ -631,36 +648,35 @@ class TestBatchedPosterior:
                 expected = np.zeros((n, NUM_TAGS))
                 for i in range(n):
                     np.add.at(expected[i], idx[:, i], np.exp(scores - log_z))
-                lat_n = build_lattice(grammar, n)
-                totals, _ = _chart(lat_n, w[None], LOG)
+                totals, _ = _chart(lattice, w[None], LOG)
                 assert totals[:, 0] == pytest.approx([log_z, log_z], rel=1e-12)
-                got_z, got = _log_posterior(lat_n, w)
+                got_z, got = _log_posterior(lattice, w)
                 assert got_z == totals[0, 0]
                 assert np.max(np.abs(got - expected)) <= max(1e-12, 4 * n * scale * np.finfo(float).eps)
 
     @pytest.mark.parametrize("mode", ["semantic", "structural"])
     def test_every_length_up_to_n_equals_alone(self, mode):
         grammar = grammar_automaton(mode)
+        lattice = build_lattice(grammar)
         rng = np.random.default_rng(107)
         for n in (9, 40):
             lengths = rng.permutation(np.arange(1, n + 1))
             sentences = [random_weights(rng, m, scale=rng.choice([0.5, 3.0, 30.0])) for m in lengths]
             batch = right_aligned(rng, sentences)
-            log_z, probs = _posterior(build_lattice(grammar, n), batch, lengths)
-            log_totals, _ = _chart(build_lattice(grammar, n), batch, LOG, lengths)
+            log_z, probs = _posterior(lattice, batch, lengths)
+            log_totals, _ = _chart(lattice, batch, LOG, lengths)
             for b, w in enumerate(sentences):
-                alone = build_lattice(grammar, len(w))
-                assert log_z[b] == forward(alone, w)
-                assert np.array_equal(probs[b, n - len(w) :], marginals(alone, w))
-                assert np.array_equal(log_totals[:, b], _chart(alone, w[None], LOG)[0][:, 0])
+                assert log_z[b] == forward(lattice, w)
+                assert np.array_equal(probs[b, n - len(w) :], marginals(lattice, w))
+                assert np.array_equal(log_totals[:, b], _chart(lattice, w[None], LOG)[0][:, 0])
 
     def test_unusable_cells_exactly_zero(self):
         rng = np.random.default_rng(73)
         lengths = np.array([4, 1, 7])
         sentences = [random_weights(rng, n) for n in lengths]
-        _, probs = _posterior(lat(7), right_aligned(rng, sentences), lengths)
+        _, probs = _posterior(LAT, right_aligned(rng, sentences), lengths)
         for b, w in enumerate(sentences):
-            usable = marginals(lat(len(w)), np.zeros_like(w)) > 0
+            usable = marginals(LAT, np.zeros_like(w)) > 0
             assert np.all(probs[b, 7 - len(w) :][~usable] == 0.0)
             assert np.all(probs[b, 7 - len(w) :][usable] > 0.0)
 
@@ -676,10 +692,10 @@ class TestBatchLosses:
             labels = [random_labels(rng, mode, n) for n in lengths]
             sentences = [random_weights(rng, n) for n in lengths]
             n = lengths.max()
-            losses, grad = batch_losses(build_lattice(grammar, n), right_aligned(rng, sentences), lengths, labels, loss)
+            losses, grad = batch_losses(build_lattice(grammar), right_aligned(rng, sentences), lengths, labels, loss)
             rows = np.cumsum([0, *lengths])
             for b, (w, pl) in enumerate(zip(sentences, labels)):
-                alone_loss, alone_grad = LIBRARY_LOSSES[loss](build_lattice(grammar, len(w)), w, pl)
+                alone_loss, alone_grad = LIBRARY_LOSSES[loss](build_lattice(grammar), w, pl)
                 assert losses[b] == alone_loss
                 assert np.array_equal(grad[rows[b] : rows[b + 1]], alone_grad)
 
@@ -688,6 +704,6 @@ class TestBatchLosses:
         labels = [random_labels(rng, "semantic", 4), random_labels(rng, "semantic", 3)]
         w = np.zeros((2, 4, NUM_TAGS))
         with pytest.raises(ValueError):
-            batch_losses(lat(4), w, [3, 4], labels, "nll")
+            batch_losses(LAT, w, [3, 4], labels, "nll")
         with pytest.raises(ValueError):
-            batch_losses(lat(4), w, [4, 3], labels, "mle")
+            batch_losses(LAT, w, [4, 3], labels, "mle")

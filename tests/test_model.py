@@ -49,8 +49,7 @@ def synthetic_corpus(count, seed=0, min_len=4, max_len=10, continuous_only=False
     sampled annotation, and each token name encodes its gold tag index.
     """
     rng = np.random.default_rng(seed)
-    grammar = grammar_automaton("semantic")
-    lattices = {n: build_lattice(grammar, n) for n in range(min_len, max_len + 1)}
+    lattice = build_lattice(grammar_automaton("semantic"))
     out = []
     for _ in range(count):
         n = int(rng.integers(min_len, max_len + 1))
@@ -63,7 +62,7 @@ def synthetic_corpus(count, seed=0, min_len=4, max_len=10, continuous_only=False
                 ci_ok = t is not O
             seq = tuple(tags)
         else:
-            seq = random_well_formed(lattices[n], rng)
+            seq = random_well_formed(lattice, n, rng)
         ann = to_two_layer(decode(seq), n)
         gold = encode(ann)
         tokens = tuple(f"t{t.index}w{rng.integers(3)}" for t in gold)
@@ -310,7 +309,7 @@ class TestGradientThroughScorer:
         dim = 128
         rng = np.random.default_rng(7)
         scorer = LinearScorer(dim=dim, params=rng.normal(0, 0.3, (dim, NUM_TAGS)))
-        lattice = build_lattice(grammar_automaton("semantic"), len(tokens))
+        lattice = build_lattice(grammar_automaton("semantic"))
 
         def loss_of(params):
             return nll(lattice, LinearScorer(dim=dim, params=params).score(tokens), gold)[0]
@@ -521,7 +520,7 @@ def sgd_oracle(corpus, config, batch, pool, dim=2**10):
             runs += [members[i : i + batch] for i in range(0, len(members), batch)]
         for k in rng.permutation(len(runs)).tolist():
             run = [examples[j] for j in runs[k]]
-            grads = [LIBRARY_LOSSES[config.loss](build_lattice(grammar, len(rows)), scorer.score_rows(rows), pl)[1]
+            grads = [LIBRARY_LOSSES[config.loss](build_lattice(grammar), scorer.score_rows(rows), pl)[1]
                      for rows, pl in run]
             touched = np.unique(np.concatenate([rows for rows, _ in run]))
             scorer.params[touched] *= 1.0 - config.learning_rate * config.l2

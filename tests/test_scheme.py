@@ -475,7 +475,7 @@ def well_formed_batches(language, seed, count):
     and samples of up to 40 words from the grammar of either mode."""
     rng = np.random.default_rng(seed)
     short = [s for n in range(1, 6) for s in language.sequences(n)]
-    lattices = [build_lattice(grammar_automaton(mode), n) for mode in ("semantic", "structural") for n in range(1, 41)]
+    samplers = [(build_lattice(grammar_automaton(mode)), n) for mode in ("semantic", "structural") for n in range(1, 41)]
     batches = [[]]
     for _ in range(count - 1):
         batch = []
@@ -485,7 +485,7 @@ def well_formed_batches(language, seed, count):
             elif u < 0.6:
                 batch.append(short[int(rng.integers(len(short)))])
             else:
-                batch.append(random_well_formed(lattices[int(rng.integers(len(lattices)))], rng))
+                batch.append(random_well_formed(*samplers[int(rng.integers(len(samplers)))], rng))
         batches.append(batch)
     return batches
 
