@@ -141,7 +141,7 @@ def _cmd_encode(args) -> int:
         try:
             ann = corpus_io.annotate(record)
         except Incompatible as err:
-            print(f"record {i}: incompatible ({err.reason})", file=sys.stderr)
+            print(f"error: record {i}: incompatible ({err.reason})", file=sys.stderr)
             return 1
         anns.append(ann if lexicon is None else corpus_io.silver_type(ann, record.tokens, lexicon))
     if lexicon is not None:

@@ -2,12 +2,13 @@
 
 A sentence annotation is either flat (continuous mentions, BIO-style) or
 grouped into *sets of mentions*: maximal groups of mentions that share words.
-Each set is described by typed components (``x`` / ``y``); the mentions of the
-set are recovered as the Cartesian product of its x-components with its
-y-components.  This module provides the mapping in both directions and the
-10-tag encoding of annotations as word-level tag sequences, together with the
-rule-based well-formedness check that characterises exactly the encodable
-sequences.
+Each set is described by typed components (``x`` / ``y``), runs of words
+covered by the same mentions; the mentions of the set are the Cartesian
+product of its x-components with its y-components, whose sides follow from
+the leftmost component.  This module provides the mapping in both directions
+and the 10-tag encoding of annotations as word-level tag sequences, together
+with the rule-based well-formedness check that characterises exactly the
+encodable sequences.
 """
 
 from __future__ import annotations
@@ -406,7 +407,7 @@ class SentenceAnnotation:
                 raise ValueError(f"span [{b}, {e}] outside sentence of {self.n} words")
         for (_, e1), (b2, _) in itertools.pairwise(spans):
             if b2 <= e1:
-                raise ValueError("annotation elements overlap")
+                raise ValueError(f"annotation elements overlap near word {b2}")
 
     def structural(self) -> "SentenceAnnotation":
         """Canonical orientation: every set's leftmost component typed x."""
@@ -417,99 +418,16 @@ class SentenceAnnotation:
         )
 
 
-def _grouped(mentions: Sequence[Mention]) -> list[list[Mention]]:
-    """Connected components of the word-sharing graph over mentions."""
-    word_to_ids: dict[int, list[int]] = {}
-    for i, m in enumerate(mentions):
-        for w in m.words():
-            word_to_ids.setdefault(w, []).append(i)
-    parent = list(range(len(mentions)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for ids in word_to_ids.values():
-        for j in ids[1:]:
-            parent[find(j)] = find(ids[0])
-    groups: dict[int, list[Mention]] = {}
-    for i, m in enumerate(mentions):
-        groups.setdefault(find(i), []).append(m)
-    return [sorted(g) for g in sorted(groups.values(), key=lambda g: min(g).start)]
-
-
-def _group_to_set(group: list[Mention]) -> TwoLayerSet:
-    """Express one word-sharing group as a typed-component set.
-
-    Raises :class:`Incompatible` when the group is not a complete two-sided
-    product of contiguous components.
-    """
-    lo = min(m.start for m in group)
-    hi = max(m.end for m in group)
-    covered = [m.words() for m in group]
-    profile = [frozenset(i for i, words in enumerate(covered) if w in words) for w in range(lo, hi + 1)]
-
-    # Maximal runs of identical non-empty covering profiles become components.
-    intervals: list[tuple[int, int]] = []
-    owners: list[frozenset[int]] = []
-    for w, cov in zip(range(lo, hi + 1), profile):
-        if not cov:
-            continue
-        if owners and owners[-1] == cov and intervals[-1][1] == w - 1:
-            intervals[-1] = (intervals[-1][0], w)
-        else:
-            intervals.append((w, w))
-            owners.append(cov)
-
-    comps_of = [[] for _ in group]
-    for ci, cov in enumerate(owners):
-        for mi in cov:
-            comps_of[mi].append(ci)
-    for mi, comps in enumerate(comps_of):
-        if len(comps) >= 3:
-            raise Incompatible(THREE_WAY_SPLIT, f"mention {group[mi]} splits into {len(comps)} components")
-        if len(comps) < 2:
-            raise Incompatible(PARTIAL_OVERLAP, f"mention {group[mi]} is entirely shared")
-
-    # Mentions are edges between their two components; the edge graph must be
-    # a complete bipartite graph for the Cartesian-product reconstruction to
-    # give back exactly this group.
-    side = {0: 0}
-    queue = [0]
-    adj: dict[int, list[int]] = {i: [] for i in range(len(intervals))}
-    for a, b in comps_of:
-        adj[a].append(b)
-        adj[b].append(a)
-    while queue:
-        a = queue.pop()
-        for b in adj[a]:
-            if b not in side:
-                side[b] = 1 - side[a]
-                queue.append(b)
-            elif side[b] == side[a]:
-                raise Incompatible(PARTIAL_OVERLAP, "components do not split into two sides")
-    left = [ci for ci in range(len(intervals)) if side[ci] == 0]
-    right = [ci for ci in range(len(intervals)) if side[ci] == 1]
-    edges = {frozenset(c) for c in comps_of}
-    if len(edges) != len(left) * len(right):
-        raise Incompatible(PARTIAL_OVERLAP, "mention set is not a full product of its components")
-
-    types = {ci: (ComponentType.X if side[ci] == 0 else ComponentType.Y) for ci in side}
-    return TwoLayerSet(
-        tuple(Component(b, e, types[ci]) for ci, (b, e) in enumerate(intervals))
-    )
-
-
 def to_two_layer(mentions: Iterable[Mention], n: int) -> SentenceAnnotation:
     """Group a mention set into the two-layer representation.
 
-    Mentions sharing at least one word are grouped into a single set of
-    mentions; standalone continuous mentions pass through unchanged.  Mention
-    spans carry no component types, so the orientation is structural: the
-    side containing the leftmost component is typed x and the set is left
-    unresolved.  :func:`disctag.corpus.silver_type` orients sets afterwards.
+    A component is a maximal run of words covered by the same mentions; a
+    set grows from each leftmost component not yet seen, through the
+    components its mentions touch, and a mention alone on its component is
+    a standalone continuous mention.  Mention spans carry no component
+    types, so the orientation is structural: the components that share a
+    mention with the leftmost one are typed y, the rest x, and the set is
+    left unresolved.  :func:`disctag.corpus.silver_type` orients sets afterwards.
 
     Raises :class:`Incompatible` when the mention set has no tag encoding.
     """
@@ -517,18 +435,60 @@ def to_two_layer(mentions: Iterable[Mention], n: int) -> SentenceAnnotation:
     for m in ms:
         if m.end >= n:
             raise ValueError(f"mention {m} outside sentence of {n} words")
+    cover: dict[int, list[int]] = {}  # word -> the sorted ids of the mentions covering it
+    for i, m in enumerate(ms):
+        for b, e in m.fragments:
+            for w in range(b, e + 1):
+                cover.setdefault(w, []).append(i)
+    spans: list[list[int]] = []
+    owners: list[list[int]] = []
+    for w in sorted(cover):
+        if owners and owners[-1] == cover[w] and spans[-1][1] == w - 1:
+            spans[-1][1] = w
+        else:
+            spans.append([w, w])
+            owners.append(cover[w])
+    touched: list[list[int]] = [[] for _ in ms]  # per mention, its components in word order
+    for c, ids in enumerate(owners):
+        for i in ids:
+            touched[i].append(c)
+
     continuous: list[Mention] = []
     sets: list[TwoLayerSet] = []
-    for group in _grouped(ms):
-        if len(group) == 1 and group[0].is_continuous:
-            continuous.append(group[0])
-        else:
-            sets.append(_group_to_set(group))
-    spans = sorted([(m.start, m.end) for m in continuous] + [s.span for s in sets])
-    for (_, e1), (b2, _) in itertools.pairwise(spans):
-        if b2 <= e1:
-            raise Incompatible(SPAN_CONFLICT, f"element spans overlap near word {b2}")
-    return SentenceAnnotation(n, tuple(continuous), tuple(sets))
+    seen: set[int] = set()
+    for first in range(len(owners)):
+        if first in seen:
+            continue
+        comps, members = {first}, list(owners[first])
+        for i in members:  # the list grows as the walk reaches new components
+            for c in touched[i]:
+                if c not in comps:
+                    comps.add(c)
+                    members.extend(j for j in owners[c] if j not in members)
+        seen |= comps
+        if len(comps) == 1:
+            continuous.append(ms[members[0]])
+            continue
+        for i in sorted(members):
+            if len(touched[i]) >= 3:
+                raise Incompatible(THREE_WAY_SPLIT, f"mention {ms[i]} splits into {len(touched[i])} components")
+            if len(touched[i]) < 2:
+                raise Incompatible(PARTIAL_OVERLAP, f"mention {ms[i]} is entirely shared")
+        # a mention covers whole components and distinct mentions cover
+        # distinct words, so a count checks the full product
+        y = {touched[i][1] for i in owners[first]}
+        one_of_each = all((a in y) != (b in y) for a, b in (touched[i] for i in members))
+        if not one_of_each or len(members) != (len(comps) - len(y)) * len(y):
+            raise Incompatible(PARTIAL_OVERLAP, "mention set is not a full product of its components")
+        sets.append(
+            TwoLayerSet(
+                tuple(Component(*spans[c], ComponentType.Y if c in y else ComponentType.X) for c in sorted(comps))
+            )
+        )
+    try:
+        return SentenceAnnotation(n, tuple(continuous), tuple(sets))
+    except ValueError as err:  # the mentions are inside the sentence: elements overlap
+        raise Incompatible(SPAN_CONFLICT, str(err)) from None
 
 
 def from_two_layer(ann: SentenceAnnotation) -> MentionSet:

@@ -1,8 +1,10 @@
 import itertools
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 import pytest
 
+from disctag.errors import PARTIAL_OVERLAP, SPAN_CONFLICT, THREE_WAY_SPLIT, Incompatible
 from disctag.inference import hard_em_step, nll, partial_nll
 from disctag.scheme import (
     CB,
@@ -337,3 +339,121 @@ def mention_table_reference(sequences) -> np.ndarray:
             (b1, e1), (b2, e2) = (*m.fragments, (-1, -1))[:2]
             rows.append((k, b1, e1, b2, e2))
     return np.array(rows, dtype=np.intp).reshape(-1, 5)
+
+
+def _grouped(mentions: Sequence[Mention]) -> list[list[Mention]]:
+    """Connected components of the word-sharing graph over mentions."""
+    word_to_ids: dict[int, list[int]] = {}
+    for i, m in enumerate(mentions):
+        for w in m.words():
+            word_to_ids.setdefault(w, []).append(i)
+    parent = list(range(len(mentions)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for ids in word_to_ids.values():
+        for j in ids[1:]:
+            parent[find(j)] = find(ids[0])
+    groups: dict[int, list[Mention]] = {}
+    for i, m in enumerate(mentions):
+        groups.setdefault(find(i), []).append(m)
+    return [sorted(g) for g in sorted(groups.values(), key=lambda g: min(g).start)]
+
+
+def _group_to_set(group: list[Mention]) -> TwoLayerSet:
+    """Express one word-sharing group as a typed-component set.
+
+    Raises :class:`Incompatible` when the group is not a complete two-sided
+    product of contiguous components.
+    """
+    lo = min(m.start for m in group)
+    hi = max(m.end for m in group)
+    covered = [m.words() for m in group]
+    profile = [frozenset(i for i, words in enumerate(covered) if w in words) for w in range(lo, hi + 1)]
+
+    # Maximal runs of identical non-empty covering profiles become components.
+    intervals: list[tuple[int, int]] = []
+    owners: list[frozenset[int]] = []
+    for w, cov in zip(range(lo, hi + 1), profile):
+        if not cov:
+            continue
+        if owners and owners[-1] == cov and intervals[-1][1] == w - 1:
+            intervals[-1] = (intervals[-1][0], w)
+        else:
+            intervals.append((w, w))
+            owners.append(cov)
+
+    comps_of = [[] for _ in group]
+    for ci, cov in enumerate(owners):
+        for mi in cov:
+            comps_of[mi].append(ci)
+    for mi, comps in enumerate(comps_of):
+        if len(comps) >= 3:
+            raise Incompatible(THREE_WAY_SPLIT, f"mention {group[mi]} splits into {len(comps)} components")
+        if len(comps) < 2:
+            raise Incompatible(PARTIAL_OVERLAP, f"mention {group[mi]} is entirely shared")
+
+    # Mentions are edges between their two components; the edge graph must be
+    # a complete bipartite graph for the Cartesian-product reconstruction to
+    # give back exactly this group.
+    side = {0: 0}
+    queue = [0]
+    adj: dict[int, list[int]] = {i: [] for i in range(len(intervals))}
+    for a, b in comps_of:
+        adj[a].append(b)
+        adj[b].append(a)
+    while queue:
+        a = queue.pop()
+        for b in adj[a]:
+            if b not in side:
+                side[b] = 1 - side[a]
+                queue.append(b)
+            elif side[b] == side[a]:
+                raise Incompatible(PARTIAL_OVERLAP, "components do not split into two sides")
+    left = [ci for ci in range(len(intervals)) if side[ci] == 0]
+    right = [ci for ci in range(len(intervals)) if side[ci] == 1]
+    edges = {frozenset(c) for c in comps_of}
+    if len(edges) != len(left) * len(right):
+        raise Incompatible(PARTIAL_OVERLAP, "mention set is not a full product of its components")
+
+    types = {ci: (ComponentType.X if side[ci] == 0 else ComponentType.Y) for ci in side}
+    return TwoLayerSet(
+        tuple(Component(b, e, types[ci]) for ci, (b, e) in enumerate(intervals))
+    )
+
+
+def to_two_layer_reference(mentions: Iterable[Mention], n: int) -> SentenceAnnotation:
+    """Group a mention set into the two-layer representation.
+
+    Mentions sharing at least one word are grouped into a single set of
+    mentions; standalone continuous mentions pass through unchanged.  Mention
+    spans carry no component types, so the orientation is structural: the
+    side containing the leftmost component is typed x and the set is left
+    unresolved.  :func:`disctag.corpus.silver_type` orients sets afterwards.
+
+    Raises :class:`Incompatible` when the mention set has no tag encoding.
+
+    The oracle for :func:`disctag.scheme.to_two_layer`: a union-find over
+    mentions that share words, then per group a covering-profile scan, a
+    bipartite walk and a product count, then a check of the element spans.
+    """
+    ms = sorted(set(mentions))
+    for m in ms:
+        if m.end >= n:
+            raise ValueError(f"mention {m} outside sentence of {n} words")
+    continuous: list[Mention] = []
+    sets: list[TwoLayerSet] = []
+    for group in _grouped(ms):
+        if len(group) == 1 and group[0].is_continuous:
+            continuous.append(group[0])
+        else:
+            sets.append(_group_to_set(group))
+    spans = sorted([(m.start, m.end) for m in continuous] + [s.span for s in sets])
+    for (_, e1), (b2, _) in itertools.pairwise(spans):
+        if b2 <= e1:
+            raise Incompatible(SPAN_CONFLICT, f"element spans overlap near word {b2}")
+    return SentenceAnnotation(n, tuple(continuous), tuple(sets))

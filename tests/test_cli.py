@@ -140,7 +140,7 @@ class TestEncodeDecode:
         bad = tmp_path / "bad.txt"
         bad.write_text("a b c d e\n0-0;2-2;4-4\n", encoding="utf-8")
         assert main(["encode", str(bad)]) == 1
-        assert "three-way-split" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: record 1: incompatible (three-way-split)\n"
 
     def test_decode_standalone(self, tmp_path, capsys):
         tags = tmp_path / "tags.txt"
@@ -483,6 +483,7 @@ class TestFuzzedInput:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from(FUZZ_PIECES), max_size=50).map(b"".join))
     @example(b"w w\n0-0\n\nw \xff\n\n")
+    @example(b"a b c d e\n0-0;2-2;4-4\n")
     def test_reading_commands_end_with_one_error_line(self, fuzz_dir, data):
         path = fuzz_dir / "input.txt"
         path.write_bytes(data)
@@ -506,6 +507,8 @@ class TestFuzzedInput:
             errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
             assert code in (0, 1, 2), argv
             assert len(errors) <= 1, (argv, errors)
+            if argv[0] != "validate":  # validate's exit 1 is its report
+                assert (code == 0) == (not errors), (argv, code, stderr.getvalue())
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disctag.automata import build_lattice, grammar_automaton
+from disctag.corpus import read_corpus
 from disctag.errors import EncodingViolation, IllFormed, Incompatible
 from disctag.inference import random_well_formed
 from disctag.scheme import (
@@ -41,6 +43,7 @@ from conftest import (
     decode_reference,
     is_well_formed_reference,
     mention_table_reference,
+    to_two_layer_reference,
     with_flips,
 )
 
@@ -531,11 +534,11 @@ class TestMentionTable:
 
 
 @st.composite
-def mention_sets(draw, n=8):
-    count = draw(st.integers(1, 3))
+def mention_sets(draw, n=8, max_mentions=3, max_fragments=2):
+    count = draw(st.integers(1, max_mentions))
     mentions = []
     for _ in range(count):
-        frag_count = draw(st.integers(1, 2))
+        frag_count = draw(st.integers(1, max_fragments))
         frags = []
         for _ in range(frag_count):
             b = draw(st.integers(0, n - 1))
@@ -558,3 +561,37 @@ class TestRandomMentionSets:
         seq = encode(ann)
         assert is_well_formed(seq)
         assert decode(seq) == mentions
+
+
+def annotation_or_reason(annotate, mentions, n):
+    """What ``annotate`` makes of a mention set: its annotation, the reason it
+    raises :class:`Incompatible` with, or ``ValueError``."""
+    try:
+        return annotate(mentions, n)
+    except Incompatible as err:
+        return err.reason
+    except ValueError:
+        return ValueError
+
+
+class TestToTwoLayerOracle:
+    """The one-pass annotation against the union-find oracle in conftest."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: mention_sets(n, max_mentions=5, max_fragments=3)))
+    def test_random_mention_sets(self, case):
+        mentions, n = case
+        got = annotation_or_reason(to_two_layer, mentions, n)
+        assert got == annotation_or_reason(to_two_layer_reference, mentions, n)
+        if isinstance(got, SentenceAnnotation):
+            assert from_two_layer(got) == mentions
+        last = max(m.end for m in mentions)  # a sentence that ends inside the last mention
+        assert annotation_or_reason(to_two_layer, mentions, last) is ValueError
+        assert annotation_or_reason(to_two_layer_reference, mentions, last) is ValueError
+
+    def test_golden_corpus(self):
+        records = read_corpus(Path(__file__).parent / "data" / "golden_corpus.txt")
+        assert records
+        for r in records:
+            got = annotation_or_reason(to_two_layer, r.mentions, r.n)
+            assert got == annotation_or_reason(to_two_layer_reference, r.mentions, r.n)
