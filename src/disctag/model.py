@@ -184,10 +184,18 @@ class LinearScorer:
         return self.score_rows(self.feature_indices(tokens))
 
     def score_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Scores of hashed feature rows, one per word.  Each word's features are
-        summed in order on their own, so a batch scores bit-identically to its
-        sentences scored one at a time."""
-        return np.add.reduceat(self.params[rows.ravel()], np.arange(0, rows.size, FEATURES), axis=0)
+        """Scores of hashed feature rows ``(words, FEATURES)``, one per word.
+
+        Each word's rows are summed as ``w + (((w-1 + w+1) + pre) + suf)``, one
+        in-place ``take`` per feature column with ``w`` last: the order in which
+        ``np.add.reduceat`` sums five rows, so (``a + b == b + a`` exactly) the
+        scores keep its bits.  Each word is summed on its own, in the same order
+        whatever the batch, so a batch scores bit-identically to its sentences
+        scored one at a time."""
+        out = self.params.take(rows[:, 1], axis=0)
+        for col in (2, 3, 4, 0):
+            out += self.params.take(rows[:, col], axis=0)
+        return out
 
     def apply_gradient(self, rows: np.ndarray, grad: np.ndarray, lr: float, l2: float) -> None:
         """SGD update of the words whose hashed feature rows are ``rows`` and
@@ -202,7 +210,7 @@ class LinearScorer:
             touched = np.unique(flat)
             self.params[touched] *= 1.0 - lr * l2
         cells = (flat[:, None] * NUM_TAGS + np.arange(NUM_TAGS)).ravel()
-        np.subtract.at(self.params.reshape(-1), cells, (lr * np.repeat(grad, FEATURES, axis=0)).ravel())
+        np.subtract.at(self.params.reshape(-1), cells, np.repeat(lr * grad, FEATURES, axis=0).ravel())
 
     def save(self, path) -> None:
         """Write the model to exactly ``path`` (``np.savez`` would add ``.npz``).

@@ -6,6 +6,7 @@ import pytest
 
 from disctag.errors import PARTIAL_OVERLAP, SPAN_CONFLICT, THREE_WAY_SPLIT, Incompatible
 from disctag.inference import hard_em_step, nll, partial_nll
+from disctag.model import FEATURES
 from disctag.scheme import (
     CB,
     CI,
@@ -235,6 +236,13 @@ def fnv1a_reference(text: str) -> int:
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def score_rows_reference(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each word's score as ``np.add.reduceat`` sums its five gathered params
+    rows: the oracle for the summation order of
+    :meth:`disctag.model.LinearScorer.score_rows`."""
+    return np.add.reduceat(params[rows.ravel()], np.arange(0, rows.size, FEATURES), axis=0)
 
 
 def write_model(path, **fields) -> None:

@@ -32,7 +32,7 @@ from disctag.scheme import (
     to_two_layer,
 )
 
-from conftest import LIBRARY_LOSSES, MALFORMED_MODELS, fnv1a_reference, write_model
+from conftest import LIBRARY_LOSSES, MALFORMED_MODELS, fnv1a_reference, score_rows_reference, write_model
 
 # ASCII, two-byte, three-byte and four-byte UTF-8, and a NUL byte
 VOCABULARY = ["pain", "in", "Arms", "é", "café", "日本語", "語", "😀", "x😀y", "a\x00", "", "ÉTÉ"]
@@ -170,6 +170,30 @@ class TestLinearScorer:
         feats = [f for t in sentences for row in sentence_features(t) for f in row]
         rows = s.params[[fnv1a_reference(f) % 512 for f in feats]].reshape(-1, FEATURES, NUM_TAGS)
         assert np.array_equal(s.score_rows(s.batch_feature_indices(sentences)), rows.sum(axis=1))
+
+    @pytest.mark.parametrize("words", [0, 1, 240, 16384])
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_scores_keep_the_bits_of_reduceat(self, words):
+        # magnitudes from subnormal to 1e300, signed zeros, and rows whose sums
+        # overflow to +-inf; the int64 views compare every bit
+        rng = np.random.default_rng(words)
+        dim = 64
+        params = rng.normal(size=(dim, NUM_TAGS)) * 10.0 ** rng.integers(-300, 301, size=(dim, NUM_TAGS))
+        special = rng.random(size=params.shape) < 0.3
+        params[special] = rng.choice([0.0, 5e-324, 3e-320, 2e-308, 1.7e308], size=special.sum())
+        params[special] *= rng.choice([-1.0, 1.0], size=special.sum())
+        params[0], params[1] = 1.7e308, -1.7e308
+        # dim 64 repeats rows across words; the first two words' features share one row
+        rows = rng.integers(0, dim, size=(words, FEATURES))
+        rows[: min(words, 2)] = np.arange(min(words, 2))[:, None]
+        got = LinearScorer(dim=dim, params=params).score_rows(rows)
+        w, prev, after, pre, suf = (params[rows[:, j]] for j in range(FEATURES))
+        assert got.shape == (words, NUM_TAGS)
+        assert np.array_equal(got.view(np.int64), score_rows_reference(params, rows).view(np.int64))
+        assert np.array_equal(got.view(np.int64), (w + (((prev + after) + pre) + suf)).view(np.int64))
+        if words > 1:
+            assert (got[0] == np.inf).all() and (got[1] == -np.inf).all()
+            assert np.isinf(got[2:]).any() == (words > 2)
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError):
