@@ -7,12 +7,13 @@ The package provides:
   (:mod:`disctag.scheme`);
 - a grammar automaton recognising exactly the well-formed sequences, which
   ``build_lattice`` compiles once, from its minimal DFA, into one layer of
-  the acyclic intersection lattice (a successor table and the edges grouped
-  for a two-way chart, for a backward chart and by tag); the lattice of an
-  ``n``-word sentence is ``n`` such layers (:mod:`disctag.automata`);
+  the acyclic intersection lattice (a successor table, the edges as padded
+  slot tables for a two-way and a backward chart, and grouped by tag); the
+  lattice of an ``n``-word sentence is ``n`` such layers
+  (:mod:`disctag.automata`);
 - exact MAP, log-partition and marginal inference on the lattice, ``n`` read
   from the weight matrix, all on one semiring chart routine whose steps are
-  ``reduceat`` sums over those edge groups, plus fully- and
+  row gathers and sums over those slots, plus fully- and
   partially-supervised losses with exact gradients and the sampler of random
   well-formed sequences, ``random_well_formed`` (:mod:`disctag.inference`);
 - a small hashed-feature linear scorer and SGD training loop

@@ -7,12 +7,12 @@ yields an acyclic lattice whose accepting paths are the well-formed sequences
 of length ``n``; all dynamic programs run on that lattice.  It is ``n``
 copies of one time-invariant layer, the :class:`Lattice` that
 :func:`build_lattice` compiles once per grammar, from the minimal DFA of its
-language: a dense successor table, and the machine's edges grouped
-(:class:`EdgeGroups`) for the two-way chart, for the backward chart and by
-tag for the marginals.  The dynamic programs of :mod:`disctag.inference`, the
-path sampler ``random_well_formed`` included, read ``n`` from the weight
-matrix and sum over edges only through one ``reduceat`` over one of these
-groupings.
+language: a dense successor table, the machine's edges as padded slot tables
+(:class:`SlotTable`) for the two-way chart and for the backward chart, and
+its edges grouped by tag (:class:`EdgeGroups`) for the marginals.  The
+dynamic programs of :mod:`disctag.inference`, the path sampler
+``random_well_formed`` included, read ``n`` from the weight matrix and sum
+over edges only through these tables.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = [
     "Automaton",
     "Lattice",
     "EdgeGroups",
+    "SlotTable",
     "grammar_automaton",
     "remove_epsilon",
     "determinize",
@@ -64,8 +65,7 @@ class EdgeGroups:
     The edges of key ``k`` are the run ``bounds[k]:bounds[k + 1]``, in the
     order they are given.  A key with no edge gets one dead edge from and to
     the dead state ``S`` (one past the last), whose chart entries stay zero.
-    Any sum over edges, such as one chart step, is then one gather and one
-    ``reduceat``, whatever the batch.
+    A sum over each key's edges is then one gather and one ``reduceat``.
     """
 
     bounds: np.ndarray  # (K,) int
@@ -82,6 +82,42 @@ class EdgeGroups:
         order = np.argsort(key, kind="stable")
         rows = np.concatenate([edges, np.tile([dead, 0, dead], (len(idle), 1))])[order]
         return cls(np.searchsorted(key[order], np.arange(num_keys)), *rows.T.copy())
+
+
+@dataclass(frozen=True, eq=False)
+class SlotTable:
+    """A chart step's sums over edges, as a ``(D, K)`` table of slots.
+
+    Column ``k`` lists the edges into chart column ``k``, ``D`` slots of
+    them, ``D`` the largest in-degree: slot ``d`` reads chart column
+    ``far[d, k]`` times row ``word[d, k]`` of the step's word weights, so a
+    step is two row gathers, a product and a sum over the slots.  A
+    column's first edge sits in the last slot and its other edges fill the
+    first slots in order; the slots in between, and every slot of a column
+    without edges, are pads, which read the dead-state column of their own
+    half of the chart, whose sums stay zero (see :class:`Lattice`).  A
+    sum over the slots in order then rounds as ``np.add.reduceat`` over the
+    column's edges does for up to eight of them, ``e0 + (((e1 + e2) + e3) +
+    ...)``; rolled by one slot, the edges come in plain order, as
+    ``np.logaddexp.reduceat`` sums them.
+    """
+
+    far: np.ndarray  # (D, K) int: the chart column each slot reads
+    word: np.ndarray  # (D, K) int: the word-weight row each slot reads
+
+    @classmethod
+    def of(cls, key: np.ndarray, far: np.ndarray, word: np.ndarray, pad: np.ndarray) -> "SlotTable":
+        """The table of the edges ``(key, far, word)``, each key's edges in the
+        order given, and ``pad[k]`` the column that key ``k``'s pads read."""
+        order = np.argsort(key, kind="stable")
+        key, far, word = key[order], far[order], word[order]
+        counts = np.bincount(key, minlength=len(pad))
+        rank = np.arange(len(key)) - (np.cumsum(counts) - counts)[key]  # 0 for a key's first edge
+        depth = max(counts.max(initial=0), 1)
+        table = np.zeros((2, depth, len(pad)), dtype=np.int64)
+        table[0] = pad
+        table[:, np.where(rank == 0, depth - 1, rank - 1), key] = far, word
+        return cls(*table)
 
 
 @dataclass(frozen=True)
@@ -361,16 +397,22 @@ class Lattice:
     matrix: ``n`` copies of this layer, so the dynamic programs read ``n``
     from the weights.  The grammar states are those of the minimal DFA of
     the grammar's language, numbered as :func:`minimize` does; the table
-    holds its initial state, its dense successor table and its final-state
-    mask, and its edges grouped (see :class:`EdgeGroups`) three ways, each
-    group read at its edges' ``src`` and kept in ``(src, tag, dst)`` order:
+    holds its initial state, its dense successor table, its final-state
+    mask, and its edges three ways, each kept in ``(src, tag, dst)`` order
+    within a group:
 
-    - ``two_way`` runs the forward and the backward chart in one pass over
-      ``2 * (S + 1)`` columns: the edges grouped by target, the dead state
-      ``S`` (its own group, one dead edge), then the reversed edges, from
-      ``S + 1 + dst`` to ``S + 1 + src``, grouped by their target;
-    - ``reverse`` is that backward half alone, over ``S + 1`` columns;
-    - ``by_tag`` holds the edges grouped by tag, for the marginals.
+    - ``two_way`` (a :class:`SlotTable`) runs the forward and the backward
+      chart in one pass over ``2 * (S + 1)`` columns: the edges into each
+      state, reading their source and the word's tag (rows ``0..9`` of the
+      step's word weights), the dead state ``S`` without edges, then the
+      edges out of each state, from column ``S + 1 + src``, reading their
+      target at ``S + 1 + dst`` and the tag of the word read right to left
+      (rows ``10..19``); the backward half's dead state, the last column,
+      has no slots, and the pads of each half read its own dead state;
+    - ``reverse`` is that backward half alone, over ``S + 1`` columns, its
+      word rows ``0..9``;
+    - ``by_tag`` holds the edges grouped by tag (see :class:`EdgeGroups`),
+      for the marginals.
 
     Every array is read-only.
     """
@@ -379,8 +421,8 @@ class Lattice:
     initial: int
     next_state: np.ndarray  # (S, NUM_TAGS) int, -1 where undefined
     final_mask: np.ndarray  # (S,) bool
-    two_way: EdgeGroups  # edges by target, then reversed edges by source: one pass of prefix and suffix sums
-    reverse: EdgeGroups  # reversed edges by source: a state's suffix sum reads its successors
+    two_way: SlotTable  # edges by target, then by source: one pass of prefix and suffix sums
+    reverse: SlotTable  # edges by source: a state's suffix sum reads its successors
     by_tag: EdgeGroups  # edges by tag: a tag's marginal sums its edges
 
 
@@ -406,16 +448,21 @@ def build_lattice(grammar: Automaton) -> Lattice:
     next_state[edges[:, 0], edges[:, 1]] = edges[:, 2]
     final_mask = np.zeros(states, dtype=bool)
     final_mask[list(minimal.finals)] = True
-    reversed_edges = edges[:, ::-1]
-    both = np.concatenate([edges, reversed_edges + [states + 1, 0, states + 1]])
-    groups = (
-        EdgeGroups.of(both, 2, 2 * states + 1, states),
-        EdgeGroups.of(reversed_edges, 2, states, states),
+    src, tag, dst = edges.T
+    back = states + 1  # the backward half's first column
+    tables = (
+        SlotTable.of(
+            np.concatenate([dst, back + src]),
+            np.concatenate([src, back + dst]),
+            np.concatenate([tag, NUM_TAGS + tag]),
+            np.repeat([states, 2 * states + 1], [states + 1, states]),
+        ),
+        SlotTable.of(src, dst, tag, np.full(states, states)),
         EdgeGroups.of(edges, 1, NUM_TAGS, states),
     )
-    for array in (next_state, final_mask) + tuple(a for g in groups for a in vars(g).values()):
+    for array in (next_state, final_mask) + tuple(a for table in tables for a in vars(table).values()):
         array.flags.writeable = False
-    return Lattice(states, minimal.initial, next_state, final_mask, *groups)
+    return Lattice(states, minimal.initial, next_state, final_mask, *tables)
 
 
 def export_text(a: Automaton) -> str:

@@ -12,13 +12,16 @@ gradient below is an ``(n, 10)`` matrix aligned with the weight matrix.
 One chart routine serves every program, on a batch of right-aligned
 sentences and the grammar's table compiled from its minimal DFA.  The
 backward chart is the forward chart of the reversed edges with the words read
-right to left, so one pass of ``n`` steps gives both: each step sums every
-state's edges, of both halves, with one ``reduceat``.  Viterbi and
+right to left, so one pass of ``n`` steps gives both.  The chart is held
+state-major, one row of ``B`` sentences per state, and each step sums every
+state's edges, of both halves, through the grammar's padded slot table: two
+row gathers, a product and one sum over the slots, which adds in the order
+``reduceat`` over each state's edges would.  Viterbi and
 :func:`random_well_formed` run the backward half alone; the latter samples
 paths through the states that a backward tropical chart finds co-reachable.
-The marginals sum the edges grouped by tag the same way.  The losses of a
-batch (:func:`batch_losses`) run one two-way pass; the single-sentence losses
-are batches of one.
+The marginals sum the edges grouped by tag with one ``reduceat``.  The losses
+of a batch (:func:`batch_losses`) run one two-way pass; the single-sentence
+losses are batches of one.
 
 The partially-supervised losses marginalise over the label set of an
 annotation whose component types are unknown: flipping the x/y orientation of
@@ -130,7 +133,7 @@ def _chart(
     lat: Lattice, weights: np.ndarray, sr: Semiring, lengths: np.ndarray | None = None, backward: bool = False
 ):
     """``(totals, charts)`` of a batch in one pass: ``charts`` is ``(alpha,
-    beta)``, the ``(n+1, B, S+1)`` prefix sums from the initial state and
+    beta)``, the ``(n+1, S+1, B)`` prefix sums from the initial state and
     suffix sums into the final states, or with ``backward`` only ``(beta,)``;
     ``totals`` is ``(halves, B)``, per chart and sentence the sum over its
     accepting paths.  Column ``S`` is the dead state, with no paths: its sums
@@ -144,10 +147,12 @@ def _chart(
     ``start``; the other rows are padding.  The backward chart is the
     forward chart of the reversed edges with the words read right to left,
     so step ``t`` writes ``alpha[t + 1]`` and ``beta[n - 1 - t]`` together
-    (the grammar's ``two_way`` table, or its ``reverse`` half alone): it
-    gathers the chart at every edge's far end, multiplies by the edge
-    weights, and combines each state's edges with one ``reduceat``, in edge
-    order.
+    (the grammar's ``two_way`` :class:`~disctag.automata.SlotTable`, or its
+    ``reverse`` half alone).  The steps are held state-major, each chart
+    column a row of ``B`` sentences, so a step is four calls on whole rows:
+    it gathers every slot's far-end row, gathers the slot's word weights,
+    multiplies, and sums the slots in order, which rounds as ``reduceat``
+    over each column's edges did.
 
     :data:`SCALED` is Rabiner's scaled forward-backward: each word's
     weights are ``exp(w - max w)``, each step divides each half by its own
@@ -163,50 +168,55 @@ def _chart(
     batch, n = weights.shape[:2]
     starts = np.zeros(batch, dtype=np.intp) if lengths is None else n - lengths
     states = lat.num_grammar_states
-    halves, groups = (1, lat.reverse) if backward else (2, lat.two_way)
-    steps = np.full((n + 1, batch, halves, states + 1), sr.zero)  # steps[t]: after t words of each half
-    rows = steps.reshape(n + 1, batch, -1)
-    flat = steps.reshape(n + 1, -1)
-    far = np.arange(batch)[:, None] * rows.shape[2] + groups.src  # edges' far ends in a flat chart row
-    per_word = weights.transpose(1, 0, 2)  # (n, B, 10)
+    halves, table = (1, lat.reverse) if backward else (2, lat.two_way)
+    steps = np.full((n + 1, halves, states + 1, batch), sr.zero)  # steps[t]: after t words of each half
+    rows = steps.reshape(n + 1, -1, batch)
+    per_word = weights.transpose(1, 2, 0)  # (n, 10, B)
     scaled = sr is SCALED
     if scaled:
-        top = per_word.max(axis=2, keepdims=True)
+        top = per_word.max(axis=1, keepdims=True)
         per_word = np.exp(per_word - top)
         scale = np.ones((n, batch, halves, 1))
-    # the edges of the forward half read word t at step t, the reversed ones word n - 1 - t
-    split = groups.bounds[(halves - 1) * (states + 1)]
-    edge_weights = np.empty((n, batch, len(groups.tag)))
-    np.take(per_word, groups.tag[:split], axis=2, out=edge_weights[:, :, :split], mode="clip")
-    np.take(per_word[::-1], groups.tag[split:], axis=2, out=edge_weights[:, :, split:], mode="clip")
-    steps[0, :, -1, :states][:, lat.final_mask] = sr.one
+        by_sentence = np.empty((batch, halves, states + 1))  # a step's row as its divisors are summed
+    # the forward half reads word t at step t, the backward half word n - 1 - t
+    words = np.concatenate([per_word, per_word[::-1]][2 - halves :], axis=1)
+    far, word = table.far, table.word
+    if sr is LOG:  # logaddexp.reduceat sums a group's edges in plain order
+        far, word = np.roll(far, 1, axis=0), np.roll(word, 1, axis=0)
+    cells = np.empty(far.shape + (batch,))
+    edge_weights = np.empty_like(cells)
+    written = rows[:, : far.shape[1]]  # the last column, a dead state, stays
+    steps[0, -1, :states][lat.final_mask] = sr.one
     last_start = 0
     if not backward:
-        steps[0, :, 0, lat.initial] = sr.one
-        waiting = (np.arange(n)[:, None] < starts)[..., None]  # (n, B, 1): row t + 1 still before the first word
+        steps[0, 0, lat.initial] = sr.one
+        waiting = np.arange(n)[:, None] < starts  # (n, B): row t + 1 still before the first word
         last_start = starts.max(initial=0)
-    for t in range(n):
-        edges = flat[t].take(far)
-        sr.times(edges, edge_weights[t], out=edges)
-        sr.plus.reduceat(edges, groups.bounds, axis=1, out=rows[t + 1, :, :-1])  # the last dead state stays
+    for t in range(n):  # "clip": with out=, the default mode gathers into a buffer and copies it
+        rows[t].take(far, axis=0, out=cells, mode="clip")
+        words[t].take(word, axis=0, out=edge_weights, mode="clip")
+        sr.times(cells, edge_weights, out=cells)
+        sr.plus.reduce(cells, axis=0, out=written[t + 1])
         if t < last_start:
-            np.copyto(steps[t + 1, :, 0], steps[0, :, 0], where=waiting[t])
+            np.copyto(steps[t + 1, 0], steps[0, 0], where=waiting[t])
         if scaled:
-            np.add.reduce(steps[t + 1], axis=2, keepdims=True, out=scale[t])
-            steps[t + 1] /= scale[t]
-    charts = (steps[:, :, 0], steps[::-1, :, -1])[2 - halves :]
-    totals = [steps[n - starts, np.arange(batch), -1, lat.initial]]
+            np.copyto(by_sentence, steps[t + 1].transpose(2, 0, 1))
+            np.add.reduce(by_sentence, axis=2, keepdims=True, out=scale[t])
+            steps[t + 1] /= scale[t].transpose(1, 2, 0)
+    charts = (steps[:, 0], steps[::-1, -1])[2 - halves :]
+    totals = [steps[n - starts, -1, lat.initial, np.arange(batch)]]
     if not backward:
-        totals.insert(0, sr.plus.reduce(steps[n, :, 0, :states][:, lat.final_mask], axis=1))
+        finals = steps[n, 0, :states][lat.final_mask].T.copy()  # (B, F), summed as a row, whatever F
+        totals.insert(0, sr.plus.reduce(finals, axis=1))
     totals = np.stack(totals)
     if scaled:
         real = (np.arange(n)[:, None] >= starts)[..., None]  # (n, B, 1): word i is real
         # summed in word order, so padding (zeros, first) leaves a sentence's sum as it is alone
-        logs = np.where(real, np.log(_in_word_order(scale)[..., 0]) + top, 0.0)
+        logs = np.where(real, np.log(_in_word_order(scale)[..., 0]) + top.transpose(0, 2, 1), 0.0)
         log_totals = np.log(totals) + (np.cumsum(logs, axis=0)[-1].T if n else 0.0)
-        written = steps[1:, :, :, :states] * scale  # each step's cells before the division
-        small = ((written > 0) & (written < _TINY)).any(axis=3)
-        wide = (per_word < np.exp(-_SPAN)).any(axis=2, keepdims=True)
+        before = steps[1:, :, :states] * scale.transpose(0, 2, 3, 1)  # each step's cells before the division
+        small = ((before > 0) & (before < _TINY)).any(axis=2).transpose(0, 2, 1)
+        wide = (per_word < np.exp(-_SPAN)).any(axis=1)[..., None]
         if small.any() or wide.any():  # rare, so the sentences are looked for only then
             log_totals[((_in_word_order(small) | wide) & real).any(axis=0).T] = np.nan
         return log_totals, charts
@@ -233,11 +243,13 @@ def _posterior(lat: Lattice, weights: np.ndarray, lengths: np.ndarray | None = N
     batch, n = weights.shape[:2]
     starts = np.zeros(batch, dtype=np.intp) if lengths is None else n - lengths
     (log_z, log_z_back), (alpha, beta) = _chart(lat, weights, SCALED, lengths)
-    per_word = weights.transpose(1, 0, 2)
-    scaled = np.exp(per_word - per_word.max(axis=2, keepdims=True))
+    per_word = weights.transpose(1, 2, 0)
+    scaled = np.exp(per_word - per_word.max(axis=1, keepdims=True))
     edges = lat.by_tag
-    mass = alpha[:-1][:, :, edges.src] * scaled[:, :, edges.tag] * beta[1:][:, :, edges.dst]
-    acc = np.add.reduceat(mass, edges.bounds, axis=2)  # (n, B, 10)
+    mass = alpha[:-1].take(edges.src, axis=1)  # (n, E, B)
+    mass *= scaled.take(edges.tag, axis=1)
+    mass *= beta[1:].take(edges.dst, axis=1)
+    acc = np.add.reduceat(mass, edges.bounds, axis=1).transpose(0, 2, 1).copy()  # (n, B, 10)
     sums = acc.sum(axis=2, keepdims=True)
     acc /= sums
     real = np.arange(n)[:, None] >= starts
@@ -256,7 +268,7 @@ def _log_posterior(lat: Lattice, weights: np.ndarray) -> tuple[float, np.ndarray
     """
     ((log_z,), _), (alpha, beta) = _chart(lat, weights[None], LOG)
     edges = lat.by_tag
-    edge_logp = alpha[:-1, 0, edges.src] + weights[:, edges.tag] + beta[1:, 0, edges.dst]
+    edge_logp = alpha[:-1, edges.src, 0] + weights[:, edges.tag] + beta[1:, edges.dst, 0]
     acc = np.logaddexp.reduceat(edge_logp, edges.bounds, axis=1)
     return log_z, np.exp(acc - np.logaddexp.reduce(acc, axis=1, keepdims=True))
 
@@ -269,7 +281,7 @@ def random_well_formed(lat: Lattice, n: int, rng: np.random.Generator) -> tuple[
     Raises :class:`EmptyLanguage` if the lattice has no accepting path.
     """
     _, (beta,) = _chart(lat, np.zeros((1, n, NUM_TAGS)), TROPICAL, backward=True)
-    alive = beta[:, 0] > NEG_INF  # the dead state, where next_state is -1, never is
+    alive = beta[..., 0] > NEG_INF  # the dead state, where next_state is -1, never is
     q = lat.initial
     out: list[Tag] = []
     for pos in range(n):
@@ -318,7 +330,7 @@ def viterbi_rows(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> n
     _, (beta,) = _chart(lat, weights, TROPICAL, lengths, backward=True)
     per_word = weights.transpose(1, 0, 2)
     # Walk along the best path, every sentence at once, each one's state held as
-    # its cell b * width + q of a chart row: at word i a sentence scores the ten
+    # its cell q * B + b of a chart row: at word i a sentence scores the ten
     # successors of its state, beta[i + 1, b, next_state[q]] + w[i, b], and takes
     # the first best tag, the lowest.  These are the sums and comparisons of a
     # best tag per (word, state), made on the path only, so no (n, B, S) array
@@ -326,9 +338,9 @@ def viterbi_rows(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> n
     # whose score is -inf.
     rows = np.arange(batch)
     succ = np.vstack([lat.next_state, np.full(NUM_TAGS, -1)]) % width  # the dead state's row is dead
-    cells = (succ + rows[:, None, None] * width).reshape(batch * width, NUM_TAGS)
+    cells = (succ[:, None] * batch + rows[:, None]).reshape(width * batch, NUM_TAGS)
     chosen = rows * NUM_TAGS  # sentence b's tag t is cell b * 10 + t of a (B, 10) step
-    at = rows * width + lat.initial
+    at = lat.initial * batch + rows
     tags = np.empty((n, batch), dtype=np.intp)
     last_start = starts.max(initial=0)
     for i in range(n):

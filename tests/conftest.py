@@ -4,8 +4,9 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 import pytest
 
-from disctag.errors import PARTIAL_OVERLAP, SPAN_CONFLICT, THREE_WAY_SPLIT, Incompatible
-from disctag.inference import hard_em_step, nll, partial_nll
+from disctag.automata import EdgeGroups
+from disctag.errors import PARTIAL_OVERLAP, SPAN_CONFLICT, THREE_WAY_SPLIT, EmptyLanguage, Incompatible
+from disctag.inference import _SPAN, _TINY, SCALED, hard_em_step, nll, partial_nll
 from disctag.model import FEATURES
 from disctag.scheme import (
     CB,
@@ -243,6 +244,92 @@ def score_rows_reference(params: np.ndarray, rows: np.ndarray) -> np.ndarray:
     rows: the oracle for the summation order of
     :meth:`disctag.model.LinearScorer.score_rows`."""
     return np.add.reduceat(params[rows.ravel()], np.arange(0, rows.size, FEATURES), axis=0)
+
+
+def _edge_groups_reference(lat) -> dict:
+    """The ``(halves, EdgeGroups)`` of :func:`chart_reference`'s two-way
+    chart (``False``) and backward chart (``True``): the edges grouped by
+    target, the dead state, then the reversed edges grouped by the original
+    source; or the reversed edges alone."""
+    states = lat.num_grammar_states
+    src, tag = np.nonzero(lat.next_state >= 0)
+    edges = np.stack([src, tag, lat.next_state[src, tag]], axis=1)
+    reversed_edges = edges[:, ::-1]
+    both = np.concatenate([edges, reversed_edges + [states + 1, 0, states + 1]])
+    return {
+        False: (2, EdgeGroups.of(both, 2, 2 * states + 1, states)),
+        True: (1, EdgeGroups.of(reversed_edges, 2, states, states)),
+    }
+
+
+def _in_word_order_reference(steps: np.ndarray) -> np.ndarray:
+    """An ``(n, B, halves, ...)`` array of steps, its last half reversed."""
+    return np.concatenate([steps[:, :, :-1], steps[::-1, :, -1:]], axis=2)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def chart_reference(lat, weights: np.ndarray, sr, lengths: np.ndarray | None = None, backward: bool = False):
+    """The batch-major chart that :func:`disctag.inference._chart` replaced,
+    unchanged: the oracle for the bits of its totals and charts.
+
+    Its charts are ``(n+1, B, S+1)``.  Each step gathers the chart at every
+    edge's far end from a flat row, multiplies by the edge weights filled
+    for all ``n`` words up front, and combines each state's edges with one
+    ``reduceat``, in edge order.
+    """
+    batch, n = weights.shape[:2]
+    starts = np.zeros(batch, dtype=np.intp) if lengths is None else n - lengths
+    states = lat.num_grammar_states
+    halves, groups = _edge_groups_reference(lat)[backward]
+    steps = np.full((n + 1, batch, halves, states + 1), sr.zero)  # steps[t]: after t words of each half
+    rows = steps.reshape(n + 1, batch, -1)
+    flat = steps.reshape(n + 1, -1)
+    far = np.arange(batch)[:, None] * rows.shape[2] + groups.src  # edges' far ends in a flat chart row
+    per_word = weights.transpose(1, 0, 2)  # (n, B, 10)
+    scaled = sr is SCALED
+    if scaled:
+        top = per_word.max(axis=2, keepdims=True)
+        per_word = np.exp(per_word - top)
+        scale = np.ones((n, batch, halves, 1))
+    # the edges of the forward half read word t at step t, the reversed ones word n - 1 - t
+    split = groups.bounds[(halves - 1) * (states + 1)]
+    edge_weights = np.empty((n, batch, len(groups.tag)))
+    np.take(per_word, groups.tag[:split], axis=2, out=edge_weights[:, :, :split], mode="clip")
+    np.take(per_word[::-1], groups.tag[split:], axis=2, out=edge_weights[:, :, split:], mode="clip")
+    steps[0, :, -1, :states][:, lat.final_mask] = sr.one
+    last_start = 0
+    if not backward:
+        steps[0, :, 0, lat.initial] = sr.one
+        waiting = (np.arange(n)[:, None] < starts)[..., None]  # (n, B, 1): row t + 1 still before the first word
+        last_start = starts.max(initial=0)
+    for t in range(n):
+        edges = flat[t].take(far)
+        sr.times(edges, edge_weights[t], out=edges)
+        sr.plus.reduceat(edges, groups.bounds, axis=1, out=rows[t + 1, :, :-1])  # the last dead state stays
+        if t < last_start:
+            np.copyto(steps[t + 1, :, 0], steps[0, :, 0], where=waiting[t])
+        if scaled:
+            np.add.reduce(steps[t + 1], axis=2, keepdims=True, out=scale[t])
+            steps[t + 1] /= scale[t]
+    charts = (steps[:, :, 0], steps[::-1, :, -1])[2 - halves :]
+    totals = [steps[n - starts, np.arange(batch), -1, lat.initial]]
+    if not backward:
+        totals.insert(0, sr.plus.reduce(steps[n, :, 0, :states][:, lat.final_mask], axis=1))
+    totals = np.stack(totals)
+    if scaled:
+        real = (np.arange(n)[:, None] >= starts)[..., None]  # (n, B, 1): word i is real
+        # summed in word order, so padding (zeros, first) leaves a sentence's sum as it is alone
+        logs = np.where(real, np.log(_in_word_order_reference(scale)[..., 0]) + top, 0.0)
+        log_totals = np.log(totals) + (np.cumsum(logs, axis=0)[-1].T if n else 0.0)
+        written = steps[1:, :, :, :states] * scale  # each step's cells before the division
+        small = ((written > 0) & (written < _TINY)).any(axis=3)
+        wide = (per_word < np.exp(-_SPAN)).any(axis=2, keepdims=True)
+        if small.any() or wide.any():  # rare, so the sentences are looked for only then
+            log_totals[((_in_word_order_reference(small) | wide) & real).any(axis=0).T] = np.nan
+        return log_totals, charts
+    if (totals == sr.zero).any():
+        raise EmptyLanguage("lattice has no accepting path")
+    return totals, charts
 
 
 def write_model(path, **fields) -> None:

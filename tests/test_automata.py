@@ -11,7 +11,7 @@ from disctag.automata import (
     remove_epsilon,
 )
 from disctag.errors import EmptyLanguage
-from disctag.inference import TROPICAL, _chart, forward, marginals, random_well_formed, viterbi
+from disctag.inference import LOG, SCALED, TROPICAL, _chart, forward, marginals, random_well_formed, viterbi
 from disctag.scheme import CB, CI, NUM_TAGS, O, TAGS, is_structural
 
 from conftest import accepting_sequences, accepts, language_of
@@ -172,11 +172,46 @@ class TestLattice:
         assert build_lattice(semantic) is lat
         groups = (lat.two_way, lat.reverse, lat.by_tag)
         table = [lat.next_state, lat.final_mask] + [a for g in groups for a in vars(g).values()]
-        assert len(table) == 14
+        assert len(table) == 10
         for array in table:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = array[0]
+
+    @pytest.mark.parametrize("mode, depth", [("semantic", 8), ("structural", 7)])
+    def test_slot_tables(self, mode, depth):
+        lat = build_lattice(grammar_automaton(mode))
+        states, back = lat.num_grammar_states, lat.num_grammar_states + 1
+        src, tag = np.nonzero(lat.next_state >= 0)  # the edges in (src, tag, dst) order
+        dst = lat.next_state[src, tag]
+        # each table's edges as (column written, column read, word-weight row), and each column's dead state
+        two_way = [*zip(dst, src, tag), *zip(back + src, back + dst, NUM_TAGS + tag)]
+        tables = (
+            (lat.two_way, two_way, lambda k: states if k < back else 2 * states + 1),
+            (lat.reverse, list(zip(src, dst, tag)), lambda k: states),
+        )
+        for table, edges, dead in tables:
+            keys = 2 * states + 1 if table is lat.two_way else states
+            assert table.far.shape == table.word.shape == (depth, keys)
+            read = []
+            for k in range(keys):
+                into = [(int(f), int(w)) for key, f, w in edges if key == k]
+                slots = [(int(f), int(w)) for f, w in zip(table.far[:, k], table.word[:, k])]
+                # the first edge sits in the last slot, the others fill the first slots in order
+                if into:
+                    assert slots[-1] == into[0] and slots[: len(into) - 1] == into[1:]
+                pads = slots[len(into) - 1 : -1] if into else slots
+                assert all(f == dead(k) for f, _ in pads)
+                read += [(k, *slot) for slot in slots if slot[0] != dead(k)]
+            # every edge appears once, and no edge writes a dead state's column
+            assert sorted(read) == sorted((int(k), int(f), int(w)) for k, f, w in edges)
+            assert not any(dead(k) == k for k, _, _ in read)
+        # so the dead states' columns, which the pads read, stay zero in every semiring
+        weights = np.random.default_rng(5).normal(0.0, 3.0, (3, 9, NUM_TAGS))
+        for sr in (TROPICAL, SCALED, LOG):
+            for backward in (False, True):
+                _, charts = _chart(lat, weights, sr, np.array([9, 4, 1]), backward)
+                assert all((chart[:, states] == sr.zero).all() for chart in charts)
 
     def test_compiled_table_is_the_minimal_dfa(self, semantic, structural):
         # the grammar (and its export) stays determinised; its table is compiled from the minimal DFA
@@ -197,7 +232,7 @@ class TestLattice:
         # samples through: a finite score marks a co-reachable state
         lat = build_lattice(semantic)
         _, (beta,) = _chart(lat, np.zeros((1, 4, NUM_TAGS)), TROPICAL, backward=True)
-        bwd = beta[:, 0, : lat.num_grammar_states] > -np.inf
+        bwd = beta[:, : lat.num_grammar_states, 0] > -np.inf
         assert bwd.shape == (5, lat.num_grammar_states)
         assert bwd[0, lat.initial]
         assert np.array_equal(bwd[4], lat.final_mask)

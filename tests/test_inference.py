@@ -49,7 +49,7 @@ from disctag.scheme import (
     to_two_layer,
 )
 
-from conftest import LIBRARY_LOSSES, admissible_sequences, max_sum_reference
+from conftest import LIBRARY_LOSSES, admissible_sequences, chart_reference, max_sum_reference
 
 GRAMMAR = grammar_automaton("semantic")
 LAT = build_lattice(GRAMMAR)
@@ -506,6 +506,14 @@ def random_labels(rng, mode, n):
     return PartialLabelSet.from_annotation(ann.structural() if mode == "structural" else ann)
 
 
+def chain_grammar(chain=8):
+    """A grammar whose cell ``j`` steps along a chain of CI is ``exp(-100 j)``
+    of its row at weights of -100 on CB and CI: below ``_TINY`` from ``j = 6`` on."""
+    transitions = {(0, O, 0.0, 0), (0, CB, 0.0, 1), (chain, CI, 0.0, chain)}
+    transitions |= {(j, CI, 0.0, j + 1) for j in range(1, chain)}
+    return Automaton(chain + 1, frozenset(transitions), 0, frozenset({0, chain}))
+
+
 class TestBatchedPosterior:
     @pytest.mark.parametrize("mode", ["semantic", "structural"])
     def test_batch_equals_each_sentence_alone(self, mode):
@@ -589,15 +597,10 @@ class TestBatchedPosterior:
         for backward in (False, True):
             log_z, _ = _chart(LAT, w, SCALED, backward=backward)
             assert np.isnan(log_z[:, 0]).all() and np.isfinite(log_z[:, 1]).all()
-        # so does a cell below 1e-250: in a chain grammar, the cell j steps
-        # along the chain is exp(-100 j) of its row, below it from j = 6 on
-        chain = 8
-        transitions = {(0, O, 0.0, 0), (0, CB, 0.0, 1), (chain, CI, 0.0, chain)}
-        transitions |= {(j, CI, 0.0, j + 1) for j in range(1, chain)}
-        grammar = Automaton(chain + 1, frozenset(transitions), 0, frozenset({0, chain}))
+        # so does a cell below 1e-250
         w = np.zeros((2, 6, NUM_TAGS))
         w[..., CB.index] = w[..., CI.index] = -100.0
-        log_z, _ = _chart(build_lattice(grammar), w, SCALED, lengths=np.array([6, 5]))
+        log_z, _ = _chart(build_lattice(chain_grammar()), w, SCALED, lengths=np.array([6, 5]))
         assert np.isnan(log_z[:, 0]).all() and np.isfinite(log_z[:, 1]).all()
 
     @pytest.mark.parametrize("small_half", [0, 1], ids=["forward", "backward"])
@@ -679,6 +682,59 @@ class TestBatchedPosterior:
             usable = marginals(LAT, np.zeros_like(w)) > 0
             assert np.all(probs[b, 7 - len(w) :][~usable] == 0.0)
             assert np.all(probs[b, 7 - len(w) :][usable] > 0.0)
+
+
+class TestChartOracle:
+    """``_chart`` keeps, bit for bit, the totals and charts of the batch-major
+    ``reduceat`` chart it replaced (``chart_reference``)."""
+
+    @staticmethod
+    def assert_same_bits(lattice, batch, sr, lengths, backward):
+        totals, charts = _chart(lattice, batch, sr, lengths, backward)
+        ref_totals, ref_charts = chart_reference(lattice, batch, sr, lengths, backward)
+        assert totals.shape == ref_totals.shape
+        assert np.array_equal(totals.view(np.int64), ref_totals.view(np.int64))
+        assert len(charts) == len(ref_charts) == 2 - backward
+        for chart, ref in zip(charts, ref_charts):
+            assert np.array_equal(chart.transpose(0, 2, 1).view(np.int64), ref.view(np.int64))
+        return totals
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["two-way", "backward"])
+    @pytest.mark.parametrize("sr", [TROPICAL, SCALED, LOG], ids=lambda s: s.name)
+    @pytest.mark.parametrize("mode", ["semantic", "structural"])
+    @pytest.mark.parametrize("batch", [1, 8, 409])
+    def test_same_bits_as_reference(self, batch, mode, sr, backward):
+        lattice = build_lattice(grammar_automaton(mode))
+        rng = np.random.default_rng(113 + batch)
+        n = 40 if batch > 1 else 57
+        lengths = rng.integers(1, n + 1, batch)
+        lengths[0] = n
+        scales = rng.choice([0.5, 3.0, 30.0, 300.0], batch)  # scores that differ by hundreds flag the scaled chart
+        sentences = [random_weights(rng, m, scale=s) for m, s in zip(lengths, scales)]
+        if batch > 1:
+            # the best path opens a mention 740 below the word's best tag: a subnormal cell
+            sentences[1] = np.full((2, NUM_TAGS), -100.0)
+            sentences[1][0, [O.index, CB.index]] = 0.0, -740.0
+            sentences[1][1] = 300.0
+            sentences[1][1, CI.index] = 1042.0
+            lengths[1] = 2
+        # padding whose scores differ by up to 1,000: exp underflows, and a padded row can lose all its mass
+        batch_weights = right_aligned(rng, sentences, pad_scale=500.0)
+        totals = self.assert_same_bits(lattice, batch_weights, sr, lengths, backward)
+        if sr is SCALED and batch > 1:
+            assert np.isnan(totals).any() and np.isfinite(totals).any()
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["two-way", "backward"])
+    @pytest.mark.parametrize("sr", [TROPICAL, SCALED, LOG], ids=lambda s: s.name)
+    def test_same_bits_with_cells_below_tiny(self, sr, backward):
+        lattice = build_lattice(chain_grammar())
+        rng = np.random.default_rng(127)
+        batch = rng.uniform(-5.0, 5.0, (8, 12, NUM_TAGS))
+        batch[::2, :, [CB.index, CI.index]] = -100.0
+        lengths = np.array([12, 11, 10, 9, 8, 7, 6, 5])
+        totals = self.assert_same_bits(lattice, batch, sr, lengths, backward)
+        if sr is SCALED:
+            assert np.isnan(totals[:, ::2]).all() and np.isfinite(totals[:, 1::2]).all()
 
 
 class TestBatchLosses:
