@@ -44,12 +44,9 @@ from .corpus import (
     evaluate,
     filter_incompatible,
     read_corpus,
-    read_tag_file,
     silver_type,
     stats,
     synthetic_records,
-    write_corpus,
-    write_tag_file,
 )
 from .errors import (
     ConfigError,
@@ -62,10 +59,7 @@ from .errors import (
     ParseError,
 )
 from .inference import (
-    LOG,
-    TROPICAL,
     PartialLabelSet,
-    Semiring,
     clamped_log_partition,
     clamped_marginals,
     forward,
@@ -75,9 +69,8 @@ from .inference import (
     partial_nll,
     sequence_score,
     viterbi,
-    viterbi_batch,
 )
-from .model import LinearScorer, TrainConfig, predict, predict_batch, predict_mentions, predict_tags, train
+from .model import LinearScorer, TrainConfig, predict, predict_tags, train
 from .scheme import (
     NUM_TAGS,
     TAGS,
@@ -89,10 +82,8 @@ from .scheme import (
     TagSequence,
     TwoLayerSet,
     decode,
-    decode_annotation,
     encode,
     from_two_layer,
-    is_structural,
     is_well_formed,
     to_two_layer,
 )
@@ -112,7 +103,6 @@ __all__ = [
     "EvalReport",
     "IllFormed",
     "Incompatible",
-    "LOG",
     "Lattice",
     "LengthMismatch",
     "Lexicon",
@@ -122,10 +112,8 @@ __all__ = [
     "NUM_TAGS",
     "ParseError",
     "PartialLabelSet",
-    "Semiring",
     "SentenceAnnotation",
     "TAGS",
-    "TROPICAL",
     "Tag",
     "TagSequence",
     "TrainConfig",
@@ -136,7 +124,6 @@ __all__ = [
     "clamped_log_partition",
     "clamped_marginals",
     "decode",
-    "decode_annotation",
     "determinize",
     "encode",
     "evaluate",
@@ -146,18 +133,14 @@ __all__ = [
     "from_two_layer",
     "grammar_automaton",
     "hard_em_step",
-    "is_structural",
     "is_well_formed",
     "marginals",
     "minimize",
     "nll",
     "partial_nll",
     "predict",
-    "predict_batch",
-    "predict_mentions",
     "predict_tags",
     "read_corpus",
-    "read_tag_file",
     "remove_epsilon",
     "sequence_score",
     "silver_type",
@@ -166,7 +149,4 @@ __all__ = [
     "to_two_layer",
     "train",
     "viterbi",
-    "viterbi_batch",
-    "write_corpus",
-    "write_tag_file",
 ]

@@ -35,7 +35,6 @@ from .scheme import (
     TwoLayerSet,
     decode,
     encode,
-    from_rows,
     to_two_layer,
 )
 
@@ -46,10 +45,7 @@ __all__ = [
     "mention_lines",
     "table_text",
     "read_corpus",
-    "write_corpus",
-    "read_tag_file",
     "read_tag_rows",
-    "write_tag_file",
     "annotate",
     "filter_incompatible",
     "CorpusStats",
@@ -176,11 +172,6 @@ def table_text(sentences: Sequence[Sequence[str]], table: np.ndarray) -> str:
     return _layout(zip(map(" ".join, sentences), mention_lines(table, len(sentences))))
 
 
-def write_corpus(records: Iterable[CorpusRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(corpus_text(records))
-
-
 _TAG_INDEX = {t.symbol: t.index for t in TAGS}
 
 
@@ -203,16 +194,6 @@ def read_tag_rows(path) -> tuple[np.ndarray, np.ndarray]:
                 raise ParseError(str(err), line_no) from None
         raise
     return flat, bounds
-
-
-def read_tag_file(path) -> list[TagSequence]:
-    return from_rows(*read_tag_rows(path))
-
-
-def write_tag_file(sequences: Iterable[TagSequence], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for ts in sequences:
-            handle.write(ts.symbols() + "\n")
 
 
 def annotate(record: CorpusRecord) -> SentenceAnnotation:

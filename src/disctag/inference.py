@@ -33,7 +33,7 @@ factorises into one two-way choice per set and takes time linear in ``n``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,18 +47,12 @@ from .scheme import (
     Tag,
     TagSequence,
     encode,
-    from_rows,
     is_well_formed,
 )
 
 __all__ = [
-    "Semiring",
-    "TROPICAL",
-    "LOG",
-    "SCALED",
     "PartialLabelSet",
     "viterbi",
-    "viterbi_batch",
     "viterbi_rows",
     "forward",
     "marginals",
@@ -130,7 +124,8 @@ def _in_word_order(steps: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # a scaled underflow shows in the totals
 def _chart(
-    lat: Lattice, weights: np.ndarray, sr: Semiring, lengths: np.ndarray | None = None, backward: bool = False
+    lat: Lattice, weights: np.ndarray, sr: Semiring, lengths: np.ndarray | None = None, backward: bool = False,
+    *, scaled_out: np.ndarray | None = None,
 ):
     """``(totals, charts)`` of a batch in one pass: ``charts`` is ``(alpha,
     beta)``, the ``(n+1, S+1, B)`` prefix sums from the initial state and
@@ -157,7 +152,8 @@ def _chart(
     :data:`SCALED` is Rabiner's scaled forward-backward: each word's
     weights are ``exp(w - max w)``, each step divides each half by its own
     sum, and a total is the log of the last sum plus the logs of every
-    divisor and word maximum.  Its total is NaN for a chart that may have
+    divisor and word maximum; the scaled weights go to ``scaled_out``, an
+    ``(n, 10, B)`` array, if given.  Its total is NaN for a chart that may have
     lost mass to underflow: one where some real word's weights span more
     than ``_SPAN``, or some cell at a real word was positive but below
     ``_TINY`` before its half was divided.  In any other chart no cell can
@@ -170,12 +166,12 @@ def _chart(
     states = lat.num_grammar_states
     halves, table = (1, lat.reverse) if backward else (2, lat.two_way)
     steps = np.full((n + 1, halves, states + 1, batch), sr.zero)  # steps[t]: after t words of each half
-    rows = steps.reshape(n + 1, -1, batch)
+    rows = steps.reshape(n + 1, halves * (states + 1), batch)
     per_word = weights.transpose(1, 2, 0)  # (n, 10, B)
     scaled = sr is SCALED
     if scaled:
         top = per_word.max(axis=1, keepdims=True)
-        per_word = np.exp(per_word - top)
+        per_word = np.exp(per_word - top, out=scaled_out)
         scale = np.ones((n, batch, halves, 1))
         by_sentence = np.empty((batch, halves, states + 1))  # a step's row as its divisors are summed
     # the forward half reads word t at step t, the backward half word n - 1 - t
@@ -242,9 +238,8 @@ def _posterior(lat: Lattice, weights: np.ndarray, lengths: np.ndarray | None = N
     """
     batch, n = weights.shape[:2]
     starts = np.zeros(batch, dtype=np.intp) if lengths is None else n - lengths
-    (log_z, log_z_back), (alpha, beta) = _chart(lat, weights, SCALED, lengths)
-    per_word = weights.transpose(1, 2, 0)
-    scaled = np.exp(per_word - per_word.max(axis=1, keepdims=True))
+    scaled = np.empty((n, NUM_TAGS, batch))
+    (log_z, log_z_back), (alpha, beta) = _chart(lat, weights, SCALED, lengths, scaled_out=scaled)
     edges = lat.by_tag
     mass = alpha[:-1].take(edges.src, axis=1)  # (n, E, B)
     mass *= scaled.take(edges.tag, axis=1)
@@ -305,24 +300,20 @@ def viterbi(lat: Lattice, weights: np.ndarray) -> tuple[float, TagSequence]:
     sequence, making ``score == <y, w>`` exact.
     """
     weights = _check_weights(weights)
-    (ts,) = viterbi_batch(lat, weights[None], [len(weights)])
+    ts = TagSequence.from_indices(viterbi_rows(lat, weights[None], [len(weights)]))
     return sequence_score(weights, ts), ts
 
 
-def viterbi_batch(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> list[TagSequence]:
-    """The :func:`viterbi` sequences of a batch of right-aligned sentences.
+def viterbi_rows(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """The :func:`viterbi` sequences of a batch of right-aligned sentences, as
+    tag indices, one sentence after another in one flat array.
 
     ``weights`` is ``(B, n, 10)``; sentence ``b`` has ``lengths[b] <= n``
     words, scored by the last ``lengths[b]`` rows of ``weights[b]`` (the rows
-    before them are padding and may hold any finite value).  Each sequence, tie-break included, is
-    the one :func:`viterbi` gives for the sentence alone.
+    before them are padding and may hold any finite value).  Each sequence,
+    tie-break included, is the one :func:`viterbi` gives for the sentence
+    alone.
     """
-    return from_rows(viterbi_rows(lat, weights, lengths), np.cumsum([0, *lengths]))
-
-
-def viterbi_rows(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-    """The :func:`viterbi_batch` sequences as tag indices, one sentence
-    after another in one flat array."""
     weights = _check_weights(weights, batched=True)
     lengths = _check_lengths(weights, lengths)
     (batch, n, _), width = weights.shape, lat.num_grammar_states + 1
@@ -415,6 +406,11 @@ def _sums(values: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     return np.bincount(np.repeat(np.arange(len(sizes)), sizes), weights=values, minlength=len(sizes))
 
 
+def _joined(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """Integer arrays concatenated in order; none give an empty one."""
+    return np.concatenate([np.empty(0, dtype=np.intp), *arrays])
+
+
 def _flip_gains(labels: Sequence[PartialLabelSet], weights: np.ndarray):
     """Flip terms of a batch of label sets, over their words concatenated in
     order, ``weights`` holding the words' rows.
@@ -423,9 +419,9 @@ def _flip_gains(labels: Sequence[PartialLabelSet], weights: np.ndarray):
     and its slot, and per slot the score gain of flipping it.  Slot 0 stands
     for no set; the unresolved sets follow, sentence by sentence.
     """
-    gold = np.concatenate([pl.gold_indices for pl in labels])
-    owner = np.concatenate([pl.owner for pl in labels])
-    sets = np.array([pl.k for pl in labels])
+    gold = _joined(pl.gold_indices for pl in labels)
+    owner = _joined(pl.owner for pl in labels)
+    sets = np.array([pl.k for pl in labels], dtype=np.intp)
     before = np.repeat(np.cumsum(sets) - sets, [len(pl.owner) for pl in labels])  # sets of earlier sentences
     slot = np.where(owner >= 0, owner + 1 + before, 0)
     flipped = np.where(owner >= 0, _FLIP[gold], gold)
@@ -507,7 +503,7 @@ def batch_losses(
     if loss == "hard-em":
         target = _hard_em_targets(labels, scores)
     elif loss == "nll":
-        target = np.concatenate([pl.gold_indices for pl in labels])
+        target = _joined(pl.gold_indices for pl in labels)
     else:
         raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
     words = np.arange(len(target))

@@ -26,7 +26,7 @@ from .scheme import (
     MentionSet,
     SentenceAnnotation,
     TagSequence,
-    decode_batch,
+    decode,
     encode_batch,
     from_rows,
 )
@@ -37,10 +37,7 @@ __all__ = [
     "train",
     "predict",
     "predict_tags",
-    "predict_batch",
-    "predict_mentions",
     "predict_rows",
-    "sentence_features",
 ]
 
 logger = logging.getLogger(__name__)
@@ -49,7 +46,7 @@ MODES = ("semantic", "structural")
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
-FEATURES = 5  # features per word, see sentence_features
+FEATURES = 5  # features per word, see LinearScorer.batch_feature_indices
 # Padded words per predict batch: it bounds the batch's strings and arrays.
 # Viterbi's walk makes a few numpy calls per word for the whole batch, so
 # wider batches pay up to about here; 8,192 ran predict-long ~10 % slower
@@ -98,23 +95,6 @@ def _fnv1a_continue(h: np.ndarray, flat: np.ndarray, starts: np.ndarray, lengths
 _PREFIX_HASHES = fnv1a(["w=", "w-1=", "w+1=", "pre=", "suf="])  # the five features of a type, in order
 
 
-def sentence_features(tokens: Sequence[str]) -> list[list[str]]:
-    """Indicator features per position: word, neighbours, affixes."""
-    low = [t.lower() for t in tokens]
-    out = []
-    for i, word in enumerate(low):
-        out.append(
-            [
-                f"w={word}",
-                f"w-1={low[i - 1] if i > 0 else '<bos>'}",
-                f"w+1={low[i + 1] if i + 1 < len(low) else '<eos>'}",
-                f"pre={word[:3]}",
-                f"suf={word[-3:]}",
-            ]
-        )
-    return out
-
-
 class LinearScorer:
     """Linear model mapping token sequences to ``(n, 10)`` weight matrices."""
 
@@ -134,18 +114,14 @@ class LinearScorer:
             raise ConfigError(f"params must be a finite ({dim}, {NUM_TAGS}) matrix")
         self.params = np.ascontiguousarray(params, dtype=np.float64)  # apply_gradient updates a flat view
 
-    def feature_indices(self, tokens: Sequence[str]) -> np.ndarray:
-        """Hashed feature rows: ``(n, FEATURES)`` row indices into ``params``."""
-        return self.batch_feature_indices([tokens])
-
     def batch_feature_indices(self, sentences: Iterable[Sequence[str]]) -> np.ndarray:
-        """The feature rows of the sentences' words, concatenated in order.
+        """The hashed feature rows ``(words, FEATURES)`` of the sentences' words, in order.
 
-        Each feature string of a word is one of five strings of a single
-        lowercased type: the word's own, a neighbour's, or ``<bos>``/``<eos>``
-        (see :func:`sentence_features`).  So each distinct type's five strings
-        are hashed once, and each word gathers its row from its own and its
-        neighbours' types.
+        A word's features are ``w=`` its lowercased type, ``w-1=`` and ``w+1=``
+        its neighbours' (``<bos>`` and ``<eos>`` past either end), and ``pre=``
+        and ``suf=`` its type's first and last three characters: five strings
+        of one type each.  So each distinct type's five strings are hashed
+        once, and each word gathers its row from its own and its neighbours' types.
         """
         sentences = list(sentences)
         lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
@@ -181,7 +157,7 @@ class LinearScorer:
         """Deterministic ``(n, 10)`` score matrix for a non-empty sentence."""
         if not tokens:
             raise ValueError("cannot score an empty sentence")
-        return self.score_rows(self.feature_indices(tokens))
+        return self.score_rows(self.batch_feature_indices([tokens]))
 
     def score_rows(self, rows: np.ndarray) -> np.ndarray:
         """Scores of hashed feature rows ``(words, FEATURES)``, one per word.
@@ -381,38 +357,23 @@ def predict_tags(scorer: LinearScorer, tokens: Sequence[str], mode: str = "seman
     Raises :class:`~disctag.errors.ConfigError` when the model's scores for
     the sentence are not finite (finite but huge weights can overflow).
     """
-    return predict_batch(scorer, [tokens], mode)[0]
-
-
-def predict_batch(
-    scorer: LinearScorer, sentences: Sequence[Sequence[str]], mode: str = "semantic"
-) -> list[TagSequence]:
-    """:func:`predict_tags` of every sentence, in order, computed in batches.
-
-    Sentences are sorted by length and cut into runs of at most
-    ``TOKEN_BUDGET`` padded words (a longer sentence runs alone).  Each batch
-    is hashed and scored in one pass and decoded by one right-aligned
-    :func:`~disctag.inference.viterbi_rows`, so every sequence is the one
-    the sentence gets alone.
-    """
-    return from_rows(*predict_rows(scorer, sentences, mode))
-
-
-def predict_mentions(
-    scorer: LinearScorer, sentences: Sequence[Sequence[str]], mode: str = "semantic"
-) -> list[MentionSet]:
-    """:func:`predict` of every sentence, in order: the tag indices of
-    :func:`predict_batch`, decoded under one well-formedness check."""
-    return decode_batch(*predict_rows(scorer, sentences, mode))
+    return from_rows(*predict_rows(scorer, [tokens], mode))[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as a ConfigError
 def predict_rows(
     scorer: LinearScorer, sentences: Sequence[Sequence[str]], mode: str = "semantic"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The tag indices of :func:`predict_batch`, flat and in order, and the
-    bounds of each sentence in them (see :func:`~disctag.scheme.as_rows`),
-    as :func:`~disctag.scheme.mention_table` reads them."""
+    """The :func:`predict_tags` sequences of the sentences, as flat tag
+    indices in order and the bounds of each sentence in them (see
+    :func:`~disctag.scheme.as_rows`), as :func:`~disctag.scheme.mention_table` reads them.
+
+    Sentences are sorted by length and cut into runs of at most
+    ``TOKEN_BUDGET`` padded words (a longer sentence runs alone).  Each run
+    is hashed and scored in one pass and decoded by one right-aligned
+    :func:`~disctag.inference.viterbi_rows`, so every sequence, tie-break
+    included, is the one the sentence gets alone.
+    """
     if not all(sentences):
         raise ValueError("cannot score an empty sentence")
     lattice = build_lattice(grammar_automaton(mode))
@@ -444,4 +405,4 @@ def predict(scorer: LinearScorer, tokens: Sequence[str], mode: str = "semantic")
 
     Decoding cannot fail: the lattice only admits well-formed sequences.
     """
-    return predict_mentions(scorer, [tokens], mode)[0]
+    return decode(predict_tags(scorer, tokens, mode))

@@ -46,7 +46,6 @@ __all__ = [
     "tag_by_symbol",
     "TagSequence",
     "is_well_formed",
-    "is_structural",
     "ComponentType",
     "Mention",
     "MentionSet",
@@ -58,8 +57,6 @@ __all__ = [
     "encode",
     "encode_batch",
     "decode",
-    "decode_annotation",
-    "decode_batch",
     "mention_table",
     "as_rows",
     "from_rows",
@@ -166,13 +163,6 @@ class TagSequence:
     def indices(self) -> np.ndarray:
         return np.fromiter((t.index for t in self.tags), dtype=np.int64, count=len(self.tags))
 
-    def one_hot(self) -> np.ndarray:
-        """Binary view: one row per word, one column per tag, single 1 per row."""
-        out = np.zeros((len(self.tags), NUM_TAGS))
-        if self.tags:
-            out[np.arange(len(self.tags)), self.indices] = 1.0
-        return out
-
     def symbols(self) -> str:
         return " ".join(t.symbol for t in self.tags)
 
@@ -251,13 +241,6 @@ def is_well_formed_batch(flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def is_well_formed(tags: Sequence[Tag] | TagSequence) -> bool:
     """Whether one sequence keeps the six rules of :func:`is_well_formed_batch`."""
     return bool(is_well_formed_batch(*as_rows([tags]))[0])
-
-
-def is_structural(tags: Sequence[Tag] | TagSequence) -> bool:
-    """True iff well-formed and every set's leftmost component is typed x."""
-    if isinstance(tags, TagSequence):
-        tags = tags.tags
-    return is_well_formed(tags) and DB_BY not in tags
 
 
 class ComponentType(enum.Enum):
@@ -597,30 +580,9 @@ def mention_table(flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.array((sentence[lo], b1, e1, b2, e2)).T[order]
 
 
-def decode_annotation(ts: TagSequence | Sequence[Tag]) -> SentenceAnnotation:
-    """Parse a well-formed tag sequence back into an annotation, typing each
-    component by its tag.  Raises :class:`IllFormed` if the sequence breaks
-    any rule; decoding never guesses."""
-    flat, bounds = as_rows([ts])
-    _, start, end, tags, sets = _components(flat, bounds)
-    continuous, components = [], {}
-    for b, e, t, s in zip(start.tolist(), end.tolist(), tags.tolist(), sets.tolist()):
-        if t == CB.index:
-            continuous.append(Mention(((b, e),)))
-        else:
-            components.setdefault(s, []).append(Component(b, e, ComponentType.X if t in _X_BEGINS else ComponentType.Y))
-    return SentenceAnnotation(len(flat), tuple(continuous), tuple(map(TwoLayerSet, components.values())))
-
-
-def decode_batch(flat: np.ndarray, bounds: np.ndarray) -> list[MentionSet]:
-    """:func:`decode` of each sequence of a batch (see :func:`as_rows`), from
-    the rows of its :func:`mention_table`."""
-    table = mention_table(flat, bounds)
-    mentions = [Mention(((b1, e1),) if b2 < 0 else ((b1, e1), (b2, e2))) for _, b1, e1, b2, e2 in table.tolist()]
-    cuts = np.searchsorted(table[:, 0], np.arange(len(bounds))).tolist()
-    return [frozenset(mentions[a:b]) for a, b in itertools.pairwise(cuts)]
-
-
 def decode(ts: TagSequence | Sequence[Tag]) -> MentionSet:
-    """Mention set denoted by a well-formed tag sequence."""
-    return decode_batch(*as_rows([ts]))[0]
+    """Mention set denoted by a well-formed tag sequence, from the rows of
+    its :func:`mention_table`.  Raises :class:`IllFormed` if the sequence
+    breaks any rule; decoding never guesses."""
+    table = mention_table(*as_rows([ts])).tolist()
+    return frozenset(Mention(((b1, e1),) if b2 < 0 else ((b1, e1), (b2, e2))) for _, b1, e1, b2, e2 in table)

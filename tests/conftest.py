@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from disctag.automata import EdgeGroups
+from disctag.corpus import corpus_text, read_tag_rows
 from disctag.errors import PARTIAL_OVERLAP, SPAN_CONFLICT, THREE_WAY_SPLIT, EmptyLanguage, Incompatible
-from disctag.inference import _SPAN, _TINY, SCALED, hard_em_step, nll, partial_nll
-from disctag.model import FEATURES
+from disctag.inference import _SPAN, _TINY, SCALED, hard_em_step, nll, partial_nll, viterbi_rows
+from disctag.model import FEATURES, predict_rows
 from disctag.scheme import (
+    _X_BEGINS,
     CB,
     CI,
     DB_BX,
@@ -24,8 +26,14 @@ from disctag.scheme import (
     ComponentType,
     Mention,
     SentenceAnnotation,
+    TagSequence,
     TwoLayerSet,
+    _components,
+    as_rows,
     encode,
+    from_rows,
+    is_well_formed,
+    mention_table,
 )
 
 _SET_TAGS = frozenset((DB_BX, DB_BY, DI_BX, DI_BY, DI_IX, DI_IY, DI_O))
@@ -552,3 +560,92 @@ def to_two_layer_reference(mentions: Iterable[Mention], n: int) -> SentenceAnnot
         if b2 <= e1:
             raise Incompatible(SPAN_CONFLICT, f"element spans overlap near word {b2}")
     return SentenceAnnotation(n, tuple(continuous), tuple(sets))
+
+
+# Helpers that only tests call: object views of tag sequences and of the
+# library's batch functions, the feature strings that
+# LinearScorer.batch_feature_indices hashes, and tag and corpus file writers.
+
+
+def one_hot(ts: TagSequence) -> np.ndarray:
+    """Binary view: one row per word, one column per tag, single 1 per row."""
+    out = np.zeros((len(ts.tags), NUM_TAGS))
+    if ts.tags:
+        out[np.arange(len(ts.tags)), ts.indices] = 1.0
+    return out
+
+
+def is_structural(tags) -> bool:
+    """True iff well-formed and every set's leftmost component is typed x."""
+    if isinstance(tags, TagSequence):
+        tags = tags.tags
+    return is_well_formed(tags) and DB_BY not in tags
+
+
+def decode_annotation(ts) -> SentenceAnnotation:
+    """Parse a well-formed tag sequence back into an annotation, typing each
+    component by its tag.  Raises :class:`IllFormed` if the sequence breaks
+    any rule; decoding never guesses."""
+    flat, bounds = as_rows([ts])
+    _, start, end, tags, sets = _components(flat, bounds)
+    continuous, components = [], {}
+    for b, e, t, s in zip(start.tolist(), end.tolist(), tags.tolist(), sets.tolist()):
+        if t == CB.index:
+            continuous.append(Mention(((b, e),)))
+        else:
+            components.setdefault(s, []).append(Component(b, e, ComponentType.X if t in _X_BEGINS else ComponentType.Y))
+    return SentenceAnnotation(len(flat), tuple(continuous), tuple(map(TwoLayerSet, components.values())))
+
+
+def decode_batch(flat: np.ndarray, bounds: np.ndarray) -> list[frozenset]:
+    """:func:`disctag.scheme.decode` of each sequence of a batch, from the rows
+    of its :func:`disctag.scheme.mention_table`."""
+    table = mention_table(flat, bounds)
+    mentions = [Mention(((b1, e1),) if b2 < 0 else ((b1, e1), (b2, e2))) for _, b1, e1, b2, e2 in table.tolist()]
+    cuts = np.searchsorted(table[:, 0], np.arange(len(bounds))).tolist()
+    return [frozenset(mentions[a:b]) for a, b in itertools.pairwise(cuts)]
+
+
+def viterbi_batch(lat, weights: np.ndarray, lengths) -> list[TagSequence]:
+    """The :func:`disctag.inference.viterbi_rows` of a batch as tag sequences."""
+    return from_rows(viterbi_rows(lat, weights, lengths), np.cumsum([0, *lengths]))
+
+
+def predict_batch(scorer, sentences, mode: str = "semantic") -> list[TagSequence]:
+    """The :func:`disctag.model.predict_rows` of the sentences as tag sequences."""
+    return from_rows(*predict_rows(scorer, sentences, mode))
+
+
+def sentence_features(tokens: Sequence[str]) -> list[list[str]]:
+    """Indicator features per position: word, neighbours, affixes.
+
+    The oracle for the strings that
+    :meth:`disctag.model.LinearScorer.batch_feature_indices` hashes."""
+    low = [t.lower() for t in tokens]
+    out = []
+    for i, word in enumerate(low):
+        out.append(
+            [
+                f"w={word}",
+                f"w-1={low[i - 1] if i > 0 else '<bos>'}",
+                f"w+1={low[i + 1] if i + 1 < len(low) else '<eos>'}",
+                f"pre={word[:3]}",
+                f"suf={word[-3:]}",
+            ]
+        )
+    return out
+
+
+def read_tag_file(path) -> list[TagSequence]:
+    return from_rows(*read_tag_rows(path))
+
+
+def write_tag_file(sequences: Iterable[TagSequence], path) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        for ts in sequences:
+            handle.write(ts.symbols() + "\n")
+
+
+def write_corpus(records, path) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(corpus_text(records))

@@ -18,7 +18,7 @@ from disctag.automata import (
     minimize,
     remove_epsilon,
 )
-from disctag.corpus import benchmark_predict, evaluate, read_corpus, write_corpus
+from disctag.corpus import benchmark_predict, evaluate, read_corpus
 from disctag.errors import IllFormed
 from disctag.inference import (
     PartialLabelSet,
@@ -48,7 +48,7 @@ from disctag.scheme import (
     to_two_layer,
 )
 
-from conftest import accepting_sequences, admissible_sequences, with_flips
+from conftest import accepting_sequences, admissible_sequences, with_flips, write_corpus
 
 GRAMMAR = grammar_automaton("semantic")
 README_PATH = __file__.rsplit("/", 2)[0] + "/README.md"

@@ -12,9 +12,9 @@ from disctag.automata import (
 )
 from disctag.errors import EmptyLanguage
 from disctag.inference import LOG, SCALED, TROPICAL, _chart, forward, marginals, random_well_formed, viterbi
-from disctag.scheme import CB, CI, NUM_TAGS, O, TAGS, is_structural
+from disctag.scheme import CB, CI, NUM_TAGS, O, TAGS
 
-from conftest import accepting_sequences, accepts, language_of
+from conftest import accepting_sequences, accepts, is_structural, language_of
 
 
 @pytest.fixture(scope="module")

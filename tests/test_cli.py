@@ -14,15 +14,13 @@ from disctag.corpus import (
     Lexicon,
     annotate,
     read_corpus,
-    read_tag_file,
     silver_type,
     synthetic_records,
-    write_corpus,
 )
 from disctag.model import LinearScorer, TrainConfig, predict_tags, train
-from disctag.scheme import NUM_TAGS, TAGS, decode, is_structural
+from disctag.scheme import NUM_TAGS, TAGS, decode
 
-from conftest import MALFORMED_MODELS, write_model
+from conftest import MALFORMED_MODELS, is_structural, read_tag_file, write_corpus, write_model
 
 
 @pytest.fixture

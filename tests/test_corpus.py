@@ -16,17 +16,16 @@ from disctag.corpus import (
     format_mentions,
     mention_lines,
     read_corpus,
-    read_tag_file,
     read_tag_rows,
     silver_type,
     stats,
     synthetic_records,
     table_text,
-    write_corpus,
-    write_tag_file,
 )
 from disctag.errors import LengthMismatch, ParseError
 from disctag.scheme import ComponentType, Mention, TagSequence, as_rows, encode, from_two_layer, mention_table
+
+from conftest import read_tag_file, write_corpus, write_tag_file
 
 GOLDEN = """pain in arms and shoulders
 0-1;2-2|0-1;4-4

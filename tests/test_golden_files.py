@@ -3,14 +3,10 @@
 from pathlib import Path
 
 from disctag.automata import export_text, grammar_automaton, minimize
-from disctag.corpus import (
-    annotate,
-    corpus_text,
-    read_corpus,
-    read_tag_file,
-    write_tag_file,
-)
+from disctag.corpus import annotate, corpus_text, read_corpus
 from disctag.scheme import decode, encode
+
+from conftest import read_tag_file, write_tag_file
 
 DATA = Path(__file__).parent / "data"
 

@@ -26,7 +26,6 @@ from disctag.inference import (
     random_well_formed,
     sequence_score,
     viterbi,
-    viterbi_batch,
     viterbi_rows,
 )
 from disctag.scheme import (
@@ -44,12 +43,19 @@ from disctag.scheme import (
     TagSequence,
     decode,
     encode,
-    is_structural,
     is_well_formed,
     to_two_layer,
 )
 
-from conftest import LIBRARY_LOSSES, admissible_sequences, chart_reference, max_sum_reference
+from conftest import (
+    LIBRARY_LOSSES,
+    admissible_sequences,
+    chart_reference,
+    is_structural,
+    max_sum_reference,
+    one_hot,
+    viterbi_batch,
+)
 
 GRAMMAR = grammar_automaton("semantic")
 LAT = build_lattice(GRAMMAR)
@@ -174,6 +180,9 @@ class TestViterbiBatch:
                 viterbi_batch(LAT, w, lengths)
         with pytest.raises(ValueError):
             viterbi_batch(LAT, np.zeros((4, NUM_TAGS)), [4])
+        # a batch of no sentences is no bad shape: it gives no tags
+        tags = viterbi_rows(LAT, np.zeros((0, 3, NUM_TAGS)), [])
+        assert tags.shape == (0,) and tags.dtype.kind == "i"
 
 
 class TestForward:
@@ -340,7 +349,7 @@ class TestClampedLogPartition:
             w = rng.uniform(-2, 2, (ann.n, NUM_TAGS))
             scores = np.array([sequence_score(w, m) for m in members])
             log_z = np.logaddexp.reduce(scores)
-            expected = sum(np.exp(sc - log_z) * m.one_hot() for sc, m in zip(scores, members))
+            expected = sum(np.exp(sc - log_z) * one_hot(m) for sc, m in zip(scores, members))
             assert clamped_log_partition(pl, w) == pytest.approx(log_z, rel=1e-13)
             assert np.allclose(clamped_marginals(pl, w), expected, rtol=0, atol=1e-13)
 
@@ -754,6 +763,9 @@ class TestBatchLosses:
                 alone_loss, alone_grad = LIBRARY_LOSSES[loss](build_lattice(grammar), w, pl)
                 assert losses[b] == alone_loss
                 assert np.array_equal(grad[rows[b] : rows[b + 1]], alone_grad)
+        # a batch of no sentences gives no losses and no gradient rows
+        losses, grad = batch_losses(build_lattice(grammar), np.zeros((0, 3, NUM_TAGS)), [], [], loss)
+        assert losses.shape == (0,) and grad.shape == (0, NUM_TAGS)
 
     def test_rejects_mismatched_labels_and_unknown_loss(self):
         rng = np.random.default_rng(83)

@@ -11,9 +11,7 @@ from disctag.model import (
     TrainConfig,
     fnv1a,
     predict,
-    predict_batch,
     predict_tags,
-    sentence_features,
     train,
 )
 from disctag.scheme import (
@@ -32,7 +30,15 @@ from disctag.scheme import (
     to_two_layer,
 )
 
-from conftest import LIBRARY_LOSSES, MALFORMED_MODELS, fnv1a_reference, score_rows_reference, write_model
+from conftest import (
+    LIBRARY_LOSSES,
+    MALFORMED_MODELS,
+    fnv1a_reference,
+    predict_batch,
+    score_rows_reference,
+    sentence_features,
+    write_model,
+)
 
 # ASCII, two-byte, three-byte and four-byte UTF-8, and a NUL byte
 VOCABULARY = ["pain", "in", "Arms", "é", "café", "日本語", "語", "😀", "x😀y", "a\x00", "", "ÉTÉ"]
@@ -95,7 +101,7 @@ class TestFnv1a:
 
     def test_feature_indices_hash_each_feature(self):
         tokens = ["Café", "日本語", "😀", "in"]
-        rows = LinearScorer(dim=1000).feature_indices(tokens)
+        rows = LinearScorer(dim=1000).batch_feature_indices([tokens])
         want = [[fnv1a_reference(f) % 1000 for f in feats] for feats in sentence_features(tokens)]
         assert rows.shape == (len(tokens), FEATURES)
         assert rows.tolist() == want
@@ -127,7 +133,7 @@ class TestTypeHashing:
         rows = scorer.batch_feature_indices(sentences)
         assert rows.shape == (sum(map(len, sentences)), FEATURES)
         assert rows.tolist() == self.oracle_rows(sentences, dim)
-        assert np.array_equal(rows, np.concatenate([scorer.feature_indices(t) for t in sentences]))
+        assert np.array_equal(rows, np.concatenate([scorer.batch_feature_indices([t]) for t in sentences]))
 
     def test_random_batches_with_empty_sentences(self):
         rng = np.random.default_rng(37)
@@ -151,7 +157,7 @@ class TestLinearScorer:
         dim = 1024
         s = LinearScorer(dim=dim)
         tokens = ["alpha", "beta", "gamma"]
-        rows = s.feature_indices(tokens)
+        rows = s.batch_feature_indices([tokens])
         target = int(rows[1][0])  # a feature hash used at position 1
         s.params[target, 4] += 2.5
         scores = s.score(tokens)
@@ -206,14 +212,14 @@ class TestLinearScorer:
         grad = rng.normal(size=(len(tokens), NUM_TAGS))
         lr, l2 = 0.1, 0.5
         decayed = LinearScorer(dim=256, params=params.copy())
-        decayed.apply_gradient(decayed.feature_indices(tokens), grad, lr, l2)
-        touched = np.unique(np.concatenate(decayed.feature_indices(tokens)))
+        decayed.apply_gradient(decayed.batch_feature_indices([tokens]), grad, lr, l2)
+        touched = np.unique(np.concatenate(decayed.batch_feature_indices([tokens])))
         untouched = np.setdiff1d(np.arange(256), touched)
         assert 0 < len(touched) < 256
         reference = params.copy()
         reference[touched] *= 1.0 - lr * l2
         plain = LinearScorer(dim=256, params=reference)
-        plain.apply_gradient(plain.feature_indices(tokens), grad, lr, 0.0)
+        plain.apply_gradient(plain.batch_feature_indices([tokens]), grad, lr, 0.0)
         assert np.array_equal(decayed.params, plain.params)
         assert np.array_equal(decayed.params[untouched], params[untouched])
 
@@ -339,7 +345,7 @@ class TestGradientThroughScorer:
             return nll(lattice, LinearScorer(dim=dim, params=params).score(tokens), gold)[0]
 
         _, grad_w = nll(lattice, scorer.score(tokens), gold)
-        rows = scorer.feature_indices(tokens)
+        rows = scorer.batch_feature_indices([tokens])
         param_grad = np.zeros((dim, NUM_TAGS))
         for i, row in enumerate(rows):
             for h in row:
@@ -534,7 +540,9 @@ def sgd_oracle(corpus, config, batch, pool, dim=2**10):
     gradient is applied in order."""
     scorer = LinearScorer(dim=dim)
     grammar = grammar_automaton("semantic")
-    examples = [(scorer.feature_indices(tokens), PartialLabelSet.from_annotation(ann)) for tokens, ann in corpus]
+    examples = [
+        (scorer.batch_feature_indices([tokens]), PartialLabelSet.from_annotation(ann)) for tokens, ann in corpus
+    ]
     rng = np.random.default_rng(config.seed)
     for _ in range(config.epochs):
         order = rng.permutation(len(examples)).tolist()

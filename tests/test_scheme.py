@@ -24,12 +24,9 @@ from disctag.scheme import (
     as_rows,
     encode_batch,
     decode,
-    decode_annotation,
-    decode_batch,
     encode,
     from_rows,
     from_two_layer,
-    is_structural,
     is_well_formed,
     is_well_formed_batch,
     mention_table,
@@ -39,10 +36,14 @@ from disctag.scheme import (
 
 from conftest import (
     _ALLOWED_PREV,
+    decode_annotation,
     decode_annotation_reference,
+    decode_batch,
     decode_reference,
+    is_structural,
     is_well_formed_reference,
     mention_table_reference,
+    one_hot,
     to_two_layer_reference,
     with_flips,
 )
@@ -74,7 +75,7 @@ class TestTagAlphabet:
 
     def test_one_hot_view(self):
         seq = ts("O CB CI")
-        hot = seq.one_hot()
+        hot = one_hot(seq)
         assert hot.shape == (3, 10)
         assert hot.sum() == 3
         assert hot[0, O.index] == 1 and hot[1, CB.index] == 1 and hot[2, CI.index] == 1
