@@ -9,11 +9,13 @@ semiring (+, *) with each chart step rescaled, falling back to log
 Scores of a tag sequence are bilinear, ``<y, w> = sum_i w[i, y_i]``, so every
 gradient below is an ``(n, 10)`` matrix aligned with the weight matrix.
 
-One chart routine serves every program, on a batch of right-aligned
-sentences and the grammar's table compiled from its minimal DFA.  The
-backward chart is the forward chart of the reversed edges with the words read
-right to left, so one pass of ``n`` steps gives both.  The chart is held
-state-major, one row of ``B`` sentences per state, and each step sums every
+One chart routine serves every program, on a batch of lanes, each holding
+one or more sentences end to end, and the grammar's table compiled from its
+minimal DFA; the chart resets where each sentence begins, so a sentence gets
+the same bits in any lane.  The backward chart is the forward chart of the
+reversed edges with the words read right to left, so one pass of ``n`` steps
+gives both.  The chart is held state-major, one row of ``L`` lanes per
+state, and each step sums every
 state's edges, of both halves, through the grammar's padded slot table: two
 row gathers, a product and one sum over the slots, which adds in the order
 ``reduceat`` over each state's edges would.  Viterbi and
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,13 +109,65 @@ def _check_weights(weights: np.ndarray, batched: bool = False) -> np.ndarray:
     return weights
 
 
-def _check_lengths(weights: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-    """The lengths of a ``(B, n, 10)`` batch as an array, checked to be ``B`` values in ``0..n``."""
+def _check_lengths(
+    weights: np.ndarray, lengths: Sequence[int], lanes: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The sentence lengths and sentences per lane of a ``(L, n, 10)`` batch
+    of lanes as arrays, checked to fit: ``lanes[l]`` sentences in lane ``l``
+    (by default one, and then ``lanes`` stays ``None``), their lengths
+    summing to at most ``n``, and each sentence of a lane of several at least
+    one word long."""
     batch, n = weights.shape[:2]
     lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.shape != (batch,) or (lengths < 0).any() or (lengths > n).any():
-        raise ValueError(f"expected {batch} lengths in 0..{n}, got {lengths!r}")
-    return lengths
+    given, fits = lanes, True
+    if lanes is not None:
+        lanes = np.asarray(lanes, dtype=np.intp)
+        if len(lengths) == batch:  # a lane of one each
+            fits, lanes = lanes.shape == (batch,) and (lanes == 1).all(), None
+        else:
+            fits = lanes.shape == (batch,) and (lanes >= 1).all() and lengths.shape == (lanes.sum(),)
+    if lanes is None:
+        fits = fits and lengths.shape == (batch,) and (lengths >= 0).all() and (lengths <= n).all()
+    elif fits:
+        lane = np.repeat(np.arange(batch), lanes)
+        fits = (np.bincount(lane, lengths, batch) <= n).all() and ((lengths > 0) | (lanes[lane] == 1)).all()
+    if not fits:
+        raise ValueError(f"lengths {lengths!r} do not fit {batch} lanes of {n} words holding {given!r} sentences")
+    return lengths, lanes
+
+
+class _Layout(NamedTuple):
+    """Where the sentences of a batch of lanes sit (see :func:`_layout`)."""
+
+    lane: np.ndarray  # (sentences,): each sentence's lane
+    starts: np.ndarray  # each sentence's first row
+    ends: np.ndarray  # the row after its last word
+    heads: np.ndarray  # (L,): each lane's first row
+    opens: np.ndarray  # (n + 1, L): the rows that start a sentence
+    inner: np.ndarray | None  # (n + 1, L): those that end one and start the next; None if lanes hold one
+
+
+def _layout(n: int, lengths: np.ndarray, lanes: np.ndarray | None = None) -> _Layout:
+    """The layout of lanes of ``n`` rows, lane ``l`` holding the next
+    ``lanes[l]`` sentences of ``lengths`` (by default one, and then no row
+    is between two sentences) end to end, the last one ending at row ``n``."""
+    if lanes is None:
+        lane, ends = np.arange(len(lengths)), np.full(len(lengths), n)
+        starts = heads = ends - lengths
+    else:
+        lane = np.repeat(np.arange(len(lanes)), lanes)
+        ends = np.cumsum(lengths)
+        lasts = np.cumsum(lanes) - 1
+        ends += (n - ends[lasts])[lane]
+        starts = ends - lengths
+        heads = starts[lasts + 1 - lanes]
+    opens = np.zeros((n + 1, len(heads)), dtype=bool)
+    opens[starts, lane] = True
+    inner = None
+    if lanes is not None:
+        inner = opens.copy()  # a lane's later sentences, of a word or more, start after its first
+        inner[heads, np.arange(len(heads))] = False
+    return _Layout(lane, starts, ends, heads, opens, inner)
 
 
 def _in_word_order(steps: np.ndarray) -> np.ndarray:
@@ -125,55 +180,70 @@ def _in_word_order(steps: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # a scaled underflow shows in the totals
 def _chart(
     lat: Lattice, weights: np.ndarray, sr: Semiring, lengths: np.ndarray | None = None, backward: bool = False,
-    *, scaled_out: np.ndarray | None = None,
+    *, layout: _Layout | None = None, scaled_out: np.ndarray | None = None,
 ):
-    """``(totals, charts)`` of a batch in one pass: ``charts`` is ``(alpha,
-    beta)``, the ``(n+1, S+1, B)`` prefix sums from the initial state and
-    suffix sums into the final states, or with ``backward`` only ``(beta,)``;
-    ``totals`` is ``(halves, B)``, per chart and sentence the sum over its
-    accepting paths.  Column ``S`` is the dead state, with no paths: its sums
-    stay zero.
+    """``(totals, charts)`` of a batch of lanes in one pass: ``charts`` is
+    ``(alpha, beta)``, the ``(n+1, S+1, L)`` prefix sums from the initial
+    state and suffix sums into the final states, or with ``backward`` only
+    ``(beta,)``; ``totals`` is ``(halves, sentences)``, per chart and
+    sentence the sum over its accepting paths.  Column ``S`` is the dead
+    state, with no paths: its sums stay zero.
 
-    ``weights`` is ``(B, n, 10)``.  Sentences may be shorter and
-    right-aligned: sentence ``b`` has ``lengths[b]`` words (by default
-    ``n``), scored by the rows of ``weights[b]`` from ``start = n -
-    lengths[b]`` on.  Its suffix sums are the rows of ``beta`` from
-    ``start`` on, and its prefix sums stay in the initial state up to row
-    ``start``; the other rows are padding.  The backward chart is the
-    forward chart of the reversed edges with the words read right to left,
-    so step ``t`` writes ``alpha[t + 1]`` and ``beta[n - 1 - t]`` together
-    (the grammar's ``two_way`` :class:`~disctag.automata.SlotTable`, or its
-    ``reverse`` half alone).  The steps are held state-major, each chart
-    column a row of ``B`` sentences, so a step is four calls on whole rows:
-    it gathers every slot's far-end row, gathers the slot's word weights,
-    multiplies, and sums the slots in order, which rounds as ``reduceat``
-    over each column's edges did.
+    ``weights`` is ``(L, n, 10)``, ``L`` lanes of ``n`` rows, and
+    ``layout`` (see :func:`_layout`) places the sentences in them: by default
+    each lane holds one, of ``lengths[l]`` words (by default ``n``).  A
+    lane's sentences lie end to end, the last one ending at row ``n``; its
+    rows before the first are padding.  Each sentence is scored by its own
+    rows, and both charts are reset where it begins: ``alpha`` reads its
+    first row as the initial row, and ``beta`` the row after its last word
+    as the final row.  So a sentence's rows of each chart are the ones it
+    gets alone, except that a row between two sentences holds the reset of
+    each half; the totals are read before the resets.  Padding rows are
+    undefined.  The backward chart is the forward chart of the reversed
+    edges with the words read right to left, so step ``t`` writes ``alpha[t
+    + 1]`` and ``beta[n - 1 - t]`` together (the grammar's ``two_way``
+    :class:`~disctag.automata.SlotTable`, or its ``reverse`` half alone),
+    then resets them.  The steps are held state-major, each chart column a
+    row of ``L`` lanes, so a step is four calls on whole rows: it gathers
+    every slot's far-end row, gathers the slot's word weights, multiplies,
+    and sums the slots in order, which rounds as ``reduceat`` over each
+    column's edges did.
 
     :data:`SCALED` is Rabiner's scaled forward-backward: each word's
     weights are ``exp(w - max w)``, each step divides each half by its own
-    sum, and a total is the log of the last sum plus the logs of every
-    divisor and word maximum; the scaled weights go to ``scaled_out``, an
-    ``(n, 10, B)`` array, if given.  Its total is NaN for a chart that may have
-    lost mass to underflow: one where some real word's weights span more
-    than ``_SPAN``, or some cell at a real word was positive but below
-    ``_TINY`` before its half was divided.  In any other chart no cell can
-    underflow to zero, and every cell is right to rounding.  The other
-    semirings raise :class:`EmptyLanguage` if some sentence has no accepting
-    path.
+    sum, and a total is the log of its sum plus the logs of the divisors and
+    word maxima of the sentence's words; the scaled weights go to
+    ``scaled_out``, an ``(n, 10, L)`` array, if given.  Its total is NaN for
+    a chart that may have lost mass to underflow: one where some word of the
+    sentence has weights spanning more than ``_SPAN``, or some cell at such a
+    word was positive but below ``_TINY`` before its half was divided.  In
+    any other chart no cell can underflow to zero, and every cell is right
+    to rounding.  The other semirings raise :class:`EmptyLanguage` if some
+    sentence has no accepting path.
     """
     batch, n = weights.shape[:2]
-    starts = np.zeros(batch, dtype=np.intp) if lengths is None else n - lengths
+    if layout is None:
+        layout = _layout(n, np.full(batch, n) if lengths is None else lengths)
+    lane, starts, ends, _, opens, inner = layout
     states = lat.num_grammar_states
     halves, table = (1, lat.reverse) if backward else (2, lat.two_way)
     steps = np.full((n + 1, halves, states + 1, batch), sr.zero)  # steps[t]: after t words of each half
     rows = steps.reshape(n + 1, halves * (states + 1), batch)
-    per_word = weights.transpose(1, 2, 0)  # (n, 10, B)
+    # the chart rows with a reset in some lane: alpha's where a sentence
+    # starts, beta's between two sentences, where both are first kept as
+    # they were, for the totals
+    packed = inner is not None
+    opening = [False] if backward else opens.any(axis=1).tolist()
+    closing = inner.any(axis=1).tolist() if packed else [False] * (n + 1)
+    if packed:
+        kept = np.empty_like(steps)
+    per_word = weights.transpose(1, 2, 0)  # (n, 10, L)
     scaled = sr is SCALED
     if scaled:
         top = per_word.max(axis=1, keepdims=True)
         per_word = np.exp(per_word - top, out=scaled_out)
         scale = np.ones((n, batch, halves, 1))
-        by_sentence = np.empty((batch, halves, states + 1))  # a step's row as its divisors are summed
+        by_lane = np.empty((batch, halves, states + 1))  # a step's row as its divisors are summed
     # the forward half reads word t at step t, the backward half word n - 1 - t
     words = np.concatenate([per_word, per_word[::-1]][2 - halves :], axis=1)
     far, word = table.far, table.word
@@ -183,38 +253,53 @@ def _chart(
     edge_weights = np.empty_like(cells)
     written = rows[:, : far.shape[1]]  # the last column, a dead state, stays
     steps[0, -1, :states][lat.final_mask] = sr.one
-    last_start = 0
     if not backward:
         steps[0, 0, lat.initial] = sr.one
-        waiting = np.arange(n)[:, None] < starts  # (n, B): row t + 1 still before the first word
-        last_start = starts.max(initial=0)
     for t in range(n):  # "clip": with out=, the default mode gathers into a buffer and copies it
         rows[t].take(far, axis=0, out=cells, mode="clip")
         words[t].take(word, axis=0, out=edge_weights, mode="clip")
         sr.times(cells, edge_weights, out=cells)
         sr.plus.reduce(cells, axis=0, out=written[t + 1])
-        if t < last_start:
-            np.copyto(steps[t + 1, 0], steps[0, 0], where=waiting[t])
         if scaled:
-            np.copyto(by_sentence, steps[t + 1].transpose(2, 0, 1))
-            np.add.reduce(by_sentence, axis=2, keepdims=True, out=scale[t])
+            np.copyto(by_lane, steps[t + 1].transpose(2, 0, 1))
+            np.add.reduce(by_lane, axis=2, keepdims=True, out=scale[t])
             steps[t + 1] /= scale[t].transpose(1, 2, 0)
+        if not backward and opening[t + 1]:  # alpha's row t + 1
+            if closing[t + 1]:
+                np.copyto(kept[t + 1, 0], steps[t + 1, 0])
+            np.copyto(steps[t + 1, 0], steps[0, 0], where=opens[t + 1])
+        if closing[n - 1 - t]:  # beta's row n - 1 - t
+            np.copyto(kept[t + 1, -1], steps[t + 1, -1])
+            np.copyto(steps[t + 1, -1], steps[0, -1], where=inner[n - 1 - t])
     charts = (steps[:, 0], steps[::-1, -1])[2 - halves :]
-    totals = [steps[n - starts, -1, lat.initial, np.arange(batch)]]
-    if not backward:
-        finals = steps[n, 0, :states][lat.final_mask].T.copy()  # (B, F), summed as a row, whatever F
-        totals.insert(0, sr.plus.reduce(finals, axis=1))
-    totals = np.stack(totals)
+
+    # each sentence's totals, from its rows as they were before a reset
+    totals = np.empty((halves, len(lane)))
+    first = n - starts  # the step that wrote beta's row of the sentence's first word
+    totals[-1] = steps[first, -1, lat.initial, lane]
+    if packed:
+        np.copyto(totals[-1], kept[first, -1, lat.initial, lane], where=inner[starts, lane])
+    if not backward:  # each sentence's finals are summed as a row, whatever their number
+        at_end = (ends[:, None], 0, np.flatnonzero(lat.final_mask), lane[:, None])
+        finals = np.where(inner[ends, lane][:, None], kept[at_end], steps[at_end]) if packed else steps[at_end]
+        sr.plus.reduce(finals, axis=1, out=totals[0])
     if scaled:
-        real = (np.arange(n)[:, None] >= starts)[..., None]  # (n, B, 1): word i is real
-        # summed in word order, so padding (zeros, first) leaves a sentence's sum as it is alone
-        logs = np.where(real, np.log(_in_word_order(scale)[..., 0]) + top.transpose(0, 2, 1), 0.0)
-        log_totals = np.log(totals) + (np.cumsum(logs, axis=0)[-1].T if n else 0.0)
-        before = steps[1:, :, :states] * scale.transpose(0, 2, 3, 1)  # each step's cells before the division
+        at = np.arange(n)[:, None]
+        own = ((at >= starts) & (at < ends))[..., None]  # (n, S, 1): word i is one of sentence s's
+        # summed in word order, so the other rows (zeros) leave a sentence's sum as it is alone
+        logs = np.log(_in_word_order(scale)[..., 0]) + top.transpose(0, 2, 1)
+        if packed:
+            logs = logs[:, lane]
+        log_totals = np.log(totals) + (np.cumsum(np.where(own, logs, 0.0), axis=0)[-1].T if n else 0.0)
+        divided = steps[1:]
+        if packed:  # the rows between two sentences as they were before their reset
+            between = np.stack([inner, inner[::-1]][2 - halves :], axis=1)[1:, :, None]
+            divided = np.where(between, kept[1:], divided)
+        before = divided[:, :, :states] * scale.transpose(0, 2, 3, 1)  # each step's cells before the division
         small = ((before > 0) & (before < _TINY)).any(axis=2).transpose(0, 2, 1)
         wide = (per_word < np.exp(-_SPAN)).any(axis=1)[..., None]
         if small.any() or wide.any():  # rare, so the sentences are looked for only then
-            log_totals[((_in_word_order(small) | wide) & real).any(axis=0).T] = np.nan
+            log_totals[((_in_word_order(small) | wide)[:, lane] & own).any(axis=0).T] = np.nan
         return log_totals, charts
     if (totals == sr.zero).any():
         raise EmptyLanguage("lattice has no accepting path")
@@ -304,43 +389,51 @@ def viterbi(lat: Lattice, weights: np.ndarray) -> tuple[float, TagSequence]:
     return sequence_score(weights, ts), ts
 
 
-def viterbi_rows(lat: Lattice, weights: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-    """The :func:`viterbi` sequences of a batch of right-aligned sentences, as
-    tag indices, one sentence after another in one flat array.
+def viterbi_rows(
+    lat: Lattice, weights: np.ndarray, lengths: Sequence[int], lanes: Sequence[int] | None = None
+) -> np.ndarray:
+    """The :func:`viterbi` sequences of a batch of sentences packed in lanes,
+    as tag indices, one sentence after another in one flat array.
 
-    ``weights`` is ``(B, n, 10)``; sentence ``b`` has ``lengths[b] <= n``
-    words, scored by the last ``lengths[b]`` rows of ``weights[b]`` (the rows
-    before them are padding and may hold any finite value).  Each sequence,
-    tie-break included, is the one :func:`viterbi` gives for the sentence
-    alone.
+    ``weights`` is ``(L, n, 10)``, ``L`` lanes of ``n`` rows.  Lane ``l``
+    holds the next ``lanes[l]`` sentences (by default one), whose lengths
+    are the next entries of ``lengths``, end to end, the last one ending at
+    row ``n``; the rows before its first sentence are padding and may hold
+    any finite value.  Each sentence of a lane of several has at least one
+    word.  The chart reads the row after each sentence's last word as the
+    final-state row, and the walk restarts in the initial state at each
+    sentence's first word, so each sequence, tie-break included, is the one
+    :func:`viterbi` gives for the sentence alone.
     """
     weights = _check_weights(weights, batched=True)
-    lengths = _check_lengths(weights, lengths)
+    lengths, lanes = _check_lengths(weights, lengths, lanes)
     (batch, n, _), width = weights.shape, lat.num_grammar_states + 1
-    starts = n - lengths
-    _, (beta,) = _chart(lat, weights, TROPICAL, lengths, backward=True)
+    layout = _layout(n, lengths, lanes)
+    _, (beta,) = _chart(lat, weights, TROPICAL, backward=True, layout=layout)
     per_word = weights.transpose(1, 0, 2)
-    # Walk along the best path, every sentence at once, each one's state held as
-    # its cell q * B + b of a chart row: at word i a sentence scores the ten
-    # successors of its state, beta[i + 1, b, next_state[q]] + w[i, b], and takes
+    # Walk along the best path, every lane at once, each one's state held as
+    # its cell q * L + l of a chart row: at word i a lane scores the ten
+    # successors of its state, beta[i + 1, l, next_state[q]] + w[i, l], and takes
     # the first best tag, the lowest.  These are the sums and comparisons of a
-    # best tag per (word, state), made on the path only, so no (n, B, S) array
+    # best tag per (word, state), made on the path only, so no (n, L, S) array
     # is built.  An undefined step (-1) reads the last column, the dead state,
     # whose score is -inf.
     rows = np.arange(batch)
-    succ = np.vstack([lat.next_state, np.full(NUM_TAGS, -1)]) % width  # the dead state's row is dead
+    succ = np.full((width, NUM_TAGS), width - 1)  # the dead state's row is dead
+    np.remainder(lat.next_state, width, out=succ[:-1])
     cells = (succ[:, None] * batch + rows[:, None]).reshape(width * batch, NUM_TAGS)
-    chosen = rows * NUM_TAGS  # sentence b's tag t is cell b * 10 + t of a (B, 10) step
-    at = lat.initial * batch + rows
+    chosen = rows * NUM_TAGS  # lane l's tag t is cell l * 10 + t of an (L, 10) step
+    at = restart = lat.initial * batch + rows
+    restarts = layout.opens[1:].any(axis=1).tolist()
     tags = np.empty((n, batch), dtype=np.intp)
-    last_start = starts.max(initial=0)
     for i in range(n):
         step = cells.take(at, axis=0)
         score = beta[i + 1].take(step)
         score += per_word[i]
-        best = step.take(score.argmax(axis=1, out=tags[i]) + chosen)
-        at = best if i >= last_start else np.where(i < starts, at, best)  # padding keeps the initial state
-    return tags.T[np.arange(n) >= starts[:, None]]
+        at = step.take(score.argmax(axis=1, out=tags[i]) + chosen)
+        if restarts[i]:  # in some lane, word i + 1 starts a sentence
+            at = np.where(layout.opens[i + 1], restart, at)
+    return tags.T[np.arange(n) >= layout.heads[:, None]]
 
 
 def forward(lat: Lattice, weights: np.ndarray) -> float:
@@ -481,7 +574,8 @@ def batch_losses(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The losses of a batch of right-aligned sentences, and their gradients.
 
-    ``weights`` and ``lengths`` are as in :func:`viterbi_rows`;
+    ``weights`` and ``lengths`` are as in :func:`viterbi_rows`, one
+    sentence per lane;
     ``labels[b]`` is sentence ``b``'s label set, and ``loss`` one of
     :data:`LOSSES`: :func:`nll` of each gold sequence (taken to be
     well-formed), :func:`partial_nll`, or :func:`hard_em_step`.  Returns the
@@ -490,7 +584,7 @@ def batch_losses(
     alone.
     """
     weights = _check_weights(weights, batched=True)
-    lengths = _check_lengths(weights, lengths)
+    lengths, _ = _check_lengths(weights, lengths)
     if [len(pl.owner) for pl in labels] != lengths.tolist():
         raise ValueError("label set lengths do not match the sentence lengths")
     log_z, probs = _posterior(lat, weights, lengths)

@@ -47,11 +47,17 @@ MODES = ("semantic", "structural")
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 FEATURES = 5  # features per word, see LinearScorer.batch_feature_indices
-# Padded words per predict batch: it bounds the batch's strings and arrays.
-# Viterbi's walk makes a few numpy calls per word for the whole batch, so
-# wider batches pay up to about here; 8,192 ran predict-long ~10 % slower
-# and 32,768 no faster.
-TOKEN_BUDGET = 16384
+# Cells (lanes times lane length) per predict batch, and lanes per batch (see
+# _lanes): they bound a batch's strings and arrays.  Each chart and walk step
+# makes a few numpy calls for the whole batch, so wider batches spread that
+# cost over more words, until a step's rows outgrow the caches.  Timed in
+# process (predict_rows, median of 15 interleaved calls) against these values:
+# on 120 sentences of 128-511 words, budgets of 16,384 and 32,768 cells (3 and
+# 2 batches) took 16 % and 12 % longer, and 131,072 no less; on 3,000
+# sentences of 5-40 words, caps of 256 and 1,024 lanes took 4 % and 17 %
+# longer, and no cap (2 batches of up to 1,638 lanes) 16 % longer.
+TOKEN_BUDGET = 65536
+LANES = 512
 TRAIN_BATCH = 8  # sentences per SGD step, scored with the same params; 16 lowered held-out F1
 # Sentences per length pool of an epoch (see train).  On the train-partial
 # benchmark corpus (800 sentences of 8-48 words) chart steps per epoch, the
@@ -338,10 +344,13 @@ def train(
 
 
 def _right_aligned(scores: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ``(B, n, 10)`` batch of sentences whose word scores are ``scores``,
-    one sentence after another: word ``j`` of sentence ``b`` goes to row
-    ``n - lengths[b] + j``, after zero padding."""
+    """The ``(B, n, 10)`` batch of rows whose word scores are ``scores``, one
+    block of ``lengths[b]`` words after another (a sentence, or a lane of
+    them): word ``j`` of block ``b`` goes to row ``n - lengths[b] + j``,
+    after zero padding."""
     n = lengths.max()
+    if (lengths == n).all():  # no padding
+        return scores.reshape(len(lengths), n, NUM_TAGS)
     padded = np.zeros((len(lengths), n, NUM_TAGS))
     padded[np.arange(n) >= n - lengths[:, None]] = scores
     return padded
@@ -360,6 +369,41 @@ def predict_tags(scorer: LinearScorer, tokens: Sequence[str], mode: str = "seman
     return from_rows(*predict_rows(scorer, [tokens], mode))[0]
 
 
+def _lanes(lengths: np.ndarray) -> list[tuple[list[int], list[int], list[int]]]:
+    """The predict batches of sentences of ``lengths``: per batch, the
+    indices of its sentences in lane order, the number in each lane, and
+    each lane's words.
+
+    Sentences are taken longest first.  A batch's lanes are as long as the
+    longest sentence left when it opens, and it holds at most ``min(LANES,
+    TOKEN_BUDGET // length)`` of them (a sentence longer than the budget runs
+    in a lane of its own).  A lane holds the longest sentence left, then as
+    many of the shortest left as fit: two pointers over the sorted order.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    sizes, order = lengths[order].tolist(), order.tolist()
+    batches = []
+    longest, shortest = 0, len(order) - 1
+    while longest <= shortest:
+        width = sizes[longest]
+        members, counts, spans = [], [], []
+        for _ in range(max(1, min(LANES, TOKEN_BUDGET // width))):
+            if longest > shortest:
+                break
+            room = width - sizes[longest]
+            members.append(order[longest])
+            longest += 1
+            first = len(members)
+            while longest <= shortest and sizes[shortest] <= room:
+                room -= sizes[shortest]
+                members.append(order[shortest])
+                shortest -= 1
+            counts.append(len(members) - first + 1)
+            spans.append(width - room)
+        batches.append((members, counts, spans))
+    return batches
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as a ConfigError
 def predict_rows(
     scorer: LinearScorer, sentences: Sequence[Sequence[str]], mode: str = "semantic"
@@ -368,30 +412,25 @@ def predict_rows(
     indices in order and the bounds of each sentence in them (see
     :func:`~disctag.scheme.as_rows`), as :func:`~disctag.scheme.mention_table` reads them.
 
-    Sentences are sorted by length and cut into runs of at most
-    ``TOKEN_BUDGET`` padded words (a longer sentence runs alone).  Each run
-    is hashed and scored in one pass and decoded by one right-aligned
-    :func:`~disctag.inference.viterbi_rows`, so every sequence, tie-break
-    included, is the one the sentence gets alone.
+    The sentences are packed end to end into the lanes of a few batches (see
+    :func:`_lanes`).  Each batch is hashed and scored in one pass and decoded
+    by one :func:`~disctag.inference.viterbi_rows` over its lanes, which
+    resets the chart and the walk at every sentence's first word, so every
+    sequence, tie-break included, is the one the sentence gets alone.
     """
     if not all(sentences):
         raise ValueError("cannot score an empty sentence")
     lattice = build_lattice(grammar_automaton(mode))
     lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
-    batches: list[list[int]] = [[]]
-    for k in sorted(range(len(sentences)), key=lengths.__getitem__):
-        if batches[-1] and (len(batches[-1]) + 1) * lengths[k] > TOKEN_BUDGET:
-            batches.append([])
-        batches[-1].append(k)
-    pieces = [np.empty(0, dtype=np.intp)]
-    for batch in filter(None, batches):
-        batch_lengths = lengths[batch]
+    pieces, order = [np.empty(0, dtype=np.intp)], []
+    for batch, lanes, spans in _lanes(lengths):
         scores = scorer.score_rows(scorer.batch_feature_indices(sentences[k] for k in batch))
         if not np.isfinite(scores).all():
             raise ConfigError("model scores are not finite; the model's weights are too large")
-        pieces.append(viterbi_rows(lattice, _right_aligned(scores, batch_lengths), batch_lengths))
-    # the pieces hold the sentences in batch order: gather each back to its place
-    order = np.array([k for batch in batches for k in batch], dtype=np.intp)
+        pieces.append(viterbi_rows(lattice, _right_aligned(scores, np.array(spans)), lengths[batch], lanes))
+        order += batch
+    # the pieces hold the sentences in lane order: gather each back to its place
+    order = np.array(order, dtype=np.intp)
     source = np.empty_like(lengths)
     source[order] = np.cumsum(lengths[order]) - lengths[order]
     bounds = np.zeros(len(sentences) + 1, dtype=np.intp)

@@ -292,11 +292,6 @@ class Mention:
     def end(self) -> int:
         return self.fragments[-1][1]
 
-    def words(self) -> frozenset[int]:
-        return frozenset(
-            w for b, e in self.fragments for w in range(b, e + 1)
-        )
-
     def __repr__(self) -> str:
         return "Mention(%s)" % ";".join(f"{b}-{e}" for b, e in self.fragments)
 

@@ -277,13 +277,16 @@ def _in_word_order_reference(steps: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def chart_reference(lat, weights: np.ndarray, sr, lengths: np.ndarray | None = None, backward: bool = False):
-    """The batch-major chart that :func:`disctag.inference._chart` replaced,
-    unchanged: the oracle for the bits of its totals and charts.
+    """The batch-major chart that :func:`disctag.inference._chart` replaced:
+    the oracle for the bits of its totals and charts, on lanes of one
+    right-aligned sentence each.
 
     Its charts are ``(n+1, B, S+1)``.  Each step gathers the chart at every
     edge's far end from a flat row, multiplies by the edge weights filled
     for all ``n`` words up front, and combines each state's edges with one
-    ``reduceat``, in edge order.
+    ``reduceat``, in edge order.  The prefix sums are reset to the initial
+    row at each sentence's first row, as ``_chart`` resets them; the chart
+    it replaced held them in the initial state through the padding before.
     """
     batch, n = weights.shape[:2]
     starts = np.zeros(batch, dtype=np.intp) if lengths is None else n - lengths
@@ -305,20 +308,17 @@ def chart_reference(lat, weights: np.ndarray, sr, lengths: np.ndarray | None = N
     np.take(per_word, groups.tag[:split], axis=2, out=edge_weights[:, :, :split], mode="clip")
     np.take(per_word[::-1], groups.tag[split:], axis=2, out=edge_weights[:, :, split:], mode="clip")
     steps[0, :, -1, :states][:, lat.final_mask] = sr.one
-    last_start = 0
     if not backward:
         steps[0, :, 0, lat.initial] = sr.one
-        waiting = (np.arange(n)[:, None] < starts)[..., None]  # (n, B, 1): row t + 1 still before the first word
-        last_start = starts.max(initial=0)
     for t in range(n):
         edges = flat[t].take(far)
         sr.times(edges, edge_weights[t], out=edges)
         sr.plus.reduceat(edges, groups.bounds, axis=1, out=rows[t + 1, :, :-1])  # the last dead state stays
-        if t < last_start:
-            np.copyto(steps[t + 1, :, 0], steps[0, :, 0], where=waiting[t])
         if scaled:
             np.add.reduce(steps[t + 1], axis=2, keepdims=True, out=scale[t])
             steps[t + 1] /= scale[t]
+        if not backward:  # row t + 1 is a sentence's first
+            np.copyto(steps[t + 1, :, 0], steps[0, :, 0], where=(starts == t + 1)[:, None])
     charts = (steps[:, :, 0], steps[::-1, :, -1])[2 - halves :]
     totals = [steps[n - starts, np.arange(batch), -1, lat.initial]]
     if not backward:
@@ -444,11 +444,18 @@ def mention_table_reference(sequences) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(-1, 5)
 
 
+def mention_words(m: Mention) -> frozenset[int]:
+    """The words a mention covers."""
+    return frozenset(
+        w for b, e in m.fragments for w in range(b, e + 1)
+    )
+
+
 def _grouped(mentions: Sequence[Mention]) -> list[list[Mention]]:
     """Connected components of the word-sharing graph over mentions."""
     word_to_ids: dict[int, list[int]] = {}
     for i, m in enumerate(mentions):
-        for w in m.words():
+        for w in mention_words(m):
             word_to_ids.setdefault(w, []).append(i)
     parent = list(range(len(mentions)))
 
@@ -475,7 +482,7 @@ def _group_to_set(group: list[Mention]) -> TwoLayerSet:
     """
     lo = min(m.start for m in group)
     hi = max(m.end for m in group)
-    covered = [m.words() for m in group]
+    covered = [mention_words(m) for m in group]
     profile = [frozenset(i for i, words in enumerate(covered) if w in words) for w in range(lo, hi + 1)]
 
     # Maximal runs of identical non-empty covering profiles become components.

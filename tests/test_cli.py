@@ -237,6 +237,13 @@ class TestTrainPredictEval:
         assert captured.err == "error: record 2 has 3 gold tokens but 5 predicted tokens\n"
         assert captured.out == ""
 
+    def test_predict_empty_corpus_writes_an_empty_file(self, tmp_path):
+        model_path, empty, out = tmp_path / "m.npz", tmp_path / "empty.txt", tmp_path / "pred.txt"
+        LinearScorer(dim=8).save(model_path)
+        empty.write_text("", encoding="utf-8")
+        assert main(["predict", str(empty), "--model", str(model_path), "-o", str(out)]) == 0
+        assert out.read_bytes() == b""
+
     def test_predict_missing_model_exits_2(self, corpus_file, tmp_path):
         assert main(["predict", str(corpus_file), "--model", str(tmp_path / "none.npz")]) == 2
 

@@ -6,13 +6,14 @@ import pytest
 
 from disctag import inference
 from disctag.automata import Automaton, build_lattice, grammar_automaton
-from disctag.errors import IllFormed
+from disctag.errors import EmptyLanguage, IllFormed
 from disctag.inference import (
     LOG,
     SCALED,
     TROPICAL,
     PartialLabelSet,
     _chart,
+    _layout,
     _log_posterior,
     _posterior,
     batch_losses,
@@ -167,6 +168,21 @@ class TestViterbiBatch:
         alone = [viterbi(build_lattice(grammar), w[b, 40 - m :])[1].indices for b, m in enumerate(lengths)]
         assert got.tolist() == np.concatenate(alone).tolist()
 
+    @pytest.mark.parametrize("mode", ["semantic", "structural"])
+    def test_packed_lanes_equal_each_sentence_alone(self, mode):
+        # lanes of one to twelve sentences end to end, 1-word ones included,
+        # some filling their lane and some after padding that holds weights
+        # too; integer weights tie often
+        lattice = build_lattice(grammar_automaton(mode))
+        rng = np.random.default_rng(59)
+        lanes = [[1], [40], [1] * 12, [39, 1], [1, 39], [7, 1, 1, 20], [3, 1], [13] * 3, [2, 5, 1, 9, 1, 1]]
+        lanes += [list(rng.integers(1, 9, size=rng.integers(1, 6))) for _ in range(40)]
+        sentences = [[rng.integers(-2, 3, size=(m, NUM_TAGS)).astype(float) for m in lane] for lane in lanes]
+        w = packed(rng, sentences, 40)
+        got = viterbi_rows(lattice, w, [m for lane in lanes for m in lane], [len(lane) for lane in lanes])
+        alone = [viterbi(lattice, x)[1].indices for lane in sentences for x in lane]
+        assert got.tolist() == np.concatenate(alone).tolist()
+
     def test_batch_of_one_is_viterbi(self):
         rng = np.random.default_rng(43)
         for n in (1, 7, 64):
@@ -180,9 +196,26 @@ class TestViterbiBatch:
                 viterbi_batch(LAT, w, lengths)
         with pytest.raises(ValueError):
             viterbi_batch(LAT, np.zeros((4, NUM_TAGS)), [4])
+        # lanes of several sentences that overflow, hold an empty sentence, or miscount
+        for lengths, lanes in (([2, 3, 1], [2, 1]), ([2, 0, 1], [2, 1]), ([2, 2, 1], [2, 2]), ([2, 2], [2, 0])):
+            with pytest.raises(ValueError):
+                viterbi_rows(LAT, w, lengths, lanes)
         # a batch of no sentences is no bad shape: it gives no tags
         tags = viterbi_rows(LAT, np.zeros((0, 3, NUM_TAGS)), [])
         assert tags.shape == (0,) and tags.dtype.kind == "i"
+
+
+class TestEmptyLanguageInLanes:
+    def test_a_sentence_without_a_path_raises_wherever_it_sits(self):
+        # a grammar of even lengths only: a 3-word sentence has no accepting
+        # path, also as the second of its lane, whose first row is reset to
+        # the final row once its total is read
+        even = build_lattice(Automaton(2, frozenset({(0, O, 0.0, 1), (1, O, 0.0, 0)}), 0, frozenset({0})))
+        w = np.zeros((2, 6, NUM_TAGS))
+        assert viterbi_rows(even, w, [2, 4, 6], [2, 1]).tolist() == [O.index] * 12
+        for lengths in ([2, 3], [3, 2], [1, 4]):
+            with pytest.raises(EmptyLanguage):
+                viterbi_rows(even, w, [*lengths, 6], [2, 1])
 
 
 class TestForward:
@@ -508,6 +541,16 @@ def right_aligned(rng, sentences, pad_scale=5.0):
     return batch
 
 
+def packed(rng, lanes, n, pad_scale=5.0):
+    """An (L, n, 10) batch of lanes, lane b holding the (n_s, 10) matrices of
+    lanes[b] end to end, the last one ending at row n, after random padding."""
+    batch = rng.uniform(-pad_scale, pad_scale, (len(lanes), n, NUM_TAGS))
+    for b, lane in enumerate(lanes):
+        rows = np.concatenate(lane)
+        batch[b, n - len(rows) :] = rows
+    return batch
+
+
 def random_labels(rng, mode, n):
     """The label set of a random sequence of n words of the mode's grammar;
     its sets are unresolved, except in structural mode."""
@@ -732,6 +775,46 @@ class TestChartOracle:
         totals = self.assert_same_bits(lattice, batch_weights, sr, lengths, backward)
         if sr is SCALED and batch > 1:
             assert np.isnan(totals).any() and np.isfinite(totals).any()
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["two-way", "backward"])
+    @pytest.mark.parametrize("sr", [TROPICAL, SCALED, LOG], ids=lambda s: s.name)
+    @pytest.mark.parametrize("mode", ["semantic", "structural"])
+    def test_each_lane_resets_to_each_sentence_alone(self, mode, sr, backward):
+        # lanes of one to six sentences end to end, after padding whose scores
+        # differ by up to 1,000: each sentence's rows of its lane's charts, and
+        # its totals, are the bits chart_reference gives it alone, except that
+        # the row between two sentences holds each chart's reset
+        lattice = build_lattice(grammar_automaton(mode))
+        rng = np.random.default_rng(131)
+        n = 40
+        lanes = [[40], [1] * 6, [20, 20], [1, 39], [12, 3, 1]]
+        lanes += [rng.integers(1, 9, size=rng.integers(1, 7)).tolist() for _ in range(20)]
+        scales = [0.5, 3.0, 30.0, 300.0]
+        sentences = [[random_weights(rng, m, scale=rng.choice(scales)) for m in lane] for lane in lanes]
+        sentences[2][1][5, CB.index] -= 1000.0  # weights spanning more than 150 flag the scaled chart
+        lengths = np.array([len(x) for lane in sentences for x in lane])
+        layout = _layout(n, lengths, np.array([len(lane) for lane in lanes]))
+        totals, charts = _chart(lattice, packed(rng, sentences, n, pad_scale=500.0), sr, backward=backward, layout=layout)
+        same = lambda a, b: np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+        k = 0
+        for lane, mine in enumerate(sentences):
+            row = n - sum(map(len, mine))
+            for j, x in enumerate(mine):
+                ref_totals, ref_charts = chart_reference(lattice, x[None], sr, backward=backward)
+                assert same(totals[:, k], ref_totals[:, 0])
+                for half, (chart, ref) in enumerate(zip(charts, ref_charts)):
+                    rows, ref = chart[row : row + len(x) + 1, :, lane], ref[:, 0]
+                    if not backward and half == 0 and j + 1 < len(mine):  # the next sentence's initial row
+                        assert same(rows[-1], ref[0])
+                        rows, ref = rows[:-1], ref[:-1]
+                    elif (backward or half == 1) and j > 0:  # the previous sentence's final row
+                        assert same(rows[0], ref[-1])
+                        rows, ref = rows[1:], ref[1:]
+                    assert same(rows, ref)
+                row += len(x)
+                k += 1
+        if sr is SCALED:  # the 1,000 below sits in sentence 8, the second of lane 2
+            assert np.isnan(totals[:, 8]).all() and np.isfinite(totals).any()
 
     @pytest.mark.parametrize("backward", [False, True], ids=["two-way", "backward"])
     @pytest.mark.parametrize("sr", [TROPICAL, SCALED, LOG], ids=lambda s: s.name)

@@ -603,15 +603,17 @@ class TestPredict:
         rng = np.random.default_rng(37)
         scorer = LinearScorer(dim=256, params=rng.integers(-2, 3, size=(256, NUM_TAGS)).astype(float))
         sentences = random_sentences(rng, [1, 2, 3, *rng.integers(100, 401, size=150)])
-        widths = []
+        calls = []
 
-        def counted(lat, weights, lengths):
-            widths.append(len(lengths))
-            return viterbi_rows(lat, weights, lengths)
+        def counted(lat, weights, lengths, lanes):
+            calls.append(list(lanes))
+            return viterbi_rows(lat, weights, lengths, lanes)
 
         monkeypatch.setattr(model, "viterbi_rows", counted)
         got = [ts.tags for ts in predict_batch(scorer, sentences, mode)]
-        assert len(widths) >= 3 and sum(widths) == len(sentences)
+        # one batch of lanes as long as the longest sentence, 400 words, so of at
+        # most 65,536 // 400 = 163 lanes: the 153 sentences fill 104 of them
+        assert len(calls) == 1 and len(calls[0]) == 104 and sum(calls[0]) == len(sentences)
         assert got == [predict_tags(scorer, t, mode).tags for t in sentences]
 
     def test_sentence_longer_than_the_budget(self, monkeypatch):
@@ -625,6 +627,38 @@ class TestPredict:
         sentences = random_sentences(rng, rng.integers(1, 25, size=40))
         want = [predict_tags(scorer, t).tags for t in sentences]
         assert [ts.tags for ts in predict_batch(scorer, sentences)] == want
+
+    @pytest.mark.parametrize("mode", ["semantic", "structural"])
+    def test_packed_lanes_match_per_sentence(self, mode, monkeypatch):
+        # at a budget of 64 cells and 4 lanes a batch: a 70-word sentence runs
+        # alone, wide batches are cut by the budget and narrow ones by the lane
+        # cap, and lanes hold one to nine sentences, 1-word ones included;
+        # integer weights in [-2, 2] make ties common
+        rng = np.random.default_rng(61)
+        scorer = LinearScorer(dim=256, params=rng.integers(-2, 3, size=(256, NUM_TAGS)).astype(float))
+        lengths = [70, 30, 29, 20, 8, 8, 8, 8, 8, 8, 7, 1, 1, 1, 1, 1, 1, 1, 1, 2, 3, 5]
+        sentences = random_sentences(rng, lengths + list(rng.integers(1, 12, size=30)))
+        monkeypatch.setattr(model, "TOKEN_BUDGET", 64)
+        monkeypatch.setattr(model, "LANES", 4)
+        calls = []
+
+        def counted(lat, weights, lengths, lanes):
+            calls.append((weights.shape[1], list(lanes)))
+            return viterbi_rows(lat, weights, lengths, lanes)
+
+        monkeypatch.setattr(model, "viterbi_rows", counted)
+        got = [ts.tags for ts in predict_batch(scorer, sentences, mode)]
+        assert calls[0] == (70, [1])
+        assert any(len(lanes) == 4 and width * 4 < 64 for width, lanes in calls)  # cut by the lane cap
+        assert any(len(lanes) < 4 and width * (len(lanes) + 1) > 64 for width, lanes in calls)  # cut by the budget
+        assert max(max(lanes) for _, lanes in calls) >= 5
+        assert sum(sum(lanes) for _, lanes in calls) == len(sentences)
+        monkeypatch.undo()
+        assert got == [predict_tags(scorer, t, mode).tags for t in sentences]
+
+    def test_empty_corpus(self):
+        flat, bounds = model.predict_rows(LinearScorer(dim=8), [])
+        assert flat.shape == (0,) and flat.dtype.kind == "i" and bounds.tolist() == [0]
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError):

@@ -43,6 +43,7 @@ from conftest import (
     is_structural,
     is_well_formed_reference,
     mention_table_reference,
+    mention_words,
     one_hot,
     to_two_layer_reference,
     with_flips,
@@ -160,7 +161,7 @@ class TestMention:
         m = Mention(tuple(frags))
         for (b1, e1), (b2, e2) in itertools.pairwise(m.fragments):
             assert e1 + 1 < b2  # sorted, disjoint, non-adjacent
-        assert m.words() == frozenset(
+        assert mention_words(m) == frozenset(
             w for b, e in frags for w in range(b, e + 1)
         )
 
