@@ -9,21 +9,23 @@ semiring (+, *) with each chart step rescaled, falling back to log
 Scores of a tag sequence are bilinear, ``<y, w> = sum_i w[i, y_i]``, so every
 gradient below is an ``(n, 10)`` matrix aligned with the weight matrix.
 
-One chart routine serves every program, on a batch of lanes, each holding
-one or more sentences end to end, and the grammar's table compiled from its
-minimal DFA; the chart resets where each sentence begins, so a sentence gets
-the same bits in any lane.  The backward chart is the forward chart of the
-reversed edges with the words read right to left, so one pass of ``n`` steps
-gives both.  The chart is held state-major, one row of ``L`` lanes per
-state, and each step sums every
-state's edges, of both halves, through the grammar's padded slot table: two
-row gathers, a product and one sum over the slots, which adds in the order
-``reduceat`` over each state's edges would.  Viterbi and
-:func:`random_well_formed` run the backward half alone; the latter samples
-paths through the states that a backward tropical chart finds co-reachable.
-The marginals sum the edges grouped by tag with one ``reduceat``.  The losses
-of a batch (:func:`batch_losses`) run one two-way pass; the single-sentence
-losses are batches of one.
+One chart routine serves every program, on a batch of lanes and the
+grammar's table compiled from its minimal DFA.  The batch programs take the
+weights of their sentences' words one sentence after another, and
+:func:`_layout` alone places them in lanes: one or more sentences end to end
+in a lane, one padding row between two of them.  The chart resets at each
+sentence's ends, so a sentence gets the same bits in any lane.  The backward
+chart is the forward chart of the reversed edges with the words read right to
+left, so one pass of ``n`` steps gives both.  The chart is held state-major,
+one row of ``L`` lanes per state, and each step sums every state's edges, of
+both halves, through the grammar's padded slot table: two row gathers, a
+product and one sum over the slots, which adds in the order ``reduceat`` over
+each state's edges would.  Viterbi and :func:`random_well_formed` run the
+backward half alone; the latter samples paths through the states that a
+backward tropical chart finds co-reachable.  The marginals sum the edges
+grouped by tag with one ``reduceat``.  The losses of a batch
+(:func:`batch_losses`) run one two-way pass; the single-sentence losses are
+batches of one.
 
 The partially-supervised losses marginalise over the label set of an
 annotation whose component types are unknown: flipping the x/y orientation of
@@ -97,77 +99,77 @@ _TINY = 1e-250
 _SPAN = 150.0
 
 
-def _check_weights(weights: np.ndarray, batched: bool = False) -> np.ndarray:
-    """The weights as float64, checked to be an ``(n, 10)`` matrix of finite
-    scores, or with ``batched`` a ``(B, n, 10)`` stack of them."""
+def _check_weights(weights: np.ndarray) -> np.ndarray:
+    """The weights as float64, checked to be an ``(n, 10)`` matrix of finite scores."""
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2 + batched or weights.shape[-1] != NUM_TAGS:
-        want = f"(B, n, {NUM_TAGS})" if batched else f"(n, {NUM_TAGS})"
-        raise ValueError(f"expected weights of shape {want}, got {weights.shape}")
+    if weights.ndim != 2 or weights.shape[1] != NUM_TAGS:
+        raise ValueError(f"expected weights of shape (n, {NUM_TAGS}), got {weights.shape}")
     if not np.isfinite(weights).all():
         raise ValueError("weight matrix entries must be finite")
     return weights
 
 
-def _check_lengths(
-    weights: np.ndarray, lengths: Sequence[int], lanes: Sequence[int] | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The sentence lengths and sentences per lane of a ``(L, n, 10)`` batch
-    of lanes as arrays, checked to fit: ``lanes[l]`` sentences in lane ``l``
-    (by default one, and then ``lanes`` stays ``None``), their lengths
-    summing to at most ``n``, and each sentence of a lane of several at least
-    one word long."""
-    batch, n = weights.shape[:2]
+class _Layout(NamedTuple):
+    """Where a batch's sentences and words sit in ``L`` lanes of ``n`` rows (see :func:`_layout`)."""
+
+    lengths: np.ndarray  # (sentences,): each sentence's words
+    lane: np.ndarray  # each sentence's lane
+    starts: np.ndarray  # each sentence's first row
+    sentence: np.ndarray  # (words,): each word's sentence
+    cell: np.ndarray  # each word's cell, row * L + lane
+    shape: tuple[int, int]  # (n, L)
+
+    def padded(self, weights: np.ndarray) -> np.ndarray:
+        """The ``(n, L, 10)`` rows of the words' weights ``(words, 10)``, zeros elsewhere."""
+        if len(weights) != len(self.cell):
+            raise ValueError(f"{len(weights)} weight rows for sentences of {len(self.cell)} words")
+        out = np.zeros((self.shape[0] * self.shape[1], NUM_TAGS))
+        out[self.cell] = weights
+        return out.reshape(*self.shape, NUM_TAGS)
+
+    def opens(self) -> np.ndarray:
+        """``(n + 1, L)``: true at the row where each sentence starts."""
+        out = np.zeros((self.shape[0] + 1, self.shape[1]), dtype=bool)
+        out[self.starts, self.lane] = True
+        return out
+
+    def words(self, rows: np.ndarray) -> np.ndarray:
+        """The words' entries of ``(n, L, ...)`` rows, one sentence after another."""
+        return rows.reshape(-1, *rows.shape[2:]).take(self.cell, axis=0)
+
+    def sums(self, rows: np.ndarray) -> np.ndarray:
+        """``(k, sentences)``: the ``(n, L, k)`` rows of each sentence's words, summed in word order."""
+        return np.stack([np.bincount(self.sentence, column, len(self.lane)) for column in self.words(rows).T])
+
+
+def _layout(lengths: Sequence[int], lanes: Sequence[int] | None = None) -> _Layout:
+    """The layout of sentences of ``lengths`` words in lanes: lane ``l`` holds
+    the next ``lanes[l]`` sentences (by default one), end to end from row 0
+    with one zero padding row between two of them, and ``n`` is the most rows
+    a lane needs.  A sentence may have no words.  Each word's cell is where
+    :meth:`_Layout.padded` puts its weights and :meth:`_Layout.words` reads
+    its results."""
     lengths = np.asarray(lengths, dtype=np.intp)
-    given, fits = lanes, True
+    if lengths.ndim != 1 or lengths.min(initial=0) < 0:
+        raise ValueError(f"sentence lengths must be a list of counts, got {lengths!r}")
+    lane = np.arange(len(lengths))  # by default, each sentence's own
+    sentence = np.repeat(lane, lengths)
+    firsts = np.cumsum(lengths) - lengths  # each sentence's first word
     if lanes is not None:
         lanes = np.asarray(lanes, dtype=np.intp)
-        if len(lengths) == batch:  # a lane of one each
-            fits, lanes = lanes.shape == (batch,) and (lanes == 1).all(), None
-        else:
-            fits = lanes.shape == (batch,) and (lanes >= 1).all() and lengths.shape == (lanes.sum(),)
-    if lanes is None:
-        fits = fits and lengths.shape == (batch,) and (lengths >= 0).all() and (lengths <= n).all()
-    elif fits:
-        lane = np.repeat(np.arange(batch), lanes)
-        fits = (np.bincount(lane, lengths, batch) <= n).all() and ((lengths > 0) | (lanes[lane] == 1)).all()
-    if not fits:
-        raise ValueError(f"lengths {lengths!r} do not fit {batch} lanes of {n} words holding {given!r} sentences")
-    return lengths, lanes
-
-
-class _Layout(NamedTuple):
-    """Where the sentences of a batch of lanes sit (see :func:`_layout`)."""
-
-    lane: np.ndarray  # (sentences,): each sentence's lane
-    starts: np.ndarray  # each sentence's first row
-    ends: np.ndarray  # the row after its last word
-    heads: np.ndarray  # (L,): each lane's first row
-    opens: np.ndarray  # (n + 1, L): the rows that start a sentence
-    inner: np.ndarray | None  # (n + 1, L): those that end one and start the next; None if lanes hold one
-
-
-def _layout(n: int, lengths: np.ndarray, lanes: np.ndarray | None = None) -> _Layout:
-    """The layout of lanes of ``n`` rows, lane ``l`` holding the next
-    ``lanes[l]`` sentences of ``lengths`` (by default one, and then no row
-    is between two sentences) end to end, the last one ending at row ``n``."""
-    if lanes is None:
-        lane, ends = np.arange(len(lengths)), np.full(len(lengths), n)
-        starts = heads = ends - lengths
+        if lanes.ndim != 1 or lanes.min(initial=1) < 1 or lanes.sum() != len(lengths):
+            raise ValueError(f"{len(lengths)} sentences do not fill lanes of {lanes!r} sentences")
+    if lanes is None or len(lanes) == len(lengths):  # one sentence a lane
+        starts, batch, n = np.zeros_like(lengths), len(lengths), lengths.max(initial=0)
     else:
-        lane = np.repeat(np.arange(len(lanes)), lanes)
-        ends = np.cumsum(lengths)
-        lasts = np.cumsum(lanes) - 1
-        ends += (n - ends[lasts])[lane]
-        starts = ends - lengths
-        heads = starts[lasts + 1 - lanes]
-    opens = np.zeros((n + 1, len(heads)), dtype=bool)
-    opens[starts, lane] = True
-    inner = None
-    if lanes is not None:
-        inner = opens.copy()  # a lane's later sentences, of a word or more, start after its first
-        inner[heads, np.arange(len(heads))] = False
-    return _Layout(lane, starts, ends, heads, opens, inner)
+        rows = firsts + lane  # all sentences end to end, a padding row after each
+        lane, batch = np.repeat(np.arange(len(lanes)), lanes), len(lanes)
+        starts = rows - rows.take(np.cumsum(lanes) - lanes).take(lane)  # less the rows of earlier lanes
+        n = (starts + lengths).max(initial=0)
+    # word w of sentence k sits in row starts[k] + w - firsts[k] of lane lane[k]
+    cell = np.arange(len(sentence)) * batch
+    cell += ((starts - firsts) * batch + lane).take(sentence)
+    return _Layout(lengths, lane, starts, sentence, cell, (int(n), batch))
 
 
 def _in_word_order(steps: np.ndarray) -> np.ndarray:
@@ -179,8 +181,8 @@ def _in_word_order(steps: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # a scaled underflow shows in the totals
 def _chart(
-    lat: Lattice, weights: np.ndarray, sr: Semiring, lengths: np.ndarray | None = None, backward: bool = False,
-    *, layout: _Layout | None = None, scaled_out: np.ndarray | None = None,
+    lat: Lattice, weights: np.ndarray, sr: Semiring, layout: _Layout, backward: bool = False,
+    *, scaled_out: np.ndarray | None = None,
 ):
     """``(totals, charts)`` of a batch of lanes in one pass: ``charts`` is
     ``(alpha, beta)``, the ``(n+1, S+1, L)`` prefix sums from the initial
@@ -189,25 +191,22 @@ def _chart(
     sentence the sum over its accepting paths.  Column ``S`` is the dead
     state, with no paths: its sums stay zero.
 
-    ``weights`` is ``(L, n, 10)``, ``L`` lanes of ``n`` rows, and
-    ``layout`` (see :func:`_layout`) places the sentences in them: by default
-    each lane holds one, of ``lengths[l]`` words (by default ``n``).  A
-    lane's sentences lie end to end, the last one ending at row ``n``; its
-    rows before the first are padding.  Each sentence is scored by its own
-    rows, and both charts are reset where it begins: ``alpha`` reads its
+    ``weights`` is ``(n, L, 10)``, ``L`` lanes of ``n`` rows, in which
+    ``layout`` places the sentences (see :func:`_layout`): end to end from
+    row 0, one padding row between two of them.  Each sentence is scored by
+    its own rows, and both charts are reset around it: ``alpha`` reads its
     first row as the initial row, and ``beta`` the row after its last word
-    as the final row.  So a sentence's rows of each chart are the ones it
-    gets alone, except that a row between two sentences holds the reset of
-    each half; the totals are read before the resets.  Padding rows are
-    undefined.  The backward chart is the forward chart of the reversed
-    edges with the words read right to left, so step ``t`` writes ``alpha[t
-    + 1]`` and ``beta[n - 1 - t]`` together (the grammar's ``two_way``
-    :class:`~disctag.automata.SlotTable`, or its ``reverse`` half alone),
-    then resets them.  The steps are held state-major, each chart column a
-    row of ``L`` lanes, so a step is four calls on whole rows: it gathers
-    every slot's far-end row, gathers the slot's word weights, multiplies,
-    and sums the slots in order, which rounds as ``reduceat`` over each
-    column's edges did.
+    as the final row.  No row is both of these for two sentences, so a
+    sentence's rows of each chart, and its totals, are the ones it gets
+    alone; padding rows are undefined.  The backward chart is the forward
+    chart of the reversed edges with the words read right to left, so step
+    ``t`` writes ``alpha[t + 1]`` and ``beta[n - 1 - t]`` together (the
+    grammar's ``two_way`` :class:`~disctag.automata.SlotTable`, or its
+    ``reverse`` half alone), then resets them.  The steps are held
+    state-major, each chart column a row of ``L`` lanes, so a step is four
+    calls on whole rows: it gathers every slot's far-end row, gathers the
+    slot's word weights, multiplies, and sums the slots in order, which
+    rounds as ``reduceat`` over each column's edges did.
 
     :data:`SCALED` is Rabiner's scaled forward-backward: each word's
     weights are ``exp(w - max w)``, each step divides each half by its own
@@ -221,23 +220,18 @@ def _chart(
     to rounding.  The other semirings raise :class:`EmptyLanguage` if some
     sentence has no accepting path.
     """
-    batch, n = weights.shape[:2]
-    if layout is None:
-        layout = _layout(n, np.full(batch, n) if lengths is None else lengths)
-    lane, starts, ends, _, opens, inner = layout
+    n, batch = weights.shape[:2]
+    lane, starts, ends = layout.lane, layout.starts, layout.starts + layout.lengths
     states = lat.num_grammar_states
     halves, table = (1, lat.reverse) if backward else (2, lat.two_way)
     steps = np.full((n + 1, halves, states + 1, batch), sr.zero)  # steps[t]: after t words of each half
     rows = steps.reshape(n + 1, halves * (states + 1), batch)
-    # the chart rows with a reset in some lane: alpha's where a sentence
-    # starts, beta's between two sentences, where both are first kept as
-    # they were, for the totals
-    packed = inner is not None
-    opening = [False] if backward else opens.any(axis=1).tolist()
-    closing = inner.any(axis=1).tolist() if packed else [False] * (n + 1)
-    if packed:
-        kept = np.empty_like(steps)
-    per_word = weights.transpose(1, 2, 0)  # (n, 10, L)
+    resets = np.zeros((n + 1, halves, 1, batch), dtype=bool)  # the lanes whose row of step t starts afresh
+    resets[n - ends, -1, 0, lane] = True  # beta's row after a sentence's last word
+    if not backward:
+        resets[:, 0, 0] = layout.opens()  # alpha's row of its first word
+    resetting = resets.any(axis=(1, 2, 3)).tolist()
+    per_word = weights.transpose(0, 2, 1)  # (n, 10, L)
     scaled = sr is SCALED
     if scaled:
         top = per_word.max(axis=1, keepdims=True)
@@ -264,42 +258,22 @@ def _chart(
             np.copyto(by_lane, steps[t + 1].transpose(2, 0, 1))
             np.add.reduce(by_lane, axis=2, keepdims=True, out=scale[t])
             steps[t + 1] /= scale[t].transpose(1, 2, 0)
-        if not backward and opening[t + 1]:  # alpha's row t + 1
-            if closing[t + 1]:
-                np.copyto(kept[t + 1, 0], steps[t + 1, 0])
-            np.copyto(steps[t + 1, 0], steps[0, 0], where=opens[t + 1])
-        if closing[n - 1 - t]:  # beta's row n - 1 - t
-            np.copyto(kept[t + 1, -1], steps[t + 1, -1])
-            np.copyto(steps[t + 1, -1], steps[0, -1], where=inner[n - 1 - t])
+        if resetting[t + 1]:
+            np.copyto(steps[t + 1], steps[0], where=resets[t + 1])
     charts = (steps[:, 0], steps[::-1, -1])[2 - halves :]
 
-    # each sentence's totals, from its rows as they were before a reset
     totals = np.empty((halves, len(lane)))
-    first = n - starts  # the step that wrote beta's row of the sentence's first word
-    totals[-1] = steps[first, -1, lat.initial, lane]
-    if packed:
-        np.copyto(totals[-1], kept[first, -1, lat.initial, lane], where=inner[starts, lane])
+    totals[-1] = steps[n - starts, -1, lat.initial, lane]
     if not backward:  # each sentence's finals are summed as a row, whatever their number
-        at_end = (ends[:, None], 0, np.flatnonzero(lat.final_mask), lane[:, None])
-        finals = np.where(inner[ends, lane][:, None], kept[at_end], steps[at_end]) if packed else steps[at_end]
-        sr.plus.reduce(finals, axis=1, out=totals[0])
+        sr.plus.reduce(steps[ends[:, None], 0, np.flatnonzero(lat.final_mask), lane[:, None]], axis=1, out=totals[0])
     if scaled:
-        at = np.arange(n)[:, None]
-        own = ((at >= starts) & (at < ends))[..., None]  # (n, S, 1): word i is one of sentence s's
-        # summed in word order, so the other rows (zeros) leave a sentence's sum as it is alone
-        logs = np.log(_in_word_order(scale)[..., 0]) + top.transpose(0, 2, 1)
-        if packed:
-            logs = logs[:, lane]
-        log_totals = np.log(totals) + (np.cumsum(np.where(own, logs, 0.0), axis=0)[-1].T if n else 0.0)
-        divided = steps[1:]
-        if packed:  # the rows between two sentences as they were before their reset
-            between = np.stack([inner, inner[::-1]][2 - halves :], axis=1)[1:, :, None]
-            divided = np.where(between, kept[1:], divided)
-        before = divided[:, :, :states] * scale.transpose(0, 2, 3, 1)  # each step's cells before the division
+        logs = np.log(_in_word_order(scale)[..., 0]) + top.transpose(0, 2, 1)  # (n, L, halves)
+        log_totals = np.log(totals) + layout.sums(logs)
+        before = steps[1:, :, :states] * scale.transpose(0, 2, 3, 1)  # each step's cells before the division
         small = ((before > 0) & (before < _TINY)).any(axis=2).transpose(0, 2, 1)
         wide = (per_word < np.exp(-_SPAN)).any(axis=1)[..., None]
         if small.any() or wide.any():  # rare, so the sentences are looked for only then
-            log_totals[((_in_word_order(small) | wide)[:, lane] & own).any(axis=0).T] = np.nan
+            log_totals[layout.sums(_in_word_order(small) | wide) > 0] = np.nan
         return log_totals, charts
     if (totals == sr.zero).any():
         raise EmptyLanguage("lattice has no accepting path")
@@ -307,10 +281,10 @@ def _chart(
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # failed rows are recomputed
-def _posterior(lat: Lattice, weights: np.ndarray, lengths: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``log Z`` and the tag marginals of a batch, ``(B,)`` and ``(B, n, 10)``,
-    for right-aligned sentences as in :func:`_chart` (padding rows of the
-    marginals are undefined).
+def _posterior(lat: Lattice, weights: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """``log Z`` and the tag marginals of a batch of sentences, ``(sentences,)``
+    and ``(words, 10)``, their words' weights ``(words, 10)`` placed in lanes by
+    ``layout`` (see :func:`_layout`).
 
     One scaled two-way chart; each tag's edges are summed with one
     ``reduceat``, in edge order, and each marginal row is divided by its own
@@ -321,22 +295,21 @@ def _posterior(lat: Lattice, weights: np.ndarray, lengths: np.ndarray | None = N
     scores differ by hundreds.  Each sentence gets, bit for bit, what it gets
     alone.
     """
-    batch, n = weights.shape[:2]
-    starts = np.zeros(batch, dtype=np.intp) if lengths is None else n - lengths
+    n, batch = layout.shape
     scaled = np.empty((n, NUM_TAGS, batch))
-    (log_z, log_z_back), (alpha, beta) = _chart(lat, weights, SCALED, lengths, scaled_out=scaled)
+    (log_z, log_z_back), (alpha, beta) = _chart(lat, layout.padded(weights), SCALED, layout, scaled_out=scaled)
     edges = lat.by_tag
-    mass = alpha[:-1].take(edges.src, axis=1)  # (n, E, B)
+    mass = alpha[:-1].take(edges.src, axis=1)  # (n, E, L)
     mass *= scaled.take(edges.tag, axis=1)
     mass *= beta[1:].take(edges.dst, axis=1)
-    acc = np.add.reduceat(mass, edges.bounds, axis=1).transpose(0, 2, 1).copy()  # (n, B, 10)
-    sums = acc.sum(axis=2, keepdims=True)
-    acc /= sums
-    real = np.arange(n)[:, None] >= starts
-    good = np.isfinite(log_z + log_z_back) & ((sums[..., 0] >= _TINY) | ~real).all(axis=0)  # NaN >= is false
-    probs = acc.transpose(1, 0, 2)
-    for b in (~good).nonzero()[0]:
-        log_z[b], probs[b, starts[b] :] = _log_posterior(lat, weights[b, starts[b] :])
+    probs = layout.words(np.add.reduceat(mass, edges.bounds, axis=1).transpose(0, 2, 1))  # (words, 10)
+    sums = probs.sum(axis=1, keepdims=True)
+    probs /= sums
+    bad = ~np.isfinite(log_z + log_z_back)
+    bad[layout.sentence[~(sums[:, 0] >= _TINY)]] = True  # NaN >= is false
+    for b in bad.nonzero()[0]:
+        words = layout.sentence == b
+        log_z[b], probs[words] = _log_posterior(lat, weights[words])
     return log_z, probs
 
 
@@ -346,7 +319,8 @@ def _log_posterior(lat: Lattice, weights: np.ndarray) -> tuple[float, np.ndarray
     (``log Z`` in exact arithmetic), so with large weights rounding cannot
     push a row off one.
     """
-    ((log_z,), _), (alpha, beta) = _chart(lat, weights[None], LOG)
+    layout = _layout([len(weights)])
+    ((log_z,), _), (alpha, beta) = _chart(lat, layout.padded(weights), LOG, layout)
     edges = lat.by_tag
     edge_logp = alpha[:-1, edges.src, 0] + weights[:, edges.tag] + beta[1:, edges.dst, 0]
     acc = np.logaddexp.reduceat(edge_logp, edges.bounds, axis=1)
@@ -360,7 +334,7 @@ def random_well_formed(lat: Lattice, n: int, rng: np.random.Generator) -> tuple[
     one with a finite score in a backward tropical chart over zero weights.
     Raises :class:`EmptyLanguage` if the lattice has no accepting path.
     """
-    _, (beta,) = _chart(lat, np.zeros((1, n, NUM_TAGS)), TROPICAL, backward=True)
+    _, (beta,) = _chart(lat, np.zeros((n, 1, NUM_TAGS)), TROPICAL, _layout([n]), backward=True)
     alive = beta[..., 0] > NEG_INF  # the dead state, where next_state is -1, never is
     q = lat.initial
     out: list[Tag] = []
@@ -385,32 +359,29 @@ def viterbi(lat: Lattice, weights: np.ndarray) -> tuple[float, TagSequence]:
     sequence, making ``score == <y, w>`` exact.
     """
     weights = _check_weights(weights)
-    ts = TagSequence.from_indices(viterbi_rows(lat, weights[None], [len(weights)]))
+    ts = TagSequence.from_indices(viterbi_rows(lat, weights, [len(weights)]))
     return sequence_score(weights, ts), ts
 
 
 def viterbi_rows(
     lat: Lattice, weights: np.ndarray, lengths: Sequence[int], lanes: Sequence[int] | None = None
 ) -> np.ndarray:
-    """The :func:`viterbi` sequences of a batch of sentences packed in lanes,
-    as tag indices, one sentence after another in one flat array.
+    """The :func:`viterbi` sequences of a batch of sentences, as tag indices,
+    one sentence after another in one flat array.
 
-    ``weights`` is ``(L, n, 10)``, ``L`` lanes of ``n`` rows.  Lane ``l``
-    holds the next ``lanes[l]`` sentences (by default one), whose lengths
-    are the next entries of ``lengths``, end to end, the last one ending at
-    row ``n``; the rows before its first sentence are padding and may hold
-    any finite value.  Each sentence of a lane of several has at least one
-    word.  The chart reads the row after each sentence's last word as the
-    final-state row, and the walk restarts in the initial state at each
-    sentence's first word, so each sequence, tie-break included, is the one
-    :func:`viterbi` gives for the sentence alone.
+    ``weights`` is ``(words, 10)``, the rows of each sentence's words, one
+    sentence after another, of the given ``lengths`` (a sentence may have
+    none).  They run in lanes (see :func:`_layout`): lane ``l`` holds the
+    next ``lanes[l]`` sentences (by default one), end to end.  The chart
+    reads the row after each sentence's last word as the final-state row,
+    and the walk restarts in the initial state at each sentence's first
+    word, so each sequence, tie-break included, is the one :func:`viterbi`
+    gives for the sentence alone.
     """
-    weights = _check_weights(weights, batched=True)
-    lengths, lanes = _check_lengths(weights, lengths, lanes)
-    (batch, n, _), width = weights.shape, lat.num_grammar_states + 1
-    layout = _layout(n, lengths, lanes)
-    _, (beta,) = _chart(lat, weights, TROPICAL, backward=True, layout=layout)
-    per_word = weights.transpose(1, 0, 2)
+    layout = _layout(lengths, lanes)
+    weights = layout.padded(_check_weights(weights))  # the flat rows are freed here if the caller holds none
+    (n, batch), width = layout.shape, lat.num_grammar_states + 1
+    _, (beta,) = _chart(lat, weights, TROPICAL, layout, backward=True)
     # Walk along the best path, every lane at once, each one's state held as
     # its cell q * L + l of a chart row: at word i a lane scores the ten
     # successors of its state, beta[i + 1, l, next_state[q]] + w[i, l], and takes
@@ -424,16 +395,17 @@ def viterbi_rows(
     cells = (succ[:, None] * batch + rows[:, None]).reshape(width * batch, NUM_TAGS)
     chosen = rows * NUM_TAGS  # lane l's tag t is cell l * 10 + t of an (L, 10) step
     at = restart = lat.initial * batch + rows
-    restarts = layout.opens[1:].any(axis=1).tolist()
+    opens = layout.opens()
+    restarts = opens[1:].any(axis=1).tolist()
     tags = np.empty((n, batch), dtype=np.intp)
     for i in range(n):
         step = cells.take(at, axis=0)
         score = beta[i + 1].take(step)
-        score += per_word[i]
+        score += weights[i]
         at = step.take(score.argmax(axis=1, out=tags[i]) + chosen)
         if restarts[i]:  # in some lane, word i + 1 starts a sentence
-            at = np.where(layout.opens[i + 1], restart, at)
-    return tags.T[np.arange(n) >= layout.heads[:, None]]
+            at = np.where(opens[i + 1], restart, at)
+    return layout.words(tags)
 
 
 def forward(lat: Lattice, weights: np.ndarray) -> float:
@@ -444,7 +416,7 @@ def forward(lat: Lattice, weights: np.ndarray) -> float:
     costs one two-way pass, and one more in the log semiring where the
     scaled one may have underflowed.
     """
-    return float(_posterior(lat, _check_weights(weights)[None])[0][0])
+    return float(_posterior(lat, _check_weights(weights), _layout([len(weights)]))[0][0])
 
 
 def marginals(lat: Lattice, weights: np.ndarray) -> np.ndarray:
@@ -454,7 +426,7 @@ def marginals(lat: Lattice, weights: np.ndarray) -> np.ndarray:
     with tag ``t``; rows sum to one and cells unusable by any accepting path
     are exactly zero.
     """
-    return _posterior(lat, _check_weights(weights)[None])[1][0]
+    return _posterior(lat, _check_weights(weights), _layout([len(weights)]))[1]
 
 
 # Canonical tag index after a flip: swaps DB-Bx/DB-By, DI-Bx/DI-By and DI-Ix/DI-Iy.
@@ -572,37 +544,33 @@ LOSSES = ("nll", "partial", "hard-em")
 def batch_losses(
     lat: Lattice, weights: np.ndarray, lengths: Sequence[int], labels: Sequence[PartialLabelSet], loss: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The losses of a batch of right-aligned sentences, and their gradients.
+    """The losses of a batch of sentences, and their gradients.
 
     ``weights`` and ``lengths`` are as in :func:`viterbi_rows`, one
     sentence per lane;
     ``labels[b]`` is sentence ``b``'s label set, and ``loss`` one of
     :data:`LOSSES`: :func:`nll` of each gold sequence (taken to be
     well-formed), :func:`partial_nll`, or :func:`hard_em_step`.  Returns the
-    ``(B,)`` losses and the gradient rows of the sentences' words, one
-    sentence after another; each sentence gets, bit for bit, what it gets
+    ``(B,)`` losses and the gradient rows of the sentences' words, in the
+    order of ``weights``; each sentence gets, bit for bit, what it gets
     alone.
     """
-    weights = _check_weights(weights, batched=True)
-    lengths, _ = _check_lengths(weights, lengths)
-    if [len(pl.owner) for pl in labels] != lengths.tolist():
+    weights, layout = _check_weights(weights), _layout(lengths)
+    if [len(pl.owner) for pl in labels] != layout.lengths.tolist():
         raise ValueError("label set lengths do not match the sentence lengths")
-    log_z, probs = _posterior(lat, weights, lengths)
-    n = weights.shape[1]
-    real = np.arange(n) >= (n - lengths)[:, None]
-    scores, grad = weights[real], probs[real]
+    log_z, grad = _posterior(lat, weights, layout)
     if loss == "partial":
-        clamped_z, clamped = _clamped(labels, scores)
+        clamped_z, clamped = _clamped(labels, weights)
         return log_z - clamped_z, grad - clamped
     if loss == "hard-em":
-        target = _hard_em_targets(labels, scores)
+        target = _hard_em_targets(labels, weights)
     elif loss == "nll":
         target = _joined(pl.gold_indices for pl in labels)
     else:
         raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
     words = np.arange(len(target))
     grad[words, target] -= 1.0
-    return log_z - _sums(scores[words, target], lengths), grad
+    return log_z - _sums(weights[words, target], layout.lengths), grad
 
 
 def nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np.ndarray]:
@@ -621,7 +589,7 @@ def nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np
 def _nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np.ndarray]:
     """:func:`nll` of checked weights and a well-formed gold sequence."""
     alone = PartialLabelSet(gold, np.full(len(weights), -1), 0)
-    (loss,), grad = batch_losses(lat, weights[None], [len(weights)], [alone], "nll")
+    (loss,), grad = batch_losses(lat, weights, [len(weights)], [alone], "nll")
     return float(loss), grad
 
 
@@ -635,7 +603,7 @@ def partial_nll(
     (the E-step quantity, treated as a constant with respect to ``weights``).
     """
     weights = _check_label_set(pl, weights)
-    (loss,), grad = batch_losses(lat, weights[None], [len(weights)], [pl], "partial")
+    (loss,), grad = batch_losses(lat, weights, [len(weights)], [pl], "partial")
     return float(loss), grad
 
 

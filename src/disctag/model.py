@@ -332,7 +332,7 @@ def train(
                 raise _diverged(epoch + 1)
             lengths = sizes[runs[k]]
             labels = [s for _, s in batch]
-            losses, grad = batch_losses(lattice, _right_aligned(w, lengths), lengths, labels, config.loss)
+            losses, grad = batch_losses(lattice, w, lengths, labels, config.loss)
             if not (losses >= -1e-6).all():  # every loss is >= 0; huge scores cancel (or give NaN)
                 raise _diverged(epoch + 1)
             scorer.apply_gradient(rows, grad, config.learning_rate, config.l2)
@@ -341,19 +341,6 @@ def train(
     if not np.isfinite(scorer.score_rows(rows)).all():  # reads the rows of the last update
         raise _diverged(config.epochs)
     return scorer
-
-
-def _right_aligned(scores: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ``(B, n, 10)`` batch of rows whose word scores are ``scores``, one
-    block of ``lengths[b]`` words after another (a sentence, or a lane of
-    them): word ``j`` of block ``b`` goes to row ``n - lengths[b] + j``,
-    after zero padding."""
-    n = lengths.max()
-    if (lengths == n).all():  # no padding
-        return scores.reshape(len(lengths), n, NUM_TAGS)
-    padded = np.zeros((len(lengths), n, NUM_TAGS))
-    padded[np.arange(n) >= n - lengths[:, None]] = scores
-    return padded
 
 
 def _diverged(epoch: int) -> ConfigError:
@@ -369,16 +356,17 @@ def predict_tags(scorer: LinearScorer, tokens: Sequence[str], mode: str = "seman
     return from_rows(*predict_rows(scorer, [tokens], mode))[0]
 
 
-def _lanes(lengths: np.ndarray) -> list[tuple[list[int], list[int], list[int]]]:
+def _lanes(lengths: np.ndarray) -> list[tuple[list[int], list[int]]]:
     """The predict batches of sentences of ``lengths``: per batch, the
-    indices of its sentences in lane order, the number in each lane, and
-    each lane's words.
+    indices of its sentences in lane order and the number in each lane.
 
     Sentences are taken longest first.  A batch's lanes are as long as the
     longest sentence left when it opens, and it holds at most ``min(LANES,
     TOKEN_BUDGET // length)`` of them (a sentence longer than the budget runs
     in a lane of its own).  A lane holds the longest sentence left, then as
-    many of the shortest left as fit: two pointers over the sorted order.
+    many of the shortest left as fit, each after the padding row that
+    :func:`~disctag.inference.viterbi_rows` puts between two sentences: two
+    pointers over the sorted order.  No result depends on this packing.
     """
     order = np.argsort(-lengths, kind="stable")
     sizes, order = lengths[order].tolist(), order.tolist()
@@ -386,7 +374,7 @@ def _lanes(lengths: np.ndarray) -> list[tuple[list[int], list[int], list[int]]]:
     longest, shortest = 0, len(order) - 1
     while longest <= shortest:
         width = sizes[longest]
-        members, counts, spans = [], [], []
+        members, counts = [], []
         for _ in range(max(1, min(LANES, TOKEN_BUDGET // width))):
             if longest > shortest:
                 break
@@ -394,14 +382,23 @@ def _lanes(lengths: np.ndarray) -> list[tuple[list[int], list[int], list[int]]]:
             members.append(order[longest])
             longest += 1
             first = len(members)
-            while longest <= shortest and sizes[shortest] <= room:
-                room -= sizes[shortest]
+            while longest <= shortest and sizes[shortest] < room:
+                room -= sizes[shortest] + 1
                 members.append(order[shortest])
                 shortest -= 1
             counts.append(len(members) - first + 1)
-            spans.append(width - room)
-        batches.append((members, counts, spans))
+        batches.append((members, counts))
     return batches
+
+
+def _scores(scorer: LinearScorer, sentences: Iterable[Sequence[str]]) -> np.ndarray:
+    """The sentences' word scores, hashed and scored in one pass, checked to be
+    finite: a call, so that :func:`predict_rows` names no batch's scores
+    while :func:`~disctag.inference.viterbi_rows` runs on their padded copy."""
+    scores = scorer.score_rows(scorer.batch_feature_indices(sentences))
+    if not np.isfinite(scores).all():
+        raise ConfigError("model scores are not finite; the model's weights are too large")
+    return scores
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as a ConfigError
@@ -415,19 +412,17 @@ def predict_rows(
     The sentences are packed end to end into the lanes of a few batches (see
     :func:`_lanes`).  Each batch is hashed and scored in one pass and decoded
     by one :func:`~disctag.inference.viterbi_rows` over its lanes, which
-    resets the chart and the walk at every sentence's first word, so every
-    sequence, tie-break included, is the one the sentence gets alone.
+    frees the flat scores once it has padded them, and resets the chart and
+    the walk around every sentence, so every sequence, tie-break included, is
+    the one the sentence gets alone.
     """
     if not all(sentences):
         raise ValueError("cannot score an empty sentence")
     lattice = build_lattice(grammar_automaton(mode))
     lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
     pieces, order = [np.empty(0, dtype=np.intp)], []
-    for batch, lanes, spans in _lanes(lengths):
-        scores = scorer.score_rows(scorer.batch_feature_indices(sentences[k] for k in batch))
-        if not np.isfinite(scores).all():
-            raise ConfigError("model scores are not finite; the model's weights are too large")
-        pieces.append(viterbi_rows(lattice, _right_aligned(scores, np.array(spans)), lengths[batch], lanes))
+    for batch, lanes in _lanes(lengths):
+        pieces.append(viterbi_rows(lattice, _scores(scorer, (sentences[k] for k in batch)), lengths[batch], lanes))
         order += batch
     # the pieces hold the sentences in lane order: gather each back to its place
     order = np.array(order, dtype=np.intp)

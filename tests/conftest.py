@@ -278,18 +278,19 @@ def _in_word_order_reference(steps: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def chart_reference(lat, weights: np.ndarray, sr, lengths: np.ndarray | None = None, backward: bool = False):
     """The batch-major chart that :func:`disctag.inference._chart` replaced:
-    the oracle for the bits of its totals and charts, on lanes of one
-    right-aligned sentence each.
+    the oracle for the bits of its totals and charts, on ``(B, n, 10)``
+    lanes of one sentence each, its ``lengths[b]`` words (by default ``n``)
+    from row 0, then padding.
 
     Its charts are ``(n+1, B, S+1)``.  Each step gathers the chart at every
     edge's far end from a flat row, multiplies by the edge weights filled
     for all ``n`` words up front, and combines each state's edges with one
-    ``reduceat``, in edge order.  The prefix sums are reset to the initial
-    row at each sentence's first row, as ``_chart`` resets them; the chart
-    it replaced held them in the initial state through the padding before.
+    ``reduceat``, in edge order.  The suffix sums are reset to the final
+    row at the row after each sentence's last word, as ``_chart`` resets
+    them; the chart it replaced read sentences that end at row ``n``.
     """
     batch, n = weights.shape[:2]
-    starts = np.zeros(batch, dtype=np.intp) if lengths is None else n - lengths
+    ends = np.full(batch, n) if lengths is None else np.asarray(lengths)
     states = lat.num_grammar_states
     halves, groups = _edge_groups_reference(lat)[backward]
     steps = np.full((n + 1, batch, halves, states + 1), sr.zero)  # steps[t]: after t words of each half
@@ -317,16 +318,16 @@ def chart_reference(lat, weights: np.ndarray, sr, lengths: np.ndarray | None = N
         if scaled:
             np.add.reduce(steps[t + 1], axis=2, keepdims=True, out=scale[t])
             steps[t + 1] /= scale[t]
-        if not backward:  # row t + 1 is a sentence's first
-            np.copyto(steps[t + 1, :, 0], steps[0, :, 0], where=(starts == t + 1)[:, None])
+        # row n - 1 - t of the suffix sums is the row after a sentence's last word
+        np.copyto(steps[t + 1, :, -1], steps[0, :, -1], where=(n - ends == t + 1)[:, None])
     charts = (steps[:, :, 0], steps[::-1, :, -1])[2 - halves :]
-    totals = [steps[n - starts, np.arange(batch), -1, lat.initial]]
+    totals = [steps[n, :, -1, lat.initial]]
     if not backward:
-        totals.insert(0, sr.plus.reduce(steps[n, :, 0, :states][:, lat.final_mask], axis=1))
+        totals.insert(0, sr.plus.reduce(steps[ends, np.arange(batch), 0, :states][:, lat.final_mask], axis=1))
     totals = np.stack(totals)
     if scaled:
-        real = (np.arange(n)[:, None] >= starts)[..., None]  # (n, B, 1): word i is real
-        # summed in word order, so padding (zeros, first) leaves a sentence's sum as it is alone
+        real = (np.arange(n)[:, None] < ends)[..., None]  # (n, B, 1): word i is real
+        # summed in word order, so padding (zeros, last) leaves a sentence's sum as it is alone
         logs = np.where(real, np.log(_in_word_order_reference(scale)[..., 0]) + top, 0.0)
         log_totals = np.log(totals) + (np.cumsum(logs, axis=0)[-1].T if n else 0.0)
         written = steps[1:, :, :, :states] * scale  # each step's cells before the division
@@ -613,9 +614,12 @@ def decode_batch(flat: np.ndarray, bounds: np.ndarray) -> list[frozenset]:
     return [frozenset(mentions[a:b]) for a, b in itertools.pairwise(cuts)]
 
 
-def viterbi_batch(lat, weights: np.ndarray, lengths) -> list[TagSequence]:
-    """The :func:`disctag.inference.viterbi_rows` of a batch as tag sequences."""
-    return from_rows(viterbi_rows(lat, weights, lengths), np.cumsum([0, *lengths]))
+def viterbi_batch(lat, sentences: Sequence[np.ndarray], lanes=None) -> list[TagSequence]:
+    """The :func:`disctag.inference.viterbi_rows` of the sentences' ``(n, 10)``
+    weight matrices, in lanes of ``lanes`` sentences (by default one), as tag sequences."""
+    lengths = [len(w) for w in sentences]
+    weights = np.concatenate([np.empty((0, NUM_TAGS)), *sentences])
+    return from_rows(viterbi_rows(lat, weights, lengths, lanes), np.cumsum([0, *lengths]))
 
 
 def predict_batch(scorer, sentences, mode: str = "semantic") -> list[TagSequence]:

@@ -11,7 +11,7 @@ from disctag.automata import (
     remove_epsilon,
 )
 from disctag.errors import EmptyLanguage
-from disctag.inference import LOG, SCALED, TROPICAL, _chart, forward, marginals, random_well_formed, viterbi
+from disctag.inference import LOG, SCALED, TROPICAL, _chart, _layout, forward, marginals, random_well_formed, viterbi
 from disctag.scheme import CB, CI, NUM_TAGS, O, TAGS
 
 from conftest import accepting_sequences, accepts, is_structural, language_of
@@ -207,10 +207,10 @@ class TestLattice:
             assert sorted(read) == sorted((int(k), int(f), int(w)) for k, f, w in edges)
             assert not any(dead(k) == k for k, _, _ in read)
         # so the dead states' columns, which the pads read, stay zero in every semiring
-        weights = np.random.default_rng(5).normal(0.0, 3.0, (3, 9, NUM_TAGS))
+        weights = np.random.default_rng(5).normal(0.0, 3.0, (9, 3, NUM_TAGS))  # lanes of 9, 4 and 1 words
         for sr in (TROPICAL, SCALED, LOG):
             for backward in (False, True):
-                _, charts = _chart(lat, weights, sr, np.array([9, 4, 1]), backward)
+                _, charts = _chart(lat, weights, sr, _layout([9, 4, 1]), backward)
                 assert all((chart[:, states] == sr.zero).all() for chart in charts)
 
     def test_compiled_table_is_the_minimal_dfa(self, semantic, structural):
@@ -231,7 +231,7 @@ class TestLattice:
         # the backward tropical chart over zero weights that random_well_formed
         # samples through: a finite score marks a co-reachable state
         lat = build_lattice(semantic)
-        _, (beta,) = _chart(lat, np.zeros((1, 4, NUM_TAGS)), TROPICAL, backward=True)
+        _, (beta,) = _chart(lat, np.zeros((4, 1, NUM_TAGS)), TROPICAL, _layout([4]), backward=True)
         bwd = beta[:, : lat.num_grammar_states, 0] > -np.inf
         assert bwd.shape == (5, lat.num_grammar_states)
         assert bwd[0, lat.initial]

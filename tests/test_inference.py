@@ -123,22 +123,19 @@ class TestViterbi:
 class TestViterbiBatch:
     def test_matches_brute_force_with_ties(self, language):
         # integer weights tie often; the tie-break picks the lexicographically
-        # first best sequence, whatever the padding before a sentence holds
+        # first best sequence
         rng = np.random.default_rng(41)
         for mode in ("semantic", "structural"):
             grammar = grammar_automaton(mode)
             for _ in range(20):
-                lengths = rng.integers(1, 6, size=8)
-                n = int(lengths.max())
-                w = rng.integers(-2, 3, size=(len(lengths), n, NUM_TAGS)).astype(float)
-                got = viterbi_batch(build_lattice(grammar), w, lengths)
-                for b, m in enumerate(lengths):
-                    own = w[b, n - m :]
-                    seqs = [s for s in language.sequences(m) if mode == "semantic" or is_structural(s)]
+                sentences = [rng.integers(-2, 3, size=(m, NUM_TAGS)).astype(float) for m in rng.integers(1, 6, 8)]
+                got = viterbi_batch(build_lattice(grammar), sentences)
+                for own, ts in zip(sentences, got):
+                    seqs = [s for s in language.sequences(len(own)) if mode == "semantic" or is_structural(s)]
                     scores = [sequence_score(own, TagSequence(s)) for s in seqs]
                     best = max(scores)
                     first = min(tuple(t.index for t in s) for s, x in zip(seqs, scores) if x == best)
-                    assert tuple(got[b].indices) == first
+                    assert tuple(ts.indices) == first
 
     @pytest.mark.parametrize("mode", ["semantic", "structural"])
     def test_matches_max_sum_over_the_determinised_grammar(self, mode):
@@ -147,75 +144,78 @@ class TestViterbiBatch:
         grammar = grammar_automaton(mode)
         rng = np.random.default_rng(47)
         for lengths in ([1], [200], [3, 200, 57, 1, 120], rng.integers(1, 201, 8), np.arange(1, 41)):
-            n = int(max(lengths))
-            w = rng.integers(-2, 3, size=(len(lengths), n, NUM_TAGS)).astype(float)
-            got = viterbi_batch(build_lattice(grammar), w, lengths)
-            for b, m in enumerate(lengths):
-                score, tags = max_sum_reference(grammar, w[b, n - m :])
-                assert tuple(got[b].indices) == tags
-                assert sequence_score(w[b, n - m :], got[b]) == score
+            sentences = [rng.integers(-2, 3, size=(m, NUM_TAGS)).astype(float) for m in lengths]
+            got = viterbi_batch(build_lattice(grammar), sentences)
+            for w, ts in zip(sentences, got):
+                score, tags = max_sum_reference(grammar, w)
+                assert tuple(ts.indices) == tags
+                assert sequence_score(w, ts) == score
 
     @pytest.mark.parametrize("mode", ["semantic", "structural"])
     def test_wide_batch_equals_each_sentence_alone(self, mode):
         # as wide as the batches `disctag predict` runs, in no order, a 1-word
-        # sentence included; integer weights tie often, and padding rows hold
-        # weights too
-        grammar = grammar_automaton(mode)
+        # sentence included; integer weights tie often
+        lattice = build_lattice(grammar_automaton(mode))
         rng = np.random.default_rng(53)
         lengths = rng.permutation(np.concatenate([[1, 40], rng.integers(1, 41, size=510)]))
-        w = rng.integers(-2, 3, size=(len(lengths), 40, NUM_TAGS)).astype(float)
-        got = viterbi_rows(build_lattice(grammar), w, lengths)
-        alone = [viterbi(build_lattice(grammar), w[b, 40 - m :])[1].indices for b, m in enumerate(lengths)]
-        assert got.tolist() == np.concatenate(alone).tolist()
+        sentences = [rng.integers(-2, 3, size=(m, NUM_TAGS)).astype(float) for m in lengths]
+        got = viterbi_rows(lattice, np.concatenate(sentences), lengths)
+        assert got.tolist() == np.concatenate([viterbi(lattice, w)[1].indices for w in sentences]).tolist()
 
     @pytest.mark.parametrize("mode", ["semantic", "structural"])
     def test_packed_lanes_equal_each_sentence_alone(self, mode):
-        # lanes of one to twelve sentences end to end, 1-word ones included,
-        # some filling their lane and some after padding that holds weights
-        # too; integer weights tie often
+        # lanes of one to twelve sentences end to end, 1-word and 0-word ones
+        # included, a 0-word one first, between two others, last and alone in
+        # its lane; integer weights tie often
         lattice = build_lattice(grammar_automaton(mode))
         rng = np.random.default_rng(59)
         lanes = [[1], [40], [1] * 12, [39, 1], [1, 39], [7, 1, 1, 20], [3, 1], [13] * 3, [2, 5, 1, 9, 1, 1]]
-        lanes += [list(rng.integers(1, 9, size=rng.integers(1, 6))) for _ in range(40)]
-        sentences = [[rng.integers(-2, 3, size=(m, NUM_TAGS)).astype(float) for m in lane] for lane in lanes]
-        w = packed(rng, sentences, 40)
-        got = viterbi_rows(lattice, w, [m for lane in lanes for m in lane], [len(lane) for lane in lanes])
-        alone = [viterbi(lattice, x)[1].indices for lane in sentences for x in lane]
-        assert got.tolist() == np.concatenate(alone).tolist()
+        lanes += [[0], [0, 5], [4, 0, 6], [3, 0], [0, 0, 2, 0], [0, 0]]
+        lanes += [list(rng.integers(0, 9, size=rng.integers(1, 6))) for _ in range(40)]
+        sentences = [rng.integers(-2, 3, size=(m, NUM_TAGS)).astype(float) for lane in lanes for m in lane]
+        got = viterbi_batch(lattice, sentences, [len(lane) for lane in lanes])
+        assert [ts.tags for ts in got] == [viterbi(lattice, w)[1].tags for w in sentences]
+        assert viterbi(lattice, np.zeros((0, NUM_TAGS))) == (0.0, TagSequence(()))
 
     def test_batch_of_one_is_viterbi(self):
         rng = np.random.default_rng(43)
         for n in (1, 7, 64):
             w = rng.integers(-2, 3, size=(n, NUM_TAGS)).astype(float)
-            assert viterbi_batch(LAT, w[None], [n])[0].tags == viterbi(LAT, w)[1].tags
+            assert viterbi_batch(LAT, [w])[0].tags == viterbi(LAT, w)[1].tags
 
     def test_rejects_bad_shapes_and_lengths(self):
-        w = np.zeros((2, 4, NUM_TAGS))
-        for lengths in ([4], [4, 5], [4, -1]):
+        w = np.zeros((8, NUM_TAGS))
+        # lengths that sum to fewer or more words than there are rows, or are negative
+        for lengths in ([4], [4, 5], [9, -1], [[4, 4]]):
             with pytest.raises(ValueError):
-                viterbi_batch(LAT, w, lengths)
-        with pytest.raises(ValueError):
-            viterbi_batch(LAT, np.zeros((4, NUM_TAGS)), [4])
-        # lanes of several sentences that overflow, hold an empty sentence, or miscount
-        for lengths, lanes in (([2, 3, 1], [2, 1]), ([2, 0, 1], [2, 1]), ([2, 2, 1], [2, 2]), ([2, 2], [2, 0])):
+                viterbi_rows(LAT, w, lengths)
+        # weights that are not one row of ten per word
+        for bad in (np.zeros((2, 4, NUM_TAGS)), np.zeros((8, 4)), np.full((8, NUM_TAGS), np.nan)):
+            with pytest.raises(ValueError):
+                viterbi_rows(LAT, bad, [4, 4])
+        # lanes that hold more or fewer sentences than there are, or none
+        for lengths, lanes in (([2, 2, 4], [2, 2]), ([4, 4], [3]), ([4, 4], [2, 0]), ([4, 4], [[1, 1]])):
             with pytest.raises(ValueError):
                 viterbi_rows(LAT, w, lengths, lanes)
         # a batch of no sentences is no bad shape: it gives no tags
-        tags = viterbi_rows(LAT, np.zeros((0, 3, NUM_TAGS)), [])
+        tags = viterbi_rows(LAT, np.zeros((0, NUM_TAGS)), [])
         assert tags.shape == (0,) and tags.dtype.kind == "i"
 
 
 class TestEmptyLanguageInLanes:
     def test_a_sentence_without_a_path_raises_wherever_it_sits(self):
         # a grammar of even lengths only: a 3-word sentence has no accepting
-        # path, also as the second of its lane, whose first row is reset to
-        # the final row once its total is read
+        # path, first, between two others or last in its lane, next to 0-word
+        # sentences, and alone in its lane; a 0-word sentence has one
         even = build_lattice(Automaton(2, frozenset({(0, O, 0.0, 1), (1, O, 0.0, 0)}), 0, frozenset({0})))
-        w = np.zeros((2, 6, NUM_TAGS))
-        assert viterbi_rows(even, w, [2, 4, 6], [2, 1]).tolist() == [O.index] * 12
-        for lengths in ([2, 3], [3, 2], [1, 4]):
+        assert viterbi_rows(even, np.zeros((12, NUM_TAGS)), [2, 4, 6], [2, 1]).tolist() == [O.index] * 12
+        assert viterbi_rows(even, np.zeros((6, NUM_TAGS)), [0, 2, 0, 4, 0], [3, 2]).tolist() == [O.index] * 6
+        for lengths, lanes in (
+            ([2, 3, 6], [2, 1]), ([3, 2, 6], [2, 1]), ([1, 4, 6], [2, 1]), ([2, 3, 4], [3]),
+            ([0, 3, 0], [3]), ([3, 0], [2]), ([0, 3], [2]), ([0, 3], [1, 1]), ([3], [1]),
+        ):
             with pytest.raises(EmptyLanguage):
-                viterbi_rows(even, w, [*lengths, 6], [2, 1])
+                viterbi_rows(even, np.zeros((sum(lengths), NUM_TAGS)), lengths, lanes)
 
 
 class TestForward:
@@ -532,23 +532,24 @@ class TestHardEm:
                 hard_em_step(LAT, np.zeros((n, NUM_TAGS)), pl)
 
 
-def right_aligned(rng, sentences, pad_scale=5.0):
-    """A (B, n, 10) batch of the (n_b, 10) matrices, with random padding before each."""
-    n = max(len(w) for w in sentences)
-    batch = rng.uniform(-pad_scale, pad_scale, (len(sentences), n, NUM_TAGS))
-    for b, w in enumerate(sentences):
-        batch[b, n - len(w) :] = w
-    return batch
+def joined(sentences):
+    """The (words, 10) rows of the (n_s, 10) matrices, one after another."""
+    return np.concatenate([np.empty((0, NUM_TAGS)), *sentences])
 
 
-def packed(rng, lanes, n, pad_scale=5.0):
-    """An (L, n, 10) batch of lanes, lane b holding the (n_s, 10) matrices of
-    lanes[b] end to end, the last one ending at row n, after random padding."""
-    batch = rng.uniform(-pad_scale, pad_scale, (len(lanes), n, NUM_TAGS))
-    for b, lane in enumerate(lanes):
-        rows = np.concatenate(lane)
-        batch[b, n - len(rows) :] = rows
-    return batch
+def in_lanes(rng, layout, sentences, pad_scale=5.0):
+    """The (n, L, 10) chart rows of the (n_s, 10) matrices where layout
+    places them, and random values in the padding rows around them."""
+    n, lanes = layout.shape
+    batch = rng.uniform(-pad_scale, pad_scale, (n * lanes, NUM_TAGS))
+    batch[layout.cell] = joined(sentences)
+    return batch.reshape(n, lanes, NUM_TAGS)
+
+
+def word_rows(lengths):
+    """Each sentence's rows of a (words, ...) array."""
+    bounds = np.cumsum([0, *lengths])
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def random_labels(rng, mode, n):
@@ -575,10 +576,10 @@ class TestBatchedPosterior:
         for batch in range(1, 17):
             lengths = rng.integers(1, 301 if batch % 4 == 0 else 40, batch)
             sentences = [random_weights(rng, n, scale=rng.choice([0.5, 3.0, 30.0])) for n in lengths]
-            log_z, probs = _posterior(lattice, right_aligned(rng, sentences), lengths)
-            for b, w in enumerate(sentences):
+            log_z, probs = _posterior(lattice, joined(sentences), _layout(lengths))
+            for b, (w, rows) in enumerate(zip(sentences, word_rows(lengths))):
                 assert log_z[b] == forward(lattice, w)
-                assert np.array_equal(probs[b, lengths.max() - len(w) :], marginals(lattice, w))
+                assert np.array_equal(probs[rows], marginals(lattice, w))
 
     def test_log_fallback_in_a_batch(self, monkeypatch):
         calls = []
@@ -588,13 +589,13 @@ class TestBatchedPosterior:
         lengths = np.array([5, 9, 3, 12])
         sentences = [random_weights(rng, n) for n in lengths]
         sentences[1] = random_weights(rng, 9, scale=1e300)  # underflows in the scaled chart
-        log_z, probs = _posterior(LAT, right_aligned(rng, sentences), lengths)
+        log_z, probs = _posterior(LAT, joined(sentences), _layout(lengths))
         assert len(calls) == 1 and np.array_equal(calls[0][1], sentences[1])
-        assert np.all(np.isfinite(log_z)) and np.all(np.isfinite(probs[1, 3:]))
+        assert np.all(np.isfinite(log_z)) and np.all(np.isfinite(probs))
         calls.clear()
-        for b, w in enumerate(sentences):
+        for b, (w, rows) in enumerate(zip(sentences, word_rows(lengths))):
             assert log_z[b] == forward(LAT, w)
-            assert np.array_equal(probs[b, 12 - len(w) :], marginals(LAT, w))
+            assert np.array_equal(probs[rows], marginals(LAT, w))
         # alone, forward and marginals each fall back for the 1e300 sentence, and only for it
         assert len(calls) == 2 and all(np.array_equal(c[1], sentences[1]) for c in calls)
 
@@ -606,10 +607,10 @@ class TestBatchedPosterior:
         for n in [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233]:
             for scale in (0.1, 2.0, 20.0):
                 w = random_weights(rng, n, scale=scale)
-                (log_z,), probs = _posterior(lattice, w[None])
+                (log_z,), probs = _posterior(lattice, w, _layout([n]))
                 log_z_ref, probs_ref = _log_posterior(lattice, w)
                 assert abs(log_z - log_z_ref) <= 1e-12 * abs(log_z_ref)
-                assert np.max(np.abs(probs[0] - probs_ref)) <= 1e-12
+                assert np.max(np.abs(probs - probs_ref)) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["semantic", "structural"])
     def test_scaled_matches_log_chart_at_large_weights(self, mode):
@@ -621,11 +622,11 @@ class TestBatchedPosterior:
             for scale in (1e2, 3e2, 1e3, 1e4):
                 for _ in range(3):
                     w = random_weights(rng, n, scale=scale)
-                    (log_z,), probs = _posterior(lattice, w[None])
+                    (log_z,), probs = _posterior(lattice, w, _layout([n]))
                     log_z_ref, probs_ref = _log_posterior(lattice, w)
                     assert abs(log_z - log_z_ref) <= 1e-12 * abs(log_z_ref)
                     # the log chart rounds its log sums, up to n * scale, to eps of them
-                    assert np.max(np.abs(probs[0] - probs_ref)) <= max(1e-12, 4 * n * scale * np.finfo(float).eps)
+                    assert np.max(np.abs(probs - probs_ref)) <= max(1e-12, 4 * n * scale * np.finfo(float).eps)
 
     def test_subnormal_path_takes_the_log_chart(self):
         # the best path opens a mention at 740 below the word's best tag, and
@@ -636,23 +637,24 @@ class TestBatchedPosterior:
         w[0, CB.index] = -740.0
         w[1] = 300.0
         w[1, CI.index] = 1042.0
-        (log_z,), probs = _posterior(LAT, w[None])
+        (log_z,), probs = _posterior(LAT, w, _layout([2]))
         log_z_ref, probs_ref = _log_posterior(LAT, w)
         assert abs(log_z - log_z_ref) <= 1e-12 * abs(log_z_ref)
-        assert np.max(np.abs(probs[0] - probs_ref)) <= 1e-12
+        assert np.max(np.abs(probs - probs_ref)) <= 1e-12
 
     def test_scaled_chart_flags_possible_underflow(self):
         # a word's weights spanning more than 150 make the total NaN
-        w = np.zeros((2, 4, NUM_TAGS))
-        w[0, 1, CB.index] = -151.0
+        w = np.zeros((4, 2, NUM_TAGS))
+        w[1, 0, CB.index] = -151.0
         w[1, 1, CB.index] = -149.0
         for backward in (False, True):
-            log_z, _ = _chart(LAT, w, SCALED, backward=backward)
+            log_z, _ = _chart(LAT, w, SCALED, _layout([4, 4]), backward)
             assert np.isnan(log_z[:, 0]).all() and np.isfinite(log_z[:, 1]).all()
         # so does a cell below 1e-250
-        w = np.zeros((2, 6, NUM_TAGS))
-        w[..., CB.index] = w[..., CI.index] = -100.0
-        log_z, _ = _chart(build_lattice(chain_grammar()), w, SCALED, lengths=np.array([6, 5]))
+        layout = _layout([6, 5])
+        w = np.zeros((11, NUM_TAGS))
+        w[:, CB.index] = w[:, CI.index] = -100.0
+        log_z, _ = _chart(build_lattice(chain_grammar()), layout.padded(w), SCALED, layout)
         assert np.isnan(log_z[:, 0]).all() and np.isfinite(log_z[:, 1]).all()
 
     @pytest.mark.parametrize("small_half", [0, 1], ids=["forward", "backward"])
@@ -675,18 +677,18 @@ class TestBatchedPosterior:
         sentences = [random_weights(rng, n) for n in lengths]
         sentences[2] = np.zeros((12, NUM_TAGS))
         sentences[2][:, [CB.index, CI.index]] = -100.0
-        batch = right_aligned(rng, sentences)
-        log_z, _ = _chart(lattice, batch, SCALED, lengths)
+        layout = _layout(lengths)
+        log_z, _ = _chart(lattice, in_lanes(rng, layout, sentences), SCALED, layout)
         assert np.isnan(log_z[small_half, 2]) and np.isfinite(log_z[1 - small_half, 2])
         assert np.isfinite(np.delete(log_z, 2, axis=1)).all()
         calls = []
         log_posterior = inference._log_posterior
         monkeypatch.setattr(inference, "_log_posterior", lambda *a: calls.append(a) or log_posterior(*a))
-        log_z, probs = _posterior(lattice, batch, lengths)
+        log_z, probs = _posterior(lattice, joined(sentences), layout)
         assert len(calls) == 1 and np.array_equal(calls[0][1], sentences[2])
-        for b, w in enumerate(sentences):
+        for b, (w, rows) in enumerate(zip(sentences, word_rows(lengths))):
             assert log_z[b] == forward(lattice, w)
-            assert np.array_equal(probs[b, 12 - len(w) :], marginals(lattice, w))
+            assert np.array_equal(probs[rows], marginals(lattice, w))
 
     @pytest.mark.parametrize("mode", ["semantic", "structural"])
     def test_log_pass_matches_enumeration(self, language, mode):
@@ -703,7 +705,7 @@ class TestBatchedPosterior:
                 expected = np.zeros((n, NUM_TAGS))
                 for i in range(n):
                     np.add.at(expected[i], idx[:, i], np.exp(scores - log_z))
-                totals, _ = _chart(lattice, w[None], LOG)
+                totals, _ = _chart(lattice, w[:, None], LOG, _layout([n]))
                 assert totals[:, 0] == pytest.approx([log_z, log_z], rel=1e-12)
                 got_z, got = _log_posterior(lattice, w)
                 assert got_z == totals[0, 0]
@@ -717,23 +719,23 @@ class TestBatchedPosterior:
         for n in (9, 40):
             lengths = rng.permutation(np.arange(1, n + 1))
             sentences = [random_weights(rng, m, scale=rng.choice([0.5, 3.0, 30.0])) for m in lengths]
-            batch = right_aligned(rng, sentences)
-            log_z, probs = _posterior(lattice, batch, lengths)
-            log_totals, _ = _chart(lattice, batch, LOG, lengths)
-            for b, w in enumerate(sentences):
+            layout = _layout(lengths)
+            log_z, probs = _posterior(lattice, joined(sentences), layout)
+            log_totals, _ = _chart(lattice, in_lanes(rng, layout, sentences), LOG, layout)
+            for b, (w, rows) in enumerate(zip(sentences, word_rows(lengths))):
                 assert log_z[b] == forward(lattice, w)
-                assert np.array_equal(probs[b, n - len(w) :], marginals(lattice, w))
-                assert np.array_equal(log_totals[:, b], _chart(lattice, w[None], LOG)[0][:, 0])
+                assert np.array_equal(probs[rows], marginals(lattice, w))
+                assert np.array_equal(log_totals[:, b], _chart(lattice, w[:, None], LOG, _layout([len(w)]))[0][:, 0])
 
     def test_unusable_cells_exactly_zero(self):
         rng = np.random.default_rng(73)
         lengths = np.array([4, 1, 7])
         sentences = [random_weights(rng, n) for n in lengths]
-        _, probs = _posterior(LAT, right_aligned(rng, sentences), lengths)
-        for b, w in enumerate(sentences):
+        _, probs = _posterior(LAT, joined(sentences), _layout(lengths))
+        for w, rows in zip(sentences, word_rows(lengths)):
             usable = marginals(LAT, np.zeros_like(w)) > 0
-            assert np.all(probs[b, 7 - len(w) :][~usable] == 0.0)
-            assert np.all(probs[b, 7 - len(w) :][usable] > 0.0)
+            assert np.all(probs[rows][~usable] == 0.0)
+            assert np.all(probs[rows][usable] > 0.0)
 
 
 class TestChartOracle:
@@ -742,7 +744,8 @@ class TestChartOracle:
 
     @staticmethod
     def assert_same_bits(lattice, batch, sr, lengths, backward):
-        totals, charts = _chart(lattice, batch, sr, lengths, backward)
+        # batch holds lane b's rows at batch[b], its sentence first, as _layout places it
+        totals, charts = _chart(lattice, batch.transpose(1, 0, 2), sr, _layout(lengths), backward)
         ref_totals, ref_charts = chart_reference(lattice, batch, sr, lengths, backward)
         assert totals.shape == ref_totals.shape
         assert np.array_equal(totals.view(np.int64), ref_totals.view(np.int64))
@@ -771,7 +774,7 @@ class TestChartOracle:
             sentences[1][1, CI.index] = 1042.0
             lengths[1] = 2
         # padding whose scores differ by up to 1,000: exp underflows, and a padded row can lose all its mass
-        batch_weights = right_aligned(rng, sentences, pad_scale=500.0)
+        batch_weights = in_lanes(rng, _layout(lengths), sentences, pad_scale=500.0).transpose(1, 0, 2)
         totals = self.assert_same_bits(lattice, batch_weights, sr, lengths, backward)
         if sr is SCALED and batch > 1:
             assert np.isnan(totals).any() and np.isfinite(totals).any()
@@ -780,39 +783,27 @@ class TestChartOracle:
     @pytest.mark.parametrize("sr", [TROPICAL, SCALED, LOG], ids=lambda s: s.name)
     @pytest.mark.parametrize("mode", ["semantic", "structural"])
     def test_each_lane_resets_to_each_sentence_alone(self, mode, sr, backward):
-        # lanes of one to six sentences end to end, after padding whose scores
-        # differ by up to 1,000: each sentence's rows of its lane's charts, and
-        # its totals, are the bits chart_reference gives it alone, except that
-        # the row between two sentences holds each chart's reset
+        # lanes of one to six sentences end to end, 0-word ones included, with
+        # padding whose scores differ by up to 1,000 between them and after
+        # them: each sentence's rows of its lane's charts, from its first row
+        # to the row after its last word, and its totals, are the bits
+        # chart_reference gives it alone
         lattice = build_lattice(grammar_automaton(mode))
         rng = np.random.default_rng(131)
-        n = 40
-        lanes = [[40], [1] * 6, [20, 20], [1, 39], [12, 3, 1]]
-        lanes += [rng.integers(1, 9, size=rng.integers(1, 7)).tolist() for _ in range(20)]
+        lanes = [[40], [1] * 6, [20, 19], [1, 38], [12, 3, 1], [0], [0, 4], [5, 0, 2], [6, 0], [0, 0, 0]]
+        lanes += [rng.integers(0, 9, size=rng.integers(1, 7)).tolist() for _ in range(20)]
         scales = [0.5, 3.0, 30.0, 300.0]
-        sentences = [[random_weights(rng, m, scale=rng.choice(scales)) for m in lane] for lane in lanes]
-        sentences[2][1][5, CB.index] -= 1000.0  # weights spanning more than 150 flag the scaled chart
-        lengths = np.array([len(x) for lane in sentences for x in lane])
-        layout = _layout(n, lengths, np.array([len(lane) for lane in lanes]))
-        totals, charts = _chart(lattice, packed(rng, sentences, n, pad_scale=500.0), sr, backward=backward, layout=layout)
+        sentences = [random_weights(rng, m, scale=rng.choice(scales)) for lane in lanes for m in lane]
+        sentences[8][5, CB.index] -= 1000.0  # weights spanning more than 150 flag the scaled chart
+        layout = _layout([len(x) for x in sentences], [len(lane) for lane in lanes])
+        assert layout.shape == (40, len(lanes))
+        totals, charts = _chart(lattice, in_lanes(rng, layout, sentences, pad_scale=500.0), sr, layout, backward)
         same = lambda a, b: np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
-        k = 0
-        for lane, mine in enumerate(sentences):
-            row = n - sum(map(len, mine))
-            for j, x in enumerate(mine):
-                ref_totals, ref_charts = chart_reference(lattice, x[None], sr, backward=backward)
-                assert same(totals[:, k], ref_totals[:, 0])
-                for half, (chart, ref) in enumerate(zip(charts, ref_charts)):
-                    rows, ref = chart[row : row + len(x) + 1, :, lane], ref[:, 0]
-                    if not backward and half == 0 and j + 1 < len(mine):  # the next sentence's initial row
-                        assert same(rows[-1], ref[0])
-                        rows, ref = rows[:-1], ref[:-1]
-                    elif (backward or half == 1) and j > 0:  # the previous sentence's final row
-                        assert same(rows[0], ref[-1])
-                        rows, ref = rows[1:], ref[1:]
-                    assert same(rows, ref)
-                row += len(x)
-                k += 1
+        for k, (x, lane, start) in enumerate(zip(sentences, layout.lane, layout.starts)):
+            ref_totals, ref_charts = chart_reference(lattice, x[None], sr, backward=backward)
+            assert same(totals[:, k], ref_totals[:, 0])
+            for chart, ref in zip(charts, ref_charts):
+                assert same(chart[start : start + len(x) + 1, :, lane], ref[:, 0])
         if sr is SCALED:  # the 1,000 below sits in sentence 8, the second of lane 2
             assert np.isnan(totals[:, 8]).all() and np.isfinite(totals).any()
 
@@ -839,22 +830,22 @@ class TestBatchLosses:
             lengths = rng.integers(1, 30, batch)
             labels = [random_labels(rng, mode, n) for n in lengths]
             sentences = [random_weights(rng, n) for n in lengths]
-            n = lengths.max()
-            losses, grad = batch_losses(build_lattice(grammar), right_aligned(rng, sentences), lengths, labels, loss)
-            rows = np.cumsum([0, *lengths])
-            for b, (w, pl) in enumerate(zip(sentences, labels)):
+            losses, grad = batch_losses(build_lattice(grammar), joined(sentences), lengths, labels, loss)
+            for b, (w, pl, rows) in enumerate(zip(sentences, labels, word_rows(lengths))):
                 alone_loss, alone_grad = LIBRARY_LOSSES[loss](build_lattice(grammar), w, pl)
                 assert losses[b] == alone_loss
-                assert np.array_equal(grad[rows[b] : rows[b + 1]], alone_grad)
+                assert np.array_equal(grad[rows], alone_grad)
         # a batch of no sentences gives no losses and no gradient rows
-        losses, grad = batch_losses(build_lattice(grammar), np.zeros((0, 3, NUM_TAGS)), [], [], loss)
+        losses, grad = batch_losses(build_lattice(grammar), np.zeros((0, NUM_TAGS)), [], [], loss)
         assert losses.shape == (0,) and grad.shape == (0, NUM_TAGS)
 
     def test_rejects_mismatched_labels_and_unknown_loss(self):
         rng = np.random.default_rng(83)
         labels = [random_labels(rng, "semantic", 4), random_labels(rng, "semantic", 3)]
-        w = np.zeros((2, 4, NUM_TAGS))
+        w = np.zeros((7, NUM_TAGS))
         with pytest.raises(ValueError):
             batch_losses(LAT, w, [3, 4], labels, "nll")
+        with pytest.raises(ValueError):
+            batch_losses(LAT, w[:6], [4, 3], labels, "nll")
         with pytest.raises(ValueError):
             batch_losses(LAT, w, [4, 3], labels, "mle")

@@ -4,7 +4,7 @@ import pytest
 from disctag import model, scheme
 from disctag.automata import build_lattice, grammar_automaton
 from disctag.errors import ConfigError, EncodingViolation
-from disctag.inference import PartialLabelSet, nll, random_well_formed, viterbi_rows
+from disctag.inference import PartialLabelSet, _layout, nll, random_well_formed, viterbi_rows
 from disctag.model import (
     FEATURES,
     LinearScorer,
@@ -643,7 +643,7 @@ class TestPredict:
         calls = []
 
         def counted(lat, weights, lengths, lanes):
-            calls.append((weights.shape[1], list(lanes)))
+            calls.append((_layout(lengths, lanes).shape[0], list(lanes)))
             return viterbi_rows(lat, weights, lengths, lanes)
 
         monkeypatch.setattr(model, "viterbi_rows", counted)
