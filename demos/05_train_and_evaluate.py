@@ -16,7 +16,7 @@ from disctag import (
     synthetic_records,
     train,
 )
-from disctag.corpus import annotate, filter_incompatible
+from disctag.corpus import filter_incompatible
 from disctag.model import predict_tags
 
 logging.basicConfig(level=logging.INFO, format="%(message)s")
@@ -25,8 +25,8 @@ records = synthetic_records(count=60, length=10, seed=7)
 kept, dropped = filter_incompatible(records)
 print(f"synthetic corpus: {len(kept)} sentences kept, {len(dropped)} dropped")
 
-data = [(r.tokens, annotate(r)) for r in kept]
-gold = [r.mentions for r in kept]
+data = [(r.tokens, ann) for r, ann in kept]
+gold = [r.mentions for r, _ in kept]
 
 for loss in ("nll", "partial", "hard-em"):
     scorer = train(
@@ -35,7 +35,7 @@ for loss in ("nll", "partial", "hard-em"):
         mode="semantic",
         dim=2**14,
     )
-    predicted = [predict(scorer, r.tokens) for r in kept]
+    predicted = [predict(scorer, tokens) for tokens, _ in data]
     report = evaluate(gold, predicted)
     print(f"\nloss={loss}: training-set mention F1 = {report.f1:.3f} "
           f"(discontinuous-only F1 = {report.disc_f1:.3f})")

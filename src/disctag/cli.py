@@ -8,6 +8,7 @@ bounds), 2 on I/O or parse errors.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import logging
@@ -16,7 +17,7 @@ import sys
 
 from . import corpus as corpus_io
 from .automata import export_text, grammar_automaton, minimize
-from .errors import ConfigError, DisctagError, Incompatible, LengthMismatch, ParseError
+from .errors import ConfigError, DisctagError, LengthMismatch, ParseError
 from .model import LinearScorer, TrainConfig, predict_rows, train
 from .scheme import encode_batch, is_well_formed_batch, mention_table
 
@@ -136,14 +137,12 @@ def _cmd_encode(args) -> int:
     """``encode``, and ``silver``, which orients sets by its lexicon first."""
     records = corpus_io.read_corpus(args.corpus)
     lexicon = corpus_io.Lexicon.from_file(args.lexicon) if args.command == "silver" else None
-    anns = []
-    for i, record in enumerate(records, start=1):
-        try:
-            ann = corpus_io.annotate(record)
-        except Incompatible as err:
-            print(f"error: record {i}: incompatible ({err.reason})", file=sys.stderr)
-            return 1
-        anns.append(ann if lexicon is None else corpus_io.silver_type(ann, record.tokens, lexicon))
+    kept, dropped = corpus_io.filter_incompatible(records)
+    if dropped:
+        position, _, reason = dropped[0]
+        print(f"error: record {position + 1}: incompatible ({reason})", file=sys.stderr)
+        return 1
+    anns = [ann if lexicon is None else corpus_io.silver_type(ann, r.tokens, lexicon) for r, ann in kept]
     if lexicon is not None:
         resolved = [s.resolved for ann in anns for s in ann.sets]
         print(f"sets disambiguated by the lexicon: {sum(resolved)}; left latent: {resolved.count(False)}",
@@ -181,30 +180,20 @@ def _cmd_stats(args) -> int:
 def _cmd_filter(args) -> int:
     records = corpus_io.read_corpus(args.corpus)
     kept, dropped = corpus_io.filter_incompatible(records)
-    by_reason: dict[str, int] = {}
-    for _, reason in dropped:
-        by_reason[reason] = by_reason.get(reason, 0) + 1
-    for reason, count in sorted(by_reason.items()):
+    for reason, count in sorted(collections.Counter(reason for _, _, reason in dropped).items()):
         print(f"dropped {count} record(s): {reason}", file=sys.stderr)
     print(f"kept {len(kept)}/{len(records)} records", file=sys.stderr)
-    _write(args.output, corpus_io.corpus_text(kept))
+    _write(args.output, corpus_io.corpus_text(r for r, _ in kept))
     return 0
 
 
 def _cmd_train(args) -> int:
     records = corpus_io.read_corpus(args.corpus)
     lexicon = corpus_io.Lexicon.from_file(args.lexicon) if args.lexicon else None
-    data = []
-    for record in records:
-        try:
-            ann = corpus_io.annotate(record)
-        except Incompatible:
-            continue
-        if lexicon is not None:
-            ann = corpus_io.silver_type(ann, record.tokens, lexicon)
-        data.append((record.tokens, ann))
-    if len(data) < len(records):
-        print(f"ignoring {len(records) - len(data)} incompatible record(s)", file=sys.stderr)
+    kept, dropped = corpus_io.filter_incompatible(records)
+    data = [(r.tokens, ann if lexicon is None else corpus_io.silver_type(ann, r.tokens, lexicon)) for r, ann in kept]
+    if dropped:
+        print(f"ignoring {len(dropped)} incompatible record(s)", file=sys.stderr)
     config = TrainConfig(
         loss=args.loss,
         epochs=args.epochs,

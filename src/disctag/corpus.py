@@ -9,6 +9,9 @@ File formats (all UTF-8):
 - **tag file**: one space-separated tag sequence per line, aligned with the
   records of a corpus file.
 - **lexicon**: one entry per line; matching is lowercased, exact, whole-word.
+
+:func:`filter_incompatible` is the one compatibility pass: the commands that
+need records' annotations, or why a record has none, take them from it.
 """
 
 from __future__ import annotations
@@ -203,16 +206,19 @@ def annotate(record: CorpusRecord) -> SentenceAnnotation:
 
 def filter_incompatible(
     records: Iterable[CorpusRecord],
-) -> tuple[list[CorpusRecord], list[tuple[CorpusRecord, str]]]:
-    """Split records into encodable ones and dropped ones with reasons."""
+) -> tuple[list[tuple[CorpusRecord, SentenceAnnotation]], list[tuple[int, CorpusRecord, str]]]:
+    """Split records into encodable and dropped ones, annotating each once.
+
+    Returns each kept record with its :func:`annotate` annotation, and each
+    dropped one as ``(position, record, reason)``: its 0-based position in
+    ``records`` and the :class:`Incompatible` reason of its leftmost failing set.
+    """
     kept, dropped = [], []
-    for record in records:
+    for position, record in enumerate(records):
         try:
-            annotate(record)
+            kept.append((record, annotate(record)))
         except Incompatible as err:
-            dropped.append((record, err.reason))
-        else:
-            kept.append(record)
+            dropped.append((position, record, err.reason))
     return kept, dropped
 
 

@@ -660,3 +660,26 @@ def write_tag_file(sequences: Iterable[TagSequence], path) -> None:
 def write_corpus(records, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(corpus_text(records))
+
+
+# Compatible records first, then one record of each incompatibility reason
+# and two records with incompatible sets of two kinds, where the leftmost
+# set's reason is the record's.  The first incompatible record is record 3.
+MIXED_CORPUS = (
+    "pain in arms and shoulders\n0-1;2-2|0-1;4-4\n\n"
+    "no problems at all\n\n\n"
+    "muscle aches in elbows and knees\n0-0;2-2;4-4\n\n"
+    "a b c d\n0-3|1-3\n\n"
+    "sore and stiff\n0-0;2-2\n\n"
+    "a b c d e\n0-0;4-4|2-2\n\n"
+    "a b c d e f g h i\n0-0;2-2;4-4|6-6;8-8|6-6\n\n"
+    "a b c d e f g h i\n0-0;2-2|0-0|4-4;6-6;8-8\n"
+)
+# (0-based position, reason) of each incompatible record of MIXED_CORPUS
+MIXED_DROPPED = [
+    (2, THREE_WAY_SPLIT),
+    (3, PARTIAL_OVERLAP),
+    (5, SPAN_CONFLICT),
+    (6, THREE_WAY_SPLIT),
+    (7, PARTIAL_OVERLAP),
+]

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disctag import cli, model
+from disctag import corpus as corpus_module
 from disctag.cli import main
 from disctag.corpus import (
     Lexicon,
@@ -20,7 +21,15 @@ from disctag.corpus import (
 from disctag.model import LinearScorer, TrainConfig, predict_tags, train
 from disctag.scheme import NUM_TAGS, TAGS, decode
 
-from conftest import MALFORMED_MODELS, is_structural, read_tag_file, write_corpus, write_model
+from conftest import (
+    MALFORMED_MODELS,
+    MIXED_CORPUS,
+    MIXED_DROPPED,
+    is_structural,
+    read_tag_file,
+    write_corpus,
+    write_model,
+)
 
 
 @pytest.fixture
@@ -58,6 +67,13 @@ def trained_model(tmp_path):
     )
     assert code == 0
     return train_path, model_path
+
+
+@pytest.fixture
+def mixed_corpus_file(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_text(MIXED_CORPUS, encoding="utf-8")
+    return path
 
 
 class TestParser:
@@ -140,6 +156,14 @@ class TestEncodeDecode:
         assert main(["encode", str(bad)]) == 1
         assert capsys.readouterr().err == "error: record 1: incompatible (three-way-split)\n"
 
+    @pytest.mark.parametrize("command", ["encode", "silver"])
+    def test_first_incompatible_record_is_named(self, mixed_corpus_file, tmp_path, capsys, command):
+        lexicon = tmp_path / "parts.txt"
+        lexicon.write_text("arms\n", encoding="utf-8")
+        argv = [command, str(mixed_corpus_file)] + (["--lexicon", str(lexicon)] if command == "silver" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: record 3: incompatible (three-way-split)\n")
+
     def test_decode_standalone(self, tmp_path, capsys):
         tags = tmp_path / "tags.txt"
         tags.write_text("DB-Bx DI-Ix DI-By DI-O DI-By\n", encoding="utf-8")
@@ -206,6 +230,23 @@ class TestStatsFilterSilver:
         err = capsys.readouterr().err
         assert "three-way-split" in err
         assert len(read_corpus(out)) == 1
+
+    @pytest.mark.parametrize("command", ["encode", "silver", "train", "filter", "stats"])
+    def test_one_annotate_call_per_record(self, corpus_file, mixed_corpus_file, tmp_path, monkeypatch, command):
+        calls = []
+        monkeypatch.setattr(corpus_module, "annotate", lambda record: calls.append(record) or annotate(record))
+        lexicon = tmp_path / "parts.txt"
+        lexicon.write_text("arms\n", encoding="utf-8")
+        out = str(tmp_path / "out")
+        path, options = {
+            "encode": (corpus_file, ["-o", out]),
+            "silver": (corpus_file, ["--lexicon", str(lexicon), "-o", out]),
+            "train": (mixed_corpus_file, ["--model", out, "--epochs", "1", "--dim", "64"]),
+            "filter": (mixed_corpus_file, ["-o", out]),
+            "stats": (mixed_corpus_file, []),
+        }[command]
+        assert main([command, str(path), *options]) == 0
+        assert calls == read_corpus(path)
 
     def test_silver_disambiguates(self, corpus_file, tmp_path, capsys):
         lexicon = tmp_path / "parts.txt"
@@ -379,6 +420,19 @@ class TestTrainPredictEval:
         assert main(argv) == 0
         expected = train(data, TrainConfig(loss=loss, epochs=3), dim=4096)
         assert np.array_equal(LinearScorer.load(model_path).params, expected.params)
+
+    def test_train_ignores_incompatible_records(self, mixed_corpus_file, tmp_path, capsys):
+        kept = tmp_path / "kept.txt"
+        assert main(["filter", str(mixed_corpus_file), "-o", str(kept)]) == 0
+        capsys.readouterr()
+        models = []
+        for path in (mixed_corpus_file, kept):
+            models.append(tmp_path / f"{path.stem}.npz")
+            assert main(["train", str(path), "--model", str(models[-1]), "--epochs", "2", "--dim", "256"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("ignoring") == 1
+        assert err.startswith(f"ignoring {len(MIXED_DROPPED)} incompatible record(s)\n")
+        assert models[0].read_bytes() == models[1].read_bytes()
 
     def test_model_written_to_the_path_given(self, corpus_file, tmp_path, capsys):
         model_path = tmp_path / "m"  # no .npz suffix

@@ -22,10 +22,10 @@ from disctag.corpus import (
     synthetic_records,
     table_text,
 )
-from disctag.errors import LengthMismatch, ParseError
+from disctag.errors import Incompatible, LengthMismatch, ParseError
 from disctag.scheme import ComponentType, Mention, TagSequence, as_rows, encode, from_two_layer, mention_table
 
-from conftest import read_tag_file, write_corpus, write_tag_file
+from conftest import MIXED_CORPUS, MIXED_DROPPED, read_tag_file, write_corpus, write_tag_file
 
 GOLDEN = """pain in arms and shoulders
 0-1;2-2|0-1;4-4
@@ -160,7 +160,7 @@ class TestFilterAndStats:
     def test_three_component_record_dropped_with_reason(self):
         kept, dropped = filter_incompatible([INCOMPATIBLE])
         assert not kept
-        assert dropped[0][1] == "three-way-split"
+        assert dropped == [(0, INCOMPATIBLE, "three-way-split")]
 
     def test_counts_per_reason_on_mixed_corpus(self):
         good = synthetic_records(4, length=6, seed=3)
@@ -169,17 +169,29 @@ class TestFilterAndStats:
         )
         records = good + [INCOMPATIBLE, partial]
         kept, dropped = filter_incompatible(records)
-        assert len(kept) == 4
-        assert sorted(reason for _, reason in dropped) == [
-            "partial-overlap",
-            "three-way-split",
-        ]
+        assert [record for record, _ in kept] == good
+        assert dropped == [(4, INCOMPATIBLE, "three-way-split"), (5, partial, "partial-overlap")]
 
     def test_filter_is_idempotent(self):
         records = synthetic_records(5, length=8, seed=9) + [INCOMPATIBLE]
         kept, _ = filter_incompatible(records)
-        again, dropped = filter_incompatible(kept)
+        again, dropped = filter_incompatible(record for record, _ in kept)
         assert again == kept and not dropped
+
+    def test_positions_reasons_and_annotations(self, tmp_path):
+        path = tmp_path / "mixed.txt"
+        path.write_text(MIXED_CORPUS, encoding="utf-8")
+        records = read_corpus(path)
+        kept, dropped = filter_incompatible(records)
+        assert [(position, reason) for position, _, reason in dropped] == MIXED_DROPPED
+        for position, record, reason in dropped:
+            assert record is records[position]
+            with pytest.raises(Incompatible) as err:
+                annotate(record)
+            assert err.value.reason == reason
+        positions = {position for position, _ in MIXED_DROPPED}
+        assert [record for record, _ in kept] == [r for i, r in enumerate(records) if i not in positions]
+        assert [ann for _, ann in kept] == [annotate(record) for record, _ in kept]
 
     def test_stats_empty(self):
         assert stats([]) == CorpusStats(0, 0, 0, 0)

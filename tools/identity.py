@@ -1,7 +1,8 @@
-"""Identity manifest: the SHA-256 of every model and prediction a tree makes.
+"""Identity manifest: the SHA-256 of everything a tree's commands print and write.
 
 Writes the corpora of the three benchmark workloads (``perfbench/workloads.py``,
-imported unchanged) for each seed, then runs fresh ``python -m disctag.cli``
+imported unchanged) for each seed, a lexicon, a small corpus of incompatible
+records and a few bad inputs, then runs fresh ``python -m disctag.cli``
 processes against the given tree's ``src/``:
 
 - ``train`` of each model, in both ``--mode``s: predict-short with ``--epochs 2``;
@@ -10,16 +11,30 @@ processes against the given tree's ``src/``:
   --learning-rate 0.1``;
 - ``predict`` with each predict-short and predict-long model on its input, and
   with each train-partial ``partial`` model on the held-out set, each in both
-  modes.
+  modes;
+- ``encode``, ``silver`` (with the lexicon, which resolves some sets and leaves
+  others latent), ``filter`` and ``stats`` on each workload's training corpus,
+  then ``validate`` and ``decode``, with and without ``--corpus``, on each
+  ``encode`` output;
+- ``automaton-export`` in both modes, with and without ``--minimal``;
+- ``encode``, ``silver``, ``filter``, ``stats`` and ``train`` on the
+  incompatible corpus.  It holds one record of each incompatibility reason,
+  the first of them record 3, and records with two incompatible sets of
+  different kinds.  The workload corpora hold no incompatible record, so this
+  corpus is the only one that reaches those paths;
+- bad inputs: a byte that is not UTF-8, a record without its mention line, an
+  unknown tag symbol, a ``decode --corpus`` length mismatch and a model file
+  that is not a model.
 
-It prints one sorted line per artefact, ``<sha256> <exit code> <name>``, so two
-trees give the same outputs exactly when their manifests are equal::
+It prints one sorted line per artefact, ``<sha256> <exit code> <name>``: for
+each run, the output file it was given (``missing`` when it wrote none), and
+its stdout and stderr (``<name>:stdout``, ``<name>:stderr``) with the path of
+the work directory replaced by ``<work>``.  Two trees give the same outputs
+exactly when their manifests are equal::
 
     python tools/identity.py --src /path/to/other/src > other.txt
     python tools/identity.py > this.txt
     diff other.txt this.txt
-
-Three seeds give 30 models and 36 predictions.
 """
 
 from __future__ import annotations
@@ -46,12 +61,36 @@ MODEL_OPTIONS = {
 TRAIN_OPTIONS = ["--epochs", "2", "--learning-rate", "0.1"]
 SEEDS = (101, 102, 103)
 WORKERS = 2
+# Markers of x-typed components (variant 0) orient the sets they occur in;
+# a set with none of them stays latent, as does one that also holds ``dby1``.
+LEXICON = "dbx0\ndix0 iix0\ndby1\n"
+# Two compatible records, then incompatible ones, one of each reason; in the
+# last two records the leftmost of two incompatible sets names the reason.
+INCOMPATIBLE = (
+    "pain in arms and shoulders\n0-1;2-2|0-1;4-4\n\n"
+    "no problems at all\n\n\n"
+    "muscle aches in elbows and knees\n0-0;2-2;4-4\n\n"
+    "a b c d\n0-3|1-3\n\n"
+    "sore and stiff\n0-0;2-2\n\n"
+    "a b c d e\n0-0;4-4|2-2\n\n"
+    "a b c d e f g h i\n0-0;2-2;4-4|6-6;8-8|6-6\n\n"
+    "a b c d e f g h i\n0-0;2-2|0-0|4-4;6-6;8-8\n"
+)
+BAD_INPUTS = {  # file name -> contents
+    "non-utf8.txt": b"pain in \xffarms\n0-1\n",
+    "no-mention-line.txt": b"pain in arms\n0-1\n\nit hurts",
+    "unknown-symbol.tags": b"O CB\nO XX\n",
+    "three-words.txt": b"pain in arms\n0-1\n",
+    "two-tags.tags": b"CB CI\n",
+    "not-a-model.npz": b"not a model\n",
+}
 
 
-def _jobs(seed: int, work: Path) -> tuple[list, list]:
-    """Write one seed's corpora under ``work``; return its ``train`` jobs and
-    its ``predict`` jobs, each ``(name, argv, output)``."""
-    trains, predicts = [], []
+def _model_jobs(seed: int, work: Path) -> tuple[list, list]:
+    """Write one seed's corpora under ``work``; return the jobs that need only
+    them and the jobs that read the first ones' outputs, each ``(name, argv,
+    output)`` with ``output`` None for a run that writes no file."""
+    first, second = [], []
 
     def emit(name: str, sentences, with_mentions: bool) -> Path:
         path = work / f"{name}.txt"
@@ -76,22 +115,78 @@ def _jobs(seed: int, work: Path) -> tuple[list, list]:
         for name, mode, options, predicted in models:
             model = work / f"{name}.npz"
             argv = ["train", str(train), "--model", str(model), *options, "--seed", str(seed), "--mode", mode]
-            trains.append((f"{name}.npz", argv, model))
+            first.append((f"{name}.npz", argv, model))
             for decode in MODES if predicted else ():
                 output = work / f"{name}.predict-{decode}.txt"
                 argv = ["predict", str(test), "--model", str(model), "-o", str(output), "--mode", decode]
-                predicts.append((f"{name}.predict-{decode}.txt", argv, output))
-    return trains, predicts
+                second.append((f"{name}.predict-{decode}.txt", argv, output))
+        lexicon, tags = str(work / "lexicon.txt"), str(work / stem / "encode.tags")
+
+        def written(name: str, *argv: str, stem=stem) -> tuple:
+            return (f"{stem}/{name}", [*argv, "-o", str(work / stem / name)], work / stem / name)
+
+        first += [
+            written("encode.tags", "encode", str(train)),
+            written("silver.tags", "silver", str(train), "--lexicon", lexicon),
+            written("filter.txt", "filter", str(train)),
+            (f"{stem}/stats", ["stats", str(train)], None),
+        ]
+        second += [
+            (f"{stem}/validate", ["validate", tags], None),
+            written("decode.txt", "decode", tags),
+            written("decode-corpus.txt", "decode", tags, "--corpus", str(train)),
+        ]
+    return first, second
 
 
-def _run(src: Path, work: Path, job) -> str:
-    """One fresh ``disctag`` process; its artefact's manifest line."""
+def _fixed_jobs(work: Path) -> list:
+    """Write the lexicon, the incompatible corpus and the bad inputs; return
+    the jobs that need no seed."""
+    (work / "lexicon.txt").write_text(LEXICON, encoding="utf-8")
+    mixed = work / "incompatible.txt"
+    mixed.write_text(INCOMPATIBLE, encoding="utf-8")
+    (work / "bad").mkdir()
+    for name, data in BAD_INPUTS.items():
+        (work / "bad" / name).write_bytes(data)
+    bad = {name: str(work / "bad" / name) for name in BAD_INPUTS}
+    jobs = [
+        (f"automaton-export-{mode}{suffix}", ["automaton-export", "--mode", mode, *flags], None)
+        for mode in MODES for suffix, flags in (("", []), ("-minimal", ["--minimal"]))
+    ]
+    jobs += [
+        ("incompatible/encode", ["encode", str(mixed)], None),
+        ("incompatible/silver", ["silver", str(mixed), "--lexicon", str(work / "lexicon.txt")], None),
+        ("incompatible/filter", ["filter", str(mixed)], None),
+        ("incompatible/stats", ["stats", str(mixed)], None),
+        ("incompatible/train.npz", ["train", str(mixed), "--model", str(work / "incompatible.npz"),
+                                    "--epochs", "2", "--dim", "256"], work / "incompatible.npz"),
+        ("bad/non-utf8", ["stats", bad["non-utf8.txt"]], None),
+        ("bad/no-mention-line", ["encode", bad["no-mention-line.txt"]], None),
+        ("bad/unknown-symbol", ["validate", bad["unknown-symbol.tags"]], None),
+        ("bad/decode-length-mismatch", ["decode", bad["two-tags.tags"], "--corpus", bad["three-words.txt"]], None),
+        ("bad/not-a-model", ["predict", bad["three-words.txt"], "--model", bad["not-a-model.npz"]], None),
+    ]
+    return jobs
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(src: Path, work: Path, job) -> list[str]:
+    """One fresh ``disctag`` process; its artefacts' manifest lines."""
     name, argv, output = job
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    code = subprocess.run([sys.executable, "-m", "disctag.cli", *argv], cwd=work, env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
-    digest = hashlib.sha256(output.read_bytes()).hexdigest() if output.exists() else "missing"
-    return f"{digest} {code} {name}"
+    proc = subprocess.run([sys.executable, "-m", "disctag.cli", *argv], cwd=work, env=env, capture_output=True)
+    code = proc.returncode
+    path = str(work).encode()
+    lines = [
+        f"{_digest(proc.stdout.replace(path, b'<work>'))} {code} {name}:stdout",
+        f"{_digest(proc.stderr.replace(path, b'<work>'))} {code} {name}:stderr",
+    ]
+    if output is not None:
+        lines.append(f"{_digest(output.read_bytes()) if output.exists() else 'missing'} {code} {name}")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,14 +198,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{src} holds no disctag package")
     with tempfile.TemporaryDirectory(prefix="disctag-identity-") as tmp:
         work = Path(tmp)
-        trains, predicts = [], []
+        first, second = _fixed_jobs(work), []
         for seed in SEEDS:
-            t, p = _jobs(seed, work)
-            trains += t
-            predicts += p
+            f, s = _model_jobs(seed, work)
+            first += f
+            second += s
+        lines = []
         with ThreadPoolExecutor(WORKERS) as pool:
-            lines = list(pool.map(lambda job: _run(src, work, job), trains))
-            lines += pool.map(lambda job: _run(src, work, job), predicts)
+            for jobs in (first, second):
+                for run_lines in pool.map(lambda job: _run(src, work, job), jobs):
+                    lines += run_lines
     print("\n".join(sorted(lines, key=lambda line: line.split(" ", 2)[2])))
     return 0
 
