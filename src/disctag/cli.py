@@ -158,13 +158,13 @@ def _cmd_decode(args) -> int:
     if args.corpus is None:
         _write(args.output, "".join(line + "\n" for line in corpus_io.mention_lines(table, count)))
         return 0
-    records = corpus_io.read_corpus(args.corpus)
-    if len(records) != count:
-        raise LengthMismatch(f"corpus has {len(records)} records but tag file has {count} sequences")
-    for record, n in zip(records, (bounds[1:] - bounds[:-1]).tolist()):
-        if record.n != n:
-            raise LengthMismatch(f"length mismatch for sentence {' '.join(record.tokens)!r}")
-    _write(args.output, corpus_io.table_text([r.tokens for r in records], table))
+    sentences = corpus_io._corpus_sentences(args.corpus)
+    if len(sentences) != count:
+        raise LengthMismatch(f"corpus has {len(sentences)} records but tag file has {count} sequences")
+    for tokens, n in zip(sentences, (bounds[1:] - bounds[:-1]).tolist()):
+        if len(tokens) != n:
+            raise LengthMismatch(f"length mismatch for sentence {' '.join(tokens)!r}")
+    _write(args.output, corpus_io.table_text(sentences, table))
     return 0
 
 
@@ -209,11 +209,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    records = corpus_io.read_corpus(args.corpus)
+    sentences = corpus_io._corpus_sentences(args.corpus)
     scorer = LinearScorer.load(args.model)
     output = contextlib.nullcontext() if args.output == "-" else _opened_first(args.output)
     with output:  # a path that cannot be written fails before predicting
-        sentences = [r.tokens for r in records]
         table = mention_table(*predict_rows(scorer, sentences, args.mode))
         _write(args.output, corpus_io.table_text(sentences, table))
     return 0

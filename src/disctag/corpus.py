@@ -19,7 +19,7 @@ from __future__ import annotations
 import gc
 import itertools
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,10 +93,11 @@ def format_mentions(mentions: MentionSet) -> str:
     )
 
 
-def _parse_mentions(text: str, line_no: int) -> MentionSet:
+def _parse_mentions(text: str, line_no: int) -> list[tuple[tuple[int, int], ...]]:
+    """The fragments ``(b, e)`` of each mention of a mention line, as written."""
     text = text.strip()
     if not text:
-        return frozenset()
+        return []
     mentions = []
     for chunk in text.split("|"):
         fragments = []
@@ -111,8 +112,8 @@ def _parse_mentions(text: str, line_no: int) -> MentionSet:
             if b < 0 or e < b:
                 raise ParseError(f"bad fragment range {frag!r}", line_no)
             fragments.append((b, e))
-        mentions.append(Mention(tuple(fragments)))
-    return frozenset(mentions)
+        mentions.append(tuple(fragments))
+    return mentions
 
 
 def _read_lines(path) -> list[str]:
@@ -129,27 +130,42 @@ def _read_lines(path) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
+def _parse_corpus(path) -> Iterator[tuple[list[str], list[tuple[tuple[int, int], ...]]]]:
+    """Each record's tokens, and the fragments ``(b, e)`` of each of its
+    mentions as written, of a corpus file, one record at a time.
+
+    Every check of :func:`read_corpus` is made here, record by record in line
+    order, so the first bad line raises its :class:`ParseError`; no record
+    object is built unless a mention lies outside its sentence, to name it.
+    """
+    numbered = enumerate(_read_lines(path), start=1)
+    for line_no, line in numbered:
+        if not line.strip():
+            continue
+        text = next(numbered, (0, None))[1]
+        if text is None:
+            raise ParseError("record is missing its mention line", line_no)
+        tokens = line.split()
+        fragments = _parse_mentions(text, line_no + 1)
+        if fragments and max(e for mention in fragments for _, e in mention) >= len(tokens):
+            try:
+                CorpusRecord(tokens, map(Mention, fragments))
+            except ValueError as err:
+                raise ParseError(str(err), line_no + 1) from None
+        if next(numbered, (0, ""))[1].strip():
+            raise ParseError("expected a blank line between records", line_no + 2)
+        yield tokens, fragments
+
+
+def _corpus_sentences(path) -> list[list[str]]:
+    """Each record's tokens of a corpus file, checked as :func:`read_corpus`
+    checks it, for the commands that read no mentions (``predict``, ``decode --corpus``)."""
+    return [tokens for tokens, _ in _parse_corpus(path)]
+
+
 def read_corpus(path) -> list[CorpusRecord]:
     """Parse a corpus file; raises :class:`ParseError` with a line number."""
-    lines = _read_lines(path)
-    records = []
-    i = 0
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        tokens = tuple(lines[i].split())
-        if i + 1 >= len(lines):
-            raise ParseError("record is missing its mention line", i + 1)
-        mentions = _parse_mentions(lines[i + 1], i + 2)
-        try:
-            records.append(CorpusRecord(tokens, mentions))
-        except ValueError as err:
-            raise ParseError(str(err), i + 2) from None
-        i += 2
-        if i < len(lines) and lines[i].strip():
-            raise ParseError("expected a blank line between records", i + 1)
-    return records
+    return [CorpusRecord(tokens, map(Mention, fragments)) for tokens, fragments in _parse_corpus(path)]
 
 
 def mention_lines(table: np.ndarray, count: int) -> list[str]:

@@ -85,7 +85,10 @@ def _fnv1a_continue(h: np.ndarray, flat: np.ndarray, starts: np.ndarray, lengths
     prefix, so the work is one ``uint64`` xor and multiply (wrapping mod
     ``2**64``) per byte.
     """
-    order = np.argsort(-lengths, kind="stable")
+    # descending by length, ties in place: a stable sort of an unsigned key
+    # no wider than 16 bits is numpy's radix sort
+    top = int(lengths.max(initial=0))
+    order = np.argsort((top - lengths).astype(np.min_scalar_type(top)), kind="stable")
     starts = starts[order]
     longer = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # longer[j]: ranges of more than j bytes
     h = h[order]
@@ -98,6 +101,7 @@ def _fnv1a_continue(h: np.ndarray, flat: np.ndarray, starts: np.ndarray, lengths
     return out
 
 
+_ASCII_LOWER = np.array([ord(chr(c).lower()) for c in range(128)], dtype=np.uint8)
 _PREFIX_HASHES = fnv1a(["w=", "w-1=", "w+1=", "pre=", "suf="])  # the five features of a type, in order
 
 
@@ -136,28 +140,41 @@ class LinearScorer:
         types.default_factory = types.__len__
         own = np.fromiter(map(types.__getitem__, itertools.chain.from_iterable(sentences)),
                           dtype=np.intp, count=lengths.sum())
-        # a type's strings are prefixes carried on over its bytes, or over the
-        # bytes of its first or last three characters (as many as characters if ASCII)
-        low = list(map(str.lower, types))
-        data = [t.encode("utf-8") for t in low]
-        size = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
-        pre, suf = np.minimum(size, 3), np.minimum(size, 3)
-        for i in np.flatnonzero(~np.fromiter(map(str.isascii, low), dtype=bool, count=len(low))):
-            pre[i], suf[i] = len(low[i][:3].encode("utf-8")), len(low[i][-3:].encode("utf-8"))
+        # A type's strings are prefixes carried on over the bytes of its
+        # lowercase, or of its first or last three characters.  An ASCII
+        # type's bytes are its code points lowered through a table, in place;
+        # any other type is lowered and encoded alone, its bytes after theirs,
+        # since its lowercase can differ in length (and lowering a joined
+        # string would not lower each type as it stands alone: final sigma).
+        points = np.frombuffer("".join(types).encode("utf-32-le"), dtype=np.uint32)
+        size = np.fromiter(map(len, types), dtype=np.int64, count=len(types))
         start = np.cumsum(size) - size
+        non_ascii = np.zeros(len(types), dtype=bool)
+        non_ascii[size > 0] = np.maximum.reduceat(points, start[size > 0]) > 127
+        pre, suf = np.minimum(size, 3), np.minimum(size, 3)
+        other = non_ascii.nonzero()[0]
+        low = list(map(str.lower, map(list(types).__getitem__, other.tolist())))
+        encoded = list(map(str.encode, low))
+        nbytes = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+        size[other] = nbytes
+        start[other] = nbytes.cumsum() - nbytes + len(points)
+        pre[other] = [len(t[:3].encode()) for t in low]
+        suf[other] = [len(t[-3:].encode()) for t in low]
         h = _fnv1a_continue(
-            np.tile(_PREFIX_HASHES, len(data)),
-            np.frombuffer(b"".join(data), dtype=np.uint8),
-            np.stack([start, start, start, start, start + size - suf], axis=1).ravel(),
-            np.stack([size, size, size, pre, suf], axis=1).ravel(),
+            np.repeat(_PREFIX_HASHES, len(types)),
+            np.concatenate([_ASCII_LOWER.take(points, mode="clip"), np.frombuffer(b"".join(encoded), dtype=np.uint8)]),
+            np.concatenate([start, start, start, start, start + size - suf]),
+            np.concatenate([size, size, size, pre, suf]),
         )
-        table = (h % np.uint64(self.dim)).astype(np.int64).reshape(-1, FEATURES)
-        prev, after = np.empty_like(own), np.empty_like(own)
-        prev[1:], after[:-1] = own[:-1], own[1:]
-        ends = np.cumsum(lengths)[lengths > 0]
-        prev[ends - lengths[lengths > 0]] = types["<bos>"]
-        after[ends - 1] = types["<eos>"]
-        return table[np.stack([own, prev, after, own, own], axis=1), np.arange(FEATURES)]
+        table = (h % np.uint64(self.dim)).astype(np.int64).reshape(FEATURES, -1)
+        # each word's w-1= and w+1= are its neighbours', or <bos> and <eos> past either end
+        rows = table.take(own, axis=1)
+        rows[1, 1:] = rows[1, :-1]
+        rows[2, :-1] = rows[2, 1:]
+        ends = np.cumsum(lengths[lengths > 0])
+        rows[1, ends - lengths[lengths > 0]] = table[1, types["<bos>"]]
+        rows[2, ends - 1] = table[2, types["<eos>"]]
+        return rows.T
 
     def score(self, tokens: Sequence[str]) -> np.ndarray:
         """Deterministic ``(n, 10)`` score matrix for a non-empty sentence."""

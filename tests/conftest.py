@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from disctag.automata import EdgeGroups
-from disctag.corpus import corpus_text, read_tag_rows
-from disctag.errors import PARTIAL_OVERLAP, SPAN_CONFLICT, THREE_WAY_SPLIT, EmptyLanguage, Incompatible
+from disctag.corpus import CorpusRecord, _read_lines, corpus_text, read_tag_rows
+from disctag.errors import PARTIAL_OVERLAP, SPAN_CONFLICT, THREE_WAY_SPLIT, EmptyLanguage, Incompatible, ParseError
 from disctag.inference import _SPAN, _TINY, SCALED, hard_em_step, nll, partial_nll, viterbi_rows
 from disctag.model import FEATURES, predict_rows
 from disctag.scheme import (
@@ -655,6 +655,54 @@ def write_tag_file(sequences: Iterable[TagSequence], path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for ts in sequences:
             handle.write(ts.symbols() + "\n")
+
+
+def _parse_mentions_reference(text: str, line_no: int) -> frozenset:
+    text = text.strip()
+    if not text:
+        return frozenset()
+    mentions = []
+    for chunk in text.split("|"):
+        fragments = []
+        for frag in chunk.split(";"):
+            parts = frag.split("-")
+            if len(parts) != 2:
+                raise ParseError(f"bad fragment {frag!r}", line_no)
+            try:
+                b, e = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"non-numeric fragment {frag!r}", line_no) from None
+            if b < 0 or e < b:
+                raise ParseError(f"bad fragment range {frag!r}", line_no)
+            fragments.append((b, e))
+        mentions.append(Mention(tuple(fragments)))
+    return frozenset(mentions)
+
+
+def read_corpus_reference(path) -> list[CorpusRecord]:
+    """A corpus file's records, each built as its lines are read.
+
+    The oracle for :func:`disctag.corpus.read_corpus`: the same records, or
+    the same :class:`ParseError` message and line."""
+    lines = _read_lines(path)
+    records = []
+    i = 0
+    while i < len(lines):
+        if not lines[i].strip():
+            i += 1
+            continue
+        tokens = tuple(lines[i].split())
+        if i + 1 >= len(lines):
+            raise ParseError("record is missing its mention line", i + 1)
+        mentions = _parse_mentions_reference(lines[i + 1], i + 2)
+        try:
+            records.append(CorpusRecord(tokens, mentions))
+        except ValueError as err:
+            raise ParseError(str(err), i + 2) from None
+        i += 2
+        if i < len(lines) and lines[i].strip():
+            raise ParseError("expected a blank line between records", i + 1)
+    return records
 
 
 def write_corpus(records, path) -> None:

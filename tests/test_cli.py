@@ -278,6 +278,23 @@ class TestTrainPredictEval:
         assert captured.err == "error: record 2 has 3 gold tokens but 5 predicted tokens\n"
         assert captured.out == ""
 
+    def test_predict_and_decode_corpus_build_no_records(self, corpus_file, tmp_path, monkeypatch):
+        model_path, tags, out = tmp_path / "m.npz", tmp_path / "tags.txt", tmp_path / "out.txt"
+        LinearScorer(dim=64).save(model_path)
+        assert main(["encode", str(corpus_file), "-o", str(tags)]) == 0
+        runs = [
+            ["predict", str(corpus_file), "--model", str(model_path), "-o", str(out)],
+            ["decode", str(tags), "--corpus", str(corpus_file), "-o", str(out)],
+        ]
+        want = [main(argv) == 0 and out.read_bytes() for argv in runs]
+        assert all(want)
+
+        def refuse(*args):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(corpus_module, "CorpusRecord", refuse)
+        assert [main(argv) == 0 and out.read_bytes() for argv in runs] == want
+
     def test_predict_empty_corpus_writes_an_empty_file(self, tmp_path):
         model_path, empty, out = tmp_path / "m.npz", tmp_path / "empty.txt", tmp_path / "pred.txt"
         LinearScorer(dim=8).save(model_path)

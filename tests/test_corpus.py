@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disctag.corpus import (
@@ -25,7 +25,7 @@ from disctag.corpus import (
 from disctag.errors import Incompatible, LengthMismatch, ParseError
 from disctag.scheme import ComponentType, Mention, TagSequence, as_rows, encode, from_two_layer, mention_table
 
-from conftest import MIXED_CORPUS, MIXED_DROPPED, read_tag_file, write_corpus, write_tag_file
+from conftest import MIXED_CORPUS, MIXED_DROPPED, read_corpus_reference, read_tag_file, write_corpus, write_tag_file
 
 GOLDEN = """pain in arms and shoulders
 0-1;2-2|0-1;4-4
@@ -34,7 +34,72 @@ it hurts
 """
 
 
+# Pieces of random corpus files: words and the Unicode whitespace between
+# them (str.split splits at all of it, lines break only at \n, \r\n and \r);
+# fragments that parse in a sentence of three or more words, among them the
+# signs and non-ASCII digits that int() accepts, and ones that are bad,
+# non-numeric, reversed or outside the sentence.
+WORDS = ["a", "pain", "\u0130", "\u65e5\u672c", "e\u0301"]
+SPACES = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000"]
+GOOD_FRAGMENTS = ["0-0", "1-2", "0-1", "2-2", " 1-1 ", "+1-1", "0-+2", "\u0661-\u0662", "\uff11-\uff11"]
+BAD_FRAGMENTS = ["2-1", "1", "1-2-3", "", "-", "x-1", "0-x", "0-9", "3_0-40", "1_0-2"]
+BLANKS = ["", " ", "\t", "\u3000", "\x1c"]
+NEWLINES = ["\n", "\r\n", "\r"]
+
+
+def _mention_line(fragments):
+    return st.lists(st.lists(st.sampled_from(fragments), min_size=1, max_size=3).map(";".join),
+                    max_size=3).map("|".join)
+
+
+@st.composite
+def corpus_files(draw) -> bytes:
+    """A corpus file of records with 0-2 blank lines after each (so some
+    lack their blank line), perhaps cut after any line, with mixed line ends
+    and perhaps none after the last line (so the last record may lack its
+    mention line); one mention line in eight may hold bad fragments, and one
+    file in eight a byte that is not UTF-8."""
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        words = draw(st.lists(st.tuples(st.sampled_from(SPACES), st.sampled_from(WORDS)), min_size=1, max_size=5))
+        bad = draw(st.integers(0, 7)) == 0
+        lines.append("".join(space + word for space, word in words))
+        lines.append(draw(_mention_line(GOOD_FRAGMENTS + BAD_FRAGMENTS if bad else GOOD_FRAGMENTS)))
+        lines += draw(st.lists(st.sampled_from(BLANKS), max_size=2))
+    if lines and draw(st.integers(0, 3)) == 0:
+        lines = lines[: draw(st.integers(0, len(lines) - 1)) + 1]
+    data = b"".join((line + draw(st.sampled_from(NEWLINES))).encode("utf-8") for line in lines)
+    if data and draw(st.booleans()):
+        data = data.removesuffix(b"\n").removesuffix(b"\r")  # a last line without its line end
+    if data and draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ParseError as err:
+        return str(err), err.line
+
+
 class TestCorpusIO:
+    @settings(max_examples=300, deadline=None)
+    @given(corpus_files())
+    @example(b"a b\n0-0\nc d\n1-1\n")  # missing blank line
+    @example(b"a b\n0-0\n\nc d")  # missing mention line
+    @example("a b c\n+1-1|\u0661-\u0662|3_0-40\n".encode("utf-8"))  # int() reads all three; 3_0 is 30
+    @example("a\u00a0b\x1cc\r\n0-2\r\rd\u3000e\r1-1\r".encode("utf-8"))  # Unicode whitespace, CRLF and CR
+    @example(b"a b\n2-1|x-1\n")  # reversed, then non-numeric: the first is named
+    @example(b"a b\n0-9;0-0|x\n")  # a bad fragment after one out of range
+    @example(b"a b\n0-1\n\n\xff\n")
+    def test_records_or_error_match_the_reference(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("parse") / "corpus.txt"
+        path.write_bytes(data)
+        assert _outcome(read_corpus, path) == _outcome(read_corpus_reference, path)
+
+
     def test_read_golden(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text(GOLDEN, encoding="utf-8")

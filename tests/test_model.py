@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from disctag import model, scheme
 from disctag.automata import build_lattice, grammar_automaton
@@ -42,6 +44,18 @@ from conftest import (
 
 # ASCII, two-byte, three-byte and four-byte UTF-8, and a NUL byte
 VOCABULARY = ["pain", "in", "Arms", "é", "café", "日本語", "語", "😀", "x😀y", "a\x00", "", "ÉTÉ"]
+
+
+# Types whose lowercase is longer (İ), depends on position in a joined string
+# (final sigma), holds combining marks, or is multi-byte and longer than
+# three characters; short types; types equal once lowercased; API tokens
+# with spaces in them.
+UNICODE_PIECES = [
+    "\u0130", "\u03a3", "\u03a3\u0391\u03a3", "\u03c3\u03b1\u03c2", "\u039f\u0394\u03a5\u03a3\u03a3\u0395\u03a5\u03a3",
+    "\u03c2", "e\u0301", "A\u0301\u0301\u0301", "patient's", "don\u2019t", "\u65e5\u672c\u8a9e\u30c6\u30ad\u30b9\u30c8",
+    "\u75db\u307f", "na\u00efvet\u00e9", "\u00c9T\u00c9", "\u00df", "\u1e9e", "\ufb01", "\u01c5", "a", "ab", "Ab", "AB",
+    "x y", " ", "\u00a0z", "<BOS>", "<eos>", "",
+]
 
 
 def random_sentences(rng, lengths):
@@ -99,6 +113,14 @@ class TestFnv1a:
         assert fnv1a_reference("a") == 0xAF63DC4C8601EC8C
         assert int(fnv1a(["a"])[0]) == 0xAF63DC4C8601EC8C
 
+    def test_lengths_across_sort_widths(self):
+        # lengths 0-300 sort as uint8 and uint16, and one over 65,535 bytes as uint32
+        rng = np.random.default_rng(5)
+        strings = [bytes(rng.integers(32, 127, size=k, dtype=np.uint8)).decode() for k in range(301)]
+        strings.append("\u65e5\u672c\u8a9e" * 7282 + "x")  # 65,539 bytes
+        rng.shuffle(strings)
+        assert [int(h) for h in fnv1a(strings)] == [fnv1a_reference(t) for t in strings]
+
     def test_feature_indices_hash_each_feature(self):
         tokens = ["Café", "日本語", "😀", "in"]
         rows = LinearScorer(dim=1000).batch_feature_indices([tokens])
@@ -134,6 +156,21 @@ class TestTypeHashing:
         assert rows.shape == (sum(map(len, sentences)), FEATURES)
         assert rows.tolist() == self.oracle_rows(sentences, dim)
         assert np.array_equal(rows, np.concatenate([scorer.batch_feature_indices([t]) for t in sentences]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.one_of(st.lists(st.sampled_from(UNICODE_PIECES), max_size=4).map("".join), st.text(max_size=6)),
+                     max_size=8),
+            max_size=6,
+        ),
+        st.sampled_from([7, 4099, 2**18]),
+    )
+    @example([["\u0130", "\u03a3\u03a3", "\u03c3\u03c2", "\u03a3"], [], ["x y", "X Y"]], 2**18)
+    def test_rows_match_the_reference_on_unicode_batches(self, sentences, dim):
+        rows = LinearScorer(dim=dim).batch_feature_indices(sentences)
+        assert rows.dtype == np.int64 and rows.shape == (sum(map(len, sentences)), FEATURES)
+        assert rows.tolist() == self.oracle_rows(sentences, dim)
 
     def test_random_batches_with_empty_sentences(self):
         rng = np.random.default_rng(37)

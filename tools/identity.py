@@ -22,6 +22,12 @@ processes against the given tree's ``src/``:
   the first of them record 3, and records with two incompatible sets of
   different kinds.  The workload corpora hold no incompatible record, so this
   corpus is the only one that reaches those paths;
+- ``train`` in both modes, ``predict`` with each model in both modes,
+  ``encode`` and ``decode --corpus`` on a small corpus of non-ASCII text: ``İ``
+  (whose lowercase is two code points), ``Σ`` in final and non-final
+  positions, combining marks, an apostrophe, CJK and multi-byte words of more
+  than three characters, with NBSP, U+3000 and ``\\x1c`` between tokens and
+  ``\\r\\n`` and ``\\r`` line ends;
 - bad inputs: a byte that is not UTF-8, a record without its mention line, an
   unknown tag symbol, a ``decode --corpus`` length mismatch and a model file
   that is not a model.
@@ -75,6 +81,17 @@ INCOMPATIBLE = (
     "a b c d e\n0-0;4-4|2-2\n\n"
     "a b c d e f g h i\n0-0;2-2;4-4|6-6;8-8|6-6\n\n"
     "a b c d e f g h i\n0-0;2-2|0-0|4-4;6-6;8-8\n"
+)
+# Non-ASCII text: types that lowercase to more code points, or differently
+# in a joined string (final sigma), affixes of multi-byte characters, and the
+# Unicode whitespace and line ends that split tokens and records.
+UNICODE = (
+    "\u0130stanbul\u00a0\u03a3\u0391\u03a3\u3000\u03c3 \u039f\u0394\u03a5\u03a3\u03a3\u0395\u03a5\u03a3\x1cpain\r\n"
+    "0-0|1-1;3-3\r\n\r\n"
+    "cafe\u0301 na\u00efvet\u00e9 \u65e5\u672c\u8a9e\u30c6\u30ad\u30b9\u30c8 patient's don\u2019t \u75db\u307f\r"
+    "1-2|4-5\r\r"
+    "\u03a3 \u0130 \u0130\u0130\u0130 \u03a3\u03a3 \u03c3\u03c2 \u03c2 A\u0301\u0301\u0301\u0301\n\n\n"
+    "muscle\u00a0aches in\u3000elbows and\x1cknees \u00c9T\u00c9\n0-1;3-3|0-1;5-5\n"
 )
 BAD_INPUTS = {  # file name -> contents
     "non-utf8.txt": b"pain in \xffarms\n0-1\n",
@@ -139,9 +156,9 @@ def _model_jobs(seed: int, work: Path) -> tuple[list, list]:
     return first, second
 
 
-def _fixed_jobs(work: Path) -> list:
-    """Write the lexicon, the incompatible corpus and the bad inputs; return
-    the jobs that need no seed."""
+def _fixed_jobs(work: Path) -> tuple[list, list]:
+    """Write the lexicon, the incompatible and non-ASCII corpora and the bad
+    inputs; return the jobs that need no seed, as :func:`_model_jobs` does."""
     (work / "lexicon.txt").write_text(LEXICON, encoding="utf-8")
     mixed = work / "incompatible.txt"
     mixed.write_text(INCOMPATIBLE, encoding="utf-8")
@@ -149,6 +166,9 @@ def _fixed_jobs(work: Path) -> list:
     for name, data in BAD_INPUTS.items():
         (work / "bad" / name).write_bytes(data)
     bad = {name: str(work / "bad" / name) for name in BAD_INPUTS}
+    text = work / "unicode.txt"
+    text.write_bytes(UNICODE.encode("utf-8"))
+    tags = work / "unicode-encode.tags"
     jobs = [
         (f"automaton-export-{mode}{suffix}", ["automaton-export", "--mode", mode, *flags], None)
         for mode in MODES for suffix, flags in (("", []), ("-minimal", ["--minimal"]))
@@ -165,8 +185,19 @@ def _fixed_jobs(work: Path) -> list:
         ("bad/unknown-symbol", ["validate", bad["unknown-symbol.tags"]], None),
         ("bad/decode-length-mismatch", ["decode", bad["two-tags.tags"], "--corpus", bad["three-words.txt"]], None),
         ("bad/not-a-model", ["predict", bad["three-words.txt"], "--model", bad["not-a-model.npz"]], None),
+        ("unicode/encode.tags", ["encode", str(text), "-o", str(tags)], tags),
     ]
-    return jobs
+    second = [("unicode/decode-corpus.txt", ["decode", str(tags), "--corpus", str(text), "-o",
+                                              str(work / "unicode-decode.txt")], work / "unicode-decode.txt")]
+    for mode in MODES:
+        model = work / f"unicode-{mode}.npz"
+        jobs.append((f"unicode/model-{mode}.npz", ["train", str(text), "--model", str(model), "--epochs", "3",
+                                                   "--dim", "4096", "--mode", mode], model))
+        for decode in MODES:
+            output = work / f"unicode-{mode}.predict-{decode}.txt"
+            second.append((f"unicode/model-{mode}.predict-{decode}.txt", ["predict", str(text), "--model",
+                           str(model), "-o", str(output), "--mode", decode], output))
+    return jobs, second
 
 
 def _digest(data: bytes) -> str:
@@ -198,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{src} holds no disctag package")
     with tempfile.TemporaryDirectory(prefix="disctag-identity-") as tmp:
         work = Path(tmp)
-        first, second = _fixed_jobs(work), []
+        first, second = _fixed_jobs(work)
         for seed in SEEDS:
             f, s = _model_jobs(seed, work)
             first += f
