@@ -101,7 +101,6 @@ def _fnv1a_continue(h: np.ndarray, flat: np.ndarray, starts: np.ndarray, lengths
     return out
 
 
-_ASCII_LOWER = np.array([ord(chr(c).lower()) for c in range(128)], dtype=np.uint8)
 _PREFIX_HASHES = fnv1a(["w=", "w-1=", "w+1=", "pre=", "suf="])  # the five features of a type, in order
 
 
@@ -140,31 +139,26 @@ class LinearScorer:
         types.default_factory = types.__len__
         own = np.fromiter(map(types.__getitem__, itertools.chain.from_iterable(sentences)),
                           dtype=np.intp, count=lengths.sum())
-        # A type's strings are prefixes carried on over the bytes of its
-        # lowercase, or of its first or last three characters.  An ASCII
-        # type's bytes are its code points lowered through a table, in place;
-        # any other type is lowered and encoded alone, its bytes after theirs,
-        # since its lowercase can differ in length (and lowering a joined
-        # string would not lower each type as it stands alone: final sigma).
-        points = np.frombuffer("".join(types).encode("utf-32-le"), dtype=np.uint32)
-        size = np.fromiter(map(len, types), dtype=np.int64, count=len(types))
-        start = np.cumsum(size) - size
-        non_ascii = np.zeros(len(types), dtype=bool)
-        non_ascii[size > 0] = np.maximum.reduceat(points, start[size > 0]) > 127
-        pre, suf = np.minimum(size, 3), np.minimum(size, 3)
-        other = non_ascii.nonzero()[0]
-        low = list(map(str.lower, map(list(types).__getitem__, other.tolist())))
-        encoded = list(map(str.encode, low))
-        nbytes = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-        size[other] = nbytes
-        start[other] = nbytes.cumsum() - nbytes + len(points)
-        pre[other] = [len(t[:3].encode()) for t in low]
-        suf[other] = [len(t[-3:].encode()) for t in low]
+        # A type's strings are prefixes carried on over the UTF-8 bytes of its
+        # lowercase, or of its first or last three characters.  Lowering ASCII
+        # is exact character by character, so an ASCII batch lowers as one
+        # string; otherwise each type lowers alone ("İ" lowers to two
+        # characters, and "Σ" by its place in a string).
+        text = "".join(types)
+        all_ascii = text.isascii()
+        lowered = types if all_ascii else list(map(str.lower, types))  # an ASCII type is as long as its lowercase
+        size = np.fromiter(map(len, lowered), dtype=np.int64, count=len(types))
+        data = np.frombuffer((text.lower() if all_ascii else "".join(lowered)).encode(), dtype=np.uint8)
+        # the byte offset of each character's first byte (not 0b10xxxxxx), then the end
+        first = np.flatnonzero(np.append((data & 0xC0) != 0x80, True))
+        char = np.cumsum(size) - size
+        start, end = first[char], first[char + size]
+        pre, suf = first[char + np.minimum(size, 3)], first[char + size - np.minimum(size, 3)]
         h = _fnv1a_continue(
             np.repeat(_PREFIX_HASHES, len(types)),
-            np.concatenate([_ASCII_LOWER.take(points, mode="clip"), np.frombuffer(b"".join(encoded), dtype=np.uint8)]),
-            np.concatenate([start, start, start, start, start + size - suf]),
-            np.concatenate([size, size, size, pre, suf]),
+            data,
+            np.concatenate([start, start, start, start, suf]),
+            np.concatenate([end - start, end - start, end - start, pre - start, end - suf]),
         )
         table = (h % np.uint64(self.dim)).astype(np.int64).reshape(FEATURES, -1)
         # each word's w-1= and w+1= are its neighbours', or <bos> and <eos> past either end
@@ -324,8 +318,9 @@ def train(
     if not sentences:
         raise ConfigError("empty training corpus")
     sizes = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
-    # hashed once for every epoch, in one pass over the corpus's types
-    rows = np.split(scorer.batch_feature_indices(sentences), np.cumsum(sizes[:-1]))
+    # hashed once for every epoch, in one pass over the corpus's types, and
+    # copied to C order once, so that apply_gradient ravels each step's rows without a copy
+    rows = np.split(np.ascontiguousarray(scorer.batch_feature_indices(sentences)), np.cumsum(sizes[:-1]))
     golds = encode_batch(annotations)  # checked at once, not one annotation at a time
     examples = [
         (r, PartialLabelSet.from_annotation(ann, gold=gold)) for r, ann, gold in zip(rows, annotations, golds)

@@ -48,13 +48,13 @@ VOCABULARY = ["pain", "in", "Arms", "é", "café", "日本語", "語", "😀", "
 
 # Types whose lowercase is longer (İ), depends on position in a joined string
 # (final sigma), holds combining marks, or is multi-byte and longer than
-# three characters; short types; types equal once lowercased; API tokens
-# with spaces in them.
+# three characters (or with a 4-byte character inside its affixes); short
+# types; types equal once lowercased; API tokens with spaces in them.
 UNICODE_PIECES = [
     "\u0130", "\u03a3", "\u03a3\u0391\u03a3", "\u03c3\u03b1\u03c2", "\u039f\u0394\u03a5\u03a3\u03a3\u0395\u03a5\u03a3",
     "\u03c2", "e\u0301", "A\u0301\u0301\u0301", "patient's", "don\u2019t", "\u65e5\u672c\u8a9e\u30c6\u30ad\u30b9\u30c8",
     "\u75db\u307f", "na\u00efvet\u00e9", "\u00c9T\u00c9", "\u00df", "\u1e9e", "\ufb01", "\u01c5", "a", "ab", "Ab", "AB",
-    "x y", " ", "\u00a0z", "<BOS>", "<eos>", "",
+    "x y", " ", "\u00a0z", "<BOS>", "<eos>", "", "ab\U0001f600cd",
 ]
 
 
@@ -148,6 +148,9 @@ class TestTypeHashing:
             [("<BOS>", "<eos>", "<bos>"), ("<EOS>",), ("a", "<bos>", "b")],
             [("é", "É", "café", "😀", "x😀y", "😀😀😀😀"), ("", "a\x00")],
             [("same", "type"), ("type", "same", "same"), ("Same",), ("same",)],
+            [("Pain", "in", "ARMS"), ("and", "knees"), ("na\u00efve",)],  # ASCII types, one non-ASCII type last
+            [("ab\U0001f600cd", "\U0001f600\U0001f600", "AB\U0001f600CD")],  # affixes around a 4-byte character
+            [("e\u0301\u0301\u0301", "E\u0301\u0301\u0301")],  # a base letter and three combining marks
         ],
     )
     def test_rows_match_the_hash_of_every_word(self, sentences, dim):

@@ -28,6 +28,11 @@ processes against the given tree's ``src/``:
   positions, combining marks, an apostrophe, CJK and multi-byte words of more
   than three characters, with NBSP, U+3000 and ``\\x1c`` between tokens and
   ``\\r\\n`` and ``\\r`` line ends;
+- ``predict`` with each of those models in both modes on a corpus whose
+  predict batches take both sides of the hasher's ASCII check: 520 ASCII
+  records of eight mixed-case words, longer than any non-ASCII record, fill
+  a first batch of 512 lanes, one sentence each; the other 8 share the
+  second batch with the non-ASCII records, which follow them in the file;
 - bad inputs: a byte that is not UTF-8, a record without its mention line, an
   unknown tag symbol, a ``decode --corpus`` length mismatch and a model file
   that is not a model.
@@ -93,6 +98,11 @@ UNICODE = (
     "\u03a3 \u0130 \u0130\u0130\u0130 \u03a3\u03a3 \u03c3\u03c2 \u03c2 A\u0301\u0301\u0301\u0301\n\n\n"
     "muscle\u00a0aches in\u3000elbows and\x1cknees \u00c9T\u00c9\n0-1;3-3|0-1;5-5\n"
 )
+# Mixed-case ASCII words for the records before the non-ASCII ones (see
+# _fixed_jobs): each record is eight of them, one more word than the longest
+# UNICODE record, so that the first predict batch holds only ASCII types.
+ASCII_WORDS = ("pain", "Muscle", "ACHES", "in", "Elbows", "and", "KNEES", "patient's", "x", "Arms", "sHoulders")
+ASCII_RECORDS = 520
 BAD_INPUTS = {  # file name -> contents
     "non-utf8.txt": b"pain in \xffarms\n0-1\n",
     "no-mention-line.txt": b"pain in arms\n0-1\n\nit hurts",
@@ -168,6 +178,10 @@ def _fixed_jobs(work: Path) -> tuple[list, list]:
     bad = {name: str(work / "bad" / name) for name in BAD_INPUTS}
     text = work / "unicode.txt"
     text.write_bytes(UNICODE.encode("utf-8"))
+    both = work / "ascii-then-unicode.txt"
+    records = (" ".join(ASCII_WORDS[(3 * i + 5 * j) % len(ASCII_WORDS)] for j in range(8))
+               for i in range(ASCII_RECORDS))
+    both.write_bytes(("".join(record + "\n\n\n" for record in records) + UNICODE).encode("utf-8"))
     tags = work / "unicode-encode.tags"
     jobs = [
         (f"automaton-export-{mode}{suffix}", ["automaton-export", "--mode", mode, *flags], None)
@@ -197,6 +211,9 @@ def _fixed_jobs(work: Path) -> tuple[list, list]:
             output = work / f"unicode-{mode}.predict-{decode}.txt"
             second.append((f"unicode/model-{mode}.predict-{decode}.txt", ["predict", str(text), "--model",
                            str(model), "-o", str(output), "--mode", decode], output))
+            output = work / f"unicode-{mode}.predict-both-{decode}.txt"
+            second.append((f"unicode/model-{mode}.predict-ascii-then-unicode-{decode}.txt", ["predict", str(both),
+                           "--model", str(model), "-o", str(output), "--mode", decode], output))
     return jobs, second
 
 
