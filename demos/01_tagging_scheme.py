@@ -42,7 +42,7 @@ tags = encode(ann)
 print("\nencoding:", tags.symbols())
 assert decode(tags) == frozenset(mentions)
 
-# Well-formedness: the rules reject sequences that no annotation produces.
+# Well-formedness: the grammar rejects the sequences that no annotation produces.
 for text in (
     "DB-Bx DI-Ix DI-By DI-O DI-By",  # the encoding above
     "O CI O O O",                    # CI without CB

@@ -36,9 +36,10 @@ print("minimal DFA:", minimal.num_states, "states")
 structural = grammar_automaton("structural")
 print("structural grammar:", structural.num_states, "states (leftmost component forced to x)")
 
-# The language, counted by brute force vs. by lattice paths: over zero weights
-# the log-partition is the log of the number of accepting paths.  One table
-# serves every length.
+# The language, counted two ways with the same grammar: by walking its minimal
+# DFA over every sequence (is_well_formed) and by lattice paths, since over
+# zero weights the log-partition is the log of the number of accepting paths.
+# One table serves every length.
 table = build_lattice(semantic)
 print("\n n  well-formed  lattice-paths")
 for n in range(1, 5):

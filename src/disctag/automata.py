@@ -1,7 +1,10 @@
-"""Weighted finite-state automata and the grammar/sentence intersection.
+"""The tag alphabet, weighted automata and the grammar/sentence intersection.
 
-The grammar automaton is a small cyclic machine whose language is exactly the
-set of well-formed tag sequences of any length (see :mod:`disctag.scheme`).
+The grammar automaton is a small cyclic machine over the 10 tags whose
+language is exactly the set of well-formed tag sequences of any length, those
+that encode an annotation (see :mod:`disctag.scheme`).  It is the one
+definition of that language: :func:`disctag.scheme.is_well_formed_batch`
+walks the minimal DFA of the semantic grammar, and every chart reads it.
 Intersecting it with the trivial sentence automaton of an ``n``-word sentence
 yields an acyclic lattice whose accepting paths are the well-formed sequences
 of length ``n``; all dynamic programs run on that lattice.  It is ``n``
@@ -24,21 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyLanguage
-from .scheme import (
-    CB,
-    CI,
-    DB_BX,
-    DB_BY,
-    DI_BX,
-    DI_BY,
-    DI_IX,
-    DI_IY,
-    DI_O,
-    NUM_TAGS,
-    O,
-    TAGS,
-    Tag,
-)
 
 __all__ = [
     "Automaton",
@@ -52,6 +40,32 @@ __all__ = [
     "build_lattice",
     "export_text",
 ]
+
+
+@dataclass(frozen=True)
+class Tag:
+    """One of the 10 word-level tags, with its fixed canonical index."""
+
+    symbol: str
+    index: int
+
+    def __repr__(self) -> str:
+        return self.symbol
+
+
+CB = Tag("CB", 0)
+CI = Tag("CI", 1)
+O = Tag("O", 2)
+DB_BX = Tag("DB-Bx", 3)
+DB_BY = Tag("DB-By", 4)
+DI_BX = Tag("DI-Bx", 5)
+DI_BY = Tag("DI-By", 6)
+DI_IX = Tag("DI-Ix", 7)
+DI_IY = Tag("DI-Iy", 8)
+DI_O = Tag("DI-O", 9)
+
+TAGS: tuple[Tag, ...] = (CB, CI, O, DB_BX, DB_BY, DI_BX, DI_BY, DI_IX, DI_IY, DI_O)
+NUM_TAGS = len(TAGS)
 
 EPSILON = None  # transition label for the empty emission
 
@@ -126,7 +140,7 @@ class Automaton:
 
     States are dense integers ``0..num_states-1``.  Transitions are
     ``(source, label, weight, target)`` with ``label`` either a
-    :class:`~disctag.scheme.Tag` or ``None`` for an epsilon transition.
+    :class:`Tag` or ``None`` for an epsilon transition.
     Scores come from the weight matrix alone, so every transition weight
     must be ``0.0``; any other is rejected rather than dropped.
     """

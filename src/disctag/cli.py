@@ -18,7 +18,7 @@ import sys
 from . import corpus as corpus_io
 from .automata import export_text, grammar_automaton, minimize
 from .errors import ConfigError, DisctagError, LengthMismatch, ParseError
-from .model import LinearScorer, TrainConfig, predict_rows, train
+from .model import TOKEN_BUDGET, LinearScorer, TrainConfig, predict_rows, train
 from .scheme import encode_batch, is_well_formed_batch, mention_table
 
 SCALING_BOUND = 2.5  # doubling the sentence may at most 2.5x the median time
@@ -236,6 +236,8 @@ def _cmd_bench(args) -> int:
         raise ConfigError(f"--lengths must be comma-separated integers, got {args.lengths!r}") from None
     if lengths[0] < 1 or args.repeats < 1:
         raise ConfigError("--lengths and --repeats must be positive")
+    if lengths[-1] > TOKEN_BUDGET:  # before a sentence of that length is allocated
+        raise ConfigError(f"--lengths must be at most {TOKEN_BUDGET}, a predict batch's token budget")
     if args.seed < 0:
         raise ConfigError("--seed must be non-negative")
     results = corpus_io.benchmark_predict(lengths, repeats=args.repeats, seed=args.seed)

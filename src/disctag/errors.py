@@ -34,11 +34,11 @@ class Incompatible(DisctagError):
 
 
 class EncodingViolation(DisctagError):
-    """Encoding an annotation produced a tag sequence that breaks a rule."""
+    """Encoding an annotation produced a tag sequence that is not well-formed."""
 
 
 class IllFormed(DisctagError):
-    """A tag sequence violates the well-formedness rules."""
+    """A tag sequence is not well-formed: the grammar automaton rejects it."""
 
 
 class EmptyLanguage(DisctagError):

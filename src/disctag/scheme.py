@@ -6,9 +6,10 @@ Each set is described by typed components (``x`` / ``y``), runs of words
 covered by the same mentions; the mentions of the set are the Cartesian
 product of its x-components with its y-components, whose sides follow from
 the leftmost component.  This module provides the mapping in both directions
-and the 10-tag encoding of annotations as word-level tag sequences, together
-with the rule-based well-formedness check that characterises exactly the
-encodable sequences.
+and the 10-tag encoding of annotations as word-level tag sequences.  The tags
+are the alphabet of :mod:`disctag.automata`, whose grammar automaton is the
+one definition of the encodable sequences: a sequence is well-formed iff the
+grammar's minimal DFA accepts it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .automata import (
+    CB,
+    CI,
+    DB_BX,
+    DB_BY,
+    DI_BX,
+    DI_BY,
+    DI_IX,
+    DI_IY,
+    DI_O,
+    NUM_TAGS,
+    O,
+    TAGS,
+    Tag,
+    build_lattice,
+    grammar_automaton,
+)
 from .errors import (
     PARTIAL_OVERLAP,
     SPAN_CONFLICT,
@@ -64,31 +82,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tag:
-    """One of the 10 word-level tags, with its fixed canonical index."""
-
-    symbol: str
-    index: int
-
-    def __repr__(self) -> str:
-        return self.symbol
-
-
-CB = Tag("CB", 0)
-CI = Tag("CI", 1)
-O = Tag("O", 2)
-DB_BX = Tag("DB-Bx", 3)
-DB_BY = Tag("DB-By", 4)
-DI_BX = Tag("DI-Bx", 5)
-DI_BY = Tag("DI-By", 6)
-DI_IX = Tag("DI-Ix", 7)
-DI_IY = Tag("DI-Iy", 8)
-DI_O = Tag("DI-O", 9)
-
-TAGS: tuple[Tag, ...] = (CB, CI, O, DB_BX, DB_BY, DI_BX, DI_BY, DI_IX, DI_IY, DI_O)
-NUM_TAGS = len(TAGS)
-
 _BY_SYMBOL = {t.symbol: t for t in TAGS}
 
 # Tag indices by their part in a parse; _PART[t]: tag t opens a set (2), begins
@@ -99,35 +92,8 @@ _Y_BEGINS = frozenset((DB_BY.index, DI_BY.index))
 _PART = np.zeros(NUM_TAGS, dtype=np.int8)
 _PART[[CB.index, DI_BX.index, DI_BY.index, *_SET_OPENERS]] = [1, 1, 1, 2, 2]
 _PART[[CI.index, DI_IX.index, DI_IY.index]] = -1
-
-# The six rules as tables over tag indices; row _START of a table indexed by
-# the previous tag stands for the start of a sentence.
-_START = NUM_TAGS
-_SET_TAGS = TAGS[DB_BX.index :]  # DB-* and DI-*
-_IN_SET = np.array([t in _SET_TAGS for t in (*TAGS, None)])
-_FOLLOWS = {  # rules 1-3: the tags that may come before each constrained tag
-    CI: (CB, CI),
-    DI_BX: _SET_TAGS,
-    DI_BY: _SET_TAGS,
-    DI_O: _SET_TAGS,
-    DI_IX: (DB_BX, DI_BX, DI_IX),
-    DI_IY: (DB_BY, DI_BY, DI_IY),
-}
-# _BREAKS[p, t]: tag t may not follow p: rules 1-3, and rule 6 inside a
-# sentence (a set span ends with DI-O iff a DI-O is followed by no DI-*)
-_BREAKS = np.array([[t in _FOLLOWS and p not in _FOLLOWS[t] for t in TAGS] for p in (*TAGS, None)])
-_BREAKS[DI_O.index, : DI_BX.index] = True  # CB, CI, O and DB-* after DI-O
-# _OPENS[p, t]: set tag t after p starts a set span (at a DB-*, or after no set tag)
-_OPENS = np.array([[t in _SET_OPENERS or not _IN_SET[p] for t in range(NUM_TAGS)] for p in range(NUM_TAGS + 1)])
-# per tag, what a set span counts: x begins, y begins and gap words, capped at
-# 2, 2 and 1; _SPAN_BREAKS[x, y, gaps]: such a span breaks rule 4 or 5
-_SPAN_COUNTS = np.array(
-    [[t in _X_BEGINS, t in _Y_BEGINS, t == DI_O.index] for t in range(NUM_TAGS)], dtype=np.int32
-)
-_SPAN_CAP = np.array([2, 2, 1], dtype=np.int32)
-_SPAN_BREAKS = np.ones((3, 3, 2), dtype=bool)
-_SPAN_BREAKS[1:, 1:] = False
-_SPAN_BREAKS[1, 1, 0] = True  # two components without a gap: one continuous mention
+# per tag, whether it begins an x and a y component
+_BEGINS = np.array([[t in _X_BEGINS, t in _Y_BEGINS] for t in range(NUM_TAGS)])
 
 
 def tag_by_symbol(symbol: str) -> Tag:
@@ -196,50 +162,35 @@ def from_rows(flat: np.ndarray, bounds: np.ndarray) -> list[TagSequence]:
 
 
 def is_well_formed_batch(flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Rule-based well-formedness of each sequence of a batch (see :func:`as_rows`).
+    """Well-formedness of each sequence of a batch (see :func:`as_rows`): whether
+    the minimal DFA of the semantic grammar accepts it.  Its language is the
+    sequences that keep the six rules listed under *Tag file* in the README.
 
-    A sequence is well-formed iff:
-
-    1. every CI is preceded by CB or CI;
-    2. every DI-* is preceded by DB-* or DI-*;
-    3. every *-Ix is preceded by *-Bx or *-Ix (same for y);
-    4. every set span contains at least one *-Bx and one *-By;
-    5. no set span reconstructs to a single continuous mention (exactly two
-       components with no gap between them);
-    6. no set span ends with DI-O.
-
-    A set span is a DB-* and the DI-* tags after it.  Rules 1-3 and 6 are
-    checked on each pair of neighbouring tags (and on each sequence's first
-    and last tag); rules 4 and 5 on each span's counts, summed by one
-    ``np.add.reduceat``.  A run of DB-*/DI-* tags is also cut at the start of
-    each sequence, so no sequence's verdict depends on its neighbours.
+    The sequences run longest first, so at each position the ones still running
+    are a prefix and take one successor gather.  An undefined successor (-1)
+    reads the dead row appended to the table, which loops on itself; a sequence
+    is well-formed iff it ends in a final state, so a 0-word one is.
     """
     flat = np.asarray(flat)
     bounds = np.asarray(bounds, dtype=np.intp)
-    prev = np.empty(len(flat) + 1, dtype=np.int8)
-    prev[1:] = flat
-    prev[bounds[:-1]] = _START
-    prev = prev[:-1]
-    bad = _BREAKS[prev, flat]  # per word
-    starts, ends = bounds[:-1], bounds[1:]
-    filled = starts < ends
-    starts, ends = starts[filled], ends[filled]
-    bad[ends - 1] |= flat[ends - 1] == DI_O.index  # rule 6 at the end of a sentence
-    words = _IN_SET[flat].nonzero()[0]  # rules 4 and 5, per set span
-    if len(words):
-        tags = flat[words]
-        heads = _OPENS[prev[words], tags].nonzero()[0]
-        counts = np.add.reduceat(_SPAN_COUNTS[tags], heads, axis=0, dtype=np.int32)
-        np.minimum(counts, _SPAN_CAP, out=counts)
-        bad[words[heads]] |= _SPAN_BREAKS[counts[:, 0], counts[:, 1], counts[:, 2]]
-    out = np.ones(len(bounds) - 1, dtype=bool)
-    if len(starts):
-        out[filled] = ~np.logical_or.reduceat(bad, starts)
+    lat = build_lattice(grammar_automaton("semantic"))
+    step = np.vstack((lat.next_state, np.full(NUM_TAGS, -1)))
+    final = np.append(lat.final_mask, False)
+    lengths = bounds[1:] - bounds[:-1]
+    order = np.argsort(-lengths, kind="stable")
+    starts = bounds[order]
+    # running[pos]: the sequences longer than pos, a prefix of the order
+    running = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
+    state = np.full(len(order), lat.initial)
+    for pos, k in enumerate(running.tolist()):
+        state[:k] = step[state[:k], flat[starts[:k] + pos]]
+    out = np.empty(len(order), dtype=bool)
+    out[order] = final[state]
     return out
 
 
 def is_well_formed(tags: Sequence[Tag] | TagSequence) -> bool:
-    """Whether one sequence keeps the six rules of :func:`is_well_formed_batch`."""
+    """Whether the grammar accepts one sequence (see :func:`is_well_formed_batch`)."""
     return bool(is_well_formed_batch(*as_rows([tags]))[0])
 
 
@@ -495,7 +446,7 @@ def encode_batch(anns: Iterable[SentenceAnnotation]) -> list[TagSequence]:
     :func:`is_well_formed_batch` call.
 
     Raises :class:`EncodingViolation`, naming the first annotation's tags
-    that break a rule.
+    that are not well-formed.
     """
     out = []
     for ann in anns:
@@ -555,8 +506,8 @@ def mention_table(flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     touches is one fragment.  Rows are sorted (-1 first), the order of
     :func:`~disctag.corpus.format_mentions`.  Raises as :func:`_components`."""
     sentence, start, end, tags, sets = _components(flat, bounds)
-    x = _SPAN_COUNTS[tags, 0].nonzero()[0]
-    y = _SPAN_COUNTS[tags, 1].nonzero()[0]
+    x = _BEGINS[tags, 0].nonzero()[0]
+    y = _BEGINS[tags, 1].nonzero()[0]
     # each x component pairs with the y components of its set, a run of y
     first = sets[y].searchsorted(sets[x])
     pairs = sets[y].searchsorted(sets[x], side="right") - first
@@ -578,6 +529,6 @@ def mention_table(flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def decode(ts: TagSequence | Sequence[Tag]) -> MentionSet:
     """Mention set denoted by a well-formed tag sequence, from the rows of
     its :func:`mention_table`.  Raises :class:`IllFormed` if the sequence
-    breaks any rule; decoding never guesses."""
+    is not well-formed; decoding never guesses."""
     table = mention_table(*as_rows([ts])).tolist()
     return frozenset(Mention(((b1, e1),) if b2 < 0 else ((b1, e1), (b2, e2))) for _, b1, e1, b2, e2 in table)

@@ -32,7 +32,6 @@ from disctag.scheme import (
     as_rows,
     encode,
     from_rows,
-    is_well_formed,
     mention_table,
 )
 
@@ -71,7 +70,8 @@ def _set_spans(tags) -> list[tuple[int, int]]:
 def is_well_formed_reference(tags) -> bool:
     """The six well-formedness rules, checked one tag at a time.
 
-    The oracle for the vectorised :func:`disctag.scheme.is_well_formed_batch`:
+    The oracle for the grammar automaton, and so for
+    :func:`disctag.scheme.is_well_formed_batch`, which walks its minimal DFA:
 
     1. every CI is preceded by CB or CI;
     2. every DI-* is preceded by DB-* or DI-*;
@@ -107,7 +107,7 @@ class WellFormedLanguage:
 
     This is the independent oracle for everything automaton- or DP-based:
     it only relies on the reference rule checker, never on the grammar
-    automaton or on :mod:`disctag.scheme`'s vectorised check.
+    automaton or on :mod:`disctag.scheme`'s check, which walks it.
     """
 
     def __init__(self):
@@ -584,10 +584,11 @@ def one_hot(ts: TagSequence) -> np.ndarray:
 
 
 def is_structural(tags) -> bool:
-    """True iff well-formed and every set's leftmost component is typed x."""
+    """True iff well-formed and every set's leftmost component is typed x, by
+    :func:`is_well_formed_reference`, independent of the grammar."""
     if isinstance(tags, TagSequence):
         tags = tags.tags
-    return is_well_formed(tags) and DB_BY not in tags
+    return is_well_formed_reference(tags) and DB_BY not in tags
 
 
 def decode_annotation(ts) -> SentenceAnnotation:

@@ -44,11 +44,10 @@ from disctag.scheme import (
     Mention,
     decode,
     encode,
-    is_well_formed,
     to_two_layer,
 )
 
-from conftest import accepting_sequences, admissible_sequences, with_flips, write_corpus
+from conftest import accepting_sequences, admissible_sequences, is_well_formed_reference, with_flips, write_corpus
 
 GRAMMAR = grammar_automaton("semantic")
 README_PATH = __file__.rsplit("/", 2)[0] + "/README.md"
@@ -154,7 +153,7 @@ def test_criterion_04_viterbi_oracle(language):
             scores = w[np.arange(n), idx].sum(axis=1)
             score, ts = viterbi(LATTICE, w)
             assert score == scores.max(), f"inexact max at n={n}"
-            assert is_well_formed(ts)
+            assert is_well_formed_reference(ts)
             assert sequence_score(w, ts) == score
     report(4, "viterbi equals brute-force max exactly", True)
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import logging
+import math
 import re
 
 import numpy as np
@@ -18,8 +19,9 @@ from disctag.corpus import (
     silver_type,
     synthetic_records,
 )
+from disctag.inference import PartialLabelSet
 from disctag.model import LinearScorer, TrainConfig, predict_tags, train
-from disctag.scheme import NUM_TAGS, TAGS, decode
+from disctag.scheme import NUM_TAGS, TAGS, SentenceAnnotation, decode
 
 from conftest import (
     MALFORMED_MODELS,
@@ -420,6 +422,37 @@ class TestTrainPredictEval:
         assert epochs and isinstance(epochs[0].args[-1], float)
         assert all(len(r.getMessage()) <= 200 for r in caplog.records)
 
+    def test_train_partial_keeps_what_the_traced_benchmark_counts(self, tmp_path, caplog, monkeypatch):
+        # perfbench's traced train-partial run sums 2**k over the calls to
+        # PartialLabelSet.from_annotation, k the unresolved sets of the call's
+        # last argument, and checks the sum against the corpus; it reads each
+        # epoch's mean loss from the last argument of the epoch's log record
+        records = synthetic_records(40, length=12, seed=11)
+        train_path, model_path = tmp_path / "train.txt", tmp_path / "model.npz"
+        write_corpus(records, train_path)
+        members = sorted(2 ** len(annotate(r).sets) for r in records)
+        assert members[-1] > 1
+        calls = []
+        from_annotation = PartialLabelSet.from_annotation.__func__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return from_annotation(cls, *args, **kwargs)
+
+        monkeypatch.setattr(PartialLabelSet, "from_annotation", classmethod(counted))
+        argv = ["train", str(train_path), "--model", str(model_path), "--loss", "partial", "--epochs", "2",
+                "--learning-rate", "0.1", "--dim", "4096"]
+        with caplog.at_level(logging.INFO):
+            assert main(argv) == 0
+        assert all(isinstance(args[-1], SentenceAnnotation) for args in calls)
+        assert sorted(2 ** sum(not s.resolved for s in args[-1].sets) for args in calls) == members
+        epochs = [r for r in caplog.records if r.getMessage().startswith("epoch ")]
+        assert [r.args[0] for r in epochs] == [1, 2]
+        for r in epochs:
+            loss = r.args[-1]
+            assert math.isfinite(loss) and r.getMessage() == f"epoch {r.args[0]}: mean partial loss {loss:.6g}"
+        LinearScorer.load(model_path)
+
     @pytest.mark.parametrize("loss", ["partial", "hard-em"])
     def test_train_with_lexicon_matches_library(self, tmp_path, loss):
         records = synthetic_records(30, length=10, seed=7)
@@ -518,6 +551,22 @@ class TestBenchAndExport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("lengths", ["9999999999999999999999,8", "8,100000000", str(model.TOKEN_BUDGET + 1)])
+    def test_bench_rejects_lengths_over_the_token_budget(self, capsys, monkeypatch, lengths):
+        # rejected before any sentence is made: the benchmark must not run
+        def unreachable(*args, **kwargs):
+            raise AssertionError("benchmark_predict called")
+
+        monkeypatch.setattr(corpus_module, "benchmark_predict", unreachable)
+        assert main(["bench", "--lengths", lengths]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --lengths must be at most {model.TOKEN_BUDGET}, a predict batch's token budget\n"
+        called = []
+        monkeypatch.setattr(corpus_module, "benchmark_predict", lambda lengths, **_: called.append(lengths) or [])
+        assert main(["bench", "--lengths", f"8,{model.TOKEN_BUDGET}"]) == 0
+        assert called == [[8, model.TOKEN_BUDGET]]
 
     def test_bench_prints_each_length_once(self, capsys):
         main(["bench", "--lengths", "16,8,16,8", "--repeats", "1"])

@@ -44,7 +44,6 @@ from disctag.scheme import (
     TagSequence,
     decode,
     encode,
-    is_well_formed,
     to_two_layer,
 )
 
@@ -53,6 +52,7 @@ from conftest import (
     admissible_sequences,
     chart_reference,
     is_structural,
+    is_well_formed_reference,
     max_sum_reference,
     one_hot,
     viterbi_batch,
@@ -108,7 +108,7 @@ class TestViterbi:
             score, ts = viterbi(LAT, w)
             assert score == scores.max()
             assert tuple(ts) in set(seqs)
-            assert is_well_formed(ts)
+            assert is_well_formed_reference(ts)
             assert sequence_score(w, ts) == score
 
     def test_shift_invariance(self):
@@ -326,7 +326,7 @@ class TestPartialLabelSet:
         members = admissible_sequences(ann)
         assert len(pl) == len(members) == 2**k
         assert len({decode(m) for m in members}) == 1
-        assert all(is_well_formed(m) for m in members)
+        assert all(is_well_formed_reference(m) for m in members)
         assert len({m.tags for m in members}) == 2**k
 
     def test_resolved_sets_do_not_flip(self):

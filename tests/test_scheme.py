@@ -13,6 +13,7 @@ from disctag.inference import random_well_formed
 from disctag.scheme import (
     CB,
     CI,
+    DB_BY,
     DI_O,
     NUM_TAGS,
     O,
@@ -36,6 +37,7 @@ from disctag.scheme import (
 
 from conftest import (
     _ALLOWED_PREV,
+    accepts,
     decode_annotation,
     decode_annotation_reference,
     decode_batch,
@@ -401,8 +403,22 @@ def random_batch(rng, count, max_len=10):
     return out
 
 
+@st.composite
+def near_misses(draw):
+    """A :func:`random_well_formed` path of up to 256 words, of either grammar,
+    with one or two of its tags replaced by any tag."""
+    mode = draw(st.sampled_from(("semantic", "structural")))
+    n = draw(st.integers(1, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seq = list(random_well_formed(build_lattice(grammar_automaton(mode)), n, rng))
+    for _ in range(draw(st.integers(1, 2))):
+        seq[draw(st.integers(0, n - 1))] = draw(st.sampled_from(TAGS))
+    return tuple(seq)
+
+
 class TestBatchedRuleCheck:
-    """The vectorised check against the tag-at-a-time reference in conftest."""
+    """The batch check, a walk of the grammar, against the tag-at-a-time
+    reference in conftest."""
 
     def test_every_sequence_up_to_six_words(self, language):
         # all 1,111,110 sequences of 1-6 tags, in lexicographic order, in one call
@@ -449,6 +465,15 @@ class TestBatchedRuleCheck:
         assert want[1] is False and want[2] is True
         assert is_well_formed_batch(*as_rows(batch)).tolist() == want
         assert [is_well_formed(s) for s in batch] == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(near_misses(), min_size=1, max_size=3))
+    def test_near_misses_of_long_paths(self, batch):
+        want = [is_well_formed_reference(s) for s in batch]
+        assert is_well_formed_batch(*as_rows(batch)).tolist() == want
+        assert [is_well_formed(s) for s in batch] == want
+        structural = grammar_automaton("structural")
+        assert [accepts(structural, s) for s in batch] == [w and DB_BY not in s for s, w in zip(batch, want)]
 
     def test_rows_round_trip(self):
         batch = [ts("CB CI O"), ts(""), ts("DB-Bx DI-O DI-By")]

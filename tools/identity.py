@@ -33,6 +33,12 @@ processes against the given tree's ``src/``:
   records of eight mixed-case words, longer than any non-ASCII record, fill
   a first batch of 512 lanes, one sentence each; the other 8 share the
   second batch with the non-ASCII records, which follow them in the file;
+- ``validate``, ``decode`` and ``decode --corpus`` on a tag file of mostly
+  ill-formed sequences (see :func:`_ill_formed`), built without ``disctag``, and
+  a corpus of as many words per record: long concatenations of well-formed
+  blocks, most with one or two tags replaced at seeded random, then one
+  sequence that breaks each of the six rules of the tagging scheme, and an
+  empty line;
 - bad inputs: a byte that is not UTF-8, a record without its mention line, an
   unknown tag symbol, a ``decode --corpus`` length mismatch and a model file
   that is not a model.
@@ -53,6 +59,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -103,6 +110,22 @@ UNICODE = (
 # UNICODE record, so that the first predict batch holds only ASCII types.
 ASCII_WORDS = ("pain", "Muscle", "ACHES", "in", "Elbows", "and", "KNEES", "patient's", "x", "Arms", "sHoulders")
 ASCII_RECORDS = 520
+TAG_SYMBOLS = ("CB", "CI", "O", "DB-Bx", "DB-By", "DI-Bx", "DI-By", "DI-Ix", "DI-Iy", "DI-O")
+# Well-formed sequences; any concatenation of them is well-formed too.
+WELL_FORMED_BLOCKS = (
+    "O", "O O", "CB", "CB CI", "CB CI CI",
+    "DB-Bx DI-O DI-By", "DB-By DI-O DI-Bx",
+    "DB-Bx DI-Ix DI-By DI-O DI-By", "DB-By DI-Iy DI-Bx DI-O DI-Bx",
+    "DB-Bx DI-By DI-Bx", "DB-By DI-Bx DI-Ix DI-O DI-O DI-By DI-Iy",
+)
+# One sequence breaking each rule, in order: CI after no CB or CI; DI-* after
+# no DB-* or DI-*; *-Ix after no *-Bx or *-Ix; a set with no y component; a
+# set that is one continuous mention; a set span ending with DI-O.
+RULE_BREAKERS = (
+    "O CI", "O DI-Bx DI-By", "DB-Bx DI-By DI-Ix", "DB-Bx DI-O DI-Bx", "DB-Bx DI-By", "DB-Bx DI-O DI-By DI-O",
+)
+ILL_FORMED_SEED = 7
+ILL_FORMED_LONG = 48  # long sequences; every eighth is left well-formed
 BAD_INPUTS = {  # file name -> contents
     "non-utf8.txt": b"pain in \xffarms\n0-1\n",
     "no-mention-line.txt": b"pain in arms\n0-1\n\nit hurts",
@@ -166,6 +189,23 @@ def _model_jobs(seed: int, work: Path) -> tuple[list, list]:
     return first, second
 
 
+def _ill_formed() -> list[str]:
+    """The lines of the ill-formed tag file: :data:`ILL_FORMED_LONG` seeded
+    concatenations of :data:`WELL_FORMED_BLOCKS`, of 100-500 tags each, all
+    but every eighth with one or two tags replaced by any tag, then the
+    :data:`RULE_BREAKERS` and an empty line."""
+    rng = random.Random(ILL_FORMED_SEED)
+    lines = []
+    for i in range(ILL_FORMED_LONG):
+        tags, length = [], rng.randint(100, 500)
+        while len(tags) < length:
+            tags += rng.choice(WELL_FORMED_BLOCKS).split()
+        for _ in range(rng.randint(1, 2) if i % 8 else 0):
+            tags[rng.randrange(len(tags))] = rng.choice(TAG_SYMBOLS)
+        lines.append(" ".join(tags))
+    return lines + list(RULE_BREAKERS) + [""]
+
+
 def _fixed_jobs(work: Path) -> tuple[list, list]:
     """Write the lexicon, the incompatible and non-ASCII corpora and the bad
     inputs; return the jobs that need no seed, as :func:`_model_jobs` does."""
@@ -183,6 +223,11 @@ def _fixed_jobs(work: Path) -> tuple[list, list]:
                for i in range(ASCII_RECORDS))
     both.write_bytes(("".join(record + "\n\n\n" for record in records) + UNICODE).encode("utf-8"))
     tags = work / "unicode-encode.tags"
+    ill_formed, ill_words = work / "ill-formed.tags", work / "ill-formed-words.txt"
+    lines = _ill_formed()
+    ill_formed.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    ill_words.write_text("".join(" ".join(["w"] * len(line.split())) + "\n\n\n" for line in lines if line),
+                         encoding="utf-8")
     jobs = [
         (f"automaton-export-{mode}{suffix}", ["automaton-export", "--mode", mode, *flags], None)
         for mode in MODES for suffix, flags in (("", []), ("-minimal", ["--minimal"]))
@@ -200,6 +245,12 @@ def _fixed_jobs(work: Path) -> tuple[list, list]:
         ("bad/decode-length-mismatch", ["decode", bad["two-tags.tags"], "--corpus", bad["three-words.txt"]], None),
         ("bad/not-a-model", ["predict", bad["three-words.txt"], "--model", bad["not-a-model.npz"]], None),
         ("unicode/encode.tags", ["encode", str(text), "-o", str(tags)], tags),
+        ("ill-formed/validate", ["validate", str(ill_formed)], None),
+        ("ill-formed/decode.txt", ["decode", str(ill_formed), "-o", str(work / "ill-formed-decode.txt")],
+         work / "ill-formed-decode.txt"),
+        ("ill-formed/decode-corpus.txt", ["decode", str(ill_formed), "--corpus", str(ill_words), "-o",
+                                          str(work / "ill-formed-decode-corpus.txt")],
+         work / "ill-formed-decode-corpus.txt"),
     ]
     second = [("unicode/decode-corpus.txt", ["decode", str(tags), "--corpus", str(text), "-o",
                                               str(work / "unicode-decode.txt")], work / "unicode-decode.txt")]
