@@ -48,8 +48,9 @@ for n in range(1, 5):
     print(f"{n:2d}  {brute:11d}  {paths:13d}")
 
 # Lattice size grows exactly linearly with the sentence: n copies of the
-# table's edges, those of the minimal DFA.
-edges = int((table.next_state >= 0).sum())
+# table's edges, those of the minimal DFA: the successors that are not the
+# dead state, which the table adds after the DFA's states.
+edges = int((table.next_state != table.num_grammar_states).sum())
 print(f"table: {table.num_grammar_states} states, {edges} edges")
 for n in (8, 16, 32):
     print(f"lattice transitions at n={n:2d}: {n * edges}")

@@ -4,18 +4,19 @@ The grammar automaton is a small cyclic machine over the 10 tags whose
 language is exactly the set of well-formed tag sequences of any length, those
 that encode an annotation (see :mod:`disctag.scheme`).  It is the one
 definition of that language: :func:`disctag.scheme.is_well_formed_batch`
-walks the minimal DFA of the semantic grammar, and every chart reads it.
+walks the minimal DFA of the semantic grammar in :func:`_ragged_walk`, the
+walk that also hashes bytes with FNV-1a, and every chart reads it.
 Intersecting it with the trivial sentence automaton of an ``n``-word sentence
 yields an acyclic lattice whose accepting paths are the well-formed sequences
 of length ``n``; all dynamic programs run on that lattice.  It is ``n``
 copies of one time-invariant layer, the :class:`Lattice` that
 :func:`build_lattice` compiles once per grammar, from the minimal DFA of its
-language: a dense successor table, the machine's edges as padded slot tables
-(:class:`SlotTable`) for the two-way chart and for the backward chart, and
-its edges grouped by tag (:class:`EdgeGroups`) for the marginals.  The
-dynamic programs of :mod:`disctag.inference`, the path sampler
-``random_well_formed`` included, read ``n`` from the weight matrix and sum
-over edges only through these tables.
+language: a successor table and final mask made complete by a dead state,
+the machine's edges as padded slot tables (:class:`SlotTable`) for the
+two-way chart and for the backward chart, and its edges grouped by tag
+(:class:`EdgeGroups`) for the marginals.  The dynamic programs of
+:mod:`disctag.inference`, the path sampler ``random_well_formed`` included,
+read ``n`` from the weight matrix and sum over edges only through these tables.
 """
 
 from __future__ import annotations
@@ -410,10 +411,11 @@ class Lattice:
     position by one and reads one ``(position, tag)`` cell of a weight
     matrix: ``n`` copies of this layer, so the dynamic programs read ``n``
     from the weights.  The grammar states are those of the minimal DFA of
-    the grammar's language, numbered as :func:`minimize` does; the table
-    holds its initial state, its dense successor table, its final-state
-    mask, and its edges three ways, each kept in ``(src, tag, dst)`` order
-    within a group:
+    the grammar's language, numbered as :func:`minimize` does, then a dead
+    state ``S``, the successor of every undefined step and of itself, never
+    final.  The table holds the initial state, that complete successor
+    table, the final-state mask, and the edges three ways, each kept in
+    ``(src, tag, dst)`` order within a group:
 
     - ``two_way`` (a :class:`SlotTable`) runs the forward and the backward
       chart in one pass over ``2 * (S + 1)`` columns: the edges into each
@@ -433,8 +435,8 @@ class Lattice:
 
     num_grammar_states: int
     initial: int
-    next_state: np.ndarray  # (S, NUM_TAGS) int, -1 where undefined
-    final_mask: np.ndarray  # (S,) bool
+    next_state: np.ndarray  # (S + 1, NUM_TAGS) int, S where undefined and in row S
+    final_mask: np.ndarray  # (S + 1,) bool, False at S
     two_way: SlotTable  # edges by target, then by source: one pass of prefix and suffix sums
     reverse: SlotTable  # edges by source: a state's suffix sum reads its successors
     by_tag: EdgeGroups  # edges by tag: a tag's marginal sums its edges
@@ -458,9 +460,9 @@ def build_lattice(grammar: Automaton) -> Lattice:
         sorted((src, label.index, dst) for src, label, _, dst in minimal.transitions),
         dtype=np.int64,
     ).reshape(-1, 3)
-    next_state = np.full((states, NUM_TAGS), -1, dtype=np.int64)
+    next_state = np.full((states + 1, NUM_TAGS), states, dtype=np.int64)  # undefined: the dead state
     next_state[edges[:, 0], edges[:, 1]] = edges[:, 2]
-    final_mask = np.zeros(states, dtype=bool)
+    final_mask = np.zeros(states + 1, dtype=bool)
     final_mask[list(minimal.finals)] = True
     src, tag, dst = edges.T
     back = states + 1  # the backward half's first column
@@ -477,6 +479,29 @@ def build_lattice(grammar: Automaton) -> Lattice:
     for array in (next_state, final_mask) + tuple(a for table in tables for a in vars(table).values()):
         array.flags.writeable = False
     return Lattice(states, minimal.initial, next_state, final_mask, *tables)
+
+
+def _ragged_walk(states: np.ndarray, step, data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``states`` carried on over the ranges ``data[starts:starts + lengths]``,
+    one element of every range at a time.
+
+    The ranges run longest first, ties in place, so the ones still running at
+    offset ``j`` are a prefix of that order: ``step(live, elements)`` updates
+    those states in place from their ``j``-th elements, once per offset.
+    Returns the final states in the order given.
+    """
+    # descending by length, ties in place: a stable sort of an unsigned key
+    # no wider than 16 bits is numpy's radix sort
+    top = int(lengths.max(initial=0))
+    order = np.argsort((top - lengths).astype(np.min_scalar_type(top)), kind="stable")
+    starts = starts[order]
+    longer = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # longer[j]: ranges of more than j elements
+    states = states[order]
+    for j, count in enumerate(longer.tolist()):
+        step(states[:count], data[starts[:count] + j])
+    out = np.empty_like(states)
+    out[order] = states
+    return out
 
 
 def export_text(a: Automaton) -> str:

@@ -372,10 +372,10 @@ def synthetic_records(count: int, length: int, seed: int = 0) -> list[CorpusReco
     lattice = build_lattice(grammar_automaton("semantic"))
     records = []
     for _ in range(count):
-        seq = random_well_formed(lattice, length, rng)
-        gold = encode(to_two_layer(decode(seq), length))
+        mentions = decode(random_well_formed(lattice, length, rng))  # what encode(to_two_layer(mentions)) decodes to
+        gold = encode(to_two_layer(mentions, length))
         tokens = tuple(f"t{t.index}w{rng.integers(3)}" for t in gold)
-        records.append(CorpusRecord(tokens, decode(gold)))
+        records.append(CorpusRecord(tokens, mentions))
     return records
 
 

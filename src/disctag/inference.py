@@ -152,20 +152,15 @@ def _layout(lengths: Sequence[int], lanes: Sequence[int] | None = None) -> _Layo
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.min(initial=0) < 0:
         raise ValueError(f"sentence lengths must be a list of counts, got {lengths!r}")
-    lane = np.arange(len(lengths))  # by default, each sentence's own
-    sentence = np.repeat(lane, lengths)
+    lanes = np.ones(len(lengths), dtype=np.intp) if lanes is None else np.asarray(lanes, dtype=np.intp)
+    if lanes.ndim != 1 or lanes.min(initial=1) < 1 or lanes.sum() != len(lengths):
+        raise ValueError(f"{len(lengths)} sentences do not fill lanes of {lanes!r} sentences")
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
     firsts = np.cumsum(lengths) - lengths  # each sentence's first word
-    if lanes is not None:
-        lanes = np.asarray(lanes, dtype=np.intp)
-        if lanes.ndim != 1 or lanes.min(initial=1) < 1 or lanes.sum() != len(lengths):
-            raise ValueError(f"{len(lengths)} sentences do not fill lanes of {lanes!r} sentences")
-    if lanes is None or len(lanes) == len(lengths):  # one sentence a lane
-        starts, batch, n = np.zeros_like(lengths), len(lengths), lengths.max(initial=0)
-    else:
-        rows = firsts + lane  # all sentences end to end, a padding row after each
-        lane, batch = np.repeat(np.arange(len(lanes)), lanes), len(lanes)
-        starts = rows - rows.take(np.cumsum(lanes) - lanes).take(lane)  # less the rows of earlier lanes
-        n = (starts + lengths).max(initial=0)
+    rows = firsts + np.arange(len(lengths))  # all sentences end to end, a padding row after each
+    lane, batch = np.repeat(np.arange(len(lanes)), lanes), len(lanes)
+    starts = rows - rows.take(np.cumsum(lanes) - lanes).take(lane)  # less the rows of earlier lanes
+    n = (starts + lengths).max(initial=0)
     # word w of sentence k sits in row starts[k] + w - firsts[k] of lane lane[k]
     cell = np.arange(len(sentence)) * batch
     cell += ((starts - firsts) * batch + lane).take(sentence)
@@ -246,7 +241,7 @@ def _chart(
     cells = np.empty(far.shape + (batch,))
     edge_weights = np.empty_like(cells)
     written = rows[:, : far.shape[1]]  # the last column, a dead state, stays
-    steps[0, -1, :states][lat.final_mask] = sr.one
+    steps[0, -1][lat.final_mask] = sr.one
     if not backward:
         steps[0, 0, lat.initial] = sr.one
     for t in range(n):  # "clip": with out=, the default mode gathers into a buffer and copies it
@@ -335,7 +330,7 @@ def random_well_formed(lat: Lattice, n: int, rng: np.random.Generator) -> tuple[
     Raises :class:`EmptyLanguage` if the lattice has no accepting path.
     """
     _, (beta,) = _chart(lat, np.zeros((n, 1, NUM_TAGS)), TROPICAL, _layout([n]), backward=True)
-    alive = beta[..., 0] > NEG_INF  # the dead state, where next_state is -1, never is
+    alive = beta[..., 0] > NEG_INF  # the dead state never is
     q = lat.initial
     out: list[Tag] = []
     for pos in range(n):
@@ -380,19 +375,16 @@ def viterbi_rows(
     """
     layout = _layout(lengths, lanes)
     weights = layout.padded(_check_weights(weights))  # the flat rows are freed here if the caller holds none
-    (n, batch), width = layout.shape, lat.num_grammar_states + 1
+    n, batch = layout.shape
     _, (beta,) = _chart(lat, weights, TROPICAL, layout, backward=True)
     # Walk along the best path, every lane at once, each one's state held as
     # its cell q * L + l of a chart row: at word i a lane scores the ten
     # successors of its state, beta[i + 1, l, next_state[q]] + w[i, l], and takes
     # the first best tag, the lowest.  These are the sums and comparisons of a
     # best tag per (word, state), made on the path only, so no (n, L, S) array
-    # is built.  An undefined step (-1) reads the last column, the dead state,
-    # whose score is -inf.
+    # is built.  An undefined step reads the dead state, whose score is -inf.
     rows = np.arange(batch)
-    succ = np.full((width, NUM_TAGS), width - 1)  # the dead state's row is dead
-    np.remainder(lat.next_state, width, out=succ[:-1])
-    cells = (succ[:, None] * batch + rows[:, None]).reshape(width * batch, NUM_TAGS)
+    cells = (lat.next_state[:, None] * batch + rows[:, None]).reshape(-1, NUM_TAGS)
     chosen = rows * NUM_TAGS  # lane l's tag t is cell l * 10 + t of an (L, 10) step
     at = restart = lat.initial * batch + rows
     opens = layout.opens()
@@ -542,22 +534,21 @@ LOSSES = ("nll", "partial", "hard-em")
 
 
 def batch_losses(
-    lat: Lattice, weights: np.ndarray, lengths: Sequence[int], labels: Sequence[PartialLabelSet], loss: str
+    lat: Lattice, weights: np.ndarray, labels: Sequence[PartialLabelSet], loss: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """The losses of a batch of sentences, and their gradients.
 
-    ``weights`` and ``lengths`` are as in :func:`viterbi_rows`, one
-    sentence per lane;
-    ``labels[b]`` is sentence ``b``'s label set, and ``loss`` one of
+    ``labels[b]`` is sentence ``b``'s label set, which gives its length,
+    ``len(labels[b].owner)`` words; ``weights`` holds the ``(words, 10)``
+    rows of the sentences' words, one sentence after another, as in
+    :func:`viterbi_rows`, and ``loss`` is one of
     :data:`LOSSES`: :func:`nll` of each gold sequence (taken to be
     well-formed), :func:`partial_nll`, or :func:`hard_em_step`.  Returns the
     ``(B,)`` losses and the gradient rows of the sentences' words, in the
     order of ``weights``; each sentence gets, bit for bit, what it gets
     alone.
     """
-    weights, layout = _check_weights(weights), _layout(lengths)
-    if [len(pl.owner) for pl in labels] != layout.lengths.tolist():
-        raise ValueError("label set lengths do not match the sentence lengths")
+    weights, layout = _check_weights(weights), _layout([len(pl.owner) for pl in labels])
     log_z, grad = _posterior(lat, weights, layout)
     if loss == "partial":
         clamped_z, clamped = _clamped(labels, weights)
@@ -589,7 +580,7 @@ def nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np
 def _nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np.ndarray]:
     """:func:`nll` of checked weights and a well-formed gold sequence."""
     alone = PartialLabelSet(gold, np.full(len(weights), -1), 0)
-    (loss,), grad = batch_losses(lat, weights, [len(weights)], [alone], "nll")
+    (loss,), grad = batch_losses(lat, weights, [alone], "nll")
     return float(loss), grad
 
 
@@ -603,7 +594,7 @@ def partial_nll(
     (the E-step quantity, treated as a constant with respect to ``weights``).
     """
     weights = _check_label_set(pl, weights)
-    (loss,), grad = batch_losses(lat, weights, [len(weights)], [pl], "partial")
+    (loss,), grad = batch_losses(lat, weights, [pl], "partial")
     return float(loss), grad
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import build_lattice, grammar_automaton
+from .automata import _ragged_walk, build_lattice, grammar_automaton
 from .errors import ConfigError
 from .inference import LOSSES, PartialLabelSet, batch_losses, viterbi_rows
 from .scheme import (
@@ -73,32 +73,14 @@ def fnv1a(strings: Iterable[str]) -> np.ndarray:
     data = [s.encode("utf-8") for s in strings]
     lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
     flat = np.frombuffer(b"".join(data), dtype=np.uint8)
-    return _fnv1a_continue(np.full(len(data), _FNV_OFFSET), flat, np.cumsum(lengths) - lengths, lengths)
+    return _ragged_walk(np.full(len(data), _FNV_OFFSET), _fnv1a_step, flat, np.cumsum(lengths) - lengths, lengths)
 
 
-def _fnv1a_continue(h: np.ndarray, flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """FNV-1a states ``h`` carried on over the byte ranges ``flat[starts:starts + lengths]``.
-
-    FNV-1a is a running state, so the hash of ``a + b`` is the hash of ``a``
-    carried on over ``b``.  All ranges are hashed at once, one byte column at
-    a time: sorted by length, the ranges still running at column ``j`` are a
-    prefix, so the work is one ``uint64`` xor and multiply (wrapping mod
-    ``2**64``) per byte.
-    """
-    # descending by length, ties in place: a stable sort of an unsigned key
-    # no wider than 16 bits is numpy's radix sort
-    top = int(lengths.max(initial=0))
-    order = np.argsort((top - lengths).astype(np.min_scalar_type(top)), kind="stable")
-    starts = starts[order]
-    longer = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # longer[j]: ranges of more than j bytes
-    h = h[order]
-    for j, count in enumerate(longer):
-        live = h[:count]
-        live ^= flat[starts[:count] + j]
-        live *= _FNV_PRIME
-    out = np.empty_like(h)
-    out[order] = h
-    return out
+def _fnv1a_step(h: np.ndarray, byte: np.ndarray) -> None:
+    """One byte of FNV-1a in place, wrapping mod ``2**64``: a running state, so
+    the hash of ``a + b`` is that of ``a`` carried on over ``b``."""
+    h ^= byte
+    h *= _FNV_PRIME
 
 
 _PREFIX_HASHES = fnv1a(["w=", "w-1=", "w+1=", "pre=", "suf="])  # the five features of a type, in order
@@ -154,8 +136,9 @@ class LinearScorer:
         char = np.cumsum(size) - size
         start, end = first[char], first[char + size]
         pre, suf = first[char + np.minimum(size, 3)], first[char + size - np.minimum(size, 3)]
-        h = _fnv1a_continue(
+        h = _ragged_walk(
             np.repeat(_PREFIX_HASHES, len(types)),
+            _fnv1a_step,
             data,
             np.concatenate([start, start, start, start, suf]),
             np.concatenate([end - start, end - start, end - start, pre - start, end - suf]),
@@ -342,9 +325,7 @@ def train(
             w = scorer.score_rows(rows)
             if not np.isfinite(w).all():
                 raise _diverged(epoch + 1)
-            lengths = sizes[runs[k]]
-            labels = [s for _, s in batch]
-            losses, grad = batch_losses(lattice, w, lengths, labels, config.loss)
+            losses, grad = batch_losses(lattice, w, [s for _, s in batch], config.loss)
             if not (losses >= -1e-6).all():  # every loss is >= 0; huge scores cancel (or give NaN)
                 raise _diverged(epoch + 1)
             scorer.apply_gradient(rows, grad, config.learning_rate, config.l2)

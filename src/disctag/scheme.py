@@ -35,6 +35,7 @@ from .automata import (
     O,
     TAGS,
     Tag,
+    _ragged_walk,
     build_lattice,
     grammar_automaton,
 )
@@ -166,27 +167,20 @@ def is_well_formed_batch(flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     the minimal DFA of the semantic grammar accepts it.  Its language is the
     sequences that keep the six rules listed under *Tag file* in the README.
 
-    The sequences run longest first, so at each position the ones still running
-    are a prefix and take one successor gather.  An undefined successor (-1)
-    reads the dead row appended to the table, which loops on itself; a sequence
-    is well-formed iff it ends in a final state, so a 0-word one is.
+    The sequences walk the grammar's complete table together, one successor
+    gather per position (:func:`~disctag.automata._ragged_walk`); an undefined
+    step enters the dead state, which stays and is not final.  A sequence is
+    well-formed iff it ends in a final state, so a 0-word one is.
     """
-    flat = np.asarray(flat)
     bounds = np.asarray(bounds, dtype=np.intp)
-    lat = build_lattice(grammar_automaton("semantic"))
-    step = np.vstack((lat.next_state, np.full(NUM_TAGS, -1)))
-    final = np.append(lat.final_mask, False)
     lengths = bounds[1:] - bounds[:-1]
-    order = np.argsort(-lengths, kind="stable")
-    starts = bounds[order]
-    # running[pos]: the sequences longer than pos, a prefix of the order
-    running = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
-    state = np.full(len(order), lat.initial)
-    for pos, k in enumerate(running.tolist()):
-        state[:k] = step[state[:k], flat[starts[:k] + pos]]
-    out = np.empty(len(order), dtype=bool)
-    out[order] = final[state]
-    return out
+    lat = build_lattice(grammar_automaton("semantic"))
+
+    def step(state: np.ndarray, tags: np.ndarray) -> None:
+        state[:] = lat.next_state[state, tags]
+
+    state = _ragged_walk(np.full(len(lengths), lat.initial), step, np.asarray(flat), bounds[:-1], lengths)
+    return lat.final_mask[state]
 
 
 def is_well_formed(tags: Sequence[Tag] | TagSequence) -> bool:

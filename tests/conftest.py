@@ -174,7 +174,7 @@ def accepting_sequences(lattice, n: int) -> set:
             (seq + (tag,), int(lattice.next_state[q, tag.index]))
             for seq, q in paths
             for tag in TAGS
-            if lattice.next_state[q, tag.index] >= 0
+            if lattice.next_state[q, tag.index] != lattice.num_grammar_states
         ]
     return {seq for seq, q in paths if lattice.final_mask[q]}
 
@@ -260,7 +260,7 @@ def _edge_groups_reference(lat) -> dict:
     target, the dead state, then the reversed edges grouped by the original
     source; or the reversed edges alone."""
     states = lat.num_grammar_states
-    src, tag = np.nonzero(lat.next_state >= 0)
+    src, tag = np.nonzero(lat.next_state != states)
     edges = np.stack([src, tag, lat.next_state[src, tag]], axis=1)
     reversed_edges = edges[:, ::-1]
     both = np.concatenate([edges, reversed_edges + [states + 1, 0, states + 1]])
@@ -308,7 +308,7 @@ def chart_reference(lat, weights: np.ndarray, sr, lengths: np.ndarray | None = N
     edge_weights = np.empty((n, batch, len(groups.tag)))
     np.take(per_word, groups.tag[:split], axis=2, out=edge_weights[:, :, :split], mode="clip")
     np.take(per_word[::-1], groups.tag[split:], axis=2, out=edge_weights[:, :, split:], mode="clip")
-    steps[0, :, -1, :states][:, lat.final_mask] = sr.one
+    steps[0, :, -1][:, lat.final_mask] = sr.one
     if not backward:
         steps[0, :, 0, lat.initial] = sr.one
     for t in range(n):
@@ -323,7 +323,7 @@ def chart_reference(lat, weights: np.ndarray, sr, lengths: np.ndarray | None = N
     charts = (steps[:, :, 0], steps[::-1, :, -1])[2 - halves :]
     totals = [steps[n, :, -1, lat.initial]]
     if not backward:
-        totals.insert(0, sr.plus.reduce(steps[ends, np.arange(batch), 0, :states][:, lat.final_mask], axis=1))
+        totals.insert(0, sr.plus.reduce(steps[ends, np.arange(batch), 0][:, lat.final_mask], axis=1))
     totals = np.stack(totals)
     if scaled:
         real = (np.arange(n)[:, None] < ends)[..., None]  # (n, B, 1): word i is real

@@ -182,7 +182,7 @@ class TestLattice:
     def test_slot_tables(self, mode, depth):
         lat = build_lattice(grammar_automaton(mode))
         states, back = lat.num_grammar_states, lat.num_grammar_states + 1
-        src, tag = np.nonzero(lat.next_state >= 0)  # the edges in (src, tag, dst) order
+        src, tag = np.nonzero(lat.next_state != states)  # the edges in (src, tag, dst) order
         dst = lat.next_state[src, tag]
         # each table's edges as (column written, column read, word-weight row), and each column's dead state
         two_way = [*zip(dst, src, tag), *zip(back + src, back + dst, NUM_TAGS + tag)]
@@ -218,9 +218,15 @@ class TestLattice:
         for grammar, determinised, compiled in ((semantic, (16, 77), (13, 58)), (structural, (9, 39), (9, 39))):
             lat = build_lattice(grammar)
             assert (grammar.num_states, len(grammar.transitions)) == determinised
-            assert (lat.num_grammar_states, int((lat.next_state >= 0).sum())) == compiled
+            assert (lat.num_grammar_states, int((lat.next_state != lat.num_grammar_states).sum())) == compiled
             minimal = minimize(grammar)
             assert (minimal.num_states, len(minimal.transitions)) == compiled
+            # the table is complete: the dead state S is every undefined
+            # successor, its own only successor, and not final
+            dead = lat.num_grammar_states
+            assert lat.next_state.shape == (dead + 1, NUM_TAGS) and lat.final_mask.shape == (dead + 1,)
+            assert (lat.next_state[dead] == dead).all() and not lat.final_mask[dead]
+            assert ((lat.next_state >= 0) & (lat.next_state <= dead)).all()
 
     def test_nondeterministic_grammar_rejected(self):
         nfa = Automaton(2, {(0, O, 0.0, 0), (0, O, 0.0, 1)}, 0, {0})
@@ -235,7 +241,7 @@ class TestLattice:
         bwd = beta[:, : lat.num_grammar_states, 0] > -np.inf
         assert bwd.shape == (5, lat.num_grammar_states)
         assert bwd[0, lat.initial]
-        assert np.array_equal(bwd[4], lat.final_mask)
+        assert np.array_equal(bwd[4], lat.final_mask[: lat.num_grammar_states])
         # every accepting sequence stays inside the co-reachable states
         for seq in accepting_sequences(lat, 4):
             q = lat.initial
@@ -247,7 +253,7 @@ class TestLattice:
             for q in range(lat.num_grammar_states):
                 ends = {q}
                 for _ in range(4 - pos):
-                    ends = {int(lat.next_state[p, t]) for p in ends for t in range(NUM_TAGS)} - {-1}
+                    ends = {int(lat.next_state[p, t]) for p in ends for t in range(NUM_TAGS)}
                 assert bwd[pos, q] == any(lat.final_mask[e] for e in ends)
 
     def test_weight_validation(self, semantic):

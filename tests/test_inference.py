@@ -744,14 +744,18 @@ class TestChartOracle:
 
     @staticmethod
     def assert_same_bits(lattice, batch, sr, lengths, backward):
-        # batch holds lane b's rows at batch[b], its sentence first, as _layout places it
-        totals, charts = _chart(lattice, batch.transpose(1, 0, 2), sr, _layout(lengths), backward)
+        # batch holds lane b's rows at batch[b], its sentence first, as _layout
+        # places it by default and with one sentence a lane named explicitly
+        layouts = _layout(lengths), _layout(lengths, [1] * len(lengths))
+        assert all(np.array_equal(a, b) for a, b in zip(*layouts))
         ref_totals, ref_charts = chart_reference(lattice, batch, sr, lengths, backward)
-        assert totals.shape == ref_totals.shape
-        assert np.array_equal(totals.view(np.int64), ref_totals.view(np.int64))
-        assert len(charts) == len(ref_charts) == 2 - backward
-        for chart, ref in zip(charts, ref_charts):
-            assert np.array_equal(chart.transpose(0, 2, 1).view(np.int64), ref.view(np.int64))
+        for layout in layouts:
+            totals, charts = _chart(lattice, batch.transpose(1, 0, 2), sr, layout, backward)
+            assert totals.shape == ref_totals.shape
+            assert np.array_equal(totals.view(np.int64), ref_totals.view(np.int64))
+            assert len(charts) == len(ref_charts) == 2 - backward
+            for chart, ref in zip(charts, ref_charts):
+                assert np.array_equal(chart.transpose(0, 2, 1).view(np.int64), ref.view(np.int64))
         return totals
 
     @pytest.mark.parametrize("backward", [False, True], ids=["two-way", "backward"])
@@ -830,22 +834,20 @@ class TestBatchLosses:
             lengths = rng.integers(1, 30, batch)
             labels = [random_labels(rng, mode, n) for n in lengths]
             sentences = [random_weights(rng, n) for n in lengths]
-            losses, grad = batch_losses(build_lattice(grammar), joined(sentences), lengths, labels, loss)
+            losses, grad = batch_losses(build_lattice(grammar), joined(sentences), labels, loss)
             for b, (w, pl, rows) in enumerate(zip(sentences, labels, word_rows(lengths))):
                 alone_loss, alone_grad = LIBRARY_LOSSES[loss](build_lattice(grammar), w, pl)
                 assert losses[b] == alone_loss
                 assert np.array_equal(grad[rows], alone_grad)
         # a batch of no sentences gives no losses and no gradient rows
-        losses, grad = batch_losses(build_lattice(grammar), np.zeros((0, NUM_TAGS)), [], [], loss)
+        losses, grad = batch_losses(build_lattice(grammar), np.zeros((0, NUM_TAGS)), [], loss)
         assert losses.shape == (0,) and grad.shape == (0, NUM_TAGS)
 
     def test_rejects_mismatched_labels_and_unknown_loss(self):
         rng = np.random.default_rng(83)
         labels = [random_labels(rng, "semantic", 4), random_labels(rng, "semantic", 3)]
         w = np.zeros((7, NUM_TAGS))
+        with pytest.raises(ValueError, match="^6 weight rows for sentences of 7 words$"):
+            batch_losses(LAT, w[:6], labels, "nll")
         with pytest.raises(ValueError):
-            batch_losses(LAT, w, [3, 4], labels, "nll")
-        with pytest.raises(ValueError):
-            batch_losses(LAT, w[:6], [4, 3], labels, "nll")
-        with pytest.raises(ValueError):
-            batch_losses(LAT, w, [4, 3], labels, "mle")
+            batch_losses(LAT, w, labels, "mle")

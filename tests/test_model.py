@@ -35,6 +35,7 @@ from conftest import (
     LIBRARY_LOSSES,
     MALFORMED_MODELS,
     fnv1a_reference,
+    is_structural,
     is_well_formed_reference,
     predict_batch,
     score_rows_reference,
@@ -488,9 +489,9 @@ class TestTraining:
                 draws.append(self.rng.permutation(n))
                 return draws[-1]
 
-        def recorded(lattice, w, lengths, labels, loss):
+        def recorded(lattice, w, labels, loss):
             runs.append((len(draws) // 2 - 1, [index[id(label)] for label in labels]))
-            return batch_losses(lattice, w, lengths, labels, loss)
+            return batch_losses(lattice, w, labels, loss)
 
         monkeypatch.setattr(PartialLabelSet, "from_annotation", named)
         monkeypatch.setattr(np.random, "default_rng", Recording)
@@ -637,6 +638,9 @@ class TestPredict:
         got = predict_batch(scorer, sentences, mode)
         assert [len(ts) for ts in got] == lengths
         assert [ts.tags for ts in got] == [predict_tags(scorer, t, mode).tags for t in sentences]
+        # every predicted path is in the mode's language, by the rule checker, not the grammar
+        accepted = is_well_formed_reference if mode == "semantic" else is_structural
+        assert all(accepted(ts) for ts in got)
 
     @pytest.mark.parametrize("mode", ["semantic", "structural"])
     def test_batches_at_the_real_budget_match_per_sentence(self, mode, monkeypatch):

@@ -445,6 +445,16 @@ class TestBatchedRuleCheck:
             got = is_well_formed_batch(*as_rows(batch)).tolist()
             assert got == [is_well_formed_reference(s) for s in batch], start
             start += len(batch)
+        # and, among short ones, a sequence of more than 65,535 tags, which widens
+        # the walk's sort key past 16 bits, its copy with the last tag DI-O, and
+        # its first half, whose key differs from the short ones' by less than 2**16
+        blocks = [ts(s).tags for s in ("O", "CB CI", "DB-Bx DI-O DI-By", "DB-By DI-Iy DI-Bx DI-O DI-Bx")]
+        long = tuple(itertools.chain.from_iterable(blocks[i] for i in rng.integers(len(blocks), size=25_000)))
+        batch = sequences[:40] + [long] + sequences[40:80] + [long[:-1] + (DI_O,), long[: len(long) // 2]]
+        batch += sequences[80:100]
+        want = [is_well_formed_reference(s) for s in batch]
+        assert len(long) > 65_535 and (want[40], want[81]) == (True, False)
+        assert is_well_formed_batch(*as_rows(batch)).tolist() == want
 
     @pytest.mark.parametrize(
         "first, second",

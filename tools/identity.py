@@ -36,9 +36,9 @@ processes against the given tree's ``src/``:
 - ``validate``, ``decode`` and ``decode --corpus`` on a tag file of mostly
   ill-formed sequences (see :func:`_ill_formed`), built without ``disctag``, and
   a corpus of as many words per record: long concatenations of well-formed
-  blocks, most with one or two tags replaced at seeded random, then one
-  sequence that breaks each of the six rules of the tagging scheme, and an
-  empty line;
+  blocks, most with one or two tags replaced at seeded random, one of more
+  than 65,535 tags with one tag replaced, then one sequence that breaks each
+  of the six rules of the tagging scheme, and an empty line;
 - bad inputs: a byte that is not UTF-8, a record without its mention line, an
   unknown tag symbol, a ``decode --corpus`` length mismatch and a model file
   that is not a model.
@@ -126,6 +126,10 @@ RULE_BREAKERS = (
 )
 ILL_FORMED_SEED = 7
 ILL_FORMED_LONG = 48  # long sequences; every eighth is left well-formed
+# Tags of one more sequence, with one tag replaced: past 65,535 the sort keys
+# of the grammar walk (an unsigned integer as wide as the longest length) widen
+# from 16 to 32 bits.
+ILL_FORMED_WIDE = 65_600
 BAD_INPUTS = {  # file name -> contents
     "non-utf8.txt": b"pain in \xffarms\n0-1\n",
     "no-mention-line.txt": b"pain in arms\n0-1\n\nit hurts",
@@ -192,7 +196,8 @@ def _model_jobs(seed: int, work: Path) -> tuple[list, list]:
 def _ill_formed() -> list[str]:
     """The lines of the ill-formed tag file: :data:`ILL_FORMED_LONG` seeded
     concatenations of :data:`WELL_FORMED_BLOCKS`, of 100-500 tags each, all
-    but every eighth with one or two tags replaced by any tag, then the
+    but every eighth with one or two tags replaced by any tag, one more of at
+    least :data:`ILL_FORMED_WIDE` tags with one tag replaced by another, then the
     :data:`RULE_BREAKERS` and an empty line."""
     rng = random.Random(ILL_FORMED_SEED)
     lines = []
@@ -203,6 +208,12 @@ def _ill_formed() -> list[str]:
         for _ in range(rng.randint(1, 2) if i % 8 else 0):
             tags[rng.randrange(len(tags))] = rng.choice(TAG_SYMBOLS)
         lines.append(" ".join(tags))
+    tags = []
+    while len(tags) < ILL_FORMED_WIDE:
+        tags += rng.choice(WELL_FORMED_BLOCKS).split()
+    at = rng.randrange(len(tags))
+    tags[at] = rng.choice([t for t in TAG_SYMBOLS if t != tags[at]])
+    lines.append(" ".join(tags))
     return lines + list(RULE_BREAKERS) + [""]
 
 
