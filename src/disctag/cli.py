@@ -169,7 +169,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    s = corpus_io.stats(corpus_io.read_corpus(args.corpus))
+    s = corpus_io._stats([fragments for _, fragments in corpus_io._parse_corpus(args.corpus)])
     print(f"sentences                {s.sentences}")
     print(f"mentions                 {s.mentions}")
     print(f"discontinuous mentions   {s.discontinuous_mentions}")
@@ -178,22 +178,20 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    records = corpus_io.read_corpus(args.corpus)
-    kept, dropped = corpus_io.filter_incompatible(records)
-    for reason, count in sorted(collections.Counter(reason for _, _, reason in dropped).items()):
+    lines, reasons = corpus_io._filtered_corpus(args.corpus)
+    for reason, count in sorted(collections.Counter(filter(None, reasons)).items()):
         print(f"dropped {count} record(s): {reason}", file=sys.stderr)
-    print(f"kept {len(kept)}/{len(records)} records", file=sys.stderr)
-    _write(args.output, corpus_io.corpus_text(r for r, _ in kept))
+    print(f"kept {reasons.count(None)}/{len(reasons)} records", file=sys.stderr)
+    _write(args.output, corpus_io._layout(line for line, reason in zip(lines, reasons) if reason is None))
     return 0
 
 
 def _cmd_train(args) -> int:
-    records = corpus_io.read_corpus(args.corpus)
+    kept, dropped = corpus_io._annotated_corpus(args.corpus)
     lexicon = corpus_io.Lexicon.from_file(args.lexicon) if args.lexicon else None
-    kept, dropped = corpus_io.filter_incompatible(records)
-    data = [(r.tokens, ann if lexicon is None else corpus_io.silver_type(ann, r.tokens, lexicon)) for r, ann in kept]
+    data = [(tokens, ann if lexicon is None else corpus_io.silver_type(ann, tokens, lexicon)) for tokens, ann in kept]
     if dropped:
-        print(f"ignoring {len(dropped)} incompatible record(s)", file=sys.stderr)
+        print(f"ignoring {dropped} incompatible record(s)", file=sys.stderr)
     config = TrainConfig(
         loss=args.loss,
         epochs=args.epochs,

@@ -10,8 +10,12 @@ File formats (all UTF-8):
   records of a corpus file.
 - **lexicon**: one entry per line; matching is lowercased, exact, whole-word.
 
-:func:`filter_incompatible` is the one compatibility pass: the commands that
-need records' annotations, or why a record has none, take them from it.
+Every command that needs records' annotations, or why a record has none,
+takes them from one grouping pass over all of a corpus's mentions
+(:func:`~disctag.scheme._two_layer_batch`).  :func:`filter_incompatible`
+makes that call for records; ``disctag filter``, ``stats`` and ``train``
+feed it the fragments of a corpus file as written and build no record, and
+the first two keep only the reasons (:func:`_reasons`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import build_lattice, grammar_automaton
-from .errors import Incompatible, LengthMismatch, ParseError
+from .errors import INCOMPATIBLE_REASONS, LengthMismatch, ParseError
 from .inference import random_well_formed
 from .model import LinearScorer, predict_tags
 from .scheme import (
@@ -36,6 +40,9 @@ from .scheme import (
     SentenceAnnotation,
     TagSequence,
     TwoLayerSet,
+    _annotations,
+    _fragment_rows,
+    _two_layer_batch,
     decode,
     encode,
     to_two_layer,
@@ -220,22 +227,58 @@ def annotate(record: CorpusRecord) -> SentenceAnnotation:
     return to_two_layer(record.mentions, record.n)
 
 
+def _reasons(mentions: Sequence[Sequence[Sequence[tuple[int, int]]]]) -> list[str | None]:
+    """Each record's :class:`Incompatible` reason, or ``None`` for an
+    encodable record, of records given by their mentions' fragments (as
+    written), from one grouping pass."""
+    codes = _two_layer_batch(*_fragment_rows(mentions)).reason.tolist()
+    return [INCOMPATIBLE_REASONS[code] if code >= 0 else None for code in codes]
+
+
 def filter_incompatible(
     records: Iterable[CorpusRecord],
 ) -> tuple[list[tuple[CorpusRecord, SentenceAnnotation]], list[tuple[int, CorpusRecord, str]]]:
-    """Split records into encodable and dropped ones, annotating each once.
+    """Split records into encodable and dropped ones, by one grouping pass
+    over all their mentions.
 
     Returns each kept record with its :func:`annotate` annotation, and each
     dropped one as ``(position, record, reason)``: its 0-based position in
-    ``records`` and the :class:`Incompatible` reason of its leftmost failing set.
+    ``records`` and the :class:`Incompatible` reason of its leftmost failing
+    set.  Annotations are built for the kept records only.
     """
-    kept, dropped = [], []
-    for position, record in enumerate(records):
-        try:
-            kept.append((record, annotate(record)))
-        except Incompatible as err:
-            dropped.append((position, record, err.reason))
-    return kept, dropped
+    records = list(records)
+    grouping = _two_layer_batch(*_fragment_rows([[m.fragments for m in r.mentions] for r in records]))
+    reasons = grouping.reason.tolist()
+    kept = [k for k, code in enumerate(reasons) if code < 0]
+    annotations = _annotations(grouping, [r.n for r in records], kept)
+    dropped = [(k, records[k], INCOMPATIBLE_REASONS[code]) for k, code in enumerate(reasons) if code >= 0]
+    return [(records[k], ann) for k, ann in zip(kept, annotations)], dropped
+
+
+def _filtered_corpus(path) -> tuple[list[tuple[str, str]], list[str | None]]:
+    """Each record of a corpus file as its token line and mention line, as
+    :func:`corpus_text` writes them, and its :func:`_reasons` reason, from
+    one grouping pass over the mentions as written: no record is built."""
+    lines, mentions = [], []
+    for tokens, fragments in _parse_corpus(path):
+        lines.append((" ".join(tokens), format_mentions(frozenset(map(Mention, fragments)))))
+        mentions.append(fragments)
+    return lines, _reasons(mentions)
+
+
+def _annotated_corpus(path) -> tuple[list[tuple[list[str], SentenceAnnotation]], int]:
+    """The tokens and annotation of each encodable record of a corpus file,
+    and the count of the others, as :func:`filter_incompatible` finds them,
+    from one grouping pass over the mentions as written: no record is built,
+    and no :class:`Mention` but the continuous ones."""
+    sentences, mentions = [], []
+    for tokens, fragments in _parse_corpus(path):
+        sentences.append(tokens)
+        mentions.append(fragments)
+    grouping = _two_layer_batch(*_fragment_rows(mentions))
+    kept = np.flatnonzero(grouping.reason < 0).tolist()
+    annotations = _annotations(grouping, list(map(len, sentences)), kept)
+    return [(sentences[k], ann) for k, ann in zip(kept, annotations)], len(sentences) - len(kept)
 
 
 @dataclass(frozen=True)
@@ -247,15 +290,19 @@ class CorpusStats:
 
 
 def stats(records: Sequence[CorpusRecord]) -> CorpusStats:
-    _, dropped = filter_incompatible(records)
-    return CorpusStats(
-        sentences=len(records),
-        mentions=sum(len(r.mentions) for r in records),
-        discontinuous_mentions=sum(
-            1 for r in records for m in r.mentions if not m.is_continuous
-        ),
-        incompatible_sentences=len(dropped),
-    )
+    return _stats([[m.fragments for m in r.mentions] for r in records])
+
+
+def _stats(mentions: Sequence[Sequence[Sequence[tuple[int, int]]]]) -> CorpusStats:
+    """The :func:`stats` of records given by their mentions' fragments, as
+    written (``disctag stats`` reads no tokens)."""
+    total = discontinuous = 0
+    for fragments in mentions:
+        canonical = set(map(Mention, fragments))
+        total += len(canonical)
+        discontinuous += sum(not m.is_continuous for m in canonical)
+    reasons = _reasons(mentions)
+    return CorpusStats(len(mentions), total, discontinuous, len(reasons) - reasons.count(None))
 
 
 @dataclass(frozen=True)

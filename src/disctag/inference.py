@@ -37,7 +37,7 @@ factorises into one two-way choice per set and takes time linear in ``n``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -463,42 +463,55 @@ def _sums(values: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     return np.bincount(np.repeat(np.arange(len(sizes)), sizes), weights=values, minlength=len(sizes))
 
 
-def _joined(arrays: Iterable[np.ndarray]) -> np.ndarray:
-    """Integer arrays concatenated in order; none give an empty one."""
-    return np.concatenate([np.empty(0, dtype=np.intp), *arrays])
+class _Labels(NamedTuple):
+    """The label sets of a batch as flat arrays, one sentence after another."""
+
+    lengths: np.ndarray  # (sentences,): each sentence's words
+    sets: np.ndarray  # its unresolved sets, k
+    gold: np.ndarray  # (words,): each word's gold tag
+    owner: np.ndarray  # its unresolved set in its sentence, or -1
 
 
-def _flip_gains(labels: Sequence[PartialLabelSet], weights: np.ndarray):
-    """Flip terms of a batch of label sets, over their words concatenated in
-    order, ``weights`` holding the words' rows.
+def _flat(labels: Sequence[PartialLabelSet]) -> _Labels:
+    """The label sets joined in order; none give empty arrays."""
+    return _Labels(
+        np.fromiter((len(pl.owner) for pl in labels), dtype=np.intp, count=len(labels)),
+        np.fromiter((pl.k for pl in labels), dtype=np.intp, count=len(labels)),
+        np.concatenate([np.empty(0, dtype=np.intp), *(pl.gold_indices for pl in labels)]),
+        np.concatenate([np.empty(0, dtype=np.intp), *(pl.owner for pl in labels)]),
+    )
 
-    Returns per word the gold tag, its flip (itself outside unresolved sets)
-    and its slot, and per slot the score gain of flipping it.  Slot 0 stands
-    for no set; the unresolved sets follow, sentence by sentence.
+
+def _flip_gains(labels: _Labels, weights: np.ndarray):
+    """Flip terms of a batch of label sets, ``weights`` holding the rows of
+    their words.
+
+    Returns per word the flip of its gold tag (itself outside unresolved
+    sets) and its slot, and per slot the score gain of flipping it.  Slot 0
+    stands for no set; the unresolved sets follow, sentence by sentence.
     """
-    gold = _joined(pl.gold_indices for pl in labels)
-    owner = _joined(pl.owner for pl in labels)
-    sets = np.array([pl.k for pl in labels], dtype=np.intp)
-    before = np.repeat(np.cumsum(sets) - sets, [len(pl.owner) for pl in labels])  # sets of earlier sentences
+    gold, owner = labels.gold, labels.owner
+    before = np.repeat(np.cumsum(labels.sets) - labels.sets, labels.lengths)  # sets of earlier sentences
     slot = np.where(owner >= 0, owner + 1 + before, 0)
     flipped = np.where(owner >= 0, _FLIP[gold], gold)
     words = np.arange(len(gold))
     change = weights[words, flipped] - weights[words, gold]
-    return gold, flipped, slot, np.bincount(slot, weights=change, minlength=sets.sum() + 1)
+    return flipped, slot, np.bincount(slot, weights=change, minlength=labels.sets.sum() + 1)
 
 
-def _clamped(labels: Sequence[PartialLabelSet], weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _clamped(labels: _Labels, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per sentence the clamped log-partition, and per word the clamped
     marginals (see :func:`clamped_log_partition` and
     :func:`clamped_marginals`), of a batch as in :func:`_flip_gains`."""
-    gold, flipped, slot, gains = _flip_gains(labels, weights)
+    gold = labels.gold
+    flipped, slot, gains = _flip_gains(labels, weights)
     p = np.exp(-np.logaddexp(0.0, -gains))[slot]  # sigmoid without overflow
     words = np.arange(len(gold))
     out = np.zeros((len(gold), NUM_TAGS))
     out[words, gold] += 1.0 - p  # outside sets flipped == gold, so the row still sums to 1
     out[words, flipped] += p
-    gold_scores = _sums(weights[words, gold], [len(pl.owner) for pl in labels])
-    return gold_scores + _sums(np.logaddexp(0.0, gains[1:]), [pl.k for pl in labels]), out
+    gold_scores = _sums(weights[words, gold], labels.lengths)
+    return gold_scores + _sums(np.logaddexp(0.0, gains[1:]), labels.sets), out
 
 
 def _check_label_set(pl: PartialLabelSet, weights: np.ndarray) -> np.ndarray:
@@ -513,21 +526,21 @@ def clamped_log_partition(pl: PartialLabelSet, weights: np.ndarray) -> float:
     """Log-sum-exp of the member scores (the clamped log-partition):
     ``<gold, w> + sum_s log(1 + exp(delta_s))``, ``delta_s`` the gain of flipping set ``s``.
     """
-    return float(_clamped([pl], _check_label_set(pl, weights))[0][0])
+    return float(_clamped(_flat([pl]), _check_label_set(pl, weights))[0][0])
 
 
 def clamped_marginals(pl: PartialLabelSet, weights: np.ndarray) -> np.ndarray:
     """Posterior-weighted average of member one-hots (gradient of the clamp):
     inside each set's span, ``gold`` and its flip mixed with weight ``sigmoid(delta_s)``.
     """
-    return _clamped([pl], _check_label_set(pl, weights))[1]
+    return _clamped(_flat([pl]), _check_label_set(pl, weights))[1]
 
 
-def _hard_em_targets(labels: Sequence[PartialLabelSet], weights: np.ndarray) -> np.ndarray:
+def _hard_em_targets(labels: _Labels, weights: np.ndarray) -> np.ndarray:
     """The members picked by :func:`hard_em_step`, concatenated: each set is
     flipped iff that raises the score."""
-    gold, flipped, slot, gains = _flip_gains(labels, weights)
-    return np.where(gains[slot] > 0, flipped, gold)
+    flipped, slot, gains = _flip_gains(labels, weights)
+    return np.where(gains[slot] > 0, flipped, labels.gold)
 
 
 LOSSES = ("nll", "partial", "hard-em")
@@ -546,19 +559,24 @@ def batch_losses(
     well-formed), :func:`partial_nll`, or :func:`hard_em_step`.  Returns the
     ``(B,)`` losses and the gradient rows of the sentences' words, in the
     order of ``weights``; each sentence gets, bit for bit, what it gets
-    alone.
+    alone.  The label sets are joined into flat arrays, which
+    :func:`~disctag.model.train` slices from its whole corpus's for each
+    step, and both run the same core; an unknown ``loss`` raises
+    :class:`ValueError` before any chart runs.
     """
-    weights, layout = _check_weights(weights), _layout([len(pl.owner) for pl in labels])
+    return _batch_losses(lat, weights, _flat(labels), loss)
+
+
+def _batch_losses(lat: Lattice, weights: np.ndarray, labels: _Labels, loss: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`batch_losses` of label sets given as flat arrays."""
+    if loss not in LOSSES:
+        raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
+    weights, layout = _check_weights(weights), _layout(labels.lengths)
     log_z, grad = _posterior(lat, weights, layout)
     if loss == "partial":
         clamped_z, clamped = _clamped(labels, weights)
         return log_z - clamped_z, grad - clamped
-    if loss == "hard-em":
-        target = _hard_em_targets(labels, weights)
-    elif loss == "nll":
-        target = _joined(pl.gold_indices for pl in labels)
-    else:
-        raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
+    target = _hard_em_targets(labels, weights) if loss == "hard-em" else labels.gold
     words = np.arange(len(target))
     grad[words, target] -= 1.0
     return log_z - _sums(weights[words, target], layout.lengths), grad
@@ -608,5 +626,5 @@ def hard_em_step(
     over sets from left to right).
     """
     weights = _check_label_set(pl, weights)
-    chosen = TagSequence.from_indices(_hard_em_targets([pl], weights))
+    chosen = TagSequence.from_indices(_hard_em_targets(_flat([pl]), weights))
     return *_nll(lat, weights, chosen), chosen

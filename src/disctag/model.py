@@ -19,7 +19,7 @@ import numpy as np
 
 from .automata import _ragged_walk, build_lattice, grammar_automaton
 from .errors import ConfigError
-from .inference import LOSSES, PartialLabelSet, batch_losses, viterbi_rows
+from .inference import LOSSES, PartialLabelSet, _batch_losses, _flat, _Labels, viterbi_rows
 from .scheme import (
     NUM_TAGS,
     TAGS,
@@ -282,7 +282,10 @@ def train(
     runs in an order drawn from the same generator.  A run is scored with
     the params as they are at its start, its losses come from one batched
     chart, and its gradients are applied as one update, summed word by word
-    in order.
+    in order.  The label sets are joined into flat arrays once, right after
+    they are built; each epoch orders its sentences' words by run, so each
+    step takes a contiguous slice of them and gathers their hashed rows and
+    labels with one call each.
 
     In structural mode every annotation is canonicalised so that the leftmost
     component of each set is typed x and the restricted grammar applies; the
@@ -301,39 +304,53 @@ def train(
     if not sentences:
         raise ConfigError("empty training corpus")
     sizes = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
-    # hashed once for every epoch, in one pass over the corpus's types, and
-    # copied to C order once, so that apply_gradient ravels each step's rows without a copy
-    rows = np.split(np.ascontiguousarray(scorer.batch_feature_indices(sentences)), np.cumsum(sizes[:-1]))
+    firsts = np.cumsum(sizes) - sizes
+    # hashed once for every epoch, in one pass over the corpus's types
+    hashed = np.ascontiguousarray(scorer.batch_feature_indices(sentences))
     golds = encode_batch(annotations)  # checked at once, not one annotation at a time
-    examples = [
-        (r, PartialLabelSet.from_annotation(ann, gold=gold)) for r, ann, gold in zip(rows, annotations, golds)
-    ]
+    labels = _flat([PartialLabelSet.from_annotation(ann, gold=gold) for ann, gold in zip(annotations, golds)])
 
     lattice = build_lattice(grammar_automaton(mode))
     rng = np.random.default_rng(config.seed)
     for epoch in range(config.epochs):
         total = 0.0
-        order = rng.permutation(len(examples))
-        runs = []
-        for first in range(0, len(order), TRAIN_POOL):
-            pool = order[first : first + TRAIN_POOL]
-            pool = pool[np.argsort(sizes[pool], kind="stable")]
-            runs += [pool[i : i + TRAIN_BATCH] for i in range(0, len(pool), TRAIN_BATCH)]
-        for k in rng.permutation(len(runs)):
-            batch = [examples[j] for j in runs[k]]
-            rows = np.concatenate([r for r, _ in batch])
-            w = scorer.score_rows(rows)
+        runs = _epoch_runs(sizes, rng)
+        # the epoch's sentences and words in run order: each step's are a
+        # contiguous slice, whose rows and labels it gathers with one take each
+        sentence = np.concatenate(runs)
+        lengths, sets = sizes[sentence], labels.sets[sentence]
+        ends = np.cumsum(lengths)
+        word = np.repeat(firsts[sentence] - ends + lengths, lengths) + np.arange(ends[-1])
+        cuts = np.cumsum([0] + [len(run) for run in runs]).tolist()
+        spans = np.concatenate(([0], ends))[cuts].tolist()
+        for (a, z), (start, stop) in zip(itertools.pairwise(cuts), itertools.pairwise(spans)):
+            words = word[start:stop]
+            step = hashed.take(words, axis=0)  # C order: apply_gradient ravels it without a copy
+            w = scorer.score_rows(step)
             if not np.isfinite(w).all():
                 raise _diverged(epoch + 1)
-            losses, grad = batch_losses(lattice, w, [s for _, s in batch], config.loss)
+            losses, grad = _batch_losses(
+                lattice, w, _Labels(lengths[a:z], sets[a:z], labels.gold[words], labels.owner[words]), config.loss
+            )
             if not (losses >= -1e-6).all():  # every loss is >= 0; huge scores cancel (or give NaN)
                 raise _diverged(epoch + 1)
-            scorer.apply_gradient(rows, grad, config.learning_rate, config.l2)
+            scorer.apply_gradient(step, grad, config.learning_rate, config.l2)
             total += losses.sum()
-        logger.info("epoch %d: mean %s loss %.6g", epoch + 1, config.loss, total / len(examples))
-    if not np.isfinite(scorer.score_rows(rows)).all():  # reads the rows of the last update
+        logger.info("epoch %d: mean %s loss %.6g", epoch + 1, config.loss, total / len(sizes))
+    if not np.isfinite(scorer.score_rows(step)).all():  # reads the rows of the last update
         raise _diverged(config.epochs)
     return scorer
+
+
+def _epoch_runs(sizes: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+    """The runs of sentences of one epoch (see :func:`train`), in the order it visits them."""
+    order = rng.permutation(len(sizes))
+    runs = []
+    for first in range(0, len(order), TRAIN_POOL):
+        pool = order[first : first + TRAIN_POOL]
+        pool = pool[np.argsort(sizes[pool], kind="stable")]
+        runs += [pool[i : i + TRAIN_BATCH] for i in range(0, len(pool), TRAIN_BATCH)]
+    return [runs[k] for k in rng.permutation(len(runs))]
 
 
 def _diverged(epoch: int) -> ConfigError:

@@ -6,7 +6,10 @@ Each set is described by typed components (``x`` / ``y``), runs of words
 covered by the same mentions; the mentions of the set are the Cartesian
 product of its x-components with its y-components, whose sides follow from
 the leftmost component.  This module provides the mapping in both directions
-and the 10-tag encoding of annotations as word-level tag sequences.  The tags
+and the 10-tag encoding of annotations as word-level tag sequences.  Mentions
+are grouped into annotations by one pass over the fragments of a whole batch
+of records (:func:`_two_layer_batch`); :func:`to_two_layer` is a batch of
+one.  The tags
 are the alphabet of :mod:`disctag.automata`, whose grammar automaton is the
 one definition of the encodable sequences: a sequence is well-formed iff the
 grammar's minimal DFA accepts it.
@@ -18,6 +21,7 @@ import enum
 import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +44,7 @@ from .automata import (
     grammar_automaton,
 )
 from .errors import (
+    INCOMPATIBLE_REASONS,
     PARTIAL_OVERLAP,
     SPAN_CONFLICT,
     THREE_WAY_SPLIT,
@@ -342,76 +347,198 @@ class SentenceAnnotation:
 
 
 def to_two_layer(mentions: Iterable[Mention], n: int) -> SentenceAnnotation:
-    """Group a mention set into the two-layer representation.
+    """Group a mention set into the two-layer representation: the
+    :func:`_two_layer_batch` of a batch of one.
 
-    A component is a maximal run of words covered by the same mentions; a
-    set grows from each leftmost component not yet seen, through the
-    components its mentions touch, and a mention alone on its component is
-    a standalone continuous mention.  Mention spans carry no component
-    types, so the orientation is structural: the components that share a
-    mention with the leftmost one are typed y, the rest x, and the set is
-    left unresolved.  :func:`disctag.corpus.silver_type` orients sets afterwards.
+    A component is a maximal run of words covered by the same mentions; the
+    components that mentions join are one set, and a mention alone on its
+    component is a standalone continuous mention.  Mention spans carry no
+    component types, so the orientation is structural: the components that
+    share a mention with the leftmost one are typed y, the rest x, and the
+    set is left unresolved.  :func:`disctag.corpus.silver_type` orients sets
+    afterwards.
 
-    Raises :class:`Incompatible` when the mention set has no tag encoding.
+    Raises :class:`Incompatible` when the mention set has no tag encoding,
+    and :class:`ValueError` for a mention outside the sentence.
     """
-    ms = sorted(set(mentions))
-    for m in ms:
-        if m.end >= n:
-            raise ValueError(f"mention {m} outside sentence of {n} words")
-    cover: dict[int, list[int]] = {}  # word -> the sorted ids of the mentions covering it
-    for i, m in enumerate(ms):
-        for b, e in m.fragments:
-            for w in range(b, e + 1):
-                cover.setdefault(w, []).append(i)
-    spans: list[list[int]] = []
-    owners: list[list[int]] = []
-    for w in sorted(cover):
-        if owners and owners[-1] == cover[w] and spans[-1][1] == w - 1:
-            spans[-1][1] = w
-        else:
-            spans.append([w, w])
-            owners.append(cover[w])
-    touched: list[list[int]] = [[] for _ in ms]  # per mention, its components in word order
-    for c, ids in enumerate(owners):
-        for i in ids:
-            touched[i].append(c)
+    ms = set(mentions)
+    outside = [m for m in ms if m.end >= n]
+    if outside:
+        raise ValueError(f"mention {min(outside)} outside sentence of {n} words")
+    grouping = _two_layer_batch(*_fragment_rows([[m.fragments for m in ms]]))
+    if grouping.reason[0] >= 0:
+        raise Incompatible(INCOMPATIBLE_REASONS[grouping.reason[0]])
+    return _annotations(grouping, [n], [0])[0]
 
-    continuous: list[Mention] = []
-    sets: list[TwoLayerSet] = []
-    seen: set[int] = set()
-    for first in range(len(owners)):
-        if first in seen:
-            continue
-        comps, members = {first}, list(owners[first])
-        for i in members:  # the list grows as the walk reaches new components
-            for c in touched[i]:
-                if c not in comps:
-                    comps.add(c)
-                    members.extend(j for j in owners[c] if j not in members)
-        seen |= comps
-        if len(comps) == 1:
-            continuous.append(ms[members[0]])
-            continue
-        for i in sorted(members):
-            if len(touched[i]) >= 3:
-                raise Incompatible(THREE_WAY_SPLIT, f"mention {ms[i]} splits into {len(touched[i])} components")
-            if len(touched[i]) < 2:
-                raise Incompatible(PARTIAL_OVERLAP, f"mention {ms[i]} is entirely shared")
-        # a mention covers whole components and distinct mentions cover
-        # distinct words, so a count checks the full product
-        y = {touched[i][1] for i in owners[first]}
-        one_of_each = all((a in y) != (b in y) for a, b in (touched[i] for i in members))
-        if not one_of_each or len(members) != (len(comps) - len(y)) * len(y):
-            raise Incompatible(PARTIAL_OVERLAP, "mention set is not a full product of its components")
-        sets.append(
-            TwoLayerSet(
-                tuple(Component(*spans[c], ComponentType.Y if c in y else ComponentType.X) for c in sorted(comps))
-            )
-        )
-    try:
-        return SentenceAnnotation(n, tuple(continuous), tuple(sets))
-    except ValueError as err:  # the mentions are inside the sentence: elements overlap
-        raise Incompatible(SPAN_CONFLICT, str(err)) from None
+
+class _Grouping(NamedTuple):
+    """What :func:`_two_layer_batch` finds in a batch of records.  Its elements
+    are the continuous mentions (one component) and the sets (two or more),
+    in record order and, within a record, in the word order of their
+    leftmost components."""
+
+    reason: np.ndarray  # (records,): index into INCOMPATIBLE_REASONS, or -1 for an encodable record
+    elements: np.ndarray  # (records + 1,): record r's elements are elements[r]:elements[r + 1]
+    parts: np.ndarray  # (elements + 1,): element k's components are parts[k]:parts[k + 1]
+    start: np.ndarray  # (components,): first word, each element's components in word order
+    end: np.ndarray  # last word
+    y: np.ndarray  # typed y: shares a mention with its set's leftmost component
+
+
+def _fragment_rows(records: Sequence[Sequence[Sequence[tuple[int, int]]]]) -> tuple:
+    """The fragments ``(b, e)`` of each mention of each record, as rows
+    ``(record, mention, b, e)`` of one array per column, mentions numbered
+    across the batch, and the count of records: the arguments of
+    :func:`_two_layer_batch`."""
+    mentions = [m for r in records for m in r]
+    counts = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+    sizes = np.fromiter(map(len, mentions), dtype=np.intp, count=len(mentions))
+    ends = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(mentions)),
+                       dtype=np.int64, count=2 * sizes.sum()).reshape(-1, 2)
+    record = np.repeat(np.repeat(np.arange(len(records)), counts), sizes)
+    return record, np.repeat(np.arange(len(mentions)), sizes), ends[:, 0], ends[:, 1], len(records)
+
+
+def _opens(values: np.ndarray) -> np.ndarray:
+    """Whether each entry of a grouped array opens a run of equal entries."""
+    out = np.ones(len(values), dtype=bool)
+    out[1:] = values[1:] != values[:-1]
+    return out
+
+
+def _two_layer_batch(
+    record: np.ndarray, mention: np.ndarray, b: np.ndarray, e: np.ndarray, count: int
+) -> _Grouping:
+    """The two-layer grouping (see :func:`to_two_layer`) of the mentions of
+    ``count`` records, from their fragments as written: rows ``(record,
+    mention, b, e)`` in any order (see :func:`_fragment_rows`).
+
+    - Each mention's fragments are sorted, and overlapping or adjacent ones
+      merged, as :class:`Mention` does.  The words right before and after a
+      merged fragment are not its mention's, so the covering profile
+      changes exactly at every fragment start and right after every
+      fragment end: a component is a covered run between two such cuts.
+    - The components that mentions join are one element.  The elements are
+      found by hooking each higher root onto the lower one and jumping to
+      the roots, until no mention joins two trees; a root is the leftmost
+      component.
+    - A mention of a set must hit exactly two components.  A set with other
+      mentions fails with the reason of the first of them in
+      :class:`Mention` order, which their first fragments decide (a prefix
+      comes first).
+    - A component is y exactly when it shares a mention with its set's
+      leftmost component.  Equal mentions hit the same two components, so a
+      set is a full product iff each distinct pair of components that a
+      mention hits is one x and one y, and there are ``x * y`` pairs.
+    - A record's reason is that of its leftmost failing set; if no set
+      fails, overlapping element spans are a span conflict.
+    """
+    partial, three_way, conflict = map(INCOMPATIBLE_REASONS.index, (PARTIAL_OVERLAP, THREE_WAY_SPLIT, SPAN_CONFLICT))
+    order = np.lexsort((e, b, mention))
+    record, mention, b, e = record[order], mention[order], b[order], e[order]
+    # a merged fragment opens where its mention's running end stops short of it
+    mention = np.cumsum(_opens(mention)) - 1
+    width = int(e.max(initial=0)) + 2  # a word of a record as one key, record * width + word
+    reach = np.maximum.accumulate(mention * width + e) - mention * width
+    merged = _opens(mention)
+    merged[1:] |= b[1:] > reach[:-1] + 1
+    at = np.flatnonzero(merged)
+    record, mention, b, e = record[at], mention[at], b[at], reach[np.append(at, len(reach))[1:] - 1]
+    # components: the covered runs between cuts, the coverage a running sum
+    # of +1 at each fragment start and -1 right after each end
+    cuts = np.concatenate((record * width + b, record * width + e + 1))
+    order = np.argsort(cuts, kind="stable")
+    cuts = cuts[order]
+    last = np.ones(len(cuts), dtype=bool)  # a cut's last event
+    last[:-1] = cuts[1:] != cuts[:-1]
+    cuts, depth = cuts[last], np.cumsum(np.repeat([1, -1], len(b))[order])[last]
+    covered = np.flatnonzero(depth > 0)  # not a record's last cut
+    keys = cuts[covered]
+    comp_record = keys // width
+    start, end = keys - comp_record * width, cuts[covered + 1] - 1 - comp_record * width
+    first = keys.searchsorted(record * width + b)  # each fragment's components, first to last
+    last = keys.searchsorted(record * width + e, side="right") - 1
+    heads = np.flatnonzero(_opens(mention))  # each mention's first fragment, then its end
+    tails = np.append(heads, len(b))[1:]
+    hits = np.concatenate(([0], np.cumsum(last - first + 1)))
+    hits = hits[tails] - hits[heads]
+    c1, c2 = first[heads], last[tails - 1]
+    # elements: chains of components that a fragment runs through, joined by mentions
+    through = np.zeros(len(keys) + 1, dtype=np.intp)
+    np.add.at(through, first, 1)
+    np.add.at(through, last, -1)
+    chain_opens = np.ones(len(keys), dtype=bool)
+    chain_opens[1:] = np.cumsum(through)[:-2] == 0
+    chain = np.cumsum(chain_opens) - 1
+    root = np.arange(chain_opens.sum())
+    u, v = chain[first], chain[c1[mention]]
+    while len(u):
+        ru, rv = root[u], root[v]
+        apart = ru != rv
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    leftmost = np.flatnonzero(chain_opens)[root[chain]]  # per component, its element's leftmost
+    leaders = np.flatnonzero(leftmost == np.arange(len(keys)))
+    element = leaders.searchsorted(leftmost)
+    size = np.bincount(element, minlength=len(leaders))
+    # each set's first mention, in Mention order, that does not hit two components
+    owner = element[c1]
+    odd = np.flatnonzero((size[owner] > 1) & (hits != 2))
+    odd = odd[np.lexsort((hits[odd] > 2, e[heads[odd]], b[heads[odd]], owner[odd]))]
+    odd = odd[_opens(owner[odd])]
+    fails = np.full(len(leaders), -1)
+    fails[owner[odd]] = np.where(hits[odd] > 2, three_way, partial)
+    # the full-product count over the distinct pairs of components
+    two = hits == 2
+    y = np.zeros(len(keys), dtype=bool)
+    y[c2[two & (c1 == leaders[owner])]] = True
+    pairs = (c1 * len(keys) + c2)[two]
+    pairs = pairs[np.argsort(pairs, kind="stable")]
+    pair_first, pair_second = np.divmod(pairs[_opens(pairs)], max(len(keys), 1))
+    pairs = element[pair_first]
+    same_side = np.bincount(pairs[y[pair_first] == y[pair_second]], minlength=len(leaders))
+    ys = np.bincount(element[y], minlength=len(leaders))
+    full = (same_side == 0) & (np.bincount(pairs, minlength=len(leaders)) == (size - ys) * ys)
+    fails[(fails < 0) & (size > 1) & ~full] = partial
+    # per record, its leftmost failing set, else a span conflict
+    element_record = comp_record[leaders]
+    reason = np.full(count, -1)
+    failing = np.flatnonzero(fails >= 0)
+    failing = failing[_opens(element_record[failing])]
+    reason[element_record[failing]] = fails[failing]
+    span_end = np.full(len(leaders), -1)
+    np.maximum.at(span_end, element, end)
+    clash = element_record[1:][(element_record[1:] == element_record[:-1]) & (start[leaders[1:]] <= span_end[:-1])]
+    reason[clash[reason[clash] < 0]] = conflict
+    by_element = np.argsort(element, kind="stable")
+    return _Grouping(
+        reason,
+        element_record.searchsorted(np.arange(count + 1)),
+        np.concatenate(([0], np.cumsum(size))),
+        start[by_element],
+        end[by_element],
+        y[by_element],
+    )
+
+
+def _annotations(grouping: _Grouping, lengths: Sequence[int], records: Iterable[int]) -> list[SentenceAnnotation]:
+    """The annotations of the given encodable records of a grouping, of
+    ``lengths[r]`` words each; every set is left unresolved."""
+    elements, parts = grouping.elements.tolist(), grouping.parts.tolist()
+    start, end = grouping.start.tolist(), grouping.end.tolist()
+    types = [ComponentType.Y if y else ComponentType.X for y in grouping.y.tolist()]
+    out = []
+    for r in records:
+        continuous, sets = [], []
+        for a, z in itertools.pairwise(parts[elements[r] : elements[r + 1] + 1]):
+            if z - a == 1:
+                continuous.append(Mention(((start[a], end[a]),)))
+            else:
+                sets.append(TwoLayerSet(tuple(map(Component, start[a:z], end[a:z], types[a:z]))))
+        out.append(SentenceAnnotation(lengths[r], tuple(continuous), tuple(sets)))
+    return out
 
 
 def from_two_layer(ann: SentenceAnnotation) -> MentionSet:

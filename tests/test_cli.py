@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import logging
@@ -21,7 +22,7 @@ from disctag.corpus import (
 )
 from disctag.inference import PartialLabelSet
 from disctag.model import LinearScorer, TrainConfig, predict_tags, train
-from disctag.scheme import NUM_TAGS, TAGS, SentenceAnnotation, decode
+from disctag.scheme import NUM_TAGS, TAGS, Mention, SentenceAnnotation, decode
 
 from conftest import (
     MALFORMED_MODELS,
@@ -222,6 +223,29 @@ class TestStatsFilterSilver:
         assert "discontinuous mentions   1" in out
         assert "incompatible sentences   0" in out
 
+    @pytest.mark.parametrize("command", ["filter", "stats", "train"])
+    def test_build_no_record_and_only_the_annotations_they_use(
+        self, mixed_corpus_file, tmp_path, monkeypatch, capsys, command
+    ):
+        # filter and stats read the grouping pass's reasons only, and train
+        # annotates its kept records from the fragments as written
+        out = tmp_path / "out"
+        options = {"filter": ["-o", str(out)], "stats": [], "train": ["--model", str(out), "--dim", "64"]}[command]
+        argv = [command, str(mixed_corpus_file), *options]
+        assert main(argv) == 0
+        want = capsys.readouterr(), out.exists() and out.read_bytes()
+
+        def refuse(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(corpus_module, "CorpusRecord", refuse)
+        monkeypatch.setattr(corpus_module, "annotate", refuse)
+        if command != "train":
+            monkeypatch.setattr(corpus_module, "_annotations", refuse)
+        out.unlink(missing_ok=True)
+        assert main(argv) == 0
+        assert (capsys.readouterr(), out.exists() and out.read_bytes()) == want
+
     def test_filter_drops_and_reports(self, tmp_path, capsys):
         path = tmp_path / "corpus.txt"
         path.write_text(
@@ -235,8 +259,10 @@ class TestStatsFilterSilver:
 
     @pytest.mark.parametrize("command", ["encode", "silver", "train", "filter", "stats"])
     def test_one_annotate_call_per_record(self, corpus_file, mixed_corpus_file, tmp_path, monkeypatch, command):
+        # each record is annotated once: one grouping pass over every record's mentions
         calls = []
-        monkeypatch.setattr(corpus_module, "annotate", lambda record: calls.append(record) or annotate(record))
+        grouping = corpus_module._two_layer_batch
+        monkeypatch.setattr(corpus_module, "_two_layer_batch", lambda *rows: calls.append(rows) or grouping(*rows))
         lexicon = tmp_path / "parts.txt"
         lexicon.write_text("arms\n", encoding="utf-8")
         out = str(tmp_path / "out")
@@ -248,7 +274,14 @@ class TestStatsFilterSilver:
             "stats": (mixed_corpus_file, []),
         }[command]
         assert main([command, str(path), *options]) == 0
-        assert calls == read_corpus(path)
+        ((record, mention, b, e, count),) = calls
+        fragments = collections.defaultdict(list)
+        for r, m, fragment in zip(record.tolist(), mention.tolist(), zip(b.tolist(), e.tolist())):
+            fragments[r, m].append(fragment)
+        mentions = [set() for _ in range(count)]
+        for (r, _), written in fragments.items():
+            mentions[r].add(Mention(tuple(written)))
+        assert mentions == [r.mentions for r in read_corpus(path)]
 
     def test_silver_disambiguates(self, corpus_file, tmp_path, capsys):
         lexicon = tmp_path / "parts.txt"
@@ -401,14 +434,14 @@ class TestTrainPredictEval:
         argv = ["train", str(train_path), "--model", str(model_path), "--dim", "4096",
                 "--loss", "partial", "--learning-rate", "1e200"]
         lowest = []
-        batch_losses = model.batch_losses
+        batch_losses = model._batch_losses
 
         def spied(*args):
             losses, grad = batch_losses(*args)
             lowest.append(losses.min())
             return losses, grad
 
-        monkeypatch.setattr(model, "batch_losses", spied)
+        monkeypatch.setattr(model, "_batch_losses", spied)
         with caplog.at_level(logging.INFO):
             assert main(argv) == 1
         # whether a corpus gets there depends on the SGD path: if training changes, pick one that does

@@ -843,11 +843,19 @@ class TestBatchLosses:
         losses, grad = batch_losses(build_lattice(grammar), np.zeros((0, NUM_TAGS)), [], loss)
         assert losses.shape == (0,) and grad.shape == (0, NUM_TAGS)
 
-    def test_rejects_mismatched_labels_and_unknown_loss(self):
+    def test_rejects_mismatched_labels_and_unknown_loss(self, monkeypatch):
         rng = np.random.default_rng(83)
         labels = [random_labels(rng, "semantic", 4), random_labels(rng, "semantic", 3)]
         w = np.zeros((7, NUM_TAGS))
         with pytest.raises(ValueError, match="^6 weight rows for sentences of 7 words$"):
             batch_losses(LAT, w[:6], labels, "nll")
         with pytest.raises(ValueError):
+            batch_losses(LAT, w, labels, "mle")
+
+        def refuse(*args):
+            raise AssertionError("the chart ran")
+
+        # an unknown loss is rejected before the chart runs
+        monkeypatch.setattr(inference, "_posterior", refuse)
+        with pytest.raises(ValueError, match=r"^loss must be one of \('nll', 'partial', 'hard-em'\), got 'mle'$"):
             batch_losses(LAT, w, labels, "mle")

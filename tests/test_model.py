@@ -471,15 +471,10 @@ class TestTraining:
         corpus = [(t, a) for t, _, a in synthetic_corpus(300, seed=31, min_len=1, max_len=48)]
         lengths = np.array([len(t) for t, _ in corpus])
         assert (lengths.min(), lengths.max()) == (1, 48)
-        # each sentence's label set names it; the generator's draws give each epoch's permutation
-        index, runs, draws = {}, [], []
-        from_annotation, batch_losses = PartialLabelSet.from_annotation, model.batch_losses
+        # the generator's draws give each epoch's permutation; each step's labels are its run's
+        runs, draws, steps = [], [], []
+        epoch_runs, batch_losses = model._epoch_runs, model._batch_losses
         default_rng = np.random.default_rng
-
-        def named(ann, gold=None):
-            label = from_annotation(ann, gold=gold)
-            index[id(label)] = len(index)
-            return label
 
         class Recording:
             def __init__(self, seed):
@@ -489,16 +484,28 @@ class TestTraining:
                 draws.append(self.rng.permutation(n))
                 return draws[-1]
 
-        def recorded(lattice, w, labels, loss):
-            runs.append((len(draws) // 2 - 1, [index[id(label)] for label in labels]))
+        def recorded_runs(sizes, rng):
+            visited = epoch_runs(sizes, rng)
+            runs.extend((len(draws) // 2 - 1, run.tolist()) for run in visited)
+            return visited
+
+        def recorded_losses(lattice, w, labels, loss):
+            steps.append(labels)
             return batch_losses(lattice, w, labels, loss)
 
-        monkeypatch.setattr(PartialLabelSet, "from_annotation", named)
         monkeypatch.setattr(np.random, "default_rng", Recording)
-        monkeypatch.setattr(model, "batch_losses", recorded)
+        monkeypatch.setattr(model, "_epoch_runs", recorded_runs)
+        monkeypatch.setattr(model, "_batch_losses", recorded_losses)
         epochs = 3
         train(corpus, TrainConfig(epochs=epochs, seed=7), dim=2**12)
         assert len(draws) == 2 * epochs
+        alone = [PartialLabelSet.from_annotation(ann) for _, ann in corpus]
+        assert len(steps) == len(runs)
+        for (_, run), labels in zip(runs, steps):
+            assert labels.lengths.tolist() == lengths[run].tolist()
+            assert labels.sets.tolist() == [alone[j].k for j in run]
+            assert np.array_equal(labels.gold, np.concatenate([alone[j].gold_indices for j in run]))
+            assert np.array_equal(labels.owner, np.concatenate([alone[j].owner for j in run]))
         for epoch in range(epochs):
             order = draws[2 * epoch]
             pool_of = np.empty(len(corpus), dtype=int)
@@ -551,14 +558,14 @@ class TestTraining:
         # huge scores can cancel in log Z - A_clamped; a loss below zero stops training
         corpus = [(t, a) for t, _, a in synthetic_corpus(20, seed=3)]  # one pool: runs of 8, 8 and 4
         calls = []
-        batch_losses = model.batch_losses
+        batch_losses = model._batch_losses
 
         def fourth_negative(*args):
             losses, grad = batch_losses(*args)
             calls.append(len(losses))
             return (np.full_like(losses, -1e-3) if len(calls) == 4 else losses), grad
 
-        monkeypatch.setattr(model, "batch_losses", fourth_negative)
+        monkeypatch.setattr(model, "_batch_losses", fourth_negative)
         with pytest.raises(ConfigError, match="epoch 2"):
             train(corpus, TrainConfig(epochs=3), dim=2**12)
         # seed 0 visits the runs as [2, 0, 1] in epoch 1 and starts epoch 2 with run 2

@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disctag.automata import build_lattice, grammar_automaton
-from disctag.corpus import read_corpus
-from disctag.errors import EncodingViolation, IllFormed, Incompatible
+from disctag.corpus import _parse_corpus, read_corpus
+from disctag.errors import INCOMPATIBLE_REASONS, EncodingViolation, IllFormed, Incompatible
 from disctag.inference import random_well_formed
 from disctag.scheme import (
     CB,
@@ -22,6 +24,9 @@ from disctag.scheme import (
     Mention,
     SentenceAnnotation,
     TagSequence,
+    _annotations,
+    _fragment_rows,
+    _two_layer_batch,
     as_rows,
     encode_batch,
     decode,
@@ -248,8 +253,8 @@ class TestToTwoLayer:
         assert err.value.reason == "span-conflict"
 
     def test_mention_outside_sentence(self):
-        with pytest.raises(ValueError):
-            to_two_layer({Mention(((0, 5),))}, 3)
+        with pytest.raises(ValueError, match=r"^mention Mention\(0-0;4-4\) outside sentence of 3 words$"):
+            to_two_layer({Mention(((0, 5),)), Mention(((1, 1),)), Mention(((0, 0), (4, 4)))}, 3)
 
 
 class TestFromTwoLayer:
@@ -572,8 +577,12 @@ class TestMentionTable:
 
 @st.composite
 def mention_sets(draw, n=8, max_mentions=3, max_fragments=2):
+    """A mention set, its sentence's length, and its mentions' fragments as
+    written, before :class:`Mention` canonicalises them: unsorted,
+    overlapping and adjacent fragments of one mention, some mentions written
+    twice (their fragments in another order), and the mentions in any order."""
     count = draw(st.integers(1, max_mentions))
-    mentions = []
+    written = []
     for _ in range(count):
         frag_count = draw(st.integers(1, max_fragments))
         frags = []
@@ -581,15 +590,18 @@ def mention_sets(draw, n=8, max_mentions=3, max_fragments=2):
             b = draw(st.integers(0, n - 1))
             e = draw(st.integers(b, min(n - 1, b + 2)))
             frags.append((b, e))
-        mentions.append(Mention(tuple(frags)))
-    return frozenset(mentions), n
+        written.append(frags)
+        if draw(st.booleans()):
+            written.append(draw(st.permutations(frags)))
+    written = draw(st.permutations(written))
+    return frozenset(Mention(tuple(frags)) for frags in written), n, written
 
 
 class TestRandomMentionSets:
     @settings(max_examples=300, deadline=None)
     @given(mention_sets())
     def test_compatible_sets_round_trip(self, case):
-        mentions, n = case
+        mentions, n, _ = case
         try:
             ann = to_two_layer(mentions, n)
         except Incompatible:
@@ -617,7 +629,7 @@ class TestToTwoLayerOracle:
     @settings(max_examples=1000, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda n: mention_sets(n, max_mentions=5, max_fragments=3)))
     def test_random_mention_sets(self, case):
-        mentions, n = case
+        mentions, n, _ = case
         got = annotation_or_reason(to_two_layer, mentions, n)
         assert got == annotation_or_reason(to_two_layer_reference, mentions, n)
         if isinstance(got, SentenceAnnotation):
@@ -632,3 +644,46 @@ class TestToTwoLayerOracle:
         for r in records:
             got = annotation_or_reason(to_two_layer, r.mentions, r.n)
             assert got == annotation_or_reason(to_two_layer_reference, r.mentions, r.n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 12).flatmap(lambda n: mention_sets(n, max_mentions=5, max_fragments=3)),
+                    min_size=1, max_size=20))
+    def test_batch_of_fragments_as_written(self, cases):
+        # many records in one batch, compatible and not: each gets the oracle's
+        # annotation or reason, and what it gets alone
+        grouping = _two_layer_batch(*_fragment_rows([written for _, _, written in cases]))
+        lengths = [n for _, n, _ in cases]
+        for r, (mentions, n, written) in enumerate(cases):
+            got = grouped(grouping, lengths, r)
+            assert got == annotation_or_reason(to_two_layer_reference, mentions, n)
+            assert got == grouped(_two_layer_batch(*_fragment_rows([written])), [n], 0)
+
+    @pytest.mark.parametrize("corpus", ["golden", "predict-short", "predict-long", "train-partial"])
+    def test_whole_corpora_in_one_batch(self, corpus, tmp_path, monkeypatch):
+        # the golden corpus, and the training corpus of each benchmark workload at seed 101
+        path = Path(__file__).parent / "data" / "golden_corpus.txt"
+        if corpus != "golden":
+            spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+            workloads = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+            spec.loader.exec_module(workloads)
+            sentences = workloads.GENERATORS[corpus](101)["train" if corpus == "train-partial" else "model-train"]
+            path = tmp_path / "corpus.txt"
+            path.write_text(workloads.corpus_text(sentences), encoding="utf-8")
+        parsed = list(_parse_corpus(path))
+        assert parsed
+        grouping = _two_layer_batch(*_fragment_rows([fragments for _, fragments in parsed]))
+        lengths = [len(tokens) for tokens, _ in parsed]
+        for r, (tokens, fragments) in enumerate(parsed):
+            want = annotation_or_reason(to_two_layer_reference, map(Mention, fragments), len(tokens))
+            assert grouped(grouping, lengths, r) == want
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def grouped(grouping, lengths, r):
+    """What the grouping pass found for record ``r`` of sentences of
+    ``lengths`` words: its annotation, or the reason it has none."""
+    code = int(grouping.reason[r])
+    return INCOMPATIBLE_REASONS[code] if code >= 0 else _annotations(grouping, lengths, [r])[0]

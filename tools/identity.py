@@ -22,6 +22,12 @@ processes against the given tree's ``src/``:
   the first of them record 3, and records with two incompatible sets of
   different kinds.  The workload corpora hold no incompatible record, so this
   corpus is the only one that reaches those paths;
+- ``encode``, ``silver``, ``filter``, ``stats`` and ``train --loss partial``
+  in both modes on a corpus whose mention lines are not as ``disctag`` writes
+  them: fragments out of order, overlapping and adjacent fragments of one
+  mention, a mention written twice, sets whose mentions are listed right to
+  left, and two incompatible records; then ``encode`` and ``silver`` on the
+  ``filter`` output;
 - ``train`` in both modes, ``predict`` with each model in both modes,
   ``encode`` and ``decode --corpus`` on a small corpus of non-ASCII text: ``İ``
   (whose lowercase is two code points), ``Σ`` in final and non-final
@@ -93,6 +99,19 @@ INCOMPATIBLE = (
     "a b c d e\n0-0;4-4|2-2\n\n"
     "a b c d e f g h i\n0-0;2-2;4-4|6-6;8-8|6-6\n\n"
     "a b c d e f g h i\n0-0;2-2|0-0|4-4;6-6;8-8\n"
+)
+# Mention lines as a person might write them (see the module docstring):
+# records 6 and 7 are incompatible, a three-way split and a partial overlap.
+NON_CANONICAL = (
+    "pain in arms and shoulders\n4-4;0-1|2-2;0-1\n\n"
+    "a b dbx0 d e\n2-2;0-0|0-0;4-4\n\n"
+    "w0 w1 w2 w3 w4 w5 w6 w7 w8\n1-2;0-1;4-4|6-6;7-7\n\n"
+    "x y z q\n0-0;2-2|2-2;0-0|3-3|0-0;2-2;2-2\n\n"
+    "nothing here\n\n\n"
+    "m a i e k\n4-4;2-2;0-0\n\n"
+    "a b c d\n1-3|3-3;0-1;2-2|0-3\n\n"
+    "p dby1 r s dix0\n0-1;4-4|2-3;0-1\n\n"
+    "a b c d e f g\n6-6;4-4|6-6;0-0|2-2;4-4|0-0;2-2\n"
 )
 # Non-ASCII text: types that lowercase to more code points, or differently
 # in a joined string (final sigma), affixes of multi-byte characters, and the
@@ -227,6 +246,9 @@ def _fixed_jobs(work: Path) -> tuple[list, list]:
     for name, data in BAD_INPUTS.items():
         (work / "bad" / name).write_bytes(data)
     bad = {name: str(work / "bad" / name) for name in BAD_INPUTS}
+    written = work / "non-canonical.txt"
+    written.write_text(NON_CANONICAL, encoding="utf-8")
+    kept = work / "non-canonical-kept.txt"
     text = work / "unicode.txt"
     text.write_bytes(UNICODE.encode("utf-8"))
     both = work / "ascii-then-unicode.txt"
@@ -250,6 +272,10 @@ def _fixed_jobs(work: Path) -> tuple[list, list]:
         ("incompatible/stats", ["stats", str(mixed)], None),
         ("incompatible/train.npz", ["train", str(mixed), "--model", str(work / "incompatible.npz"),
                                     "--epochs", "2", "--dim", "256"], work / "incompatible.npz"),
+        ("non-canonical/encode", ["encode", str(written)], None),
+        ("non-canonical/silver", ["silver", str(written), "--lexicon", str(work / "lexicon.txt")], None),
+        ("non-canonical/filter.txt", ["filter", str(written), "-o", str(kept)], kept),
+        ("non-canonical/stats", ["stats", str(written)], None),
         ("bad/non-utf8", ["stats", bad["non-utf8.txt"]], None),
         ("bad/no-mention-line", ["encode", bad["no-mention-line.txt"]], None),
         ("bad/unknown-symbol", ["validate", bad["unknown-symbol.tags"]], None),
@@ -265,7 +291,14 @@ def _fixed_jobs(work: Path) -> tuple[list, list]:
     ]
     second = [("unicode/decode-corpus.txt", ["decode", str(tags), "--corpus", str(text), "-o",
                                               str(work / "unicode-decode.txt")], work / "unicode-decode.txt")]
+    second += [
+        ("non-canonical/filter.txt/encode", ["encode", str(kept)], None),
+        ("non-canonical/filter.txt/silver", ["silver", str(kept), "--lexicon", str(work / "lexicon.txt")], None),
+    ]
     for mode in MODES:
+        model = work / f"non-canonical-{mode}.npz"
+        jobs.append((f"non-canonical/model-partial-{mode}.npz", ["train", str(written), "--model", str(model),
+                     "--loss", "partial", "--mode", mode, "--epochs", "2", "--dim", "256"], model))
         model = work / f"unicode-{mode}.npz"
         jobs.append((f"unicode/model-{mode}.npz", ["train", str(text), "--model", str(model), "--epochs", "3",
                                                    "--dim", "4096", "--mode", mode], model))
