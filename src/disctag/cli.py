@@ -135,19 +135,16 @@ def _cmd_validate(args) -> int:
 
 def _cmd_encode(args) -> int:
     """``encode``, and ``silver``, which orients sets by its lexicon first."""
-    records = corpus_io.read_corpus(args.corpus)
-    lexicon = corpus_io.Lexicon.from_file(args.lexicon) if args.command == "silver" else None
-    kept, dropped = corpus_io.filter_incompatible(records)
-    if dropped:
-        position, _, reason = dropped[0]
-        print(f"error: record {position + 1}: incompatible ({reason})", file=sys.stderr)
-        return 1
-    anns = [ann if lexicon is None else corpus_io.silver_type(ann, r.tokens, lexicon) for r, ann in kept]
-    if lexicon is not None:
-        resolved = [s.resolved for ann in anns for s in ann.sets]
+    reasons, kept = corpus_io._read_annotations(args.corpus, args.lexicon if args.command == "silver" else None)
+    for position, reason in enumerate(reasons, start=1):
+        if reason is not None:
+            print(f"error: record {position}: incompatible ({reason})", file=sys.stderr)
+            return 1
+    if args.command == "silver":
+        resolved = [s.resolved for _, ann in kept for s in ann.sets]
         print(f"sets disambiguated by the lexicon: {sum(resolved)}; left latent: {resolved.count(False)}",
               file=sys.stderr)
-    _write(args.output, "".join(ts.symbols() + "\n" for ts in encode_batch(anns)))
+    _write(args.output, "".join(ts.symbols() + "\n" for ts in encode_batch(ann for _, ann in kept)))
     return 0
 
 
@@ -187,11 +184,9 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    kept, dropped = corpus_io._annotated_corpus(args.corpus)
-    lexicon = corpus_io.Lexicon.from_file(args.lexicon) if args.lexicon else None
-    data = [(tokens, ann if lexicon is None else corpus_io.silver_type(ann, tokens, lexicon)) for tokens, ann in kept]
-    if dropped:
-        print(f"ignoring {dropped} incompatible record(s)", file=sys.stderr)
+    reasons, data = corpus_io._read_annotations(args.corpus, args.lexicon or None)
+    if len(data) < len(reasons):
+        print(f"ignoring {len(reasons) - len(data)} incompatible record(s)", file=sys.stderr)
     config = TrainConfig(
         loss=args.loss,
         epochs=args.epochs,

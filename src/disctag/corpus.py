@@ -10,12 +10,12 @@ File formats (all UTF-8):
   records of a corpus file.
 - **lexicon**: one entry per line; matching is lowercased, exact, whole-word.
 
-Every command that needs records' annotations, or why a record has none,
-takes them from one grouping pass over all of a corpus's mentions
-(:func:`~disctag.scheme._two_layer_batch`).  :func:`filter_incompatible`
-makes that call for records; ``disctag filter``, ``stats`` and ``train``
-feed it the fragments of a corpus file as written and build no record, and
-the first two keep only the reasons (:func:`_reasons`).
+Each record's reason, ``None`` if encodable, comes from one grouping pass
+over a corpus's mention fragments as written (:func:`_grouped`).
+``disctag encode``, ``silver`` and ``train`` read a corpus file through
+:func:`_read_annotations`, ``filter`` and ``stats`` keep only the reasons,
+and none builds a record; :func:`filter_incompatible` and :func:`stats`
+run the same pass on records.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .scheme import (
     TagSequence,
     TwoLayerSet,
     _annotations,
+    _Grouping,
     _fragment_rows,
     _two_layer_batch,
     decode,
@@ -227,19 +228,20 @@ def annotate(record: CorpusRecord) -> SentenceAnnotation:
     return to_two_layer(record.mentions, record.n)
 
 
-def _reasons(mentions: Sequence[Sequence[Sequence[tuple[int, int]]]]) -> list[str | None]:
-    """Each record's :class:`Incompatible` reason, or ``None`` for an
-    encodable record, of records given by their mentions' fragments (as
-    written), from one grouping pass."""
-    codes = _two_layer_batch(*_fragment_rows(mentions)).reason.tolist()
-    return [INCOMPATIBLE_REASONS[code] if code >= 0 else None for code in codes]
+def _grouped(mentions: Sequence[Sequence[Sequence[tuple[int, int]]]]) -> tuple[_Grouping, list[str | None]]:
+    """The one grouping pass over records given by their mentions' fragments
+    (as written), and each record's :class:`Incompatible` reason, ``None``
+    for an encodable record."""
+    grouping = _two_layer_batch(*_fragment_rows(mentions))
+    return grouping, [INCOMPATIBLE_REASONS[code] if code >= 0 else None for code in grouping.reason.tolist()]
 
 
 def filter_incompatible(
     records: Iterable[CorpusRecord],
 ) -> tuple[list[tuple[CorpusRecord, SentenceAnnotation]], list[tuple[int, CorpusRecord, str]]]:
-    """Split records into encodable and dropped ones, by one grouping pass
-    over all their mentions.
+    """Split records into encodable and dropped ones, by the one grouping
+    pass over all their mentions (:func:`_grouped`, which the commands run
+    on a corpus file without building records).
 
     Returns each kept record with its :func:`annotate` annotation, and each
     dropped one as ``(position, record, reason)``: its 0-based position in
@@ -247,38 +249,40 @@ def filter_incompatible(
     set.  Annotations are built for the kept records only.
     """
     records = list(records)
-    grouping = _two_layer_batch(*_fragment_rows([[m.fragments for m in r.mentions] for r in records]))
-    reasons = grouping.reason.tolist()
-    kept = [k for k, code in enumerate(reasons) if code < 0]
+    grouping, reasons = _grouped([[m.fragments for m in r.mentions] for r in records])
+    kept = [k for k, reason in enumerate(reasons) if reason is None]
     annotations = _annotations(grouping, [r.n for r in records], kept)
-    dropped = [(k, records[k], INCOMPATIBLE_REASONS[code]) for k, code in enumerate(reasons) if code >= 0]
+    dropped = [(k, records[k], reason) for k, reason in enumerate(reasons) if reason is not None]
     return [(records[k], ann) for k, ann in zip(kept, annotations)], dropped
 
 
 def _filtered_corpus(path) -> tuple[list[tuple[str, str]], list[str | None]]:
     """Each record of a corpus file as its token line and mention line, as
-    :func:`corpus_text` writes them, and its :func:`_reasons` reason, from
-    one grouping pass over the mentions as written: no record is built."""
+    :func:`corpus_text` writes them, and its :func:`_grouped` reason: no
+    record is built."""
     lines, mentions = [], []
     for tokens, fragments in _parse_corpus(path):
         lines.append((" ".join(tokens), format_mentions(frozenset(map(Mention, fragments)))))
         mentions.append(fragments)
-    return lines, _reasons(mentions)
+    return lines, _grouped(mentions)[1]
 
 
-def _annotated_corpus(path) -> tuple[list[tuple[list[str], SentenceAnnotation]], int]:
-    """The tokens and annotation of each encodable record of a corpus file,
-    and the count of the others, as :func:`filter_incompatible` finds them,
-    from one grouping pass over the mentions as written: no record is built,
-    and no :class:`Mention` but the continuous ones."""
+def _read_annotations(path, lexicon_path=None) -> tuple[list[str | None], list[tuple[list[str], SentenceAnnotation]]]:
+    """Each record's :func:`_grouped` reason of a corpus file, and the tokens
+    and annotation of each encodable record, silver-typed by the lexicon at
+    ``lexicon_path`` when one is given: one grouping pass over the mentions
+    as written, and no record is built."""
     sentences, mentions = [], []
     for tokens, fragments in _parse_corpus(path):
         sentences.append(tokens)
         mentions.append(fragments)
-    grouping = _two_layer_batch(*_fragment_rows(mentions))
-    kept = np.flatnonzero(grouping.reason < 0).tolist()
+    lexicon = None if lexicon_path is None else Lexicon.from_file(lexicon_path)
+    grouping, reasons = _grouped(mentions)
+    kept = [k for k, reason in enumerate(reasons) if reason is None]
     annotations = _annotations(grouping, list(map(len, sentences)), kept)
-    return [(sentences[k], ann) for k, ann in zip(kept, annotations)], len(sentences) - len(kept)
+    if lexicon is not None:
+        annotations = [silver_type(ann, sentences[k], lexicon) for k, ann in zip(kept, annotations)]
+    return reasons, [(sentences[k], ann) for k, ann in zip(kept, annotations)]
 
 
 @dataclass(frozen=True)
@@ -301,7 +305,7 @@ def _stats(mentions: Sequence[Sequence[Sequence[tuple[int, int]]]]) -> CorpusSta
         canonical = set(map(Mention, fragments))
         total += len(canonical)
         discontinuous += sum(not m.is_continuous for m in canonical)
-    reasons = _reasons(mentions)
+    reasons = _grouped(mentions)[1]
     return CorpusStats(len(mentions), total, discontinuous, len(reasons) - reasons.count(None))
 
 

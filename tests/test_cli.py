@@ -223,28 +223,64 @@ class TestStatsFilterSilver:
         assert "discontinuous mentions   1" in out
         assert "incompatible sentences   0" in out
 
-    @pytest.mark.parametrize("command", ["filter", "stats", "train"])
+    @pytest.mark.parametrize("command", ["encode", "silver", "filter", "stats", "train"])
     def test_build_no_record_and_only_the_annotations_they_use(
-        self, mixed_corpus_file, tmp_path, monkeypatch, capsys, command
+        self, corpus_file, mixed_corpus_file, tmp_path, monkeypatch, capsys, command
     ):
-        # filter and stats read the grouping pass's reasons only, and train
-        # annotates its kept records from the fragments as written
+        # no command builds a record: filter and stats read the grouping
+        # pass's reasons only, and the others annotate their kept records
+        # from the fragments as written
+        lexicon = tmp_path / "parts.txt"
+        lexicon.write_text("arms\n", encoding="utf-8")
         out = tmp_path / "out"
-        options = {"filter": ["-o", str(out)], "stats": [], "train": ["--model", str(out), "--dim", "64"]}[command]
-        argv = [command, str(mixed_corpus_file), *options]
-        assert main(argv) == 0
-        want = capsys.readouterr(), out.exists() and out.read_bytes()
+        options = {
+            "encode": ["-o", str(out)],
+            "silver": ["--lexicon", str(lexicon), "-o", str(out)],
+            "filter": ["-o", str(out)],
+            "stats": [],
+            "train": ["--model", str(out), "--dim", "64"],
+        }[command]
+        paths = [corpus_file, mixed_corpus_file] if command in ("encode", "silver") else [mixed_corpus_file]
+
+        def run(path):
+            out.unlink(missing_ok=True)
+            code = main([command, str(path), *options])
+            return code, capsys.readouterr(), out.exists() and out.read_bytes()
+
+        want = list(map(run, paths))
+        assert want[0][0] == 0
+        if command in ("encode", "silver"):  # record 3 is the first incompatible one
+            assert want[1] == (1, ("", "error: record 3: incompatible (three-way-split)\n"), False)
 
         def refuse(*args):
             raise AssertionError("built")
 
-        monkeypatch.setattr(corpus_module, "CorpusRecord", refuse)
-        monkeypatch.setattr(corpus_module, "annotate", refuse)
-        if command != "train":
+        for name in ("CorpusRecord", "annotate", "read_corpus", "filter_incompatible"):
+            monkeypatch.setattr(corpus_module, name, refuse)
+        if command in ("filter", "stats"):
             monkeypatch.setattr(corpus_module, "_annotations", refuse)
-        out.unlink(missing_ok=True)
-        assert main(argv) == 0
-        assert (capsys.readouterr(), out.exists() and out.read_bytes()) == want
+        assert list(map(run, paths)) == want
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n \n\n"], ids=["empty", "blank-lines"])
+    def test_a_corpus_with_no_records(self, tmp_path, capsys, text):
+        path, lexicon, out = tmp_path / "corpus.txt", tmp_path / "parts.txt", tmp_path / "out"
+        path.write_text(text, encoding="utf-8")
+        lexicon.write_text("arms\n", encoding="utf-8")
+        zeros = "".join(f"{name:<25}0\n" for name in ("sentences", "mentions", "discontinuous mentions",
+                                                     "incompatible sentences"))
+        runs = [
+            (["encode", "-o", str(out)], 0, ("", ""), b""),
+            (["silver", "--lexicon", str(lexicon), "-o", str(out)], 0,
+             ("", "sets disambiguated by the lexicon: 0; left latent: 0\n"), b""),
+            (["filter", "-o", str(out)], 0, ("", "kept 0/0 records\n"), b""),
+            (["stats"], 0, (zeros, ""), False),
+            (["train", "--model", str(out), "--dim", "64"], 1, ("", "error: empty training corpus\n"), False),
+        ]
+        for (command, *options), code, printed, written in runs:
+            out.unlink(missing_ok=True)
+            assert main([command, str(path), *options]) == code
+            assert capsys.readouterr() == printed
+            assert (out.exists() and out.read_bytes()) == written
 
     def test_filter_drops_and_reports(self, tmp_path, capsys):
         path = tmp_path / "corpus.txt"

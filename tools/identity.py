@@ -18,16 +18,18 @@ processes against the given tree's ``src/``:
   ``encode`` output;
 - ``automaton-export`` in both modes, with and without ``--minimal``;
 - ``encode``, ``silver``, ``filter``, ``stats`` and ``train`` on the
-  incompatible corpus.  It holds one record of each incompatibility reason,
-  the first of them record 3, and records with two incompatible sets of
-  different kinds.  The workload corpora hold no incompatible record, so this
-  corpus is the only one that reaches those paths;
+  incompatible corpus, and ``eval`` of it against itself.  It holds one
+  record of each incompatibility reason, the first of them record 3, and
+  records with two incompatible sets of different kinds.  The workload
+  corpora hold no incompatible record, so this corpus is the only one that
+  reaches those paths;
 - ``encode``, ``silver``, ``filter``, ``stats`` and ``train --loss partial``
   in both modes on a corpus whose mention lines are not as ``disctag`` writes
   them: fragments out of order, overlapping and adjacent fragments of one
   mention, a mention written twice, sets whose mentions are listed right to
   left, and two incompatible records; then ``encode`` and ``silver`` on the
-  ``filter`` output;
+  ``filter`` output, and ``eval`` of the corpus against it, two records
+  shorter, whose records stop aligning at record 7;
 - ``train`` in both modes, ``predict`` with each model in both modes,
   ``encode`` and ``decode --corpus`` on a small corpus of non-ASCII text: ``İ``
   (whose lowercase is two code points), ``Σ`` in final and non-final
@@ -46,8 +48,9 @@ processes against the given tree's ``src/``:
   than 65,535 tags with one tag replaced, then one sequence that breaks each
   of the six rules of the tagging scheme, and an empty line;
 - bad inputs: a byte that is not UTF-8, a record without its mention line, an
-  unknown tag symbol, a ``decode --corpus`` length mismatch and a model file
-  that is not a model.
+  unknown tag symbol, a ``decode --corpus`` length mismatch, a model file
+  that is not a model, and ``eval`` of corpora whose record counts, and whose
+  token counts, differ.
 
 It prints one sorted line per artefact, ``<sha256> <exit code> <name>``: for
 each run, the output file it was given (``missing`` when it wrote none), and
@@ -154,6 +157,8 @@ BAD_INPUTS = {  # file name -> contents
     "no-mention-line.txt": b"pain in arms\n0-1\n\nit hurts",
     "unknown-symbol.tags": b"O CB\nO XX\n",
     "three-words.txt": b"pain in arms\n0-1\n",
+    "two-records.txt": b"pain in arms\n0-1\n\nit hurts\n\n",
+    "four-words.txt": b"pain in both arms\n2-3\n",
     "two-tags.tags": b"CB CI\n",
     "not-a-model.npz": b"not a model\n",
 }
@@ -270,6 +275,7 @@ def _fixed_jobs(work: Path) -> tuple[list, list]:
         ("incompatible/silver", ["silver", str(mixed), "--lexicon", str(work / "lexicon.txt")], None),
         ("incompatible/filter", ["filter", str(mixed)], None),
         ("incompatible/stats", ["stats", str(mixed)], None),
+        ("incompatible/eval", ["eval", str(mixed), str(mixed)], None),
         ("incompatible/train.npz", ["train", str(mixed), "--model", str(work / "incompatible.npz"),
                                     "--epochs", "2", "--dim", "256"], work / "incompatible.npz"),
         ("non-canonical/encode", ["encode", str(written)], None),
@@ -281,6 +287,8 @@ def _fixed_jobs(work: Path) -> tuple[list, list]:
         ("bad/unknown-symbol", ["validate", bad["unknown-symbol.tags"]], None),
         ("bad/decode-length-mismatch", ["decode", bad["two-tags.tags"], "--corpus", bad["three-words.txt"]], None),
         ("bad/not-a-model", ["predict", bad["three-words.txt"], "--model", bad["not-a-model.npz"]], None),
+        ("bad/eval-record-count", ["eval", bad["two-records.txt"], bad["three-words.txt"]], None),
+        ("bad/eval-token-count", ["eval", bad["three-words.txt"], bad["four-words.txt"]], None),
         ("unicode/encode.tags", ["encode", str(text), "-o", str(tags)], tags),
         ("ill-formed/validate", ["validate", str(ill_formed)], None),
         ("ill-formed/decode.txt", ["decode", str(ill_formed), "-o", str(work / "ill-formed-decode.txt")],
@@ -294,6 +302,7 @@ def _fixed_jobs(work: Path) -> tuple[list, list]:
     second += [
         ("non-canonical/filter.txt/encode", ["encode", str(kept)], None),
         ("non-canonical/filter.txt/silver", ["silver", str(kept), "--lexicon", str(work / "lexicon.txt")], None),
+        ("non-canonical/filter.txt/eval", ["eval", str(written), str(kept)], None),
     ]
     for mode in MODES:
         model = work / f"non-canonical-{mode}.npz"
