@@ -214,10 +214,10 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     gold = corpus_io.read_corpus(args.gold)
     predicted = corpus_io.read_corpus(args.predicted)
+    report = corpus_io.evaluate([r.mentions for r in gold], [r.mentions for r in predicted])  # record counts first
     for i, (g, p) in enumerate(zip(gold, predicted), start=1):
         if g.n != p.n:
             raise LengthMismatch(f"record {i} has {g.n} gold tokens but {p.n} predicted tokens")
-    report = corpus_io.evaluate([r.mentions for r in gold], [r.mentions for r in predicted])
     print(report.summary())
     return 0
 

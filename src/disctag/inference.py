@@ -38,7 +38,7 @@ factorises into one two-way choice per set and takes time linear in ``n``.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +51,7 @@ from .scheme import (
     SentenceAnnotation,
     Tag,
     TagSequence,
+    as_rows,
     encode,
     is_well_formed,
 )
@@ -429,19 +430,13 @@ _FLIP = np.array([0, 1, 2, 4, 3, 6, 5, 8, 7, 9])
 class PartialLabelSet:
     """The ``2**k`` admissible gold sequences: ``gold`` with any of its ``k``
     unresolved sets flipped.  ``owner[i]`` is the unresolved set covering word
-    ``i`` (numbered left to right), or -1.  ``gold_indices`` holds ``gold``'s
-    tag indices, read-only, taken once for every loss that reads them.
+    ``i`` (numbered left to right), or -1.  The losses read ``gold``'s tag
+    indices from :func:`_flat`, which takes them of a whole batch at once.
     """
 
     gold: TagSequence
     owner: np.ndarray
     k: int
-    gold_indices: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        indices = self.gold.indices
-        indices.flags.writeable = False
-        object.__setattr__(self, "gold_indices", indices)
 
     @classmethod
     def from_annotation(cls, ann: SentenceAnnotation, *, gold: TagSequence | None = None) -> "PartialLabelSet":
@@ -473,11 +468,11 @@ class _Labels(NamedTuple):
 
 
 def _flat(labels: Sequence[PartialLabelSet]) -> _Labels:
-    """The label sets joined in order; none give empty arrays."""
+    """The label sets joined in order, in fresh arrays; none give empty arrays."""
     return _Labels(
         np.fromiter((len(pl.owner) for pl in labels), dtype=np.intp, count=len(labels)),
         np.fromiter((pl.k for pl in labels), dtype=np.intp, count=len(labels)),
-        np.concatenate([np.empty(0, dtype=np.intp), *(pl.gold_indices for pl in labels)]),
+        as_rows(pl.gold for pl in labels)[0],
         np.concatenate([np.empty(0, dtype=np.intp), *(pl.owner for pl in labels)]),
     )
 
@@ -559,19 +554,20 @@ def batch_losses(
     well-formed), :func:`partial_nll`, or :func:`hard_em_step`.  Returns the
     ``(B,)`` losses and the gradient rows of the sentences' words, in the
     order of ``weights``; each sentence gets, bit for bit, what it gets
-    alone.  The label sets are joined into flat arrays, which
-    :func:`~disctag.model.train` slices from its whole corpus's for each
-    step, and both run the same core; an unknown ``loss`` raises
-    :class:`ValueError` before any chart runs.
+    alone.  The weights and ``loss`` are checked here, and an unknown
+    ``loss`` raises :class:`ValueError` before any chart runs.  The label
+    sets are joined into flat arrays, which :func:`~disctag.model.train`
+    slices from its whole corpus's for each step, and both run the same core.
     """
-    return _batch_losses(lat, weights, _flat(labels), loss)
+    if loss not in LOSSES:
+        raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
+    return _batch_losses(lat, _check_weights(weights), _flat(labels), loss)
 
 
 def _batch_losses(lat: Lattice, weights: np.ndarray, labels: _Labels, loss: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`batch_losses` of label sets given as flat arrays."""
-    if loss not in LOSSES:
-        raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
-    weights, layout = _check_weights(weights), _layout(labels.lengths)
+    """:func:`batch_losses` of label sets given as flat arrays, trusting its callers'
+    checks: ``weights`` finite float64 ``(words, 10)`` rows, ``loss`` in :data:`LOSSES`."""
+    layout = _layout(labels.lengths)
     log_z, grad = _posterior(lat, weights, layout)
     if loss == "partial":
         clamped_z, clamped = _clamped(labels, weights)
@@ -598,7 +594,7 @@ def nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np
 def _nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np.ndarray]:
     """:func:`nll` of checked weights and a well-formed gold sequence."""
     alone = PartialLabelSet(gold, np.full(len(weights), -1), 0)
-    (loss,), grad = batch_losses(lat, weights, [alone], "nll")
+    (loss,), grad = _batch_losses(lat, weights, _flat([alone]), "nll")
     return float(loss), grad
 
 
@@ -612,7 +608,7 @@ def partial_nll(
     (the E-step quantity, treated as a constant with respect to ``weights``).
     """
     weights = _check_label_set(pl, weights)
-    (loss,), grad = batch_losses(lat, weights, [pl], "partial")
+    (loss,), grad = _batch_losses(lat, weights, _flat([pl]), "partial")
     return float(loss), grad
 
 

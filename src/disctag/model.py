@@ -327,7 +327,7 @@ def train(
             words = word[start:stop]
             step = hashed.take(words, axis=0)  # C order: apply_gradient ravels it without a copy
             w = scorer.score_rows(step)
-            if not np.isfinite(w).all():
+            if not np.isfinite(w).all():  # the step's one check of its scores: _batch_losses trusts it
                 raise _diverged(epoch + 1)
             losses, grad = _batch_losses(
                 lattice, w, _Labels(lengths[a:z], sets[a:z], labels.gold[words], labels.owner[words]), config.loss

@@ -368,6 +368,10 @@ MALFORMED_MODELS = {
     "values-too-few-columns": ({"values": np.ones((2, NUM_TAGS - 1))}, r"finite float \(2, 10\) matrix"),
     "values-too-many-rows": ({"values": np.ones((3, NUM_TAGS))}, r"finite float \(2, 10\) matrix"),
     "values-integer": ({"values": np.ones((2, NUM_TAGS), dtype=np.int64)}, r"finite float \(2, 10\) matrix"),
+    "tagset-reordered": (
+        {"tagset": np.array([t.symbol for t in reversed(TAGS)])},
+        "model tagset does not match this build$",
+    ),
     "version-1-dense": (
         {"format_version": np.int64(1), "rows": None, "values": None, "params": np.zeros((8, NUM_TAGS))},
         "unsupported model format version 1$",

@@ -38,6 +38,8 @@ class TestAutomatonBasics:
         assert not c.is_deterministic
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="^initial state out of range$"):
+            Automaton(1, set(), 1, {0})
         with pytest.raises(ValueError):
             Automaton(1, set(), 0, {3})
         with pytest.raises(ValueError):
@@ -131,6 +133,13 @@ class TestDeterminizeMinimize:
         )
         m = minimize(a)
         assert m.num_states == 2  # the CB sink can never accept
+
+    def test_minimize_rejects_nondeterministic_and_empty(self):
+        with pytest.raises(ValueError, match="^minimize requires a deterministic automaton$"):
+            minimize(Automaton(2, {(0, O, 0.0, 0), (0, O, 0.0, 1)}, 0, {1}))
+        # the final state is unreachable from the initial one
+        with pytest.raises(EmptyLanguage, match="^automaton accepts nothing$"):
+            minimize(Automaton(2, {(1, O, 0.0, 1)}, 0, {1}))
 
 
 class TestGrammarAutomaton:

@@ -349,6 +349,16 @@ class TestTrainPredictEval:
         assert captured.err == "error: record 2 has 3 gold tokens but 5 predicted tokens\n"
         assert captured.out == ""
 
+    def test_eval_compares_record_counts_before_tokens(self, tmp_path, capsys):
+        # a dropped record shifts the next one into its place: the counts are named, not its tokens
+        gold, predicted = tmp_path / "gold.txt", tmp_path / "pred.txt"
+        gold.write_text("x y\n\n\na b c\n0-1\n\nd e\n\n", encoding="utf-8")
+        predicted.write_text("x y\n\n\nd e\n\n", encoding="utf-8")
+        assert main(["eval", str(gold), str(predicted)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: 3 gold sentences vs 2 predicted\n"
+        assert captured.out == ""
+
     def test_predict_and_decode_corpus_build_no_records(self, corpus_file, tmp_path, monkeypatch):
         model_path, tags, out = tmp_path / "m.npz", tmp_path / "tags.txt", tmp_path / "out.txt"
         LinearScorer(dim=64).save(model_path)

@@ -339,11 +339,15 @@ class TestPartialLabelSet:
         pl = PartialLabelSet.from_annotation(ann)
         assert pl.gold.tags == admissible_sequences(ann)[0].tags == encode(ann).tags
 
-    def test_gold_indices_are_read_only(self):
-        pl = PartialLabelSet.from_annotation(annotation_with_sets(2))
-        assert np.array_equal(pl.gold_indices, pl.gold.indices)
-        with pytest.raises(ValueError, match="read-only"):
-            pl.gold_indices[0] = 0
+    def test_flat_gold_is_each_sets_gold_in_order(self):
+        labels = [PartialLabelSet.from_annotation(annotation_with_sets(k)) for k in (2, 0, 3, 1)]
+        flat = inference._flat(labels)
+        assert flat.gold.dtype == np.intp
+        assert np.array_equal(flat.gold, np.concatenate([pl.gold.indices for pl in labels]))
+        assert np.array_equal(flat.owner, np.concatenate([pl.owner for pl in labels]))
+        # fresh arrays: a loss that writes to them cannot reach a label set
+        assert not any(np.shares_memory(flat.owner, pl.owner) for pl in labels)
+        assert inference._flat([]).gold.shape == (0,)
 
     def test_flips_stay_inside_their_span(self):
         ann = annotation_with_sets(3)

@@ -334,6 +334,10 @@ class TestLinearScorer:
         with pytest.raises(ConfigError, match=message):
             LinearScorer.load(path)
 
+    def test_dim_must_be_positive(self):
+        with pytest.raises(ConfigError, match="^feature dimension must be positive$"):
+            LinearScorer(dim=0)
+
     def test_dim_beyond_any_address_space_rejected(self):
         # numpy refuses the shape before allocating anything
         with pytest.raises(ConfigError, match="too large"):
@@ -504,7 +508,7 @@ class TestTraining:
         for (_, run), labels in zip(runs, steps):
             assert labels.lengths.tolist() == lengths[run].tolist()
             assert labels.sets.tolist() == [alone[j].k for j in run]
-            assert np.array_equal(labels.gold, np.concatenate([alone[j].gold_indices for j in run]))
+            assert np.array_equal(labels.gold, np.concatenate([alone[j].gold.indices for j in run]))
             assert np.array_equal(labels.owner, np.concatenate([alone[j].owner for j in run]))
         for epoch in range(epochs):
             order = draws[2 * epoch]
@@ -548,6 +552,11 @@ class TestTraining:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
             train([], TrainConfig())
+
+    def test_unknown_mode_rejected(self):
+        corpus = [(t, a) for t, _, a in synthetic_corpus(2, seed=1)]
+        with pytest.raises(ConfigError, match=r"^mode must be one of \('semantic', 'structural'\), got 'bogus'$"):
+            train(corpus, TrainConfig(epochs=1), mode="bogus", dim=2**6)
 
     def test_divergence_names_the_epoch(self):
         corpus = [(t, a) for t, _, a in synthetic_corpus(20, seed=3)]

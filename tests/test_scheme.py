@@ -20,10 +20,12 @@ from disctag.scheme import (
     NUM_TAGS,
     O,
     TAGS,
+    Component,
     ComponentType,
     Mention,
     SentenceAnnotation,
     TagSequence,
+    TwoLayerSet,
     _annotations,
     _fragment_rows,
     _two_layer_batch,
@@ -171,6 +173,36 @@ class TestMention:
         assert mention_words(m) == frozenset(
             w for b, e in frags for w in range(b, e + 1)
         )
+
+
+class TestConstructorChecks:
+    X, Y = ComponentType.X, ComponentType.Y
+
+    def test_tag_sequence_holds_tags_only(self):
+        with pytest.raises(TypeError, match="^not a Tag: 'CB'$"):
+            TagSequence(("CB",))
+
+    def test_set_needs_two_components(self):
+        with pytest.raises(ValueError, match="^a set of mentions needs at least two components$"):
+            TwoLayerSet((Component(0, 1, self.X),))
+
+    def test_set_components_must_not_overlap(self):
+        message = r"^components overlap: Component\(start=0, end=2, ctype=x\) / Component\(start=2, end=3, ctype=y\)$"
+        with pytest.raises(ValueError, match=message):
+            TwoLayerSet((Component(0, 2, self.X), Component(2, 3, self.Y)))
+
+    def test_set_needs_an_x_and_a_y(self):
+        with pytest.raises(ValueError, match="^a set needs at least one x and one y component$"):
+            TwoLayerSet((Component(0, 0, self.X), Component(2, 2, self.X)))
+
+    def test_annotation_checks_its_elements(self):
+        pair = TwoLayerSet((Component(0, 0, self.X), Component(2, 2, self.Y)))
+        with pytest.raises(ValueError, match=r"^not a continuous mention: Mention\(0-0;2-2\)$"):
+            SentenceAnnotation(4, continuous=(Mention(((0, 0), (2, 2))),))
+        with pytest.raises(ValueError, match=r"^span \[2, 4\] outside sentence of 4 words$"):
+            SentenceAnnotation(4, continuous=(Mention(((2, 4),)),))
+        with pytest.raises(ValueError, match="^annotation elements overlap near word 2$"):
+            SentenceAnnotation(4, continuous=(Mention(((2, 3),)),), sets=(pair,))
 
 
 # The running example: "pain in arms and shoulders" with mentions
