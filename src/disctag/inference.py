@@ -430,13 +430,13 @@ _FLIP = np.array([0, 1, 2, 4, 3, 6, 5, 8, 7, 9])
 class PartialLabelSet:
     """The ``2**k`` admissible gold sequences: ``gold`` with any of its ``k``
     unresolved sets flipped.  ``owner[i]`` is the unresolved set covering word
-    ``i`` (numbered left to right), or -1.  The losses read ``gold``'s tag
-    indices from :func:`_flat`, which takes them of a whole batch at once.
+    ``i`` (numbered left to right), or -1, so ``k`` is one more than the
+    largest owner.  The losses read label sets only through :func:`_flat`,
+    which joins a whole batch's and checks each of them once.
     """
 
     gold: TagSequence
     owner: np.ndarray
-    k: int
 
     @classmethod
     def from_annotation(cls, ann: SentenceAnnotation, *, gold: TagSequence | None = None) -> "PartialLabelSet":
@@ -444,10 +444,14 @@ class PartialLabelSet:
         ``encode(ann)``, or the caller's own, as :func:`~disctag.scheme.encode_batch`
         gives it for a whole corpus."""
         owner = np.full(ann.n, -1)
-        free = [s for s in ann.sets if not s.resolved]
-        for slot, s in enumerate(free):
+        for slot, s in enumerate(s for s in ann.sets if not s.resolved):
             owner[s.span[0] : s.span[1] + 1] = slot
-        return cls(gold=encode(ann) if gold is None else gold, owner=owner, k=len(free))
+        return cls(gold=encode(ann) if gold is None else gold, owner=owner)
+
+    @property
+    def k(self) -> int:
+        """The number of unresolved sets, read from the owners."""
+        return int(self.owner.max(initial=-1)) + 1
 
     def __len__(self) -> int:
         return 2**self.k
@@ -462,19 +466,48 @@ class _Labels(NamedTuple):
     """The label sets of a batch as flat arrays, one sentence after another."""
 
     lengths: np.ndarray  # (sentences,): each sentence's words
-    sets: np.ndarray  # its unresolved sets, k
+    sets: np.ndarray  # its unresolved sets, one more than its largest owner
     gold: np.ndarray  # (words,): each word's gold tag
     owner: np.ndarray  # its unresolved set in its sentence, or -1
 
 
 def _flat(labels: Sequence[PartialLabelSet]) -> _Labels:
-    """The label sets joined in order, in fresh arrays; none give empty arrays."""
-    return _Labels(
-        np.fromiter((len(pl.owner) for pl in labels), dtype=np.intp, count=len(labels)),
-        np.fromiter((pl.k for pl in labels), dtype=np.intp, count=len(labels)),
-        as_rows(pl.gold for pl in labels)[0],
-        np.concatenate([np.empty(0, dtype=np.intp), *(pl.owner for pl in labels)]),
-    )
+    """The label sets joined in order, in fresh arrays; none give empty arrays.
+
+    Each label set is checked here, once: its owners must be a 1-d array of
+    signed integers, one per gold tag, each -1 or below its sentence's
+    length, and each set below its count, one more than its largest owner,
+    must own a word.  One that is not raises :class:`ValueError` naming its
+    position in ``labels``.
+    """
+    owners = [np.asarray(pl.owner) for pl in labels]
+    for b, owner in enumerate(owners):
+        if owner.ndim != 1 or owner.dtype.kind != "i":
+            raise ValueError(f"label set {b}: owners must be 1-d signed integers, not {owner.dtype} {owner.shape}")
+    lengths = np.fromiter(map(len, owners), dtype=np.intp, count=len(owners))
+    gold, bounds = as_rows(pl.gold for pl in labels)
+    (longer,) = np.nonzero(np.diff(bounds) != lengths)
+    if len(longer):
+        b = longer[0]
+        raise ValueError(f"label set {b}: {bounds[b + 1] - bounds[b]} gold tags for {lengths[b]} owners")
+    owner = np.concatenate([np.empty(0, dtype=np.intp), *owners])
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    (outside,) = np.nonzero((owner < -1) | (owner >= lengths[sentence]))
+    if len(outside):
+        b, o = sentence[outside[0]], owner[outside[0]]
+        raise ValueError(f"label set {b}: owner {o} not in [-1, {lengths[b]})")
+    sets = np.zeros(len(lengths), dtype=np.intp)
+    words = lengths > 0
+    sets[words] = np.maximum.reduceat(owner, (np.cumsum(lengths) - lengths)[words]) + 1
+    before = np.cumsum(sets) - sets  # sets of earlier sentences
+    # with every owner below its sentence's length, the sets number at most
+    # the words, and each must own one of them
+    (unowned,) = np.nonzero(np.bincount((owner + before[sentence])[owner >= 0], minlength=sets.sum()) == 0)
+    if len(unowned):
+        slot = unowned[0]
+        b = np.searchsorted(before, slot, side="right") - 1
+        raise ValueError(f"label set {b}: unresolved set {slot - before[b]} owns no word")
+    return _Labels(lengths, sets, gold, owner)
 
 
 def _flip_gains(labels: _Labels, weights: np.ndarray):
@@ -509,26 +542,27 @@ def _clamped(labels: _Labels, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return gold_scores + _sums(np.logaddexp(0.0, gains[1:]), labels.sets), out
 
 
-def _check_label_set(pl: PartialLabelSet, weights: np.ndarray) -> np.ndarray:
-    """:func:`_check_weights` of one sentence's weights, checked to have one row per word of ``pl``."""
-    weights = _check_weights(weights)
-    if len(pl.owner) != len(weights):
-        raise ValueError(f"label set length {len(pl.owner)} != sentence length {len(weights)}")
-    return weights
+def _check_label_set(pl: PartialLabelSet, weights: np.ndarray) -> tuple[_Labels, np.ndarray]:
+    """``_flat([pl])`` and :func:`_check_weights` of one sentence's weights,
+    checked to have one row per word of ``pl``."""
+    labels, weights = _flat([pl]), _check_weights(weights)
+    if labels.lengths[0] != len(weights):
+        raise ValueError(f"label set length {labels.lengths[0]} != sentence length {len(weights)}")
+    return labels, weights
 
 
 def clamped_log_partition(pl: PartialLabelSet, weights: np.ndarray) -> float:
     """Log-sum-exp of the member scores (the clamped log-partition):
     ``<gold, w> + sum_s log(1 + exp(delta_s))``, ``delta_s`` the gain of flipping set ``s``.
     """
-    return float(_clamped(_flat([pl]), _check_label_set(pl, weights))[0][0])
+    return float(_clamped(*_check_label_set(pl, weights))[0][0])
 
 
 def clamped_marginals(pl: PartialLabelSet, weights: np.ndarray) -> np.ndarray:
     """Posterior-weighted average of member one-hots (gradient of the clamp):
     inside each set's span, ``gold`` and its flip mixed with weight ``sigmoid(delta_s)``.
     """
-    return _clamped(_flat([pl]), _check_label_set(pl, weights))[1]
+    return _clamped(*_check_label_set(pl, weights))[1]
 
 
 def _hard_em_targets(labels: _Labels, weights: np.ndarray) -> np.ndarray:
@@ -556,8 +590,9 @@ def batch_losses(
     order of ``weights``; each sentence gets, bit for bit, what it gets
     alone.  The weights and ``loss`` are checked here, and an unknown
     ``loss`` raises :class:`ValueError` before any chart runs.  The label
-    sets are joined into flat arrays, which :func:`~disctag.model.train`
-    slices from its whole corpus's for each step, and both run the same core.
+    sets are joined into flat arrays and checked by :func:`_flat`, which
+    :func:`~disctag.model.train` calls once for its whole corpus and slices
+    for each step, and both run the same core.
     """
     if loss not in LOSSES:
         raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
@@ -565,8 +600,10 @@ def batch_losses(
 
 
 def _batch_losses(lat: Lattice, weights: np.ndarray, labels: _Labels, loss: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`batch_losses` of label sets given as flat arrays, trusting its callers'
-    checks: ``weights`` finite float64 ``(words, 10)`` rows, ``loss`` in :data:`LOSSES`."""
+    """:func:`batch_losses` of label sets given as flat arrays, trusting its
+    callers' checks: ``weights`` finite float64 ``(words, 10)`` rows, ``labels``
+    :func:`_flat` output or a run of its sentences, ``loss`` in :data:`LOSSES`.
+    Every loss of this module is this one call."""
     layout = _layout(labels.lengths)
     log_z, grad = _posterior(lat, weights, layout)
     if loss == "partial":
@@ -588,13 +625,7 @@ def nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np
         raise ValueError(f"gold length {len(gold)} != sentence length {len(weights)}")
     if not is_well_formed(gold):
         raise IllFormed(gold.symbols())
-    return _nll(lat, weights, gold)
-
-
-def _nll(lat: Lattice, weights: np.ndarray, gold: TagSequence) -> tuple[float, np.ndarray]:
-    """:func:`nll` of checked weights and a well-formed gold sequence."""
-    alone = PartialLabelSet(gold, np.full(len(weights), -1), 0)
-    (loss,), grad = _batch_losses(lat, weights, _flat([alone]), "nll")
+    (loss,), grad = _batch_losses(lat, weights, _flat([PartialLabelSet(gold, np.full(len(weights), -1))]), "nll")
     return float(loss), grad
 
 
@@ -607,20 +638,21 @@ def partial_nll(
     between full marginals and the member-posterior mean of member one-hots
     (the E-step quantity, treated as a constant with respect to ``weights``).
     """
-    weights = _check_label_set(pl, weights)
-    (loss,), grad = _batch_losses(lat, weights, _flat([pl]), "partial")
+    labels, weights = _check_label_set(pl, weights)
+    (loss,), grad = _batch_losses(lat, weights, labels, "partial")
     return float(loss), grad
 
 
 def hard_em_step(
     lat: Lattice, weights: np.ndarray, pl: PartialLabelSet
 ) -> tuple[float, np.ndarray, TagSequence]:
-    """One hard-EM step: clamp to the best-scoring member, then NLL on it.
+    """One hard-EM step: clamp to the best-scoring member, then NLL on it,
+    by the loss core's ``"hard-em"`` branch, which training runs.
 
     It flips exactly the sets whose flip raises the score, so ties keep the
     earliest member in canonical order (unflipped first, then binary counting
     over sets from left to right).
     """
-    weights = _check_label_set(pl, weights)
-    chosen = TagSequence.from_indices(_hard_em_targets(_flat([pl]), weights))
-    return *_nll(lat, weights, chosen), chosen
+    labels, weights = _check_label_set(pl, weights)
+    (loss,), grad = _batch_losses(lat, weights, labels, "hard-em")
+    return float(loss), grad, TagSequence.from_indices(_hard_em_targets(labels, weights))

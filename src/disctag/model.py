@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import tokenize
 import zipfile
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
@@ -212,8 +213,10 @@ class LinearScorer:
         with the stored rows scattered in.
 
         A file that is not such a model (not an ``.npz`` archive, truncated,
-        missing an entry, or with rows that are not increasing ids below
-        ``dim`` or values that are not their finite params) raises
+        needing a zip feature that :mod:`zipfile` lacks, with an ``.npy``
+        header that does not parse, missing an entry, or with rows that are
+        not increasing ids below ``dim`` or values that are not their finite
+        params) raises
         :class:`~disctag.errors.ConfigError`; a file that cannot be opened
         raises :class:`OSError`.
         """
@@ -228,7 +231,10 @@ class LinearScorer:
                         raise ConfigError("model tagset does not match this build")
                     scorer = cls(dim=int(data["dim"]))
                     rows, values = data["rows"], data["values"]
-            except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as err:
+            # zipfile raises NotImplementedError or RuntimeError for a zip version or an
+            # encryption it lacks, numpy SyntaxError or TokenError for a bad .npy header
+            except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile, NotImplementedError,
+                    RuntimeError, SyntaxError, tokenize.TokenError) as err:
                 raise ConfigError(f"{path} is not a model file written by 'disctag train'") from err
         if not (
             rows.ndim == 1

@@ -1,4 +1,6 @@
+import io
 import itertools
+import zipfile
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -341,9 +343,9 @@ def chart_reference(lat, weights: np.ndarray, sr, lengths: np.ndarray | None = N
     return totals, charts
 
 
-def write_model(path, **fields) -> None:
-    """Write a version-2 model file of ``dim`` 8 with rows 1 and 5 set, its
-    entries replaced by ``fields``; an entry given as ``None`` is left out."""
+def model_bytes(**fields) -> bytes:
+    """A version-2 model file of ``dim`` 8 with rows 1 and 5 set, its entries
+    replaced by ``fields``; an entry given as ``None`` is left out."""
     entries = {
         "format_version": np.int64(2),
         "dim": np.int64(8),
@@ -352,8 +354,33 @@ def write_model(path, **fields) -> None:
         "values": np.ones((2, NUM_TAGS)),
         **fields,
     }
+    handle = io.BytesIO()
+    np.savez(handle, **{key: value for key, value in entries.items() if value is not None})
+    return handle.getvalue()
+
+
+def write_model(path, **fields) -> None:
+    """Write :func:`model_bytes` of ``fields`` to ``path``."""
     with open(path, "wb") as handle:
-        np.savez(handle, **{key: value for key, value in entries.items() if value is not None})
+        handle.write(model_bytes(**fields))
+
+
+def _central_byte_set(at: int, value: int) -> bytes:
+    """:func:`model_bytes` with byte ``at`` of its first central-directory record set to ``value``."""
+    data = bytearray(model_bytes())
+    data[data.index(b"PK\x01\x02") + at] = value
+    return bytes(data)
+
+
+def _npy_header_archive(header: str) -> bytes:
+    """An archive of one entry, ``format_version.npy``, whose ``.npy`` header
+    text is ``header``, padded as numpy pads it, followed by 8 zero bytes."""
+    text = header.encode().ljust(117) + b"\n"
+    npy = b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text + bytes(8)
+    handle = io.BytesIO()
+    with zipfile.ZipFile(handle, "w") as archive:
+        archive.writestr(zipfile.ZipInfo("format_version.npy"), npy)  # dated 1980-01-01, so the bytes are fixed
+    return handle.getvalue()
 
 
 # Model files that are not a model, as the entries :func:`write_model` replaces,
@@ -376,6 +403,18 @@ MALFORMED_MODELS = {
         {"format_version": np.int64(1), "rows": None, "values": None, "params": np.zeros((8, NUM_TAGS))},
         "unsupported model format version 1$",
     ),
+}
+
+
+# Model files that zipfile or numpy cannot parse, as their bytes: the first
+# central-directory record needing zip version 25.5 (byte +6) or marked
+# encrypted (byte +8, the flags), and an entry whose .npy header is cut off
+# inside its shape, or whose dtype does not parse.
+UNPARSABLE_MODELS = {
+    "zip-version-25.5": _central_byte_set(6, 0xFF),
+    "zip-encrypted": _central_byte_set(8, 0x01),
+    "npy-header-cut-in-shape": _npy_header_archive("{'descr': '<i8', 'fortran_order': False, 'shape': ("),
+    "npy-descr-unparsable": _npy_header_archive("{'descr': ',f8', 'fortran_order': False, 'shape': (), }"),
 }
 
 

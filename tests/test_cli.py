@@ -28,6 +28,7 @@ from conftest import (
     MALFORMED_MODELS,
     MIXED_CORPUS,
     MIXED_DROPPED,
+    UNPARSABLE_MODELS,
     is_structural,
     read_tag_file,
     write_corpus,
@@ -417,6 +418,15 @@ class TestTrainPredictEval:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert re.search(message, captured.err.rstrip("\n"))
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind", UNPARSABLE_MODELS)
+    def test_predict_unparsable_model_exits_1(self, corpus_file, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(UNPARSABLE_MODELS[kind])
+        assert main(["predict", str(corpus_file), "--model", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad} is not a model file written by 'disctag train'\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])

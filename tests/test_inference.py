@@ -9,6 +9,7 @@ from disctag.automata import Automaton, build_lattice, grammar_automaton
 from disctag.errors import EmptyLanguage, IllFormed
 from disctag.inference import (
     LOG,
+    LOSSES,
     SCALED,
     TROPICAL,
     PartialLabelSet,
@@ -347,7 +348,39 @@ class TestPartialLabelSet:
         assert np.array_equal(flat.owner, np.concatenate([pl.owner for pl in labels]))
         # fresh arrays: a loss that writes to them cannot reach a label set
         assert not any(np.shares_memory(flat.owner, pl.owner) for pl in labels)
+        assert flat.sets.tolist() == [2, 0, 3, 1] == [pl.k for pl in labels]
         assert inference._flat([]).gold.shape == (0,)
+
+    def test_gold_longer_than_owners_rejected(self):
+        good = PartialLabelSet.from_annotation(annotation_with_sets(1))  # 4 words
+        longer = PartialLabelSet(TagSequence.from_symbols("O O O O O"), np.full(4, -1))
+        w = np.zeros((4, NUM_TAGS))
+        with pytest.raises(ValueError, match="^label set 1: 5 gold tags for 4 owners$"):
+            batch_losses(LAT, joined([w, w]), [good, longer], "partial")
+        for loss in (partial_nll, hard_em_step, lambda lat, w, pl: clamped_log_partition(pl, w)):
+            with pytest.raises(ValueError, match="^label set 0: 5 gold tags for 4 owners$"):
+                loss(LAT, w, longer)
+
+    @pytest.mark.parametrize(
+        "owner, message",
+        [
+            ([0, 0, -1, 2, 2], "unresolved set 1 owns no word$"),
+            ([1, 1, -1, -1, -1], "unresolved set 0 owns no word$"),
+            ([0, 0, -2, 1, 1], r"owner -2 not in \[-1, 5\)$"),
+            ([0, 0, -1, 5, 5], r"owner 5 not in \[-1, 5\)$"),
+            (np.zeros(5), r"owners must be 1-d signed integers, not float64 \(5,\)$"),
+        ],
+        ids=["set-skipped", "set-0-skipped", "below-minus-one", "past-the-words", "float"],
+    )
+    def test_owners_that_do_not_number_the_sets_rejected(self, owner, message):
+        gold = TagSequence.from_symbols("DB-Bx DI-By O DB-Bx DI-By")
+        bad = PartialLabelSet(gold, np.asarray(owner))
+        w = np.zeros((5, NUM_TAGS))
+        for loss in LOSSES:
+            with pytest.raises(ValueError, match="^label set 2: " + message):
+                batch_losses(LAT, joined([w, w, w]), [PartialLabelSet(gold, np.full(5, -1))] * 2 + [bad], loss)
+        with pytest.raises(ValueError, match="^label set 0: " + message):
+            partial_nll(LAT, w, bad)
 
     def test_flips_stay_inside_their_span(self):
         ann = annotation_with_sets(3)
@@ -528,6 +561,20 @@ class TestHardEm:
         _, _, chosen = hard_em_step(LAT, w, pl)
         assert chosen.tags == best.tags
         assert chosen.tags == members[0b0100].tags  # only set 1 flipped
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equals_nll_of_its_chosen_member(self, k):
+        ann = annotation_with_sets(k)
+        pl = PartialLabelSet.from_annotation(ann)
+        rng = np.random.default_rng(40 + k)
+        chosen_members = set()
+        for _ in range(10):
+            w = rng.normal(0, 3, (ann.n, NUM_TAGS))
+            loss, grad, chosen = hard_em_step(LAT, w, pl)
+            floss, fgrad = nll(LAT, w, chosen)
+            assert loss == floss and np.array_equal(grad, fgrad)
+            chosen_members.add(chosen.tags)
+        assert len(chosen_members) > 1  # the draws pick more than the unflipped member
 
     def test_rejects_label_set_of_another_length(self):
         pl = PartialLabelSet.from_annotation(annotation_with_sets(2))  # 8 words

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,9 +36,11 @@ from disctag.scheme import (
 from conftest import (
     LIBRARY_LOSSES,
     MALFORMED_MODELS,
+    UNPARSABLE_MODELS,
     fnv1a_reference,
     is_structural,
     is_well_formed_reference,
+    model_bytes,
     predict_batch,
     score_rows_reference,
     sentence_features,
@@ -333,6 +337,35 @@ class TestLinearScorer:
         write_model(path, **fields)
         with pytest.raises(ConfigError, match=message):
             LinearScorer.load(path)
+
+    @pytest.mark.parametrize("kind", UNPARSABLE_MODELS)
+    def test_load_rejects_unparsable_file(self, tmp_path, kind):
+        path = tmp_path / "model.npz"
+        path.write_bytes(UNPARSABLE_MODELS[kind])
+        with pytest.raises(ConfigError, match="is not a model file written by 'disctag train'$"):
+            LinearScorer.load(path)
+
+    def test_load_of_each_bit_flip_in_the_archive_directory(self, tmp_path):
+        # the first entry's central-directory record and the end record hold
+        # the zip version, flags, sizes and offsets that choose zipfile's paths
+        data = model_bytes()
+        first = data.index(b"PK\x01\x02")
+        second, end = data.index(b"PK\x01\x02", first + 1), data.index(b"PK\x05\x06")
+        records = [*range(first, second), *range(end, len(data))]
+        path = tmp_path / "model.npz"
+        outcomes = Counter()
+        for bit in (8 * at + i for at in records for i in range(8)):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << bit % 8
+            path.write_bytes(flipped)
+            try:
+                LinearScorer.load(path)
+                outcomes["loaded"] += 1
+            except ConfigError:
+                outcomes["not a model"] += 1
+            except OSError:  # an offset that the file cannot seek to
+                outcomes["unreadable"] += 1
+        assert outcomes["loaded"] and outcomes["not a model"] > outcomes["unreadable"]
 
     def test_dim_must_be_positive(self):
         with pytest.raises(ConfigError, match="^feature dimension must be positive$"):

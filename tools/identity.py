@@ -49,8 +49,11 @@ processes against the given tree's ``src/``:
   of the six rules of the tagging scheme, and an empty line;
 - bad inputs: a byte that is not UTF-8, a record without its mention line, an
   unknown tag symbol, a ``decode --corpus`` length mismatch, a model file
-  that is not a model, and ``eval`` of corpora whose record counts, and whose
-  token counts, differ.
+  that is not a model, four that :mod:`zipfile` or numpy cannot parse (an
+  entry that needs zip version 25.5, one marked encrypted, an ``.npy``
+  header cut off inside its shape, and one whose dtype string does not
+  parse), each given to ``predict``, and ``eval`` of corpora whose record
+  counts, and whose token counts, differ.
 
 It prints one sorted line per artefact, ``<sha256> <exit code> <name>``: for
 each run, the output file it was given (``missing`` when it wrote none), and
@@ -67,11 +70,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import os
 import random
 import subprocess
 import sys
 import tempfile
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -152,6 +157,24 @@ ILL_FORMED_LONG = 48  # long sequences; every eighth is left well-formed
 # of the grammar walk (an unsigned integer as wide as the longest length) widen
 # from 16 to 32 bits.
 ILL_FORMED_WIDE = 65_600
+
+
+def _archive(header: str, central: dict[int, int] | None = None) -> bytes:
+    """A zip archive of one entry, ``format_version.npy``: an ``.npy`` header
+    of text ``header``, padded as numpy pads it, then 8 zero bytes; each byte
+    of ``central`` (offset -> value) set in the entry's central-directory record."""
+    text = header.encode().ljust(117) + b"\n"
+    handle = io.BytesIO()
+    with zipfile.ZipFile(handle, "w") as archive:
+        archive.writestr(zipfile.ZipInfo("format_version.npy"),  # dated 1980-01-01, so the bytes are fixed
+                         b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text + bytes(8))
+    data = bytearray(handle.getvalue())
+    for at, value in (central or {}).items():
+        data[data.index(b"PK\x01\x02") + at] = value
+    return bytes(data)
+
+
+SCALAR_HEADER = "{'descr': '<i8', 'fortran_order': False, 'shape': (), }"
 BAD_INPUTS = {  # file name -> contents
     "non-utf8.txt": b"pain in \xffarms\n0-1\n",
     "no-mention-line.txt": b"pain in arms\n0-1\n\nit hurts",
@@ -161,7 +184,12 @@ BAD_INPUTS = {  # file name -> contents
     "four-words.txt": b"pain in both arms\n2-3\n",
     "two-tags.tags": b"CB CI\n",
     "not-a-model.npz": b"not a model\n",
+    "zip-version-25.5.npz": _archive(SCALAR_HEADER, {6: 0xFF}),  # version needed to extract
+    "zip-encrypted.npz": _archive(SCALAR_HEADER, {8: 0x01}),  # flag bit 0
+    "npy-header-cut-in-shape.npz": _archive("{'descr': '<i8', 'fortran_order': False, 'shape': ("),
+    "npy-descr-unparsable.npz": _archive("{'descr': ',f8', 'fortran_order': False, 'shape': (), }"),
 }
+UNPARSABLE_MODELS = [name for name in BAD_INPUTS if name.startswith(("zip-", "npy-"))]
 
 
 def _model_jobs(seed: int, work: Path) -> tuple[list, list]:
@@ -287,6 +315,8 @@ def _fixed_jobs(work: Path) -> tuple[list, list]:
         ("bad/unknown-symbol", ["validate", bad["unknown-symbol.tags"]], None),
         ("bad/decode-length-mismatch", ["decode", bad["two-tags.tags"], "--corpus", bad["three-words.txt"]], None),
         ("bad/not-a-model", ["predict", bad["three-words.txt"], "--model", bad["not-a-model.npz"]], None),
+        *((f"bad/{name.removesuffix('.npz')}", ["predict", bad["three-words.txt"], "--model", bad[name]], None)
+          for name in UNPARSABLE_MODELS),
         ("bad/eval-record-count", ["eval", bad["two-records.txt"], bad["three-words.txt"]], None),
         ("bad/eval-token-count", ["eval", bad["three-words.txt"], bad["four-words.txt"]], None),
         ("unicode/encode.tags", ["encode", str(text), "-o", str(tags)], tags),
